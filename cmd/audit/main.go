@@ -71,7 +71,7 @@ func main() {
 			"clean history needs its pure rules to flag deviations in future loads)")
 		stream  = flag.Bool("stream", false, "stream the input through a saved -model with bounded memory (no table materialization)")
 		chunk   = flag.Int("chunk", 1024, "rows per scoring chunk in -stream mode")
-		workers = flag.Int("workers", 0, "scoring workers in -stream mode (0 = NumCPU)")
+		workers = flag.Int("workers", 0, "scoring workers (0 = NumCPU)")
 		stats   = flag.Bool("stats", false, "append a one-shot metric summary of the run in Prometheus text format (the same series auditd exports at /metrics)")
 
 		format    = flag.String("format", "auto", "input format of -in: auto (by extension), csv or jsonl")
@@ -196,7 +196,7 @@ func main() {
 		}
 	}
 
-	res := model.AuditTable(table)
+	res := model.AuditTableParallel(table, *workers)
 	sus := res.Suspicious()
 	fmt.Printf("checked %d records in %v: %d suspicious (error confidence >= %.2f)\n",
 		table.NumRows(), res.CheckTime, len(sus), model.Opts.MinConfidence)

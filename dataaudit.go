@@ -20,8 +20,11 @@
 // Beyond the reproduction, the package carries a serving layer for the
 // paper's asynchronous deployment shape (§2.2):
 //
-//   - AuditModel.AuditTableParallel shards deviation detection across a
-//     worker pool with output identical to the sequential AuditTable,
+//   - AuditModel.AuditTable, AuditTableParallel and AuditStream are thin
+//     wrappers over one scoring pipeline (a feed of row blocks, a worker
+//     pool, an in-order fold into a sink), so their outputs agree by
+//     construction: AuditTableParallel spreads a table over a worker
+//     pool with output identical to AuditTable,
 //   - AuditModel.AuditStream scores rows pulled from a RowSource (e.g. a
 //     streaming CSV decoder) in bounded chunks, so peak memory is
 //     independent of the input size while the suspicious set and its

@@ -13,6 +13,7 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -334,14 +335,14 @@ type RecordReport struct {
 	Suspicious bool
 }
 
-// repointBest aims Best at the first finding carrying the report's
+// RepointBest aims Best at the first finding carrying the report's
 // overall error confidence — the entry CheckRow selects — inside the
 // report's own Findings slice. Every path that copies or reallocates the
-// findings (CheckRow's appends, Merge, the streaming engine's report
-// copies) must call this so Best never dangles into a foreign slice; a
-// change to the tie-breaking rule therefore happens in exactly one
-// place.
-func (rep *RecordReport) repointBest() {
+// findings (Detach, detachReports, Merge, internal/shard reassembling
+// gob-decoded reports) must call this so Best never dangles into a
+// foreign slice; a change to the tie-breaking rule therefore happens in
+// exactly one place. The caller must own rep.Findings.
+func (rep *RecordReport) RepointBest() {
 	if rep.Best == nil {
 		return
 	}
@@ -352,13 +353,6 @@ func (rep *RecordReport) repointBest() {
 		}
 	}
 }
-
-// RepointBest re-aims Best at the canonical entry inside the report's own
-// Findings slice — the exported form of repointBest for callers that
-// reassemble reports after a process boundary (internal/shard's hash
-// scatter path, where decoded reports arrive with Best pointing at a
-// standalone gob-decoded Finding). The caller must own rep.Findings.
-func (rep *RecordReport) RepointBest() { rep.repointBest() }
 
 // CheckRow runs deviation detection for one record. It is the
 // convenience form: each call allocates a fresh ScoreScratch and detaches
@@ -384,24 +378,68 @@ type Result struct {
 	CheckTime time.Duration
 }
 
-// AuditTable checks every record of the table against the structure model.
+// AuditTable checks every record of the table against the structure
+// model on the caller's goroutine.
 func (m *Model) AuditTable(tab *dataset.Table) *Result {
-	start := time.Now()
-	n := tab.NumRows()
-	res := &Result{Reports: make([]RecordReport, n), NumAttrs: m.Schema.Len()}
-	ck := dataset.NewColumnChunk(tab.Schema())
-	scratch := NewChunkScratch(m)
-	dims := NewDimTracker(tab.Schema())
-	for lo := 0; lo < n; lo += batchChunkRows {
-		hi := min(lo+batchChunkRows, n)
-		tab.ChunkInto(ck, lo, hi)
-		dims.ObserveChunk(ck)
-		reps := m.CheckChunk(ck, int64(lo), scratch)
-		detachReports(reps, res.Reports[lo:hi])
-	}
-	res.Dims = dims.Dims()
-	res.CheckTime = time.Since(start)
+	return m.AuditTableParallel(tab, 1)
+}
+
+// AuditTableParallel checks every record of the table against the
+// structure model using up to `workers` goroutines (<= 0 selects
+// runtime.NumCPU()). An induced Model is immutable and every prediction
+// a pure function of the row, so the reports are byte-identical to
+// AuditTable's for every worker count; only CheckTime differs.
+func (m *Model) AuditTableParallel(tab *dataset.Table, workers int) *Result {
+	res, _ := m.auditResult(tableFeed(tab, workers), tab.NumRows(), workers) // a table feed cannot fail
 	return res
+}
+
+// AuditChunks checks the rows of already-decoded column chunks — read
+// returns them one at a time and io.EOF at the clean end; any other
+// error aborts the audit and is returned as is — and numbers the reports
+// in arrival order. It is the shard worker's entry into the pipeline.
+func (m *Model) AuditChunks(read func() (*dataset.ColumnChunk, error)) (*Result, error) {
+	return m.auditResult(chunkFeed(m.Schema, read), -1, 1)
+}
+
+// auditResult runs the scoring pipeline into a Result. rows is the number
+// of rows the feed will deliver, or negative when only the feed knows.
+func (m *Model) auditResult(f feed, rows, workers int) (*Result, error) {
+	start := time.Now()
+	res := &Result{NumAttrs: m.Schema.Len()}
+	if rows >= 0 {
+		res.Reports = make([]RecordReport, rows)
+	}
+	// With Reports sized up front, each unit's reports are detached where
+	// they belong by the goroutine that scored them; otherwise into parts
+	// the fold lines up, joined once the row count is known.
+	var parts [][]RecordReport
+	collect := func(firstRow int64, reps []RecordReport) []RecordReport {
+		var part []RecordReport
+		if rows >= 0 {
+			part = res.Reports[firstRow:][:len(reps)]
+		} else {
+			part = make([]RecordReport, len(reps))
+		}
+		detachReports(reps, part)
+		return part
+	}
+	fold := func(part []RecordReport) error {
+		if rows < 0 {
+			parts = append(parts, part)
+		}
+		return nil
+	}
+	dims, err := run(m, f, collect, fold, workers)
+	if err != nil {
+		return nil, err
+	}
+	if rows < 0 {
+		res.Reports = slices.Concat(parts...)
+	}
+	res.Dims = dims
+	res.CheckTime = time.Since(start)
+	return res, nil
 }
 
 // Suspicious returns the reports marked suspicious, "ranked according to

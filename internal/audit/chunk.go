@@ -19,8 +19,7 @@ import (
 // row. The produced reports are byte-identical to the row path's — the
 // differential suite in columnar_diff_test.go holds both paths to that.
 
-// batchChunkRows is the block size the table scorers feed CheckChunk
-// (cmd/benchcore's -chunk flag exists to measure other sizes).
+// batchChunkRows is the largest block the table feed hands CheckChunk.
 const batchChunkRows = 4096
 
 // chunkHit is one deviation found by an attribute kernel: the chunk row
@@ -319,7 +318,7 @@ func detachReports(reps []RecordReport, dst []RecordReport) {
 			start := len(arena)
 			arena = append(arena, rep.Findings...)
 			rep.Findings = arena[start : start+n : start+n]
-			rep.repointBest()
+			rep.RepointBest()
 		}
 		dst[i] = rep
 	}

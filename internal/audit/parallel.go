@@ -2,95 +2,9 @@ package audit
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"dataaudit/internal/dataset"
 )
-
-// Parallel deviation detection. Once induction has finished, a Model is
-// immutable and every classifier's Predict is a pure function of the input
-// row, so table scoring is embarrassingly parallel: record IDs are sharded
-// across a worker pool and the per-shard results are merged back in table
-// order, making the output deterministic and identical to AuditTable's.
-
-// parallelMinRows is the table size below which the fan-out overhead
-// outweighs the speedup and AuditTableParallel falls back to the
-// sequential path.
-const parallelMinRows = 256
-
-// chunksPerWorker over-partitions the row range so that shards with
-// expensive rows (deep tree paths, many findings) do not straggle.
-const chunksPerWorker = 4
-
-// AuditTableParallel checks every record of the table against the
-// structure model using up to `workers` goroutines. workers <= 0 selects
-// runtime.NumCPU(). The result's reports are byte-identical to
-// AuditTable's (same order, same contents); only CheckTime differs.
-func (m *Model) AuditTableParallel(tab *dataset.Table, workers int) *Result {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	n := tab.NumRows()
-	if workers == 1 || n < parallelMinRows {
-		return m.AuditTable(tab)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	start := time.Now()
-	res := &Result{Reports: make([]RecordReport, n), NumAttrs: m.Schema.Len()}
-
-	numChunks := workers * chunksPerWorker
-	chunkSize := (n + numChunks - 1) / numChunks
-	type span struct{ lo, hi int }
-	work := make(chan span, numChunks)
-	for lo := 0; lo < n; lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		work <- span{lo, hi}
-	}
-	close(work)
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	trackers := make([]*DimTracker, workers)
-	for w := 0; w < workers; w++ {
-		tr := NewDimTracker(tab.Schema())
-		trackers[w] = tr
-		go func() {
-			defer wg.Done()
-			ck := dataset.NewColumnChunk(tab.Schema())
-			scratch := NewChunkScratch(m)
-			for sp := range work {
-				// Each shard writes a disjoint index range of the shared
-				// report slice, so no further merging or locking is needed
-				// and the output order matches the sequential scan.
-				for lo := sp.lo; lo < sp.hi; lo += batchChunkRows {
-					hi := min(lo+batchChunkRows, sp.hi)
-					tab.ChunkInto(ck, lo, hi)
-					tr.ObserveChunk(ck)
-					reps := m.CheckChunk(ck, int64(lo), scratch)
-					detachReports(reps, res.Reports[lo:hi])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// The dimension accumulators commute, so folding the per-worker
-	// trackers in index order reproduces the sequential path's dims no
-	// matter how the span channel distributed the work.
-	res.Dims = trackers[0].Dims()
-	for _, tr := range trackers[1:] {
-		MergeDims(res.Dims, tr.Dims())
-	}
-	res.CheckTime = time.Since(start)
-	return res
-}
 
 // Merge appends another result's reports to r and accumulates its check
 // time. Row indices are shifted so that the merged result looks like one
@@ -138,7 +52,7 @@ func (r *Result) Merge(o *Result) error {
 		}
 		// Re-point Best into the copied findings slice.
 		rep.Findings = append([]Finding(nil), rep.Findings...)
-		rep.repointBest()
+		rep.RepointBest()
 		r.Reports = append(r.Reports, rep)
 	}
 	r.CheckTime += o.CheckTime

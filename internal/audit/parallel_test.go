@@ -63,8 +63,9 @@ func TestAuditTableParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAuditTableParallelSmallTableFallsBack checks the sequential
-// fallback below the fan-out threshold still fills every report.
+// TestAuditTableParallelSmallTableFallsBack checks a table too small to
+// split (one unit, scored inline whatever the worker count) still fills
+// every report.
 func TestAuditTableParallelSmallTableFallsBack(t *testing.T) {
 	tab := engineTable(t, 100, 9)
 	m, err := Induce(tab, Options{MinConfidence: 0.8})

@@ -7,12 +7,12 @@ import (
 )
 
 // ScoreScratch is the per-worker reusable state of the scoring hot path:
-// one prediction distribution buffer plus a findings arena. Every scoring
-// surface (CheckRow, AuditTable, AuditTableParallel, AuditStream) threads
-// one scratch per goroutine through CheckRowScratch, so steady-state
-// record checking performs zero heap allocations — the buffers grow to
-// the model's high-water mark once and are reused for every subsequent
-// row.
+// one prediction distribution buffer plus a findings arena. The
+// row-at-a-time path (CheckRow, ExplainRow and the oracle the chunked
+// pipeline is tested against) threads one scratch per goroutine through
+// CheckRowScratch, so steady-state record checking performs zero heap
+// allocations — the buffers grow to the model's high-water mark once and
+// are reused for every subsequent row.
 //
 // A ScoreScratch must not be shared between goroutines.
 type ScoreScratch struct {
@@ -102,6 +102,6 @@ func (m *Model) CheckRowScratch(row []dataset.Value, s *ScoreScratch) *RecordRep
 func (rep *RecordReport) Detach() RecordReport {
 	cp := *rep
 	cp.Findings = append([]Finding(nil), rep.Findings...)
-	cp.repointBest()
+	cp.RepointBest()
 	return cp
 }

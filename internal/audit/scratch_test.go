@@ -46,7 +46,7 @@ func checkRowReference(m *Model, row []dataset.Value) RecordReport {
 			}
 		}
 	}
-	rep.repointBest()
+	rep.RepointBest()
 	rep.Suspicious = rep.ErrorConf >= m.Opts.MinConfidence
 	return rep
 }

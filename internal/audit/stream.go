@@ -1,13 +1,10 @@
 package audit
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
-	"io"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"dataaudit/internal/dataset"
@@ -15,14 +12,12 @@ import (
 
 // Streaming deviation detection. AuditTable and AuditTableParallel hold
 // the whole relation (and one RecordReport per row) in memory, so audit
-// memory grows linearly with input size. AuditStream instead pulls rows
-// from a dataset.RowSource in bounded chunks, fans the chunks out to the
-// same worker-pool scorer, and folds each chunk into an incremental
-// StreamResult the moment it is scored: running counts, per-attribute
-// deviation tallies and the top-K suspicious records by error confidence
-// (a bounded heap). Peak memory is O(ChunkSize × Workers + TopK),
-// independent of the number of rows — the §2.2 "check online" path at
-// warehouse scale.
+// memory grows linearly with input size. AuditStream instead feeds the
+// scoring pipeline (pipeline.go) bounded chunks pulled from a
+// dataset.RowSource and keeps of each only running counts, per-attribute
+// deviation tallies and the top-K suspicious records. Peak memory is
+// O(ChunkSize × Workers + TopK), independent of the number of rows — the
+// §2.2 "check online" path at warehouse scale.
 
 // ErrRowLimit is the sentinel wrapped by RowLimitError when a stream
 // exceeds StreamOptions.MaxRows. Test with errors.Is.
@@ -64,11 +59,11 @@ type StreamOptions struct {
 	// still being read. Returning an error aborts the stream with that
 	// error. The report (and its findings) must not be retained.
 	OnSuspicious func(rep *RecordReport) error
-	// OnRow, when non-nil, is called from the reader goroutine for every
-	// row pulled from the source, in source order, before the row is
-	// scored — the hook the monitoring layer samples rows through (e.g.
-	// into a re-induction reservoir). The row buffer is recycled between
-	// calls and must be copied if retained.
+	// OnRow, when non-nil, is called on the goroutine that called
+	// AuditStream for every row pulled from the source, in source order,
+	// before the row is scored — the hook the monitoring layer samples
+	// rows through (e.g. into a re-induction reservoir). The row buffer is
+	// recycled between calls and must be copied if retained.
 	OnRow func(row []dataset.Value, id int64)
 }
 
@@ -131,246 +126,96 @@ type StreamResult struct {
 	CheckTime time.Duration
 }
 
-// streamChunk is one scoring unit travelling reader → worker → collector.
-// The rows live in a typed ColumnChunk (the columnar scoring core's
-// native representation); the chunk buffers are recycled through the
-// free list, so a stream reaches a steady state with no per-chunk
-// allocation.
-type streamChunk struct {
-	seq      int
-	firstRow int64
-	data     *dataset.ColumnChunk
-}
-
-// chunkResult is a scored chunk: only the suspicious reports survive.
-type chunkResult struct {
-	seq        int
-	rows       int
-	suspicious []RecordReport
-	tallies    []AttrTally
-}
-
 // AuditStream checks every record pulled from src against the structure
 // model with bounded memory. The suspicious set and its confidence
 // ranking are identical to AuditTable's on the same rows (truncated to
 // TopK); only the non-suspicious per-row reports are not materialized.
 func (m *Model) AuditStream(src dataset.RowSource, opts StreamOptions) (*StreamResult, error) {
 	opts = opts.withDefaults()
-	width := m.Schema.Len()
-	if sw := src.Schema().Len(); sw != width {
+	if sw, width := src.Schema().Len(), m.Schema.Len(); sw != width {
 		return nil, &dataset.RowWidthError{Got: sw, Want: width}
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	return m.auditStream(sourceFeed(src, opts), opts)
+}
 
+// streamPart is what a streaming audit keeps of one scored unit: the
+// non-suspicious rows live and die inside the scoring scratch.
+type streamPart struct {
+	rows       int
+	suspicious []RecordReport
+	tallies    []AttrTally
+}
+
+// auditStream runs the scoring pipeline into a StreamResult.
+func (m *Model) auditStream(f feed, opts StreamOptions) (*StreamResult, error) {
 	start := time.Now()
-
-	work := make(chan *streamChunk, workers)
-	results := make(chan chunkResult, workers)
-	free := make(chan *streamChunk, workers+1)
-	for i := 0; i < workers+1; i++ {
-		free <- &streamChunk{data: dataset.NewColumnChunk(src.Schema())}
-	}
-
 	// slots maps a schema column to its tally index once, so the per-
 	// finding lookup in the scoring hot loop is O(1).
-	slots := make([]int, width)
-	for i, am := range m.Attrs {
-		slots[am.Class] = i
-	}
-
-	// Workers: score chunks with the shared immutable model, keep only
-	// the suspicious reports plus the chunk's deviation tallies, recycle
-	// the chunk buffer.
-	workersDone := make(chan struct{})
-	go func() {
-		defer close(workersDone)
-		var done sync.WaitGroup
-		done.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer done.Done()
-				scratch := NewChunkScratch(m)
-				for ck := range work {
-					results <- m.scoreChunk(ck, slots, scratch)
-					free <- ck
-				}
-			}()
-		}
-		done.Wait()
-	}()
-
-	// Collector: fold scored chunks in sequence order so counters, the
-	// top-K heap and the OnSuspicious callback all observe rows in the
-	// deterministic table order regardless of worker scheduling.
+	slots := make([]int, m.Schema.Len())
 	res := &StreamResult{Attrs: make([]AttrTally, len(m.Attrs))}
 	for i, am := range m.Attrs {
+		slots[am.Class] = i
 		res.Attrs[i].Attr = am.Class
 	}
-	top := &topKHeap{}
-	collectErr := make(chan error, 1)
-	collectDone := make(chan struct{})
-	abort := make(chan struct{})
-	go func() {
-		defer close(collectDone)
-		pending := make(map[int]chunkResult)
-		next := 0
-		failed := false
-		for cr := range results {
-			pending[cr.seq] = cr
-			for {
-				cur, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				if failed {
-					continue // drain without folding
-				}
-				if err := res.fold(cur, top, opts); err != nil {
-					collectErr <- err
-					failed = true
-					close(abort) // stop the reader from queueing more work
-				}
+	var top topK
+
+	// On the scoring goroutine: detach the suspicious minority of the
+	// unit's reports and tally the rest where they lie.
+	collect := func(_ int64, reps []RecordReport) streamPart {
+		p := streamPart{rows: len(reps), tallies: make([]AttrTally, len(m.Attrs))}
+		for i := range reps {
+			rep := &reps[i]
+			tallyReport(rep, slots, p.tallies, m.Opts.MinConfidence)
+			if rep.Suspicious {
+				p.suspicious = append(p.suspicious, rep.Detach())
 			}
 		}
-		if !failed {
-			collectErr <- nil
+		return p
+	}
+	// In unit order, so the counters, the top-K and the OnSuspicious
+	// callback all observe rows in the deterministic table order
+	// regardless of worker scheduling.
+	fold := func(p streamPart) error {
+		res.RowsChecked += int64(p.rows)
+		res.NumSuspicious += int64(len(p.suspicious))
+		for i := range p.tallies {
+			t, u := &res.Attrs[i], &p.tallies[i]
+			t.Deviations += u.Deviations
+			t.Suspicious += u.Suspicious
+			t.SumErrorConf += u.SumErrorConf
+			if u.MaxErrorConf > t.MaxErrorConf {
+				t.MaxErrorConf = u.MaxErrorConf
+			}
 		}
-	}()
-
-	// Reader: fill chunks from the source on this goroutine (sources are
-	// single-pass and not concurrency-safe). The dimension tracker rides
-	// the reader so a single accumulator observes every queued chunk
-	// without cross-goroutine merging.
-	dims := NewDimTracker(src.Schema())
-	readErr := m.readChunks(src, opts, width, work, free, abort, dims)
-
-	close(work)
-	<-workersDone
-	close(results)
-	<-collectDone
-	cbErr := <-collectErr
-
-	if readErr != nil {
-		return nil, readErr
-	}
-	if cbErr != nil {
-		return nil, cbErr
+		for i := range p.suspicious {
+			rep := &p.suspicious[i]
+			if opts.OnSuspicious != nil {
+				if err := opts.OnSuspicious(rep); err != nil {
+					return err
+				}
+			}
+			top.offer(rep, opts.TopK)
+		}
+		return nil
 	}
 
-	res.Top = top.ranked()
+	dims, err := run(m, f, collect, fold, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	for i, am := range m.Attrs {
+		res.Attrs[i].Nulls = dims[am.Class].Nulls
+	}
+	res.Top = append([]RecordReport{}, top.best(opts.TopK)...)
 	res.TopTruncated = opts.TopK >= 0 && res.NumSuspicious > int64(len(res.Top))
-	res.Dims = dims.Dims()
+	res.Dims = dims
 	res.CheckTime = time.Since(start)
 	return res, nil
 }
 
-// readChunks pulls rows from src into recycled column chunks and queues
-// them for scoring, using the source's native NextChunk when it has one
-// (CSVSource and TableSource decode straight into the columnar form) and
-// the generic FillChunk adapter otherwise. It returns the first source
-// error (io.EOF is a clean end) and nil on abort (the collector already
-// holds the real error).
-//
-// Semantics match the row-at-a-time reader exactly: OnRow fires for
-// every accepted row in source order before the row's chunk is queued; a
-// row beyond MaxRows aborts with a RowLimitError before its OnRow and
-// without queueing its chunk; rows preceding a malformed row still get
-// their OnRow before the error is returned.
-func (m *Model) readChunks(src dataset.RowSource, opts StreamOptions, width int, work chan<- *streamChunk, free <-chan *streamChunk, abort <-chan struct{}, dims *DimTracker) error {
-	cs, fast := src.(dataset.ChunkSource)
-	var rowBuf []dataset.Value
-	if !fast || opts.OnRow != nil {
-		rowBuf = make([]dataset.Value, width)
-	}
-	var rows int64
-	seq := 0
-	for {
-		var ck *streamChunk
-		select {
-		case <-abort:
-			return nil
-		case ck = <-free:
-		}
-		ck.seq = seq
-		ck.firstRow = rows
-		ck.data.Reset()
-
-		// Pull at most one row past MaxRows, so the limit fires on the
-		// first overflowing row exactly as a row-at-a-time read would.
-		target := opts.ChunkSize
-		if opts.MaxRows > 0 {
-			if rem := opts.MaxRows - rows; rem < int64(target) {
-				target = int(rem) + 1
-			}
-		}
-		var n int
-		var err error
-		if fast {
-			n, err = cs.NextChunk(ck.data, target)
-		} else {
-			n, err = dataset.FillChunk(src, ck.data, rowBuf, target)
-		}
-		accepted := n
-		overflow := opts.MaxRows > 0 && rows+int64(n) > opts.MaxRows
-		if overflow {
-			accepted = int(opts.MaxRows - rows)
-		}
-		if opts.OnRow != nil {
-			for i := 0; i < accepted; i++ {
-				opts.OnRow(ck.data.RowInto(i, rowBuf), ck.data.ID(i))
-			}
-		}
-		if overflow {
-			return &RowLimitError{Limit: opts.MaxRows}
-		}
-		rows += int64(n)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return err
-		}
-		if n > 0 {
-			seq++
-			dims.ObserveChunk(ck.data)
-			select {
-			case <-abort:
-				return nil
-			case work <- ck:
-			}
-		}
-		if err != nil {
-			return nil // clean io.EOF
-		}
-	}
-}
-
-// scoreChunk runs deviation detection over one chunk using the worker's
-// scratch. slots maps schema columns to tally indices (findings only ever
-// reference modelled attributes). Non-suspicious rows live and die inside
-// the scratch — only the suspicious minority is detached and retained.
-func (m *Model) scoreChunk(ck *streamChunk, slots []int, scratch *ChunkScratch) chunkResult {
-	cr := chunkResult{seq: ck.seq, rows: ck.data.Rows(), tallies: make([]AttrTally, len(m.Attrs))}
-	for i, am := range m.Attrs {
-		cr.tallies[i].Attr = am.Class
-		cr.tallies[i].Nulls = ck.data.Col(am.Class).NullCount(cr.rows)
-	}
-	reps := m.CheckChunk(ck.data, ck.firstRow, scratch)
-	for i := range reps {
-		rep := &reps[i]
-		tallyReport(rep, slots, cr.tallies, m.Opts.MinConfidence)
-		if rep.Suspicious {
-			cr.suspicious = append(cr.suspicious, rep.Detach())
-		}
-	}
-	return cr
-}
-
 // tallyReport folds one report's findings into the per-attribute tallies;
 // slots maps schema columns to tally indices. This is the single
-// definition of the tally semantics — the streaming engine (scoreChunk)
+// definition of the tally semantics — the streaming audit (auditStream)
 // and the batch condenser (TallyResult) both use it, so the two paths
 // cannot drift apart.
 func tallyReport(rep *RecordReport, slots []int, tallies []AttrTally, minConf float64) {
@@ -412,89 +257,41 @@ func (m *Model) TallyResult(res *Result) (suspicious int64, tallies []AttrTally)
 	return suspicious, tallies
 }
 
-// fold merges one scored chunk (arriving in sequence order) into the
-// running result.
-func (res *StreamResult) fold(cr chunkResult, top *topKHeap, opts StreamOptions) error {
-	res.RowsChecked += int64(cr.rows)
-	res.NumSuspicious += int64(len(cr.suspicious))
-	for i := range cr.tallies {
-		t, u := &res.Attrs[i], &cr.tallies[i]
-		t.Deviations += u.Deviations
-		t.Suspicious += u.Suspicious
-		t.SumErrorConf += u.SumErrorConf
-		t.Nulls += u.Nulls
-		if u.MaxErrorConf > t.MaxErrorConf {
-			t.MaxErrorConf = u.MaxErrorConf
-		}
-	}
-	for i := range cr.suspicious {
-		rep := &cr.suspicious[i]
-		if opts.OnSuspicious != nil {
-			if err := opts.OnSuspicious(rep); err != nil {
-				return err
-			}
-		}
-		top.offer(rep, opts.TopK)
-	}
-	return nil
-}
-
-// topKHeap retains the K best suspicious reports under the total order
+// topK retains the K best suspicious reports under the total order
 // "higher error confidence first, earlier row breaks ties" — exactly the
 // ranking (*Result).Suspicious produces (its stable sort keeps the row
-// order of equal confidences). The heap is a min-heap on that order, so
-// the root is the weakest retained report.
-type topKHeap struct {
+// order of equal confidences).
+type topK struct {
 	reps []RecordReport
 }
 
-// rankedBefore reports whether a outranks b.
-func rankedBefore(a, b *RecordReport) bool {
-	if a.ErrorConf != b.ErrorConf {
-		return a.ErrorConf > b.ErrorConf
-	}
-	return a.Row < b.Row
-}
-
-func (h *topKHeap) Len() int           { return len(h.reps) }
-func (h *topKHeap) Less(i, j int) bool { return rankedBefore(&h.reps[j], &h.reps[i]) }
-func (h *topKHeap) Swap(i, j int)      { h.reps[i], h.reps[j] = h.reps[j], h.reps[i] }
-func (h *topKHeap) Push(x any)         { h.reps = append(h.reps, x.(RecordReport)) }
-func (h *topKHeap) Pop() any {
-	last := h.reps[len(h.reps)-1]
-	h.reps = h.reps[:len(h.reps)-1]
-	return last
-}
-
-// offer inserts the report if it ranks within the best k (k < 0: no cap).
-// Reports arriving here were already detached by scoreChunk, so the heap
-// can take ownership without another copy.
-func (h *topKHeap) offer(rep *RecordReport, k int) {
+// offer takes ownership of the report (collect already detached it);
+// k < 0 means no cap. Past 2k retained reports the weakest half is
+// dropped, in place: a report outranked by k others can never rank
+// within the best k again.
+func (t *topK) offer(rep *RecordReport, k int) {
 	if k == 0 {
 		return
 	}
-	if k > 0 && len(h.reps) >= k {
-		// Weakest retained report is at the root; skip reports that do
-		// not outrank it.
-		if !rankedBefore(rep, &h.reps[0]) {
-			return
-		}
-		heap.Pop(h)
+	t.reps = append(t.reps, *rep)
+	if k > 0 && len(t.reps) >= 2*k {
+		best := t.best(k)
+		clear(t.reps[len(best):]) // let go of the dropped reports' findings
+		t.reps = best
 	}
-	heap.Push(h, *rep)
 }
 
-// ranked drains the heap into descending rank order.
-func (h *topKHeap) ranked() []RecordReport {
-	out := make([]RecordReport, len(h.reps))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(RecordReport)
+// best sorts the retained reports into descending rank order and returns
+// the first k of them (all for k < 0) — a view, not a copy.
+func (t *topK) best(k int) []RecordReport {
+	slices.SortFunc(t.reps, func(a, b RecordReport) int {
+		if c := cmp.Compare(b.ErrorConf, a.ErrorConf); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Row, b.Row)
+	})
+	if k < 0 || k > len(t.reps) {
+		k = len(t.reps)
 	}
-	// The heap order is total and strict (rows are unique), so the drain
-	// is already exact; the assertion below is cheap and keeps the
-	// contract honest under -race test runs.
-	if !sort.SliceIsSorted(out, func(i, j int) bool { return rankedBefore(&out[i], &out[j]) }) {
-		panic("audit: topKHeap drain out of order")
-	}
-	return out
+	return t.reps[:k]
 }

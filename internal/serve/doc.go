@@ -19,7 +19,10 @@
 //	POST   /v1/models/{name}/audit          score a batch (JSON rows or text/csv)
 //	POST   /v1/models/{name}/audit/stream   bounded-memory scoring (text/csv in, NDJSON out)
 //
-// # Two scoring paths
+// # Two scoring endpoints
+//
+// Both run the same scoring pipeline (internal/audit); they differ in
+// what feeds it and what it keeps.
 //
 // The buffered endpoint parses the whole batch into a dataset.Table and
 // fans it out over the parallel table scorer (audit.AuditTableParallel);

@@ -12,22 +12,14 @@ import (
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/monitor"
 	"dataaudit/internal/obs"
-	"dataaudit/internal/registry"
 )
 
 // newMetricsServer boots a server with a small monitoring window so one
 // audited batch seals windows and populates the full metric surface.
 func newMetricsServer(t *testing.T, opts ...Option) (*httptest.Server, *Server) {
 	t.Helper()
-	reg, err := registry.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts = append([]Option{WithMonitorOptions(monitor.Options{WindowRows: 500})}, opts...)
-	srv := New(reg, opts...)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, srv
+	return startTestServer(t, openRegistry(t), opts...)
 }
 
 func scrape(t *testing.T, url string) (string, *http.Response) {

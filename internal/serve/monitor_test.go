@@ -9,21 +9,13 @@ import (
 
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/monitor"
-	"dataaudit/internal/registry"
 )
 
 // newMonitoredServer builds a test server with an aggressive monitoring
 // configuration so a single polluted upload can walk the whole lifecycle.
 func newMonitoredServer(t *testing.T, monOpts monitor.Options) (*httptest.Server, *Server) {
 	t.Helper()
-	reg, err := registry.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(reg, WithMonitorOptions(monOpts))
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, srv
+	return startTestServer(t, openRegistry(t), WithMonitorOptions(monOpts))
 }
 
 // TestQualityEndpoint covers the read path: baseline present right after

@@ -27,14 +27,11 @@ func startServer(t *testing.T, root string) (*httptest.Server, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(reg, WithMonitorOptions(monitor.Options{
+	return startTestServer(t, reg, WithMonitorOptions(monitor.Options{
 		WindowRows: 1000,
 		MinWindows: 1,
 		DriftDelta: 0.10,
 	}))
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, srv
 }
 
 func getQualityBody(t *testing.T, ts *httptest.Server) []byte {

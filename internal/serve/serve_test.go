@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"math/rand"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"dataaudit/internal/dataset"
@@ -52,14 +54,63 @@ func engineFixture(t *testing.T, rows int) (schemaText, csvText string, tab *dat
 	return schemaBuf.String(), csvBuf.String(), tab
 }
 
-func newTestServer(t *testing.T) *httptest.Server {
+// lockedBuffer is a bytes.Buffer the server's connection goroutines can
+// log into while the test goroutine reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// startTestServer is the one way a test in this package boots a serving
+// process over reg. Its cleanup closes the HTTP side first (which waits
+// for every connection goroutine), then the Server (which waits for the
+// monitor's asynchronous state writes) — both before t.TempDir removes
+// the registry root underneath them — and fails the test if net/http
+// recovered a panic on any connection.
+func startTestServer(t *testing.T, reg *registry.Registry, opts ...Option) (*httptest.Server, *Server) {
+	t.Helper()
+	srv := New(reg, opts...)
+	var errLog lockedBuffer
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		if err := srv.Close(); err != nil {
+			t.Errorf("closing server: %v", err)
+		}
+		if logged := errLog.String(); strings.Contains(logged, "panic serving") {
+			t.Errorf("net/http recovered a handler panic:\n%s", logged)
+		}
+	})
+	return ts, srv
+}
+
+// openRegistry opens a fresh registry under the test's temp dir.
+func openRegistry(t *testing.T) *registry.Registry {
 	t.Helper()
 	reg, err := registry.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(reg).Handler())
-	t.Cleanup(ts.Close)
+	return reg
+}
+
+func newTestServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	ts, _ := startTestServer(t, openRegistry(t))
 	return ts
 }
 

@@ -280,18 +280,6 @@ func buildVersion() (version, goVersion string) {
 // Monitor exposes the server's quality monitor (tests and embedders).
 func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
-// RouteLatency snapshots one route pattern's request-latency histogram —
-// the same series /metrics exports as dataaudit_http_request_seconds.
-// The route is the mux pattern's path ("/v1/models/{name}/audit"), and
-// the zero snapshot comes back when metrics are disabled. cmd/benchserve
-// reads per-route p50/p99 through this instead of parsing a scrape.
-func (s *Server) RouteLatency(route string) obs.HistSnapshot {
-	if s.httpMetrics == nil {
-		return obs.HistSnapshot{}
-	}
-	return s.httpMetrics.LatencySeconds.With(route).Snapshot()
-}
-
 // Close is the graceful-shutdown hook: it waits for in-flight background
 // re-inductions and persists every model's monitoring state so quality
 // history survives the restart. Call it after the HTTP server has

@@ -46,9 +46,7 @@ func shardFixture(t *testing.T, opts ...Option) *shardServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(reg, opts...)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	ts, srv := startTestServer(t, reg, opts...)
 	return &shardServer{ts: ts, srv: srv, reg: reg, model: m, meta: meta, tab: tab}
 }
 
@@ -200,12 +198,8 @@ func TestReplicateRoute(t *testing.T) {
 	m, meta := src.model, src.meta
 
 	// Destination: an empty worker.
-	wreg, err := registry.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(wreg).Handler())
-	t.Cleanup(ts.Close)
+	wreg := openRegistry(t)
+	ts, _ := startTestServer(t, wreg)
 
 	resp := putReplica(t, ts.URL, "engines", shard.ContentTypeReplica, meta, m)
 	resp.Body.Close()
@@ -267,12 +261,7 @@ func TestCoordinatorModeAudit(t *testing.T) {
 	// Two plain workers.
 	var workerURLs []string
 	for i := 0; i < 2; i++ {
-		wreg, err := registry.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wts := httptest.NewServer(New(wreg).Handler())
-		t.Cleanup(wts.Close)
+		wts := newTestServer(t)
 		workerURLs = append(workerURLs, wts.URL)
 	}
 
@@ -346,12 +335,7 @@ func TestCoordinatorModeAudit(t *testing.T) {
 // TestCoordinatorModeSingleRow: the single-row audit path also rides the
 // coordinator (it is the same buffered route).
 func TestCoordinatorModeSingleRow(t *testing.T) {
-	wreg, err := registry.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wts := httptest.NewServer(New(wreg).Handler())
-	t.Cleanup(wts.Close)
+	wts := newTestServer(t)
 
 	f := shardFixture(t, WithCoordinator(shard.Options{Workers: []string{wts.URL}}))
 	tab := f.tab

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"mime"
 	"net/http"
 	"strconv"
@@ -207,6 +208,7 @@ func (s *Server) handleAuditStream(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.logger.Printf("serve: stream %s v%d: %v", meta.Name, meta.Version, err)
 		_ = emit(StreamLine{Error: err.Error()})
+		finishAbortedUpload(w, r.Body)
 		return
 	}
 	obs.Finish(res)
@@ -243,6 +245,32 @@ func (s *Server) handleAuditStream(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = emit(StreamLine{Summary: &summary})
 }
+
+// finishAbortedUpload leaves a half-read full-duplex request body in a
+// state net/http can finish. If the handler returned with the body short
+// of EOF, the server's own post-handler drain would reach EOF after it
+// has already cancelled pending reads, start its background read there,
+// and then panic the connection goroutine with "invalid concurrent
+// Body.Read call" when it looks for the next request. So reach EOF here,
+// inside the handler, within the budget the server allows itself; for an
+// upload longer than that, MaxBytesReader tells the server (the writer
+// underneath any middleware) to close the connection after this reply
+// instead of reusing it.
+func finishAbortedUpload(w http.ResponseWriter, body io.ReadCloser) {
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			break
+		}
+		w = u.Unwrap()
+	}
+	_, _ = io.Copy(io.Discard, http.MaxBytesReader(w, body, maxAbortDrainBytes))
+}
+
+// maxAbortDrainBytes is how much of an aborted upload the stream route
+// reads and discards to keep the connection reusable (net/http's own
+// post-handler allowance).
+const maxAbortDrainBytes = 256 << 10
 
 // maxStreamChunk bounds the client-requested chunk size so one request
 // cannot make the server buffer an arbitrarily large scoring unit.

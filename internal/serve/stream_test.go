@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dataaudit/internal/dataset"
-	"dataaudit/internal/registry"
 )
 
 // publishEngines uploads the engine fixture as model "engines" and
@@ -248,19 +247,23 @@ func TestStreamEndpointStreamsDuringUpload(t *testing.T) {
 
 // TestStreamEndpointErrors covers the failure surface: pre-stream
 // failures are status codes, mid-stream failures are terminal NDJSON
-// error lines on the already-committed 200.
+// error lines on the already-committed 200 — and an abort with the upload
+// half-read must not panic the connection goroutine afterwards
+// (startTestServer captures the server's ErrorLog and fails the test on a
+// "panic serving" line).
 func TestStreamEndpointErrors(t *testing.T) {
-	reg, err := registry.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(reg, WithMaxBatchRows(100)).Handler())
-	t.Cleanup(ts.Close)
+	ts, _ := startTestServer(t, openRegistry(t), WithMaxBatchRows(100))
 	tab := publishEngines(t, ts, 1200)
 
 	post := func(path, contentType, body string) *http.Response {
 		t.Helper()
-		resp, err := http.Post(ts.URL+path, contentType, strings.NewReader(body))
+		// A keep-alive connection of its own per request: the server
+		// closes the connection of an upload it gave up draining, and a
+		// client that had picked that connection for its next POST would
+		// see an EOF that says nothing about the request under test.
+		tr := &http.Transport{}
+		t.Cleanup(tr.CloseIdleConnections)
+		resp, err := (&http.Client{Transport: tr}).Post(ts.URL+path, contentType, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,6 +334,21 @@ func TestStreamEndpointErrors(t *testing.T) {
 		}
 		if !strings.Contains(errLine, "row limit") && !strings.Contains(errLine, "100-row") {
 			t.Fatalf("error line %q does not mention the row limit", errLine)
+		}
+	})
+
+	t.Run("abort with more upload left than the server drains", func(t *testing.T) {
+		var csvBuf bytes.Buffer
+		if err := dataset.WriteCSV(&csvBuf, tab); err != nil {
+			t.Fatal(err)
+		}
+		header, rows, _ := strings.Cut(csvBuf.String(), "\n")
+		body := header + "\n" + strings.Repeat(rows, 1+3*maxAbortDrainBytes/2/len(rows))
+		resp := post("/v1/models/engines/audit/stream?chunk=16", "text/csv", body)
+		defer resp.Body.Close()
+		_, summary, errLine := readStream(t, resp.Body)
+		if summary != nil || !strings.Contains(errLine, "100-row") {
+			t.Fatalf("summary=%v err=%q, want the row-limit error line", summary, errLine)
 		}
 	})
 }

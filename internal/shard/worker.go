@@ -2,8 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"dataaudit/internal/audit"
 	"dataaudit/internal/dataset"
@@ -15,25 +13,19 @@ import (
 // buffers the shard in wire form. Reports carry shard-local row indices
 // (0..n-1 in stream order) — the coordinator owns the mapping back to
 // global rows — and the record IDs ride through the chunk stream
-// unchanged.
+// unchanged. The shard's quality dimensions fold back to the single-node
+// values at the coordinator: every accumulator is a sum or set union.
 //
 // wantSchemaHash, when non-empty, must match the stream schema's
 // registry.SchemaHash fingerprint (ErrSchemaMismatch otherwise); maxRows,
 // when positive, bounds the stream (*RowLimitError beyond it).
 func ScoreStream(model *audit.Model, sr *dataset.ChunkStreamReader, wantSchemaHash string, maxRows int) (*ShardResult, error) {
-	start := time.Now()
-	res := &audit.Result{NumAttrs: model.Schema.Len()}
-	scratch := audit.NewChunkScratch(model)
-	dims := audit.NewDimTracker(model.Schema)
 	checked := false
 	rows := 0
-	for {
+	res, err := model.AuditChunks(func() (*dataset.ColumnChunk, error) {
 		ck, err := sr.Read()
-		if err == io.EOF {
-			break
-		}
 		if err != nil {
-			return nil, err
+			return nil, err // io.EOF is the clean end
 		}
 		if !checked {
 			if wantSchemaHash != "" && registry.SchemaHash(sr.Schema()) != wantSchemaHash {
@@ -47,17 +39,11 @@ func ScoreStream(model *audit.Model, sr *dataset.ChunkStreamReader, wantSchemaHa
 		if maxRows > 0 && rows+ck.Rows() > maxRows {
 			return nil, &RowLimitError{Limit: maxRows}
 		}
-		dims.ObserveChunk(ck)
-		reps := model.CheckChunk(ck, int64(rows), scratch)
-		for i := range reps {
-			res.Reports = append(res.Reports, reps[i].Detach())
-		}
 		rows += ck.Rows()
+		return ck, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Shard dims fold back to the single-node values at the coordinator:
-	// every accumulator is a sum or set union, so the partition into
-	// shards is invisible in the merged result.
-	res.Dims = dims.Dims()
-	res.CheckTime = time.Since(start)
 	return &ShardResult{Rows: rows, Result: res}, nil
 }
