@@ -21,11 +21,8 @@
 //	# Prometheus text format (same series auditd exports at /metrics)
 //	audit -schema engine.schema -in dirty.csv -stats
 //
-//	# other ingestion paths: JSONL files (by extension or -format) and
-//	# database/sql result sets (columns named like the schema attributes)
+//	# JSONL input (by extension or -format)
 //	audit -schema engine.schema -in tonight.jsonl -model model.bin
-//	audit -schema engine.schema -model model.bin \
-//	      -sql-driver postgres -sql-dsn "$DSN" -sql-query 'SELECT * FROM engines'
 //
 //	# scan the batch for exact and near-duplicate records alongside the
 //	# deviation audit
@@ -33,7 +30,6 @@
 package main
 
 import (
-	"database/sql"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,16 +44,12 @@ import (
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/dedup"
 	"dataaudit/internal/obs"
-
-	// The in-memory test driver, so the SQL ingestion path is runnable
-	// (and testable) without any external database: -sql-driver sqlmem.
-	_ "dataaudit/internal/sqlmem"
 )
 
 func main() {
 	var (
 		schemaPath = flag.String("schema", "", "schema definition file (required)")
-		in         = flag.String("in", "", "input CSV or JSONL file (required unless the -sql-* flags replace it)")
+		in         = flag.String("in", "", "input CSV or JSONL file (required)")
 		induceOnly = flag.Bool("induce", false, "only induce the structure model and save it (-model required)")
 		modelPath  = flag.String("model", "", "model file to save (-induce) or load (checking)")
 		minConf    = flag.Float64("minconf", 0.8, "minimal error confidence for suspicious records")
@@ -76,24 +68,10 @@ func main() {
 
 		format    = flag.String("format", "auto", "input format of -in: auto (by extension), csv or jsonl")
 		dedupScan = flag.Bool("dedup", false, "also scan the batch for exact and near-duplicate records (needs the materialized table; incompatible with -stream)")
-		sqlDriver = flag.String("sql-driver", "", "database/sql driver name; audits a query result set instead of a file (with -sql-dsn and -sql-query, replacing -in)")
-		sqlDSN    = flag.String("sql-dsn", "", "data source name passed to the -sql-driver")
-		sqlQuery  = flag.String("sql-query", "", "query whose result set is audited; result columns must match the schema attribute names")
 	)
 	flag.Parse()
-	useSQL := *sqlDriver != "" || *sqlQuery != ""
-	if *schemaPath == "" {
-		fail("need -schema")
-	}
-	if useSQL {
-		if *sqlDriver == "" || *sqlQuery == "" {
-			fail("SQL ingestion needs both -sql-driver and -sql-query")
-		}
-		if *in != "" {
-			fail("set either -in or the -sql-* flags, not both")
-		}
-	} else if *in == "" {
-		fail("need -in (or -sql-driver/-sql-query)")
+	if *schemaPath == "" || *in == "" {
+		fail("need -schema and -in")
 	}
 	schema, err := dataset.ParseSchemaFile(*schemaPath)
 	if err != nil {
@@ -110,7 +88,7 @@ func main() {
 	}
 
 	openSource := func() (dataset.RowSource, io.Closer) {
-		src, closer, err := openInput(schema, *in, *format, *sqlDriver, *sqlDSN, *sqlQuery)
+		src, closer, err := openInput(schema, *in, *format)
 		if err != nil {
 			failOnHeaderMismatch(err)
 			fail("%v", err)
@@ -271,22 +249,9 @@ func printStats(model *audit.Model, rows, suspicious int64, checkTime time.Durat
 	}
 }
 
-// openInput opens the audited records as a row source: a database/sql
-// query result when the -sql-* flags are set, otherwise the -in file in
-// the requested (or extension-derived) format.
-func openInput(schema *dataset.Schema, in, format, sqlDriver, sqlDSN, sqlQuery string) (dataset.RowSource, io.Closer, error) {
-	if sqlDriver != "" {
-		db, err := sql.Open(sqlDriver, sqlDSN)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sql: %w", err)
-		}
-		src, closer, err := dataset.OpenSQLSource(db, sqlQuery, schema)
-		if err != nil {
-			db.Close()
-			return nil, nil, fmt.Errorf("sql: %w", err)
-		}
-		return src, multiCloser{closer, db}, nil
-	}
+// openInput opens the -in file as a row source in the requested (or
+// extension-derived) format.
+func openInput(schema *dataset.Schema, in, format string) (dataset.RowSource, io.Closer, error) {
 	switch format {
 	case "auto":
 		switch strings.ToLower(filepath.Ext(in)) {
@@ -303,20 +268,6 @@ func openInput(schema *dataset.Schema, in, format, sqlDriver, sqlDSN, sqlQuery s
 		return dataset.OpenJSONLFileSource(in, schema)
 	}
 	return dataset.OpenCSVFileSource(in, schema)
-}
-
-// multiCloser closes its members in order (SQL sources own a rows cursor
-// and the DB handle behind it).
-type multiCloser []io.Closer
-
-func (m multiCloser) Close() error {
-	var first error
-	for _, c := range m {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // printDedup runs the duplicate scan over the audited table and prints

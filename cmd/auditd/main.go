@@ -52,9 +52,8 @@
 //	curl -H 'Content-Type: text/csv' --data-binary @tonight.csv \
 //	     localhost:8080/v1/models/engines/audit
 //
-// Tune the fan-out with -shards, -shard-strategy (range or hash),
-// -shard-chunk and -shard-retries; GET /v1/shard/workers reports the
-// active configuration.
+// Tune the fan-out with -shards, -shard-chunk and -shard-retries;
+// GET /v1/shard/workers reports the active configuration.
 //
 // Monitoring state — quality snapshots, lifecycle events, drift-detector
 // state and the re-induction reservoir — is crash-durable: it persists
@@ -108,11 +107,10 @@ func main() {
 		chunk    = flag.Int("stream-chunk", 1024, "default scoring-chunk size of the streaming audit endpoint")
 		topK     = flag.Int("stream-top", 1000, "default ranking depth of the streaming audit summary")
 
-		coordinator   = flag.String("coordinator", "", "comma-separated worker base URLs; non-empty enables coordinator mode (buffered audits are sharded across these auditd processes)")
-		shards        = flag.Int("shards", 0, "shards per audit in coordinator mode (0 = one per worker)")
-		shardStrategy = flag.String("shard-strategy", "range", "row-to-shard assignment: range (contiguous) or hash (by row signature)")
-		shardChunk    = flag.Int("shard-chunk", 0, "rows per wire chunk when shipping shards (0 = default)")
-		shardRetries  = flag.Int("shard-retries", 2, "re-dispatch attempts per shard after the first failure")
+		coordinator  = flag.String("coordinator", "", "comma-separated worker base URLs; non-empty enables coordinator mode (buffered audits are sharded across these auditd processes)")
+		shards       = flag.Int("shards", 0, "shards per audit in coordinator mode (0 = one per worker)")
+		shardChunk   = flag.Int("shard-chunk", 0, "rows per wire chunk when shipping shards (0 = default)")
+		shardRetries = flag.Int("shard-retries", 2, "re-dispatch attempts per shard after the first failure")
 
 		metrics   = flag.Bool("metrics", true, "serve Prometheus metrics at GET /metrics and instrument every route with request/latency series")
 		dashboard = flag.Bool("dashboard", true, "serve the embedded quality dashboard (control charts over monitoring windows) at GET /dashboard")
@@ -123,7 +121,6 @@ func main() {
 		phLambda   = flag.Float64("drift-ph-lambda", 0.25, "Page-Hinkley alarm threshold over the window suspicious-rate series")
 		reinduce   = flag.Bool("auto-reinduce", false, "on drift, re-induce the model from a reservoir of recently audited rows and publish the next version (runs in a background worker; audits are never blocked)")
 		reservoir  = flag.Int("reservoir-rows", 4096, "row capacity of the re-induction reservoir sample")
-		partialRe  = flag.Bool("partial-reinduce", true, "when the per-attribute detectors attribute a drift to specific attributes, rebuild only those and share the rest with the predecessor model; false forces every re-induction to run from scratch")
 		reMode     = flag.String("reinduce-mode", "incremental", "how a partial re-induction rebuilds a drifted attribute: incremental (update the previous classifier over frozen discretization) or full (re-derive that attribute from scratch)")
 		monState   = flag.String("monitor-state", "", "directory for crash-durable monitoring state (snapshots, events, drift state, reservoir); empty = <dir>/.state under the registry, \"disabled\" = keep monitoring state in memory only")
 	)
@@ -152,30 +149,24 @@ func main() {
 		serve.WithMetrics(*metrics),
 		serve.WithDashboard(*dashboard),
 		serve.WithMonitorOptions(monitor.Options{
-			WindowRows:             *monWindow,
-			DriftDelta:             *driftDelta,
-			NullDelta:              *nullDelta,
-			PHLambda:               *phLambda,
-			AutoReinduce:           *reinduce,
-			ReservoirRows:          *reservoir,
-			DisablePartialReinduce: !*partialRe,
-			ReinduceMode:           *reMode,
-			StateDir:               *monState,
-			Logger:                 logger,
+			WindowRows:    *monWindow,
+			DriftDelta:    *driftDelta,
+			NullDelta:     *nullDelta,
+			PHLambda:      *phLambda,
+			AutoReinduce:  *reinduce,
+			ReservoirRows: *reservoir,
+			ReinduceMode:  *reMode,
+			StateDir:      *monState,
+			Logger:        logger,
 		}),
 	)
 	if *workers > 0 {
 		opts = append(opts, serve.WithWorkers(*workers))
 	}
 	if *coordinator != "" {
-		strategy, err := shard.ParseStrategy(*shardStrategy)
-		if err != nil {
-			logger.Fatalf("-shard-strategy: %v", err)
-		}
 		shardOpts := shard.Options{
 			Workers:   strings.Split(*coordinator, ","),
 			Shards:    *shards,
-			Strategy:  strategy,
 			ChunkRows: *shardChunk,
 			Retries:   *shardRetries,
 		}

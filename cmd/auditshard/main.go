@@ -4,14 +4,13 @@
 // them on the workers (replicating the model to any worker that lacks it)
 // and merges the shard results into a single ranked report:
 //
-//	# three workers, default contiguous range shards
+//	# three workers, one contiguous row range each
 //	auditshard -dir ./auditd-data -name engines -in tonight.csv \
 //	           -workers http://localhost:8081,http://localhost:8082,http://localhost:8083
 //
-//	# hash sharding, 12 shards, persisted result for byte-level diffing
+//	# 12 shards, persisted result for byte-level diffing
 //	auditshard -dir ./auditd-data -name engines -in tonight.csv \
-//	           -workers http://localhost:8081 -strategy hash -shards 12 \
-//	           -out sharded.gob
+//	           -workers http://localhost:8081 -shards 12 -out sharded.gob
 //
 //	# the single-node oracle: same model, same batch, no workers
 //	auditshard -dir ./auditd-data -name engines -in tonight.csv -local -out local.gob
@@ -19,6 +18,9 @@
 // -out writes the merged audit.Result as gob with the wall-time field
 // zeroed, so a sharded run and a -local run over the same inputs produce
 // byte-identical files — the contract the multi-process e2e suite diffs.
+//
+// It is a binary of its own because scripts/e2e_shard.sh is its caller:
+// folded into cmd/audit it would be the same lines behind more flags.
 package main
 
 import (
@@ -40,19 +42,18 @@ import (
 
 func main() {
 	var (
-		dir      = flag.String("dir", "", "registry directory holding the published model (required)")
-		name     = flag.String("name", "", "model name in the registry (required)")
-		version  = flag.Int("version", 0, "model version (0 = latest)")
-		in       = flag.String("in", "", "input CSV with header row (required)")
-		workers  = flag.String("workers", "", "comma-separated worker base URLs (required unless -local)")
-		local    = flag.Bool("local", false, "score in-process instead of sharding — the single-node oracle")
-		strategy = flag.String("strategy", "range", "row-to-shard assignment: range or hash")
-		shards   = flag.Int("shards", 0, "shard count (0 = one per worker)")
-		chunk    = flag.Int("chunk", 0, "rows per wire chunk (0 = default)")
-		retries  = flag.Int("retries", 2, "re-dispatch attempts per shard after the first failure")
-		timeout  = flag.Duration("timeout", 10*time.Minute, "overall audit deadline")
-		out      = flag.String("out", "", "write the merged result as gob (wall time zeroed) for byte-level diffing")
-		top      = flag.Int("top", 10, "number of top-ranked suspicious records to print")
+		dir     = flag.String("dir", "", "registry directory holding the published model (required)")
+		name    = flag.String("name", "", "model name in the registry (required)")
+		version = flag.Int("version", 0, "model version (0 = latest)")
+		in      = flag.String("in", "", "input CSV with header row (required)")
+		workers = flag.String("workers", "", "comma-separated worker base URLs (required unless -local)")
+		local   = flag.Bool("local", false, "score in-process instead of sharding — the single-node oracle")
+		shards  = flag.Int("shards", 0, "shard count (0 = one per worker)")
+		chunk   = flag.Int("chunk", 0, "rows per wire chunk (0 = default)")
+		retries = flag.Int("retries", 2, "re-dispatch attempts per shard after the first failure")
+		timeout = flag.Duration("timeout", 10*time.Minute, "overall audit deadline")
+		out     = flag.String("out", "", "write the merged result as gob (wall time zeroed) for byte-level diffing")
+		top     = flag.Int("top", 10, "number of top-ranked suspicious records to print")
 	)
 	flag.Parse()
 	// Pin the gob type ids of the Result tree before anything else runs:
@@ -102,14 +103,9 @@ func main() {
 	if *local {
 		res = model.AuditTable(tab)
 	} else {
-		strat, err := shard.ParseStrategy(*strategy)
-		if err != nil {
-			logger.Fatal(err)
-		}
 		coord, err := shard.New(shard.Options{
 			Workers:   strings.Split(*workers, ","),
 			Shards:    *shards,
-			Strategy:  strat,
 			ChunkRows: *chunk,
 			Retries:   *retries,
 			Logger:    logger,

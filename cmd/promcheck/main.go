@@ -7,6 +7,9 @@
 // just on a missing series:
 //
 //	curl -fsS localhost:8080/metrics | go run ./cmd/promcheck
+//
+// It is a binary of its own because that script is its caller: folded
+// into another command it would be the same lines behind one more flag.
 package main
 
 import (

@@ -141,7 +141,7 @@ var (
 	MustSchema = dataset.MustSchema
 	// NewTable creates an empty table over a schema.
 	NewTable = dataset.NewTable
-	// CSV, JSONL and native binary persistence.
+	// CSV, JSONL and binary (chunk stream) persistence.
 	ReadCSV        = dataset.ReadCSV
 	WriteCSV       = dataset.WriteCSV
 	WriteJSONL     = dataset.WriteJSONL

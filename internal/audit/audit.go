@@ -12,9 +12,9 @@
 package audit
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"dataaudit/internal/audittree"
@@ -451,8 +451,15 @@ func (r *Result) Suspicious() []RecordReport {
 			out = append(out, rep)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ErrorConf > out[j].ErrorConf })
+	rankReports(out)
 	return out
+}
+
+// rankReports sorts reports into the ranking of §6.2, descending error
+// confidence. The sort is stable, so reports of equal confidence keep the
+// order they came in — row order, in Suspicious and in the stream's top-K.
+func rankReports(reps []RecordReport) {
+	slices.SortStableFunc(reps, func(a, b RecordReport) int { return cmp.Compare(b.ErrorConf, a.ErrorConf) })
 }
 
 // NumSuspicious counts the suspicious records.

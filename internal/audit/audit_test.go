@@ -308,6 +308,28 @@ func TestModelPersistenceAllInducers(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonTreeRuleSet: a model file whose rule set has one
+// antecedent as a prefix of another — a shape ExtractRules never yields
+// and the matcher has no trie for — must fail to load, not reach scoring.
+func TestDecodeRejectsNonTreeRuleSet(t *testing.T) {
+	m, err := Induce(engineTable(t, 400, 84), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := m.Attrs[0].Classifier.(*audittree.RuleSet)
+	m.Attrs[0].Classifier = &audittree.RuleSet{K: rs.K, Rules: []audittree.Rule{
+		{Conds: []audittree.Cond{{Attr: 1, Val: 0}}},
+		{Conds: []audittree.Cond{{Attr: 1, Val: 0}, {Attr: 3, IsNumeric: true, Thresh: 2000}}},
+	}}
+	b, err := Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(b); err == nil || !strings.Contains(err.Error(), "tree shape") {
+		t.Fatalf("Unmarshal of a prefix-overlapping rule set: %v, want a tree-shape error", err)
+	}
+}
+
 func TestDescribeFinding(t *testing.T) {
 	tab := engineTable(t, 3000, 82)
 	tab.Set(0, 2, dataset.Nom((tab.Get(0, 0).NomIdx()+1)%3))

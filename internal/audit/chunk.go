@@ -4,7 +4,6 @@ import (
 	"dataaudit/internal/audittree"
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
-	"dataaudit/internal/stats"
 )
 
 // The columnar scoring core. CheckRowScratch dispatches per row: every
@@ -56,34 +55,12 @@ func (c *ruleCache) reset(rs *audittree.RuleSet, k int) {
 	}
 }
 
-// fill computes and caches the slot's finding, mirroring CheckRowScratch
-// exactly: no finding when the rule offers no evidence, the observation
-// is the prediction, or the error confidence is non-positive.
+// fill computes and caches the slot's finding (or that there is none).
 func (c *ruleCache) fill(am *AttrModel, rule, obs, slot int, confLevel float64) uint8 {
 	st := uint8(1)
-	dist := &c.rs.Rules[rule].Dist
-	n := dist.N()
-	if n > 0 {
-		cHat, pHat := dist.Best()
-		if obs != cHat {
-			var pObs float64
-			if obs >= 0 {
-				pObs = dist.P(obs)
-			}
-			if errConf := stats.ErrorConfidence(pHat, pObs, n, confLevel); errConf > 0 {
-				c.find[slot] = Finding{
-					Attr:       am.Class,
-					Observed:   obs,
-					Predicted:  cHat,
-					PHat:       pHat,
-					PObs:       pObs,
-					N:          n,
-					ErrorConf:  errConf,
-					Suggestion: am.SuggestedValue(cHat),
-				}
-				st = 2
-			}
-		}
+	if f, ok := am.deviation(&c.rs.Rules[rule].Dist, obs, confLevel); ok {
+		c.find[slot] = f
+		st = 2
 	}
 	c.state[slot] = st
 	return st
@@ -176,19 +153,13 @@ func (s *ChunkScratch) observed(am *AttrModel, ck *dataset.ColumnChunk, rows []i
 
 // ruleKernel scores one rule-set attribute via the batched trie descent,
 // appending a hit per deviating row. rows == nil scores the whole chunk;
-// otherwise only the listed rows (the signature-memo miss set). It
-// reports false when the rule set has no compiled trie (the caller falls
-// back to the per-row path).
-func (s *ChunkScratch) ruleKernel(m *Model, ai int, am *AttrModel, rs *audittree.RuleSet, ck *dataset.ColumnChunk, rows []int32) bool {
+// otherwise only the listed rows (the signature-memo miss set).
+func (s *ChunkScratch) ruleKernel(m *Model, ai int, am *AttrModel, rs *audittree.RuleSet, ck *dataset.ColumnChunk, rows []int32) {
 	var groups []audittree.MatchGroup
-	var ok bool
 	if rows != nil {
-		groups, ok = rs.MatchRows(ck, rows, &s.match)
+		groups = rs.MatchRows(ck, rows, &s.match)
 	} else {
-		groups, ok = rs.MatchBlock(ck, &s.match)
-	}
-	if !ok {
-		return false
+		groups = rs.MatchBlock(ck, &s.match)
 	}
 	cache := &s.caches[ai]
 	if cache.rs != rs || cache.stride != am.K+1 {
@@ -208,12 +179,11 @@ func (s *ChunkScratch) ruleKernel(m *Model, ai int, am *AttrModel, rs *audittree
 			}
 		}
 	}
-	return true
 }
 
 // blockKernel scores one attribute whose classifier has a columnar batch
-// kernel: predictions for the whole chunk in one call, then the row
-// path's deviation test per row.
+// kernel (naive Bayes: selected by classifier type, no option): predictions
+// for the whole chunk in one call, then the deviation test per row.
 func (s *ChunkScratch) blockKernel(m *Model, am *AttrModel, bc mlcore.BlockClassifier, ck *dataset.ColumnChunk) {
 	n := ck.Rows()
 	for len(s.dists) < n {
@@ -223,40 +193,15 @@ func (s *ChunkScratch) blockKernel(m *Model, am *AttrModel, bc mlcore.BlockClass
 	bc.PredictBlockInto(ck, dists)
 	obs := s.observed(am, ck, nil)
 	for r := 0; r < n; r++ {
-		d := &dists[r]
-		supp := d.N()
-		if supp <= 0 {
-			continue
+		if f, ok := am.deviation(&dists[r], int(obs[r]), m.Opts.ConfLevel); ok {
+			s.hits = append(s.hits, chunkHit{row: int32(r), f: f})
 		}
-		cHat, pHat := d.Best()
-		o := int(obs[r])
-		if o == cHat {
-			continue
-		}
-		var pObs float64
-		if o >= 0 {
-			pObs = d.P(o)
-		}
-		errConf := stats.ErrorConfidence(pHat, pObs, supp, m.Opts.ConfLevel)
-		if errConf <= 0 {
-			continue
-		}
-		s.hits = append(s.hits, chunkHit{row: int32(r), f: Finding{
-			Attr:       am.Class,
-			Observed:   o,
-			Predicted:  cHat,
-			PHat:       pHat,
-			PObs:       pObs,
-			N:          supp,
-			ErrorConf:  errConf,
-			Suggestion: am.SuggestedValue(cHat),
-		}})
 	}
 }
 
 // rowKernel is the fallback for classifier families without a batch
 // kernel (kNN, 1R, Prism, plain C4.5 trees): gather each row out of the
-// chunk and run the row path's prediction and deviation test unchanged.
+// chunk and run the row path's prediction and the deviation test.
 func (s *ChunkScratch) rowKernel(m *Model, am *AttrModel, ck *dataset.ColumnChunk) {
 	n := ck.Rows()
 	width := ck.Schema().Len()
@@ -267,33 +212,9 @@ func (s *ChunkScratch) rowKernel(m *Model, am *AttrModel, ck *dataset.ColumnChun
 	for r := 0; r < n; r++ {
 		ck.RowInto(r, row)
 		am.Classifier.PredictInto(row, &s.dist)
-		supp := s.dist.N()
-		if supp <= 0 {
-			continue
+		if f, ok := am.deviation(&s.dist, am.ClassIndex(row[am.Class]), m.Opts.ConfLevel); ok {
+			s.hits = append(s.hits, chunkHit{row: int32(r), f: f})
 		}
-		cHat, pHat := s.dist.Best()
-		obs := am.ClassIndex(row[am.Class])
-		if obs == cHat {
-			continue
-		}
-		var pObs float64
-		if obs >= 0 {
-			pObs = s.dist.P(obs)
-		}
-		errConf := stats.ErrorConfidence(pHat, pObs, supp, m.Opts.ConfLevel)
-		if errConf <= 0 {
-			continue
-		}
-		s.hits = append(s.hits, chunkHit{row: int32(r), f: Finding{
-			Attr:       am.Class,
-			Observed:   obs,
-			Predicted:  cHat,
-			PHat:       pHat,
-			PObs:       pObs,
-			N:          supp,
-			ErrorConf:  errConf,
-			Suggestion: am.SuggestedValue(cHat),
-		}})
 	}
 }
 
@@ -361,20 +282,18 @@ func (m *Model) CheckChunk(ck *dataset.ColumnChunk, firstRow int64, s *ChunkScra
 	// Attribute-major scoring. Kernels append hits per attribute, so for
 	// any row the arena holds its findings in model-attribute order —
 	// the order CheckRowScratch emits them in. (Under the memo, build
-	// guaranteed every attribute is a compiled rule set, so only
-	// ruleKernel runs and the row subset is always honored.)
+	// guaranteed every attribute is a rule set, so only ruleKernel runs
+	// and the row subset is always honored.)
 	if !useMemo || len(kernelRows) > 0 {
 		for ai, am := range m.Attrs {
-			if rs, ok := am.Classifier.(*audittree.RuleSet); ok {
-				if s.ruleKernel(m, ai, am, rs, ck, kernelRows) {
-					continue
-				}
+			switch clf := am.Classifier.(type) {
+			case *audittree.RuleSet:
+				s.ruleKernel(m, ai, am, clf, ck, kernelRows)
+			case mlcore.BlockClassifier:
+				s.blockKernel(m, am, clf, ck)
+			default:
+				s.rowKernel(m, am, ck)
 			}
-			if bc, ok := am.Classifier.(mlcore.BlockClassifier); ok {
-				s.blockKernel(m, am, bc, ck)
-				continue
-			}
-			s.rowKernel(m, am, ck)
 		}
 	}
 

@@ -36,11 +36,21 @@ func Encode(w io.Writer, m *Model) error {
 	return gob.NewEncoder(w).Encode(m)
 }
 
-// Decode reads a model written by Encode.
+// Decode reads a model written by Encode. It is the one door every
+// loaded model comes through (Load, Unmarshal, the registry, the shard
+// replica codec), so it is where a rule set that does not have the tree
+// shape the matcher needs is rejected.
 func Decode(r io.Reader) (*Model, error) {
 	var m Model
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("audit: decoding model: %w", err)
+	}
+	for _, am := range m.Attrs {
+		if rs, ok := am.Classifier.(*audittree.RuleSet); ok {
+			if err := rs.Compile(); err != nil {
+				return nil, fmt.Errorf("audit: decoding model: attribute %d: %w", am.Class, err)
+			}
+		}
 	}
 	return &m, nil
 }

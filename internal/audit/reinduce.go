@@ -29,7 +29,8 @@ const (
 	ReinduceIncremental ReinduceMode = "incremental"
 	// ReinduceFull re-induces the attribute from scratch, re-deriving the
 	// discretizer from the new table — identical to what Induce would
-	// produce for that attribute.
+	// produce for that attribute. Not a second path to the incremental
+	// result: new bins make a different model.
 	ReinduceFull ReinduceMode = "full"
 )
 

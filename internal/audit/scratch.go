@@ -36,10 +36,52 @@ func NewScoreScratch(m *Model) *ScoreScratch {
 	return s
 }
 
+// deviation is the deviation test of Definition 7 for one prediction: the
+// finding for the observed class obs (-1 when the value is null) under the
+// predicted distribution d. It reports false when the classifier offers
+// no opinion (no evidence), the observation is the prediction, or the
+// error confidence is not positive. Every scoring path — the row path
+// here, the chunk kernels and the rule cache in chunk.go — goes through
+// it.
+func (am *AttrModel) deviation(d *mlcore.Distribution, obs int, confLevel float64) (Finding, bool) {
+	n := d.N()
+	if n <= 0 {
+		return Finding{}, false
+	}
+	cHat, pHat := d.Best()
+	if obs == cHat {
+		return Finding{}, false
+	}
+	// A null observed value (obs < 0) has no support in the distribution;
+	// treat it as probability zero — this is how the tool addresses the
+	// completeness dimension (§2.2: "substituting an erroneously missing
+	// value by the suggestion of a data auditing application").
+	var pObs float64
+	if obs >= 0 {
+		pObs = d.P(obs)
+	}
+	errConf := stats.ErrorConfidence(pHat, pObs, n, confLevel)
+	if errConf <= 0 {
+		return Finding{}, false
+	}
+	return Finding{
+		Attr:       am.Class,
+		Observed:   obs,
+		Predicted:  cHat,
+		PHat:       pHat,
+		PObs:       pObs,
+		N:          n,
+		ErrorConf:  errConf,
+		Suggestion: am.SuggestedValue(cHat),
+	}, true
+}
+
 // CheckRowScratch runs deviation detection for one record using the
-// scratch's buffers. The returned report (including its Findings slice
-// and Best pointer) is backed by the scratch and is only valid until the
-// next CheckRowScratch call on the same scratch; callers that retain the
+// scratch's buffers. It stays beside CheckChunk as the oracle: the
+// differential suite and benchmark/ check every chunked surface against
+// it. The returned report (including its Findings slice and Best pointer)
+// is backed by the scratch and is only valid until the next
+// CheckRowScratch call on the same scratch; callers that retain the
 // report must Detach it first. The report's values are identical to
 // CheckRow's on the same row.
 func (m *Model) CheckRowScratch(row []dataset.Value, s *ScoreScratch) *RecordReport {
@@ -49,40 +91,16 @@ func (m *Model) CheckRowScratch(row []dataset.Value, s *ScoreScratch) *RecordRep
 	best := -1
 	for _, am := range m.Attrs {
 		am.Classifier.PredictInto(row, &s.dist)
-		n := s.dist.N()
-		if n <= 0 {
-			continue // no evidence: the classifier offers no opinion
+		if s.dist.N() <= 0 {
+			continue // no evidence, no finding: skip the class lookup (a bin search for numeric classes)
 		}
-		cHat, pHat := s.dist.Best()
-		obs := am.ClassIndex(row[am.Class])
-		if obs == cHat {
-			continue // errorConf stays 0, no finding
-		}
-		// A null observed value (obs < 0) has no support in the
-		// distribution; treat it as probability zero — this is how the
-		// tool addresses the completeness dimension (§2.2: "substituting
-		// an erroneously missing value by the suggestion of a data
-		// auditing application").
-		var pObs float64
-		if obs >= 0 {
-			pObs = s.dist.P(obs)
-		}
-		errConf := stats.ErrorConfidence(pHat, pObs, n, m.Opts.ConfLevel)
-		if errConf <= 0 {
+		f, ok := am.deviation(&s.dist, am.ClassIndex(row[am.Class]), m.Opts.ConfLevel)
+		if !ok {
 			continue
 		}
-		s.findings = append(s.findings, Finding{
-			Attr:       am.Class,
-			Observed:   obs,
-			Predicted:  cHat,
-			PHat:       pHat,
-			PObs:       pObs,
-			N:          n,
-			ErrorConf:  errConf,
-			Suggestion: am.SuggestedValue(cHat),
-		})
-		if errConf > rep.ErrorConf {
-			rep.ErrorConf = errConf
+		s.findings = append(s.findings, f)
+		if f.ErrorConf > rep.ErrorConf {
+			rep.ErrorConf = f.ErrorConf
 			best = len(s.findings) - 1
 		}
 	}

@@ -1,10 +1,8 @@
 package audit
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"dataaudit/internal/dataset"
@@ -259,8 +257,9 @@ func (m *Model) TallyResult(res *Result) (suspicious int64, tallies []AttrTally)
 
 // topK retains the K best suspicious reports under the total order
 // "higher error confidence first, earlier row breaks ties" — exactly the
-// ranking (*Result).Suspicious produces (its stable sort keeps the row
-// order of equal confidences).
+// ranking (*Result).Suspicious produces. Reports are offered in row order
+// and rankReports is stable, so among equal confidences reps is always in
+// row order: sorted survivors first, later rows appended behind them.
 type topK struct {
 	reps []RecordReport
 }
@@ -284,12 +283,7 @@ func (t *topK) offer(rep *RecordReport, k int) {
 // best sorts the retained reports into descending rank order and returns
 // the first k of them (all for k < 0) — a view, not a copy.
 func (t *topK) best(k int) []RecordReport {
-	slices.SortFunc(t.reps, func(a, b RecordReport) int {
-		if c := cmp.Compare(b.ErrorConf, a.ErrorConf); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Row, b.Row)
-	})
+	rankReports(t.reps)
 	if k < 0 || k > len(t.reps) {
 		k = len(t.reps)
 	}

@@ -224,8 +224,7 @@ type RuleSet struct {
 	// then falls back to a cold retrain).
 	Hint *c45.Skeleton
 
-	// compileOnce builds the trie matcher lazily on first prediction (and
-	// so also after a gob load, which bypasses ExtractRules). Both fields
+	// compileOnce builds the trie matcher lazily (see Compile). Both fields
 	// are unexported: gob ignores them and a decoded RuleSet recompiles.
 	compileOnce sync.Once
 	trie        *trieNode
@@ -251,22 +250,34 @@ func (rs *RuleSet) Update(trainer mlcore.Trainer, d mlcore.UpdateDelta) (mlcore.
 	return tr.TrainRuleSetWarm(d.Full, rs.Hint)
 }
 
-// match returns the first rule matching the row, or nil. Rules extracted
-// from a tree are disjoint prefix paths, so the compiled trie descends to
-// the unique match in O(depth); rule sets that do not conform to the tree
-// shape (hand-built sets) keep the linear first-match scan.
-func (rs *RuleSet) match(row []dataset.Value) *Rule {
+// Compile builds the trie matcher. Rules extracted from a tree are
+// disjoint prefix paths, which the trie descends to the unique match in
+// O(depth); a rule set without that shape (one rule's antecedent a prefix
+// of another's, say) has no trie and is an error. Matching compiles on
+// first use; audit.Decode calls Compile so that a model file holding such
+// a rule set fails to load instead.
+func (rs *RuleSet) Compile() error {
 	rs.compileOnce.Do(func() { rs.trie = compileRules(rs.Rules) })
-	if rs.trie != nil {
-		if i := rs.trie.match(row); i >= 0 {
-			return &rs.Rules[i]
-		}
-		return nil
+	if rs.trie == nil {
+		return fmt.Errorf("audittree: rule set does not have tree shape")
 	}
-	for i := range rs.Rules {
-		if rs.Rules[i].Matches(row) {
-			return &rs.Rules[i]
-		}
+	return nil
+}
+
+// root returns the compiled trie. Every rule set a process can hold came
+// out of ExtractRules or through audit.Decode, so a shapeless one here is
+// a bug.
+func (rs *RuleSet) root() *trieNode {
+	if err := rs.Compile(); err != nil {
+		panic(err)
+	}
+	return rs.trie
+}
+
+// match returns the rule matching the row, or nil.
+func (rs *RuleSet) match(row []dataset.Value) *Rule {
+	if i := rs.root().match(row); i >= 0 {
+		return &rs.Rules[i]
 	}
 	return nil
 }

@@ -63,37 +63,21 @@ func (s *MatchScratch) zeroCounts(d, n int) []int32 {
 // returns one group per matched leaf (row order within a group is
 // unspecified; a row appears in at most one group). Rows matching no rule
 // appear in no group — exactly the rows for which the row path would
-// predict an empty distribution. It returns ok == false when the rule set
-// has no tree shape and therefore no trie; callers must then fall back to
-// per-row matching. The groups (and their Rows) are backed by the scratch
-// and valid until the next MatchBlock call on it.
-func (rs *RuleSet) MatchBlock(ck *dataset.ColumnChunk, s *MatchScratch) (groups []MatchGroup, ok bool) {
-	rs.compileOnce.Do(func() { rs.trie = compileRules(rs.Rules) })
-	if rs.trie == nil {
-		return nil, false
-	}
-	n := ck.Rows()
-	rows := s.level(0, n)
+// predict an empty distribution. The groups (and their Rows) are backed by
+// the scratch and valid until the next MatchBlock or MatchRows call on it.
+func (rs *RuleSet) MatchBlock(ck *dataset.ColumnChunk, s *MatchScratch) []MatchGroup {
+	rows := s.level(0, ck.Rows())
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	return rs.matchRows(ck, rows, s), true
+	return rs.MatchRows(ck, rows, s)
 }
 
 // MatchRows is MatchBlock restricted to a subset of the chunk's rows:
 // only the listed row indices are matched, everything else about the
 // contract is identical. The rows slice is read but never written or
-// retained. Like MatchBlock it reports ok == false when the rule set has
-// no trie.
-func (rs *RuleSet) MatchRows(ck *dataset.ColumnChunk, rows []int32, s *MatchScratch) (groups []MatchGroup, ok bool) {
-	rs.compileOnce.Do(func() { rs.trie = compileRules(rs.Rules) })
-	if rs.trie == nil {
-		return nil, false
-	}
-	return rs.matchRows(ck, rows, s), true
-}
-
-func (rs *RuleSet) matchRows(ck *dataset.ColumnChunk, rows []int32, s *MatchScratch) []MatchGroup {
+// retained.
+func (rs *RuleSet) MatchRows(ck *dataset.ColumnChunk, rows []int32, s *MatchScratch) []MatchGroup {
 	s.groups = s.groups[:0]
 	if len(rows) == 0 {
 		return s.groups
@@ -105,21 +89,15 @@ func (rs *RuleSet) matchRows(ck *dataset.ColumnChunk, rows []int32, s *MatchScra
 	} else {
 		s.out = s.out[:0]
 	}
-	matchBlock(rs.trie, ck, rows, 1, s)
+	matchBlock(rs.root(), ck, rows, 1, s)
 	return s.groups
 }
 
 // NumericSplits calls visit for every numeric threshold comparison the
-// compiled matcher can perform, with the attribute it tests. It reports
-// false when the rule set has no tree shape (and therefore no trie): a
-// caller that needs the exhaustive set of comparisons — e.g. to build a
-// value grid that is decision-equivalent to the raw column — must then
-// treat the rule set as opaque.
-func (rs *RuleSet) NumericSplits(visit func(attr int, thresh float64)) bool {
-	rs.compileOnce.Do(func() { rs.trie = compileRules(rs.Rules) })
-	if rs.trie == nil {
-		return false
-	}
+// compiled matcher can perform, with the attribute it tests — the
+// exhaustive set a caller needs to build a value grid that is
+// decision-equivalent to the raw column.
+func (rs *RuleSet) NumericSplits(visit func(attr int, thresh float64)) {
 	var walk func(t *trieNode)
 	walk = func(t *trieNode) {
 		if t == nil || t.rule >= 0 {
@@ -135,8 +113,7 @@ func (rs *RuleSet) NumericSplits(visit func(attr int, thresh float64)) bool {
 			walk(c)
 		}
 	}
-	walk(rs.trie)
-	return true
+	walk(rs.root())
 }
 
 // smallGroupRows is the row count under which the partitioned descent

@@ -116,11 +116,7 @@ func TestMatchBlockMatchesLinearScan(t *testing.T) {
 		for lo := 0; lo < tab.NumRows(); lo += chunkRows {
 			hi := min(lo+chunkRows, tab.NumRows())
 			tab.ChunkInto(ck, lo, hi)
-			groups, ok := rs.MatchBlock(ck, &s)
-			if !ok {
-				t.Fatal("trained rule set has no trie")
-			}
-			got := blockAssignment(t, groups, hi-lo)
+			got := blockAssignment(t, rs.MatchBlock(ck, &s), hi-lo)
 			for r := lo; r < hi; r++ {
 				tab.RowInto(r, row)
 				if want := linearMatch(rs, row); got[r-lo] != want {
@@ -146,10 +142,7 @@ func TestMatchRowsSubset(t *testing.T) {
 		inSubset[r] = true
 	}
 	var s MatchScratch
-	groups, ok := rs.MatchRows(ck, rows, &s)
-	if !ok {
-		t.Fatal("trained rule set has no trie")
-	}
+	groups := rs.MatchRows(ck, rows, &s)
 	row := make([]dataset.Value, tab.NumCols())
 	matched := make(map[int32]int)
 	for _, g := range groups {
@@ -182,14 +175,12 @@ func TestNumericSplitsCoversDecisions(t *testing.T) {
 	rs := trainMixedRuleSet(t, tab)
 
 	var grid []float64
-	if !rs.NumericSplits(func(attr int, thresh float64) {
+	rs.NumericSplits(func(attr int, thresh float64) {
 		if attr != 0 {
 			t.Fatalf("visited a split on attribute %d; only column 0 is numeric", attr)
 		}
 		grid = append(grid, thresh)
-	}) {
-		t.Fatal("NumericSplits reported no trie for a trained rule set")
-	}
+	})
 	if len(grid) == 0 {
 		t.Fatal("fixture rule set tests no numeric thresholds")
 	}
@@ -220,26 +211,5 @@ func TestNumericSplitsCoversDecisions(t *testing.T) {
 					cell[0], cell[1], a, m1, m2)
 			}
 		}
-	}
-}
-
-// TestBatchMatcherNoTrieFallback: a hand-assembled rule set where one
-// antecedent is a prefix of another has no trie; every batch entry point
-// must report that instead of guessing.
-func TestBatchMatcherNoTrieFallback(t *testing.T) {
-	rs := &RuleSet{K: 3, Rules: []Rule{
-		{Conds: []Cond{{Attr: 1, Val: 0}}},
-		{Conds: []Cond{{Attr: 1, Val: 0}, {Attr: 0, IsNumeric: true, Thresh: 5}}},
-	}}
-	ck := dataset.NewColumnChunk(mixedSchema(t))
-	var s MatchScratch
-	if _, ok := rs.MatchBlock(ck, &s); ok {
-		t.Fatal("MatchBlock compiled a trie for a prefix-overlapping rule set")
-	}
-	if _, ok := rs.MatchRows(ck, nil, &s); ok {
-		t.Fatal("MatchRows compiled a trie for a prefix-overlapping rule set")
-	}
-	if rs.NumericSplits(func(int, float64) {}) {
-		t.Fatal("NumericSplits reported a trie for a prefix-overlapping rule set")
 	}
 }

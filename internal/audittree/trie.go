@@ -11,12 +11,10 @@ import (
 // root conditions once per rule — O(rules × conds) per prediction. But the
 // rules of one tree are disjoint prefix paths: grouping them by their
 // condition prefixes reassembles the tree, and matching becomes a single
-// O(depth) descent. The trie is built lazily on first prediction and
-// yields exactly the rule the linear scan would find; rule sets that do
-// not have tree shape (e.g. hand-assembled ones where one rule's
-// antecedent is a prefix of another's) fail compilation and keep the
-// linear scan, so the matcher is a pure optimization, never a semantic
-// change.
+// O(depth) descent to exactly the rule the linear scan (Rule.Matches, the
+// tests' oracle) would find. Rule sets that do not have tree shape (e.g.
+// hand-assembled ones where one rule's antecedent is a prefix of
+// another's) fail compilation; RuleSet.Compile reports that.
 
 // trieNode is one node of the compiled matcher.
 type trieNode struct {

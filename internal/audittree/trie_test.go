@@ -31,9 +31,8 @@ func TestTrieMatchesLinearScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs.compileOnce.Do(func() { rs.trie = compileRules(rs.Rules) })
-	if rs.trie == nil {
-		t.Fatal("tree-extracted rule set must compile to a trie")
+	if err := rs.Compile(); err != nil {
+		t.Fatalf("tree-extracted rule set must compile to a trie: %v", err)
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -61,48 +60,41 @@ func TestTrieMatchesLinearScan(t *testing.T) {
 }
 
 // TestTrieRejectsNonTreeShapes: rule sets whose match outcome could
-// depend on rule order must fall back to the linear scan.
+// depend on rule order have no trie, and Compile says so.
 func TestTrieRejectsNonTreeShapes(t *testing.T) {
 	dist := func(w float64) mlcore.Distribution {
 		d := mlcore.NewDistribution(2)
 		d.Add(0, w)
 		return d
 	}
-	nomRow := []dataset.Value{dataset.Nom(1), dataset.Nom(0), dataset.Nom(0)}
-	numRow := []dataset.Value{dataset.Num(1.5), dataset.Nom(0), dataset.Nom(0)}
 	cases := []struct {
 		name  string
 		rules []Rule
-		row   []dataset.Value
 	}{
 		{"prefix-of-another", []Rule{
 			{Conds: []Cond{{Attr: 0, Val: 1}, {Attr: 1, Val: 0}}, Dist: dist(5)},
 			{Conds: []Cond{{Attr: 0, Val: 1}}, Dist: dist(3)},
-		}, nomRow},
+		}},
 		{"duplicate-path", []Rule{
 			{Conds: []Cond{{Attr: 0, Val: 1}}, Dist: dist(5)},
 			{Conds: []Cond{{Attr: 0, Val: 1}}, Dist: dist(3)},
-		}, nomRow},
+		}},
 		{"mixed-attrs-at-depth", []Rule{
 			{Conds: []Cond{{Attr: 0, Val: 1}}, Dist: dist(5)},
 			{Conds: []Cond{{Attr: 1, Val: 0}}, Dist: dist(3)},
-		}, nomRow},
+		}},
 		{"mixed-thresholds", []Rule{
 			{Conds: []Cond{{Attr: 0, IsNumeric: true, Thresh: 1}}, Dist: dist(5)},
 			{Conds: []Cond{{Attr: 0, IsNumeric: true, Thresh: 2, Gt: true}}, Dist: dist(3)},
-		}, numRow},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if trie := compileRules(tc.rules); trie != nil {
 				t.Fatal("non-tree rule set must not compile")
 			}
-			// The fallback must still answer: first match wins.
-			rs := &RuleSet{Rules: tc.rules, K: 2}
-			want := linearPredict(rs, tc.row)
-			got := rs.Predict(tc.row)
-			if !reflect.DeepEqual(want.Counts, got.Counts) || want.Total != got.Total {
-				t.Fatalf("fallback Predict differs: want %+v, got %+v", want, got)
+			if err := (&RuleSet{Rules: tc.rules, K: 2}).Compile(); err == nil {
+				t.Fatal("Compile accepted a non-tree rule set")
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -236,26 +235,10 @@ func (s *TableSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
 // NextChunk implements ChunkSource: it decodes up to max CSV records into
 // the chunk. Parse and width errors carry the same typed values as Next.
 func (s *CSVSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
-	if cap(s.rowBuf) < s.schema.Len() {
+	if s.rowBuf == nil {
 		s.rowBuf = make([]Value, s.schema.Len())
 	}
-	buf := s.rowBuf[:s.schema.Len()]
-	n := 0
-	for n < max {
-		id, err := s.Next(buf)
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		ck.AppendRow(buf, id)
-		n++
-	}
-	return n, nil
+	return FillChunk(s, ck, s.rowBuf, max)
 }
 
 // FillChunk appends up to max rows from any RowSource into ck via the
@@ -279,94 +262,4 @@ func FillChunk(src RowSource, ck *ColumnChunk, buf []Value, max int) (int, error
 		n++
 	}
 	return n, nil
-}
-
-// wireChunkCol is the gob wire form of one chunk column.
-type wireChunkCol struct {
-	Nom   []int32
-	Num   []float64
-	Nulls []uint64
-}
-
-// wireChunk is the gob wire form of a ColumnChunk.
-type wireChunk struct {
-	Schema wireSchema
-	IDs    []int64
-	N      int
-	Cols   []wireChunkCol
-}
-
-// EncodeChunk writes the chunk (schema included) in gob wire form.
-func EncodeChunk(w io.Writer, ck *ColumnChunk) error {
-	wc := wireChunk{Schema: toWireSchema(ck.schema), IDs: ck.ids, N: ck.n}
-	wc.Cols = make([]wireChunkCol, len(ck.cols))
-	for c := range ck.cols {
-		wc.Cols[c] = wireChunkCol{Nom: ck.cols[c].Nom, Num: ck.cols[c].Num, Nulls: ck.cols[c].nulls}
-	}
-	return gob.NewEncoder(w).Encode(&wc)
-}
-
-// DecodeChunk reads a chunk written by EncodeChunk, validating column
-// arity, lengths, and nominal domain bounds so a corrupt or adversarial
-// stream cannot materialize a misaligned chunk.
-func DecodeChunk(r io.Reader) (*ColumnChunk, error) {
-	var wc wireChunk
-	if err := gob.NewDecoder(r).Decode(&wc); err != nil {
-		return nil, err
-	}
-	s, err := fromWireSchema(wc.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return chunkFromWire(s, wc.IDs, wc.N, wc.Cols)
-}
-
-// chunkFromWire validates decoded wire columns against a resolved schema
-// and materializes the chunk. Shared by DecodeChunk and ChunkStreamReader
-// so both entry points enforce the same corrupt-stream checks.
-func chunkFromWire(s *Schema, ids []int64, n int, cols []wireChunkCol) (*ColumnChunk, error) {
-	wc := wireChunk{IDs: ids, N: n, Cols: cols}
-	if wc.N < 0 || len(wc.IDs) != wc.N {
-		return nil, fmt.Errorf("dataset: chunk has %d IDs for %d rows", len(wc.IDs), wc.N)
-	}
-	if len(wc.Cols) != s.Len() {
-		return nil, fmt.Errorf("dataset: chunk has %d columns, schema has %d attributes", len(wc.Cols), s.Len())
-	}
-	ck := &ColumnChunk{schema: s, ids: wc.IDs, n: wc.N}
-	ck.cols = make([]ChunkCol, len(wc.Cols))
-	for c := range wc.Cols {
-		col := ChunkCol{Nom: wc.Cols[c].Nom, Num: wc.Cols[c].Num, nulls: wc.Cols[c].Nulls}
-		if len(col.nulls) < nullWords(wc.N) {
-			return nil, fmt.Errorf("dataset: chunk column %d null bitmap has %d words, need %d", c, len(col.nulls), nullWords(wc.N))
-		}
-		a := s.Attr(c)
-		if a.Type == NominalType {
-			if len(col.Nom) != wc.N || len(col.Num) != 0 {
-				return nil, fmt.Errorf("dataset: chunk column %d (%s) is not a nominal column of %d rows", c, a.Name, wc.N)
-			}
-			k := int32(a.NumValues())
-			for r, idx := range col.Nom {
-				if col.Null(r) {
-					if idx != -1 {
-						return nil, fmt.Errorf("dataset: chunk column %d row %d: null row encodes index %d", c, r, idx)
-					}
-					continue
-				}
-				if idx < 0 || idx >= k {
-					return nil, fmt.Errorf("dataset: chunk column %d row %d: index %d outside domain of %d", c, r, idx, k)
-				}
-			}
-		} else {
-			if len(col.Num) != wc.N || len(col.Nom) != 0 {
-				return nil, fmt.Errorf("dataset: chunk column %d (%s) is not a numeric column of %d rows", c, a.Name, wc.N)
-			}
-			for r := range col.Num {
-				if col.Null(r) {
-					col.Num[r] = math.NaN() // canonicalize the null payload
-				}
-			}
-		}
-		ck.cols[c] = col
-	}
-	return ck, nil
 }

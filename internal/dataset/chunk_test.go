@@ -143,71 +143,80 @@ func TestNextChunkAndFillChunkAgree(t *testing.T) {
 	}
 }
 
-// corruptWire gob-encodes a wireChunk after the mutation — the way an
-// adversarial or bit-rotted stream would present it to DecodeChunk.
-func corruptWire(t *testing.T, tab *Table, mutate func(*wireChunk)) io.Reader {
+// corruptStream writes the table's first ten rows as a table stream —
+// header, one chunk, the closing empty chunk — with the mutation applied
+// to the chunk's wire message: the way an adversarial or bit-rotted
+// stream would present it to ChunkStreamReader and DecodeTable.
+func corruptStream(t *testing.T, tab *Table, mutate func(*wireStreamChunk)) []byte {
 	t.Helper()
 	ck := NewColumnChunk(tab.Schema())
 	tab.ChunkInto(ck, 0, 10)
-	var buf bytes.Buffer
-	if err := EncodeChunk(&buf, ck); err != nil {
-		t.Fatal(err)
-	}
-	var wc wireChunk
-	if err := gob.NewDecoder(&buf).Decode(&wc); err != nil {
-		t.Fatal(err)
+	wc := wireStreamChunk{IDs: ck.ids, N: ck.n}
+	for c := range ck.cols {
+		wc.Cols = append(wc.Cols, wireCol{Nom: ck.cols[c].Nom, Num: ck.cols[c].Num, Nulls: ck.cols[c].nulls})
 	}
 	mutate(&wc)
 	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&wc); err != nil {
-		t.Fatal(err)
+	enc := gob.NewEncoder(&out)
+	for _, msg := range []any{toWireSchema(tab.Schema()), &wc, &wireStreamChunk{Cols: make([]wireCol, len(ck.cols))}} {
+		if err := enc.Encode(msg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return &out
+	return out.Bytes()
 }
 
-// TestDecodeChunkRejectsCorruptStreams walks every validation DecodeChunk
-// performs: each class of misalignment must fail instead of materializing
-// a chunk the kernels would index out of bounds.
-func TestDecodeChunkRejectsCorruptStreams(t *testing.T) {
+// TestChunkStreamRejectsCorruptChunks walks every validation the row wire
+// format performs: each class of misalignment must fail — in the stream
+// reader and in DecodeTable, which is built on it — instead of
+// materializing rows the kernels would index out of bounds.
+func TestChunkStreamRejectsCorruptChunks(t *testing.T) {
 	tab := chunkFixtureTable(t)
+	if _, err := DecodeTable(bytes.NewReader(corruptStream(t, tab, func(*wireStreamChunk) {}))); err != nil {
+		t.Fatalf("the unmutated stream does not decode: %v", err)
+	}
 	cases := []struct {
 		name   string
-		mutate func(*wireChunk)
+		mutate func(*wireStreamChunk)
 	}{
-		{"id count mismatch", func(wc *wireChunk) { wc.IDs = wc.IDs[:len(wc.IDs)-1] }},
-		{"negative row count", func(wc *wireChunk) { wc.N = -1 }},
-		{"column count mismatch", func(wc *wireChunk) { wc.Cols = wc.Cols[:len(wc.Cols)-1] }},
-		{"nominal index outside domain", func(wc *wireChunk) { wc.Cols[0].Nom[2] = 99 }},
-		{"negative nominal index", func(wc *wireChunk) { wc.Cols[0].Nom[2] = -2 }},
-		{"null row with live index", func(wc *wireChunk) { wc.Cols[0].Nom[0] = 1 }}, // row 0 is null in col 0
-		{"short null bitmap", func(wc *wireChunk) { wc.Cols[1].Nulls = nil }},
-		{"nominal data in numeric column", func(wc *wireChunk) { wc.Cols[1].Nom = []int32{1}; wc.Cols[1].Num = nil }},
-		{"short numeric column", func(wc *wireChunk) { wc.Cols[1].Num = wc.Cols[1].Num[:3] }},
+		{"id count mismatch", func(wc *wireStreamChunk) { wc.IDs = wc.IDs[:len(wc.IDs)-1] }},
+		{"negative row count", func(wc *wireStreamChunk) { wc.N = -1 }},
+		{"column count mismatch", func(wc *wireStreamChunk) { wc.Cols = wc.Cols[:len(wc.Cols)-1] }},
+		{"nominal index outside domain", func(wc *wireStreamChunk) { wc.Cols[0].Nom[2] = 99 }},
+		{"negative nominal index", func(wc *wireStreamChunk) { wc.Cols[0].Nom[2] = -2 }},
+		{"null row with live index", func(wc *wireStreamChunk) { wc.Cols[0].Nom[0] = 1 }}, // row 0 is null in col 0
+		{"short null bitmap", func(wc *wireStreamChunk) { wc.Cols[1].Nulls = nil }},
+		{"nominal data in numeric column", func(wc *wireStreamChunk) { wc.Cols[1].Nom = []int32{1}; wc.Cols[1].Num = nil }},
+		{"short numeric column", func(wc *wireStreamChunk) { wc.Cols[1].Num = wc.Cols[1].Num[:3] }},
+		{"short nominal column", func(wc *wireStreamChunk) { wc.Cols[0].Nom = wc.Cols[0].Nom[:3] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeChunk(corruptWire(t, tab, tc.mutate)); err == nil {
-				t.Fatal("DecodeChunk accepted a corrupt stream")
+			stream := corruptStream(t, tab, tc.mutate)
+			if _, err := NewChunkStreamReader(bytes.NewReader(stream)).Read(); err == nil {
+				t.Fatal("ChunkStreamReader accepted a corrupt chunk")
+			}
+			if _, err := DecodeTable(bytes.NewReader(stream)); err == nil {
+				t.Fatal("DecodeTable accepted a corrupt stream")
 			}
 		})
 	}
 
 	t.Run("truncated stream", func(t *testing.T) {
-		ck := NewColumnChunk(tab.Schema())
-		tab.ChunkInto(ck, 0, 10)
-		var buf bytes.Buffer
-		if err := EncodeChunk(&buf, ck); err != nil {
-			t.Fatal(err)
+		stream := corruptStream(t, tab, func(*wireStreamChunk) {})
+		if _, err := NewChunkStreamReader(bytes.NewReader(stream[:len(stream)/2])).Read(); err == nil {
+			t.Fatal("ChunkStreamReader accepted a truncated stream")
 		}
-		if _, err := DecodeChunk(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-			t.Fatal("DecodeChunk accepted a truncated stream")
+		if _, err := DecodeTable(bytes.NewReader(stream[:len(stream)/2])); err == nil {
+			t.Fatal("DecodeTable accepted a truncated stream")
 		}
 	})
 
 	t.Run("null payload canonicalized", func(t *testing.T) {
 		// A numeric null whose in-band payload is not NaN decodes with the
 		// payload rewritten to NaN, so in-band and bitmap views agree.
-		ck, err := DecodeChunk(corruptWire(t, tab, func(wc *wireChunk) { wc.Cols[1].Num[0] = 42 })) // row 0 is null in col 1
+		stream := corruptStream(t, tab, func(wc *wireStreamChunk) { wc.Cols[1].Num[0] = 42 }) // row 0 is null in col 1
+		ck, err := NewChunkStreamReader(bytes.NewReader(stream)).Read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,6 +224,39 @@ func TestDecodeChunkRejectsCorruptStreams(t *testing.T) {
 			t.Fatalf("null payload decoded as %v, want NaN", ck.Col(1).Num[0])
 		}
 	})
+}
+
+// TestDecodeTableNeedsClosingChunk: a table stream cut at a chunk
+// boundary is a clean io.EOF to the stream reader, so DecodeTable tells
+// it from a complete one by the closing empty chunk; an empty table is
+// its schema plus that chunk.
+func TestDecodeTableNeedsClosingChunk(t *testing.T) {
+	tab := chunkFixtureTable(t)
+	var cut bytes.Buffer
+	sw := NewChunkStreamWriter(&cut)
+	ck := NewColumnChunk(tab.Schema())
+	tab.ChunkInto(ck, 0, 10)
+	if err := sw.Write(ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeTable(&cut); err == nil {
+		t.Fatal("DecodeTable accepted a stream without the closing chunk")
+	}
+	if _, err := DecodeTable(bytes.NewReader(nil)); err == nil {
+		t.Fatal("DecodeTable accepted an empty stream")
+	}
+
+	b, err := MarshalTable(NewTable(tab.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := UnmarshalTable(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.NumRows() != 0 || !reflect.DeepEqual(empty.Schema().Names(), tab.Schema().Names()) {
+		t.Fatalf("empty table came back with %d rows, attributes %v", empty.NumRows(), empty.Schema().Names())
+	}
 }
 
 // TestValueAndSchemaGobRoundTrip covers the GobEncoder/GobDecoder pair on
@@ -246,22 +288,10 @@ func TestValueAndSchemaGobRoundTrip(t *testing.T) {
 		t.Fatal("Value.GobDecode accepted a short buffer")
 	}
 
-	// The legacy nested-gob encoding must still decode (models persisted
-	// before the fixed v1 record), and the corrupt-kind guard must fire.
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(toWireValue(Nom(7))); err != nil {
-		t.Fatal(err)
-	}
-	var lv Value
-	if err := lv.GobDecode(legacy.Bytes()); err != nil {
-		t.Fatalf("legacy Value encoding no longer decodes: %v", err)
-	}
-	if !lv.IsNominal() || lv.NomIdx() != 7 {
-		t.Fatalf("legacy decode produced %v, want Nom(7)", lv)
-	}
+	// The corrupt-kind guard must fire.
 	bad := make([]byte, 14)
 	bad[0], bad[1] = 1, 9
-	if err := lv.GobDecode(bad); err == nil {
+	if err := v.GobDecode(bad); err == nil {
 		t.Fatal("Value.GobDecode accepted a corrupt kind byte")
 	}
 	var s Schema

@@ -109,8 +109,8 @@ func TestChunkStreamCorrupt(t *testing.T) {
 	})
 }
 
-// TestChunkStreamValidation: a decoded chunk passes through the same
-// corrupt-chunk checks as DecodeChunk — here, an out-of-domain nominal
+// TestChunkStreamValidation: a decoded chunk passes through
+// chunkFromWire's corrupt-chunk checks — here, an out-of-domain nominal
 // index injected into an otherwise valid wire message.
 func TestChunkStreamValidation(t *testing.T) {
 	tab := chunkFixtureTable(t)

@@ -14,13 +14,8 @@ import (
 // that encoding/gob can traverse them. Schemas and tables round-trip
 // exactly, including record IDs — this is what makes asynchronous auditing
 // (offline structure induction, online checking; §2.2 of the paper)
-// possible across process boundaries.
-
-type wireValue struct {
-	Kind uint8
-	Idx  int32
-	Num  float64
-}
+// possible across process boundaries. Rows have one wire format, the chunk
+// stream (chunkstream.go); a table is a chunk stream of its row spans.
 
 type wireAttribute struct {
 	Name     string
@@ -31,17 +26,6 @@ type wireAttribute struct {
 
 type wireSchema struct {
 	Attrs []wireAttribute
-}
-
-type wireTable struct {
-	Schema wireSchema
-	IDs    []int64
-	Cols   [][]wireValue
-}
-
-func toWireValue(v Value) wireValue { return wireValue{Kind: uint8(v.kind), Idx: v.idx, Num: v.num} }
-func fromWireValue(w wireValue) Value {
-	return Value{kind: valueKind(w.Kind), idx: w.Idx, num: w.Num}
 }
 
 func toWireSchema(s *Schema) wireSchema {
@@ -77,39 +61,54 @@ func DecodeSchema(r io.Reader) (*Schema, error) {
 	return fromWireSchema(ws)
 }
 
-// EncodeTable writes the table (schema, record IDs, and data) in the native
-// binary format.
+// tableChunkRows is the row span EncodeTable writes per chunk.
+const tableChunkRows = 4096
+
+// EncodeTable writes the table (schema, record IDs, and data) as a chunk
+// stream closed by one empty chunk. The closing chunk carries the schema
+// of an empty table and lets DecodeTable tell a complete stream from one
+// cut at a chunk boundary.
 func EncodeTable(w io.Writer, t *Table) error {
-	wt := wireTable{Schema: toWireSchema(t.schema), IDs: t.ids, Cols: make([][]wireValue, len(t.cols))}
-	for c := range t.cols {
-		col := make([]wireValue, len(t.cols[c]))
-		for r, v := range t.cols[c] {
-			col[r] = toWireValue(v)
+	sw := NewChunkStreamWriter(w)
+	ck := NewColumnChunk(t.schema)
+	for lo := 0; lo < t.NumRows(); lo += tableChunkRows {
+		t.ChunkInto(ck, lo, min(lo+tableChunkRows, t.NumRows()))
+		if err := sw.Write(ck); err != nil {
+			return err
 		}
-		wt.Cols[c] = col
 	}
-	return gob.NewEncoder(w).Encode(wt)
+	ck.Reset()
+	return sw.Write(ck)
 }
 
-// DecodeTable reads a table written by EncodeTable.
+// DecodeTable reads a table written by EncodeTable. Every chunk passes
+// the chunk stream's validation, so a corrupt stream is an error and
+// never a misaligned or out-of-domain table.
 func DecodeTable(r io.Reader) (*Table, error) {
-	var wt wireTable
-	if err := gob.NewDecoder(r).Decode(&wt); err != nil {
-		return nil, fmt.Errorf("dataset: decoding table: %w", err)
-	}
-	s, err := fromWireSchema(wt.Schema)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable(s)
-	row := make([]Value, s.Len())
-	for r := range wt.IDs {
-		for c := range wt.Cols {
-			row[c] = fromWireValue(wt.Cols[c][r])
+	sr := NewChunkStreamReader(r)
+	var t *Table
+	var row []Value
+	closed := false
+	for {
+		ck, err := sr.Read()
+		if err == io.EOF {
+			if !closed {
+				return nil, fmt.Errorf("dataset: decoding table: stream ends without the closing chunk")
+			}
+			return t, nil
 		}
-		t.appendRowWithID(row, wt.IDs[r])
+		if err != nil {
+			return nil, fmt.Errorf("decoding table: %w", err)
+		}
+		if t == nil {
+			t = NewTable(sr.Schema())
+			row = make([]Value, sr.Schema().Len())
+		}
+		for i := 0; i < ck.Rows(); i++ {
+			t.appendRowWithID(ck.RowInto(i, row), ck.ID(i))
+		}
+		closed = ck.Rows() == 0
 	}
-	return t, nil
 }
 
 // GobEncode implements gob.GobEncoder so Values embedded in model structs
@@ -129,25 +128,17 @@ func (v Value) GobEncode() ([]byte, error) {
 	return b, nil
 }
 
-// GobDecode implements gob.GobDecoder. It accepts both the fixed version-1
-// record and the legacy nested-gob encoding (whose first byte is a gob
-// message length, never 0x01), so models persisted before the format
-// change still load.
+// GobDecode implements gob.GobDecoder for the fixed version-1 record.
 func (v *Value) GobDecode(b []byte) error {
-	if len(b) == 14 && b[0] == 1 {
-		if b[1] > uint8(kindNumber) {
-			return fmt.Errorf("dataset: corrupt Value encoding: kind %d", b[1])
-		}
-		v.kind = valueKind(b[1])
-		v.idx = int32(binary.BigEndian.Uint32(b[2:6]))
-		v.num = math.Float64frombits(binary.BigEndian.Uint64(b[6:14]))
-		return nil
+	if len(b) != 14 || b[0] != 1 {
+		return fmt.Errorf("dataset: corrupt Value encoding: %d bytes", len(b))
 	}
-	var w wireValue
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
+	if b[1] > uint8(kindNumber) {
+		return fmt.Errorf("dataset: corrupt Value encoding: kind %d", b[1])
 	}
-	*v = fromWireValue(w)
+	v.kind = valueKind(b[1])
+	v.idx = int32(binary.BigEndian.Uint32(b[2:6]))
+	v.num = math.Float64frombits(binary.BigEndian.Uint64(b[6:14]))
 	return nil
 }
 

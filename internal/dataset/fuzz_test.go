@@ -131,29 +131,34 @@ func FuzzCSVSource(f *testing.F) {
 	})
 }
 
-// FuzzColumnChunkRoundTrip drives the chunk wire format from both sides:
-// a chunk built from the fuzz input must survive EncodeChunk/DecodeChunk
-// with every ID, null bit and value bit pattern (NaN payloads included)
-// intact, and the raw fuzz bytes fed straight into DecodeChunk must
-// either fail or produce an aligned chunk.
+// fuzzStreamRows is how many rows FuzzColumnChunkRoundTrip puts into one
+// chunk, so that a seed of a few hundred rows is a multi-chunk stream.
+const fuzzStreamRows = 100
+
+// FuzzColumnChunkRoundTrip drives the row wire format from both sides:
+// chunks built from the fuzz input must survive ChunkStreamWriter →
+// ChunkStreamReader with every ID, null bit and value bit pattern (NaN
+// payloads included) intact, and the raw fuzz bytes fed straight into
+// ChunkStreamReader must either fail or produce aligned chunks.
 func FuzzColumnChunkRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 1, 0, 0, 0, 0, 0, 0xF0, 0x3F, 7})                    // one plain row
 	f.Add([]byte{0x07, 2, 1, 2, 3, 4, 5, 0xF8, 0x7F, 9})                    // all-null row
 	f.Add([]byte{0x02, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xF8, 0x7F, 1})     // NaN payload
-	f.Add(bytes.Repeat([]byte{0x01, 2, 8, 6, 7, 5, 3, 0x09, 0x40, 4}, 130)) // spans null words
+	f.Add(bytes.Repeat([]byte{0x01, 2, 8, 6, 7, 5, 3, 0x09, 0x40, 4}, 130)) // spans null words and chunks
+	f.Add(fuzzTableStream(f))                                               // a well-formed stream for the adversarial leg to mutate
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		schema := fuzzSchema(t)
 
-		// Build a chunk from the input: 10 bytes per row — a null mask, a
+		// Build chunks from the input: 10 bytes per row — a null mask, a
 		// nominal index, a raw float64 pattern shared by the numeric and
 		// date columns, and an ID byte.
 		const rec = 10
-		ck := NewColumnChunk(schema)
+		var sent []*ColumnChunk
 		row := make([]Value, schema.Len())
-		var ids []int64
-		for off := 0; off+rec <= len(data) && ck.Rows() < 1024; off += rec {
+		rows := 0
+		for off := 0; off+rec <= len(data) && rows < 1024; off += rec {
 			b := data[off : off+rec]
 			bits := uint64(0)
 			for i := 0; i < 8; i++ {
@@ -170,52 +175,135 @@ func FuzzColumnChunkRoundTrip(f *testing.F) {
 			if b[0]&4 != 0 {
 				row[2] = Null()
 			}
-			id := int64(b[0]) + int64(off)
-			ck.AppendRow(row, id)
-			ids = append(ids, id)
+			if rows%fuzzStreamRows == 0 {
+				sent = append(sent, NewColumnChunk(schema))
+			}
+			sent[len(sent)-1].AppendRow(row, int64(b[0])+int64(off))
+			rows++
 		}
 
 		var buf bytes.Buffer
-		if err := EncodeChunk(&buf, ck); err != nil {
-			t.Fatalf("EncodeChunk: %v", err)
-		}
-		got, err := DecodeChunk(&buf)
-		if err != nil {
-			t.Fatalf("DecodeChunk of a freshly encoded chunk: %v", err)
-		}
-		if got.Rows() != ck.Rows() {
-			t.Fatalf("round trip changed row count: %d -> %d", ck.Rows(), got.Rows())
-		}
-		for i, name := range schema.Names() {
-			if got.Schema().Attr(i).Name != name || got.Schema().Attr(i).Type != schema.Attr(i).Type {
-				t.Fatalf("round trip changed attribute %d", i)
+		sw := NewChunkStreamWriter(&buf)
+		for _, ck := range sent {
+			if err := sw.Write(ck); err != nil {
+				t.Fatalf("ChunkStreamWriter.Write: %v", err)
 			}
 		}
-		for r := 0; r < ck.Rows(); r++ {
-			if got.ID(r) != ids[r] {
-				t.Fatalf("row %d: ID %d -> %d", r, ids[r], got.ID(r))
+		sr := NewChunkStreamReader(&buf)
+		for i, ck := range sent {
+			got, err := sr.Read()
+			if err != nil {
+				t.Fatalf("Read of freshly written chunk %d: %v", i, err)
 			}
-			for c := 0; c < schema.Len(); c++ {
-				w, g := ck.Col(c), got.Col(c)
-				if w.Null(r) != g.Null(r) {
-					t.Fatalf("row %d col %d: null bit flipped", r, c)
+			if got.Rows() != ck.Rows() {
+				t.Fatalf("chunk %d: round trip changed row count: %d -> %d", i, ck.Rows(), got.Rows())
+			}
+			for c, name := range schema.Names() {
+				if got.Schema().Attr(c).Name != name || got.Schema().Attr(c).Type != schema.Attr(c).Type {
+					t.Fatalf("round trip changed attribute %d", c)
 				}
-				if schema.Attr(c).Type == NominalType {
-					if w.Nom[r] != g.Nom[r] {
-						t.Fatalf("row %d col %d: nominal %d -> %d", r, c, w.Nom[r], g.Nom[r])
+			}
+			for r := 0; r < ck.Rows(); r++ {
+				if got.ID(r) != ck.ID(r) {
+					t.Fatalf("chunk %d row %d: ID %d -> %d", i, r, ck.ID(r), got.ID(r))
+				}
+				for c := 0; c < schema.Len(); c++ {
+					w, g := ck.Col(c), got.Col(c)
+					if w.Null(r) != g.Null(r) {
+						t.Fatalf("chunk %d row %d col %d: null bit flipped", i, r, c)
 					}
-				} else if !w.Null(r) && math.Float64bits(w.Num[r]) != math.Float64bits(g.Num[r]) {
-					t.Fatalf("row %d col %d: value bits %x -> %x", r, c,
-						math.Float64bits(w.Num[r]), math.Float64bits(g.Num[r]))
+					if schema.Attr(c).Type == NominalType {
+						if w.Nom[r] != g.Nom[r] {
+							t.Fatalf("chunk %d row %d col %d: nominal %d -> %d", i, r, c, w.Nom[r], g.Nom[r])
+						}
+					} else if !w.Null(r) && math.Float64bits(w.Num[r]) != math.Float64bits(g.Num[r]) {
+						t.Fatalf("chunk %d row %d col %d: value bits %x -> %x", i, r, c,
+							math.Float64bits(w.Num[r]), math.Float64bits(g.Num[r]))
+					}
 				}
 			}
+			requireChunkAligned(t, got)
 		}
-		requireChunkAligned(t, got)
+		if _, err := sr.Read(); err != io.EOF {
+			t.Fatalf("Read past the last chunk: %v, want io.EOF", err)
+		}
 
 		// Adversarial decode: the raw input as a wire stream must error or
-		// yield a chunk whose invariants hold.
-		if adv, err := DecodeChunk(bytes.NewReader(data)); err == nil {
-			requireChunkAligned(t, adv)
+		// yield chunks whose invariants hold.
+		adv := NewChunkStreamReader(bytes.NewReader(data))
+		for {
+			ck, err := adv.Read()
+			if err != nil {
+				break
+			}
+			requireChunkAligned(t, ck)
+		}
+	})
+}
+
+// fuzzTableStream is EncodeTable's output for the chunk fixture: a
+// well-formed stream of a header, one chunk and the closing chunk.
+func fuzzTableStream(t testing.TB) []byte {
+	b, err := MarshalTable(chunkFixtureTable(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzDecodeTable feeds arbitrary bytes to DecodeTable — what reloads the
+// monitor's persisted reservoir and table files. It must fail or return a
+// table whose every row has the schema's arity, in-domain nominal values
+// and one ID, and that encodes back to a stream decoding to the same rows.
+func FuzzDecodeTable(f *testing.F) {
+	stream := fuzzTableStream(f)
+	f.Add(stream)
+	f.Add(stream[:len(stream)/2])
+	f.Add([]byte{})
+	f.Add([]byte("\t100000000"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := DecodeTable(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for c := 0; c < tab.NumCols(); c++ {
+			if len(tab.Column(c)) != tab.NumRows() {
+				t.Fatalf("column %d has %d cells for %d rows", c, len(tab.Column(c)), tab.NumRows())
+			}
+			a := tab.Schema().Attr(c)
+			for r, v := range tab.Column(c) {
+				switch {
+				case v.IsNull():
+				case a.Type == NominalType:
+					if !v.IsNominal() || v.NomIdx() >= a.NumValues() {
+						t.Fatalf("row %d col %d: %v outside the %d-value domain", r, c, v, a.NumValues())
+					}
+				case !v.IsNumber():
+					t.Fatalf("row %d col %d: %v in a numeric column", r, c, v)
+				}
+			}
+		}
+		b, err := MarshalTable(tab)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded table: %v", err)
+		}
+		back, err := UnmarshalTable(b)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded table: %v", err)
+		}
+		if back.NumRows() != tab.NumRows() {
+			t.Fatalf("re-encoding changed the row count: %d -> %d", tab.NumRows(), back.NumRows())
+		}
+		for r := 0; r < tab.NumRows(); r++ {
+			if back.ID(r) != tab.ID(r) {
+				t.Fatalf("row %d: ID %d -> %d", r, tab.ID(r), back.ID(r))
+			}
+			for c := 0; c < tab.NumCols(); c++ {
+				if !back.Get(r, c).Equal(tab.Get(r, c)) {
+					t.Fatalf("cell (%d,%d): %v -> %v", r, c, tab.Get(r, c), back.Get(r, c))
+				}
+			}
 		}
 	})
 }

@@ -164,26 +164,10 @@ func jsonCell(a *Attribute, raw any) (Value, error) {
 // NextChunk implements ChunkSource: it decodes up to max records into the
 // chunk. Errors carry the same typed values as Next.
 func (s *JSONLSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
-	if cap(s.rowBuf) < s.schema.Len() {
+	if s.rowBuf == nil {
 		s.rowBuf = make([]Value, s.schema.Len())
 	}
-	buf := s.rowBuf[:s.schema.Len()]
-	n := 0
-	for n < max {
-		id, err := s.Next(buf)
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		ck.AppendRow(buf, id)
-		n++
-	}
-	return n, nil
+	return FillChunk(s, ck, s.rowBuf, max)
 }
 
 // OpenJSONLFileSource opens the named JSONL file as a streaming

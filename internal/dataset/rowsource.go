@@ -205,19 +205,30 @@ func (s *CSVSource) Next(buf []Value) (int64, error) {
 	s.extendBudget()
 	line := s.line
 	s.line++
-	if len(rec) != s.schema.Len() {
-		return 0, &RowWidthError{Line: line, Got: len(rec), Want: s.schema.Len()}
-	}
-	for c, a := range s.schema.Attrs() {
-		v, err := a.Parse(rec[c])
-		if err != nil {
-			return 0, fmt.Errorf("dataset: CSV line %d: %w", line, err)
-		}
-		buf[c] = v
+	if err := parseRecord(s.schema, rec, buf, line, "CSV line", line); err != nil {
+		return 0, err
 	}
 	id := s.nextID
 	s.nextID++
 	return id, nil
+}
+
+// parseRecord parses one record of text cells into buf. A width mismatch
+// is a RowWidthError at the given line; a cell that does not parse is the
+// attribute's parse error, tagged with what the source calls the record
+// ("CSV line 7", "row 3").
+func parseRecord(s *Schema, rec []string, buf []Value, line int, what string, n int) error {
+	if len(rec) != s.Len() {
+		return &RowWidthError{Line: line, Got: len(rec), Want: s.Len()}
+	}
+	for c, a := range s.Attrs() {
+		v, err := a.Parse(rec[c])
+		if err != nil {
+			return fmt.Errorf("dataset: %s %d: %w", what, n, err)
+		}
+		buf[c] = v
+	}
+	return nil
 }
 
 // budgetReader fails once more bytes were consumed than the current
@@ -267,18 +278,10 @@ func (s *StringRowsSource) Next(buf []Value) (int64, error) {
 	if s.next >= len(s.rows) {
 		return 0, io.EOF
 	}
-	rec := s.rows[s.next]
 	i := s.next
 	s.next++
-	if len(rec) != s.schema.Len() {
-		return 0, &RowWidthError{Line: i + 1, Got: len(rec), Want: s.schema.Len()}
-	}
-	for c, a := range s.schema.Attrs() {
-		v, err := a.Parse(rec[c])
-		if err != nil {
-			return 0, fmt.Errorf("dataset: row %d: %w", i, err)
-		}
-		buf[c] = v
+	if err := parseRecord(s.schema, s.rows[i], buf, i+1, "row", i); err != nil {
+		return 0, err
 	}
 	return int64(i), nil
 }
@@ -286,26 +289,15 @@ func (s *StringRowsSource) Next(buf []Value) (int64, error) {
 // ReadAll drains a RowSource into a materialized Table — the inverse of
 // NewTableSource. Source-assigned record IDs are discarded; the table
 // assigns its own.
-func ReadAll(src RowSource) (*Table, error) {
-	t := NewTable(src.Schema())
-	buf := make([]Value, src.Schema().Len())
-	for {
-		_, err := src.Next(buf)
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.AppendRow(buf)
-	}
-}
+func ReadAll(src RowSource) (*Table, error) { return readAll(src, false) }
 
 // ReadAllKeepIDs drains a RowSource into a materialized Table preserving
 // the source-assigned record IDs — unlike ReadAll, which re-assigns them.
 // The shard coordinator uses it: a sharded audit must report the same
 // record IDs a single-node audit of the same source would.
-func ReadAllKeepIDs(src RowSource) (*Table, error) {
+func ReadAllKeepIDs(src RowSource) (*Table, error) { return readAll(src, true) }
+
+func readAll(src RowSource, keepIDs bool) (*Table, error) {
 	t := NewTable(src.Schema())
 	buf := make([]Value, src.Schema().Len())
 	for {
@@ -316,7 +308,11 @@ func ReadAllKeepIDs(src RowSource) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.appendRowWithID(buf, id)
+		if keepIDs {
+			t.appendRowWithID(buf, id)
+		} else {
+			t.AppendRow(buf)
+		}
 	}
 }
 

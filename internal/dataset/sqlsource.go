@@ -122,26 +122,10 @@ func sqlCell(a *Attribute, raw any) (Value, error) {
 // NextChunk implements ChunkSource: it scans up to max result rows into
 // the chunk. Errors carry the same typed values as Next.
 func (s *SQLSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
-	if cap(s.rowBuf) < s.schema.Len() {
+	if s.rowBuf == nil {
 		s.rowBuf = make([]Value, s.schema.Len())
 	}
-	buf := s.rowBuf[:s.schema.Len()]
-	n := 0
-	for n < max {
-		id, err := s.Next(buf)
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		ck.AppendRow(buf, id)
-		n++
-	}
-	return n, nil
+	return FillChunk(s, ck, s.rowBuf, max)
 }
 
 // OpenSQLSource runs the query on the handle and wraps the result set.

@@ -1,13 +1,28 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"dataaudit/internal/audit"
+	"dataaudit/internal/dataset"
 	"dataaudit/internal/obs"
 	"dataaudit/internal/registry"
 )
+
+// shellModel builds a model shell with n audited attributes — the fold
+// path only touches Schema names and the Attrs slice, never the
+// classifiers.
+func shellModel(n int) *audit.Model {
+	attrs := make([]*dataset.Attribute, n)
+	ams := make([]*audit.AttrModel, n)
+	for i := range attrs {
+		attrs[i] = dataset.NewNumeric(fmt.Sprintf("a%d", i), 0, 1)
+		ams[i] = &audit.AttrModel{Class: i}
+	}
+	return &audit.Model{Schema: dataset.MustSchema(attrs...), Attrs: ams}
+}
 
 // TestMetricsLifecycle drives the drift → re-induction loop with
 // instrumentation attached and checks every stage left its mark: row and
@@ -133,7 +148,7 @@ func TestMetricsFoldAllocFree(t *testing.T) {
 	// Snapshot) must not run inside the measured loop.
 	mon := New(nil, Options{WindowRows: 1 << 40, Metrics: mets})
 	meta := registry.Meta{Name: "bench", Version: 1, Quality: &audit.QualityProfile{SuspiciousRate: 0.01}}
-	st := mon.state(meta, benchModel(attrs))
+	st := mon.state(meta, shellModel(attrs))
 
 	fold := func() {
 		st.mu.Lock()

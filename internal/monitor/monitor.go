@@ -65,13 +65,9 @@ type Options struct {
 	// ReinduceMode selects how a partial re-induction rebuilds the drifted
 	// attributes: "incremental" (default — frozen discretizer bins, warm
 	// starts, tally refreshes) or "full" (each drifted attribute re-induced
-	// from scratch). Matches audit.ReinduceMode.
+	// from scratch). Matches audit.ReinduceMode. Not a fork of one result:
+	// "full" re-derives the bins, so the two modes induce different models.
 	ReinduceMode string
-	// DisablePartialReinduce forces every drift-triggered re-induction to
-	// rebuild the whole model with audit.Induce even when the per-attribute
-	// detectors attributed the drift — the pre-incremental behaviour. The
-	// zero value keeps partial re-induction on.
-	DisablePartialReinduce bool
 	// StateDir, when non-empty, makes monitoring state crash-durable:
 	// snapshots, events, drift-detector state and the re-induction
 	// reservoir are serialized atomically (temp file + rename, versioned

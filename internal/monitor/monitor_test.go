@@ -234,40 +234,33 @@ func TestDriftLifecycle(t *testing.T) {
 // the per-attribute detectors latch on the attributes the pollution
 // actually broke, the drift event names them, the background worker takes
 // the partial re-induction path over exactly that set, and the successor
-// comes up with cleared latches. The control run with
-// DisablePartialReinduce pins the escape hatch: same drift, same
-// attribution, but the worker induces from scratch.
+// comes up with cleared latches.
 func TestDriftAttributionRoutesPartialReinduce(t *testing.T) {
-	run := func(disable bool) State {
-		model, clean, dirty := fixture(t, 3000)
-		reg, err := registry.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta, err := reg.PublishWithQuality("engines", model, model.QualityProfile(clean, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mon := New(reg, withClock(Options{
-			WindowRows:             1000,
-			MinWindows:             1,
-			DriftDelta:             0.10,
-			AutoReinduce:           true,
-			MinReinduceRows:        200,
-			ReservoirRows:          2048,
-			DisablePartialReinduce: disable,
-		}))
-		mon.ObserveBatch(meta, model, clean, model.AuditTable(clean))
-		mon.ObserveBatch(meta, model, dirty, model.AuditTable(dirty))
-		mon.WaitReinductions()
-		st, ok := mon.Quality("engines")
-		if !ok {
-			t.Fatal("no monitoring state")
-		}
-		return st
+	model, clean, dirty := fixture(t, 3000)
+	reg, err := registry.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := reg.PublishWithQuality("engines", model, model.QualityProfile(clean, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := New(reg, withClock(Options{
+		WindowRows:      1000,
+		MinWindows:      1,
+		DriftDelta:      0.10,
+		AutoReinduce:    true,
+		MinReinduceRows: 200,
+		ReservoirRows:   2048,
+	}))
+	mon.ObserveBatch(meta, model, clean, model.AuditTable(clean))
+	mon.ObserveBatch(meta, model, dirty, model.AuditTable(dirty))
+	mon.WaitReinductions()
+	st, ok := mon.Quality("engines")
+	if !ok {
+		t.Fatal("no monitoring state")
 	}
 
-	st := run(false)
 	var drift, reind *Event
 	for i := range st.Events {
 		switch st.Events[i].Kind {
@@ -300,22 +293,6 @@ func TestDriftAttributionRoutesPartialReinduce(t *testing.T) {
 	// The successor's baseline starts with every latch cleared.
 	if st.Drift.Drifted || len(st.Drift.Attrs) != 0 {
 		t.Fatalf("latches survived re-induction: %+v", st.Drift)
-	}
-
-	// Control: partial path disabled — the same drift re-induces from
-	// scratch and says so.
-	st = run(true)
-	reind = nil
-	for i := range st.Events {
-		if st.Events[i].Kind == EventReinduced {
-			reind = &st.Events[i]
-		}
-	}
-	if reind == nil {
-		t.Fatalf("control run never re-induced: %+v", st.Events)
-	}
-	if !strings.Contains(reind.Message, "full induction") {
-		t.Fatalf("DisablePartialReinduce did not force a full induction: %q", reind.Message)
 	}
 }
 

@@ -32,9 +32,11 @@ import (
 // writers cannot overwrite newer state with older state.
 
 // stateFormat versions the envelope. Readers reject other formats and
-// fall back to fresh state — forward compatibility by degradation, never
-// by failing the model.
-const stateFormat = 1
+// fall back to fresh state — compatibility by degradation, never by
+// failing the model. Format 2 carries the reservoir as a chunk stream
+// (dataset.EncodeTable); a format-1 file left by an older binary costs one
+// fresh start of that model's monitoring history.
+const stateFormat = 2
 
 // StateFile returns the path of the persisted monitoring state for one
 // model inside a state directory.
@@ -74,13 +76,11 @@ type stateEnvelope struct {
 	Drifted              bool        `json:"drifted"`
 	LastDelta            float64     `json:"lastDelta"`
 	// AttrDrift is the per-attribute detector state, aligned with Classes.
-	// Absent in envelopes written before attribution existed; those load
-	// with fresh (zeroed) detectors.
 	AttrDrift []attrDetector `json:"attrDrift,omitempty"`
 	Events    []Event        `json:"events"`
 
-	// ReservoirTable is the sampled rows plus their schema in the dataset
-	// package's native binary encoding (base64 inside the JSON envelope);
+	// ReservoirTable is the sampled rows plus their schema as a
+	// dataset.EncodeTable chunk stream (base64 inside the JSON envelope);
 	// ReservoirSeen the rows ever offered since the last re-induction.
 	// The schema embedded here is also what rebuilds st.schema on load.
 	ReservoirTable []byte `json:"reservoirTable"`
@@ -370,7 +370,7 @@ func (m *Monitor) loadState(name string) *modelState {
 			name, len(env.WinAttrs), len(env.Classes))
 		return nil
 	}
-	if len(env.AttrDrift) != 0 && len(env.AttrDrift) != len(env.Classes) {
+	if len(env.AttrDrift) != len(env.Classes) {
 		m.opts.Logger.Printf("monitor: discarding state for %s: %d attribute detectors for %d classes",
 			name, len(env.AttrDrift), len(env.Classes))
 		return nil
@@ -393,12 +393,6 @@ func (m *Monitor) loadState(name string) *modelState {
 	rv.restore(rvTab, env.ReservoirSeen)
 	ph := env.PH
 	ph.Delta, ph.Lambda = m.opts.PHDelta, m.opts.PHLambda
-	attrDrift := env.AttrDrift
-	if attrDrift == nil {
-		// Pre-attribution envelope: start fresh detectors (their PH
-		// parameters are injected at seal time).
-		attrDrift = make([]attrDetector, len(env.Classes))
-	}
 	return &modelState{
 		name:                 name,
 		version:              env.Version,
@@ -417,7 +411,7 @@ func (m *Monitor) loadState(name string) *modelState {
 		ph:                   ph,
 		drifted:              env.Drifted,
 		lastDelta:            env.LastDelta,
-		attrDrift:            attrDrift,
+		attrDrift:            env.AttrDrift,
 		events:               env.Events,
 		rv:                   rv,
 	}

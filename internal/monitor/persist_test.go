@@ -1,7 +1,10 @@
 package monitor
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,7 +31,11 @@ func persistFixture(t *testing.T, rows int) (reg *registry.Registry, stateDir st
 	}
 	stateDir = reg.StateDir()
 	newMon = func() *Monitor {
-		return New(reg, withClock(Options{WindowRows: 1000, MinWindows: 1, DriftDelta: 0.10, StateDir: stateDir}))
+		mon := New(reg, withClock(Options{WindowRows: 1000, MinWindows: 1, DriftDelta: 0.10, StateDir: stateDir}))
+		// Drain the asynchronous state writes before TempDir removal, or a
+		// late commit lands in a directory that is being deleted.
+		t.Cleanup(mon.WaitReinductions)
+		return mon
 	}
 	return
 }
@@ -137,6 +144,45 @@ func TestPersistCorruptStateDegradesToFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A reservoir every gob decoder accepts but whose nominal column is two
+	// rows short of its ID list — in an envelope that is otherwise the good
+	// one, so nothing but the reservoir's own validation can reject it.
+	type wireAttr struct {
+		Name     string
+		Type     uint8
+		Domain   []string
+		Min, Max float64
+	}
+	type wireCol struct {
+		Nom   []int32
+		Num   []float64
+		Nulls []uint64
+	}
+	var stream bytes.Buffer
+	enc := gob.NewEncoder(&stream)
+	for _, msg := range []any{
+		struct{ Attrs []wireAttr }{[]wireAttr{{Name: "BRV", Type: uint8(dataset.NominalType), Domain: []string{"404", "501"}}}},
+		struct {
+			IDs  []int64
+			N    int
+			Cols []wireCol
+		}{IDs: []int64{0, 1, 2}, N: 3, Cols: []wireCol{{Nom: []int32{0}, Nulls: []uint64{0}}}},
+	} {
+		if err := enc.Encode(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var env stateEnvelope
+	if err := json.Unmarshal(good, &env); err != nil {
+		t.Fatal(err)
+	}
+	env.ReservoirTable = stream.Bytes()
+	inconsistent, err := json.Marshal(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	current := fmt.Sprintf(`{"format":%d,`, stateFormat)
 	cases := []struct {
 		name string
 		data []byte
@@ -144,9 +190,11 @@ func TestPersistCorruptStateDegradesToFresh(t *testing.T) {
 		{"garbage", []byte("{ not json")},
 		{"truncated", good[:len(good)/3]},
 		{"wrong format", []byte(`{"format":999,"name":"engines","version":1}`)},
-		{"wrong name", []byte(`{"format":1,"name":"other","version":1}`)},
-		{"corrupt reservoir", []byte(`{"format":1,"name":"engines","version":` +
+		{"previous format", bytes.Replace(good, []byte(current), []byte(`{"format":1,`), 1)},
+		{"wrong name", []byte(current + `"name":"other","version":1}`)},
+		{"corrupt reservoir", []byte(current + `"name":"engines","version":` +
 			`1,"createdAt":"2026-07-01T00:00:00Z","reservoirTable":"AAAA"}`)},
+		{"inconsistent reservoir", inconsistent},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -197,9 +197,8 @@ type DuplicatesJSON struct {
 // ShardWorkersResponse is the body of GET /v1/shard/workers (coordinator
 // mode only).
 type ShardWorkersResponse struct {
-	Workers  []string `json:"workers"`
-	Shards   int      `json:"shards"`
-	Strategy string   `json:"strategy"`
+	Workers []string `json:"workers"`
+	Shards  int      `json:"shards"`
 }
 
 // ModelResponse is the body of POST /v1/models and GET /v1/models/{name}.

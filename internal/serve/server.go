@@ -580,8 +580,9 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	// Coordinator mode fans the batch out across the worker set and
 	// merges — the merged result is byte-identical to the local path, so
 	// everything below (monitor fold, ranking, rendering) is shared.
-	// ?local=1 is the escape hatch: score in-process even on a
-	// coordinator (differential tests diff the two).
+	// ?local=1 scores in-process even on a coordinator. It stays as the
+	// reference: the sharded differential tests (shard_test.go,
+	// scripts/e2e_shard.sh) diff the two responses.
 	var res *audit.Result
 	sharded := s.coord != nil && r.URL.Query().Get("local") != "1"
 	if sharded {

@@ -141,11 +141,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShardWorkers implements GET /v1/shard/workers (coordinator mode
-// only): the configured worker set and split parameters.
+// only): the configured worker set and shard count.
 func (s *Server) handleShardWorkers(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, ShardWorkersResponse{
-		Workers:  s.coord.Workers(),
-		Shards:   s.coord.Shards(),
-		Strategy: string(s.coord.Strategy()),
+		Workers: s.coord.Workers(),
+		Shards:  s.coord.Shards(),
 	})
 }

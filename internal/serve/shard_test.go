@@ -282,7 +282,7 @@ func TestCoordinatorModeAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(sw.Workers) != 2 || sw.Shards != 4 || sw.Strategy != string(shard.StrategyRange) {
+	if len(sw.Workers) != 2 || sw.Shards != 4 {
 		t.Fatalf("workers response %+v", sw)
 	}
 

@@ -132,17 +132,16 @@ func (w *workerClient) replicate(ctx context.Context, meta registry.Meta, m *aud
 	return nil
 }
 
-// auditShard streams the shard's rows to the worker and decodes the
-// validated result. rows are global row indices into tab; the request
-// pins (version, createdAt) so a worker whose model moved replies 409
-// instead of scoring with the wrong model.
-func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *dataset.Table, rows []int, chunkRows int) (*audit.Result, error) {
+// auditShard streams rows [lo, hi) of tab to the worker and decodes the
+// validated result. The request pins (version, createdAt) so a worker
+// whose model moved replies 409 instead of scoring with the wrong model.
+func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *dataset.Table, lo, hi, chunkRows int) (*audit.Result, error) {
 	query := url.Values{
 		"version":   {strconv.Itoa(meta.Version)},
 		"createdAt": {meta.CreatedAt.UTC().Format(time.RFC3339Nano)},
 	}
 	pr, pw := io.Pipe()
-	go func() { pw.CloseWithError(writeShardStream(pw, tab, rows, chunkRows)) }()
+	go func() { pw.CloseWithError(writeShardStream(pw, tab, lo, hi, chunkRows)) }()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url("/v1/models/"+meta.Name+"/audit/shard", query), pr)
 	if err != nil {
 		return nil, err
@@ -156,31 +155,20 @@ func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *
 	if resp.StatusCode != http.StatusOK {
 		return nil, readStatusError(resp)
 	}
-	sr, err := DecodeShardResult(resp.Body, len(rows), tab.NumCols())
+	sr, err := DecodeShardResult(resp.Body, hi-lo, tab.NumCols())
 	if err != nil {
 		return nil, err
 	}
 	return sr.Result, nil
 }
 
-// writeShardStream encodes the shard's rows as a chunk stream. Contiguous
-// index runs (the whole shard, under StrategyRange) take the columnar
-// ChunkInto fast path; scattered hash shards append row by row. Record IDs
-// ride through unchanged either way.
-func writeShardStream(w io.Writer, tab *dataset.Table, rows []int, chunkRows int) error {
+// writeShardStream encodes rows [lo, hi) of the table as a chunk stream,
+// filled column-wise through ChunkInto. Record IDs ride through unchanged.
+func writeShardStream(w io.Writer, tab *dataset.Table, lo, hi, chunkRows int) error {
 	sw := dataset.NewChunkStreamWriter(w)
 	ck := dataset.NewColumnChunk(tab.Schema())
-	buf := make([]dataset.Value, tab.NumCols())
-	for lo := 0; lo < len(rows); lo += chunkRows {
-		hi := min(lo+chunkRows, len(rows))
-		if rows[hi-1]-rows[lo] == hi-1-lo { // contiguous run
-			tab.ChunkInto(ck, rows[lo], rows[hi-1]+1)
-		} else {
-			ck.Reset()
-			for _, r := range rows[lo:hi] {
-				ck.AppendRow(tab.RowInto(r, buf), tab.ID(r))
-			}
-		}
+	for ; lo < hi; lo += chunkRows {
+		tab.ChunkInto(ck, lo, min(lo+chunkRows, hi))
 		if err := sw.Write(ck); err != nil {
 			return err
 		}

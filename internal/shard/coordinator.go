@@ -27,8 +27,6 @@ type Options struct {
 	// More shards than workers gives finer-grained reassignment when a
 	// worker dies mid-audit.
 	Shards int
-	// Strategy picks the row→shard assignment (default StrategyRange).
-	Strategy Strategy
 	// ChunkRows is the wire chunk size (default 4096, capped at 65536).
 	ChunkRows int
 	// Retries is the per-shard re-dispatch budget after the first
@@ -79,12 +77,6 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("shard: invalid shard count %d", opts.Shards)
 	}
-	if opts.Strategy == "" {
-		opts.Strategy = StrategyRange
-	}
-	if _, err := ParseStrategy(string(opts.Strategy)); err != nil {
-		return nil, err
-	}
 	if opts.ChunkRows <= 0 {
 		opts.ChunkRows = 4096
 	}
@@ -120,9 +112,6 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // Workers returns the configured worker base URLs.
 func (c *Coordinator) Workers() []string { return c.opts.Workers }
 
-// Strategy returns the configured split strategy.
-func (c *Coordinator) Strategy() Strategy { return c.opts.Strategy }
-
 // Shards returns the configured shard count.
 func (c *Coordinator) Shards() int { return c.opts.Shards }
 
@@ -148,7 +137,7 @@ func (c *Coordinator) AuditTable(ctx context.Context, model *audit.Model, meta r
 	if tab.NumCols() != width {
 		return nil, &dataset.RowWidthError{Got: tab.NumCols(), Want: width}
 	}
-	shards, err := Split(tab, c.opts.Strategy, c.opts.Shards)
+	shards, err := Split(tab, StrategyRange, c.opts.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +145,7 @@ func (c *Coordinator) AuditTable(ctx context.Context, model *audit.Model, meta r
 	var jobs []*shardJob
 	for id, rows := range shards {
 		if len(rows) > 0 {
-			jobs = append(jobs, &shardJob{id: id, rows: rows})
+			jobs = append(jobs, &shardJob{id: id, lo: rows[0], hi: rows[len(rows)-1] + 1})
 		}
 	}
 	results := make([]*audit.Result, len(shards))
@@ -164,53 +153,38 @@ func (c *Coordinator) AuditTable(ctx context.Context, model *audit.Model, meta r
 		return nil, err
 	}
 
-	var merged *audit.Result
-	switch c.opts.Strategy {
-	case StrategyRange:
-		merged, err = audit.MergeResults(results...)
-		if err != nil {
-			return nil, err
+	// The shards are contiguous ranges in shard order, so the merged
+	// report list is their concatenation. DecodeShardResult handed every
+	// result over as owned (findings detached, Best re-pointed), so
+	// reports and dims are moved, not deep-copied as audit.MergeResults
+	// would.
+	merged := &audit.Result{NumAttrs: width, Reports: make([]audit.RecordReport, 0, tab.NumRows())}
+	for _, res := range results {
+		if res == nil {
+			continue
 		}
-	case StrategyHash:
-		merged = scatterMerge(results, shards, tab.NumRows())
+		offset := len(merged.Reports)
+		merged.Reports = append(merged.Reports, res.Reports...)
+		for i := offset; i < len(merged.Reports); i++ {
+			merged.Reports[i].Row += offset
+		}
+		if merged.Dims == nil {
+			merged.Dims = res.Dims
+		} else if res.Dims != nil {
+			audit.MergeDims(merged.Dims, res.Dims)
+		}
 	}
 	if len(merged.Reports) != tab.NumRows() {
 		return nil, fmt.Errorf("shard: merged %d reports for %d rows", len(merged.Reports), tab.NumRows())
 	}
-	merged.NumAttrs = width
 	merged.CheckTime = time.Since(start)
 	return merged, nil
-}
-
-// scatterMerge reassembles hash-sharded results: shard s's j-th report
-// belongs to global row shards[s][j]. Findings were detached by the wire
-// decode, so the reports are moved, not copied.
-func scatterMerge(results []*audit.Result, shards [][]int, n int) *audit.Result {
-	out := &audit.Result{Reports: make([]audit.RecordReport, n)}
-	for s, res := range results {
-		if res == nil {
-			continue
-		}
-		for j := range res.Reports {
-			rep := res.Reports[j]
-			rep.Row = shards[s][j]
-			rep.RepointBest()
-			out.Reports[rep.Row] = rep
-		}
-		switch {
-		case out.Dims == nil:
-			out.Dims = audit.CloneDims(res.Dims)
-		case res.Dims != nil:
-			audit.MergeDims(out.Dims, res.Dims)
-		}
-	}
-	return out
 }
 
 // shardJob is one dispatchable shard.
 type shardJob struct {
 	id       int
-	rows     []int
+	lo, hi   int // the shard's table rows [lo, hi)
 	attempts int
 }
 
@@ -269,7 +243,7 @@ func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta reg
 			if o.err != nil {
 				o.job.attempts++
 				if o.job.attempts > c.opts.Retries {
-					return fmt.Errorf("shard %d (%d rows): giving up after %d attempts: %w", o.job.id, len(o.job.rows), o.job.attempts, o.err)
+					return fmt.Errorf("shard %d (%d rows): giving up after %d attempts: %w", o.job.id, o.job.hi-o.job.lo, o.job.attempts, o.err)
 				}
 				c.opts.Logger.Printf("shard: shard %d attempt %d on %s failed, requeueing: %v", o.job.id, o.job.attempts, c.opts.Workers[o.worker], o.err)
 				if m := c.opts.Metrics; m != nil {
@@ -316,7 +290,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struc
 				m.Dispatches.With(name, "error").Inc()
 			} else {
 				m.Dispatches.With(name, "ok").Inc()
-				m.RowsShipped.With(name).Add(uint64(len(job.rows)))
+				m.RowsShipped.With(name).Add(uint64(job.hi - job.lo))
 			}
 		}
 		if err != nil {
@@ -366,7 +340,7 @@ func (c *Coordinator) runShard(ctx context.Context, w *workerClient, synced *boo
 		}
 		*synced = true
 	}
-	res, err := w.auditShard(ctx, meta, tab, job.rows, c.opts.ChunkRows)
+	res, err := w.auditShard(ctx, meta, tab, job.lo, job.hi, c.opts.ChunkRows)
 	if isVersionConflict(err) {
 		*synced = false
 	}

@@ -142,7 +142,7 @@ func newCoordinator(t *testing.T, workers []string, mutate func(*shard.Options))
 }
 
 // TestShardedDifferentialQUIS is the tentpole contract: across shard
-// counts {1,2,4,8} × both strategies, a 3-worker sharded audit produces a
+// counts {1,2,4,8}, a 3-worker sharded audit produces a
 // Result gob-byte-identical to the single-node scorer — same reports,
 // same record IDs, same Suspicious ranking, same monitor tallies.
 func TestShardedDifferentialQUIS(t *testing.T) {
@@ -157,30 +157,25 @@ func TestShardedDifferentialQUIS(t *testing.T) {
 	wantBytes := gobBytes(t, want)
 	wantSus, wantTallies := m.TallyResult(want)
 
-	for _, strategy := range []shard.Strategy{shard.StrategyRange, shard.StrategyHash} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			coord := newCoordinator(t, workers, func(o *shard.Options) {
-				o.Strategy = strategy
-				o.Shards = shards
-			})
-			got, err := coord.AuditTable(context.Background(), m, meta, dirty)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", strategy, shards, err)
-			}
-			if !bytes.Equal(wantBytes, gobBytes(t, got)) {
-				t.Fatalf("%s/%d: sharded result is not byte-identical to single-node", strategy, shards)
-			}
-			gotSus, gotTallies := m.TallyResult(got)
-			if gotSus != wantSus {
-				t.Fatalf("%s/%d: suspicious %d, want %d", strategy, shards, gotSus, wantSus)
-			}
-			if len(gotTallies) != len(wantTallies) {
-				t.Fatalf("%s/%d: tally count %d, want %d", strategy, shards, len(gotTallies), len(wantTallies))
-			}
-			for i := range wantTallies {
-				if wantTallies[i] != gotTallies[i] {
-					t.Fatalf("%s/%d tally %d: %+v, want %+v", strategy, shards, i, gotTallies[i], wantTallies[i])
-				}
+	for _, shards := range []int{1, 2, 4, 8} {
+		coord := newCoordinator(t, workers, func(o *shard.Options) { o.Shards = shards })
+		got, err := coord.AuditTable(context.Background(), m, meta, dirty)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if !bytes.Equal(wantBytes, gobBytes(t, got)) {
+			t.Fatalf("%d shards: sharded result is not byte-identical to single-node", shards)
+		}
+		gotSus, gotTallies := m.TallyResult(got)
+		if gotSus != wantSus {
+			t.Fatalf("%d shards: suspicious %d, want %d", shards, gotSus, wantSus)
+		}
+		if len(gotTallies) != len(wantTallies) {
+			t.Fatalf("%d shards: tally count %d, want %d", shards, len(gotTallies), len(wantTallies))
+		}
+		for i := range wantTallies {
+			if wantTallies[i] != gotTallies[i] {
+				t.Fatalf("%d shards, tally %d: %+v, want %+v", shards, i, gotTallies[i], wantTallies[i])
 			}
 		}
 	}
@@ -429,9 +424,6 @@ func TestCoordinatorOptionValidation(t *testing.T) {
 	if _, err := shard.New(shard.Options{Workers: []string{"localhost:8080"}}); err == nil {
 		t.Fatal("schemeless worker URL accepted")
 	}
-	if _, err := shard.New(shard.Options{Workers: []string{"http://x"}, Strategy: "bogus"}); err == nil {
-		t.Fatal("bogus strategy accepted")
-	}
 	if _, err := shard.New(shard.Options{Workers: []string{"http://x"}, Shards: -1}); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
@@ -442,8 +434,8 @@ func TestCoordinatorOptionValidation(t *testing.T) {
 	if c.Workers()[0] != "http://x" || c.Workers()[1] != "http://y" {
 		t.Fatalf("worker URLs not normalized: %v", c.Workers())
 	}
-	if c.Shards() != 2 || c.Strategy() != shard.StrategyRange {
-		t.Fatalf("defaults: shards=%d strategy=%s", c.Shards(), c.Strategy())
+	if c.Shards() != 2 {
+		t.Fatalf("defaults: shards=%d", c.Shards())
 	}
 }
 

@@ -29,37 +29,35 @@ func splitFixture(t *testing.T, rows int) *dataset.Table {
 	return tab
 }
 
-// TestSplitPartition: for both strategies and several shard counts, every
-// row lands in exactly one shard, ascending within its shard.
+// TestSplitPartition: for several shard counts, every row lands in
+// exactly one shard, ascending within its shard.
 func TestSplitPartition(t *testing.T) {
 	tab := splitFixture(t, 503)
-	for _, strategy := range []Strategy{StrategyRange, StrategyHash} {
-		for _, n := range []int{1, 2, 4, 8, 700} {
-			shards, err := Split(tab, strategy, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(shards) != n {
-				t.Fatalf("%s/%d: %d shards", strategy, n, len(shards))
-			}
-			seen := make([]bool, tab.NumRows())
-			for s, rows := range shards {
-				prev := -1
-				for _, r := range rows {
-					if r <= prev {
-						t.Fatalf("%s/%d shard %d: rows not ascending (%d after %d)", strategy, n, s, r, prev)
-					}
-					prev = r
-					if seen[r] {
-						t.Fatalf("%s/%d: row %d assigned twice", strategy, n, r)
-					}
-					seen[r] = true
+	for _, n := range []int{1, 2, 4, 8, 700} {
+		shards, err := Split(tab, StrategyRange, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != n {
+			t.Fatalf("%d: %d shards", n, len(shards))
+		}
+		seen := make([]bool, tab.NumRows())
+		for s, rows := range shards {
+			prev := -1
+			for _, r := range rows {
+				if r <= prev {
+					t.Fatalf("%d shard %d: rows not ascending (%d after %d)", n, s, r, prev)
 				}
-			}
-			for r, ok := range seen {
-				if !ok {
-					t.Fatalf("%s/%d: row %d unassigned", strategy, n, r)
+				prev = r
+				if seen[r] {
+					t.Fatalf("%d: row %d assigned twice", n, r)
 				}
+				seen[r] = true
+			}
+		}
+		for r, ok := range seen {
+			if !ok {
+				t.Fatalf("%d: row %d unassigned", n, r)
 			}
 		}
 	}
@@ -88,73 +86,19 @@ func TestSplitRangeContiguous(t *testing.T) {
 	}
 }
 
-// TestSplitDeterministic: the assignment is a pure function of contents —
-// same table, same strategy, same count → same split; and hash assignment
-// keys on values, so a value-identical table with different record IDs
-// splits identically.
+// TestSplitDeterministic: same table, same count → same split.
 func TestSplitDeterministic(t *testing.T) {
 	tab := splitFixture(t, 400)
-	for _, strategy := range []Strategy{StrategyRange, StrategyHash} {
-		a, err := Split(tab, strategy, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Split(tab, strategy, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: split not deterministic", strategy)
-		}
-	}
-
-	// Same values under fresh IDs: rowHash must ignore IDs.
-	clone := splitFixture(t, 400)
-	clone.DeleteRow(0)
-	tab.DeleteRow(0) // both drop row 0, IDs now differ from ordinals
-	a, _ := Split(tab, StrategyHash, 5)
-	b, _ := Split(clone, StrategyHash, 5)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("hash split depends on record IDs")
-	}
-}
-
-// TestSplitHashSpread: the hash strategy actually spreads a varied table
-// (no shard hogs everything) and co-locates duplicate rows.
-func TestSplitHashSpread(t *testing.T) {
-	tab := splitFixture(t, 1000)
-	shards, err := Split(tab, StrategyHash, 4)
+	a, err := Split(tab, StrategyRange, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, rows := range shards {
-		if len(rows) == 0 || len(rows) > 600 {
-			t.Fatalf("shard %d holds %d of 1000 rows — degenerate spread", s, len(rows))
-		}
+	b, err := Split(tab, StrategyRange, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Duplicate rows co-locate: rows r and r+3*97*17*13 cycle every value
-	// generator, so build an explicit duplicate instead.
-	dup := dataset.NewTable(tab.Schema())
-	row := make([]dataset.Value, 2)
-	row[0], row[1] = dataset.Nom(1), dataset.Num(42)
-	dup.AppendRow(row)
-	dup.AppendRow(row)
-	nominal := []bool{true, false}
-	if rowHash(dup, 0, nominal) != rowHash(dup, 1, nominal) {
-		t.Fatal("value-identical rows hash differently")
-	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	for in, want := range map[string]Strategy{"": StrategyRange, "range": StrategyRange, "hash": StrategyHash} {
-		got, err := ParseStrategy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseStrategy("modulo"); err == nil {
-		t.Fatal("unknown strategy accepted")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("split not deterministic")
 	}
 }
 

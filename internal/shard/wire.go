@@ -1,8 +1,8 @@
 // Package shard scales the audit pipeline across processes: a Coordinator
-// splits a batch into shards (contiguous ranges or hash-of-row-signature),
-// streams each shard's column chunks to a worker auditd over HTTP, and
-// reassembles the workers' per-shard Results into one Result that is
-// gob-byte-identical to a single-node audit of the same batch.
+// splits a batch into shards (contiguous row ranges), streams each shard's
+// column chunks to a worker auditd over HTTP, and reassembles the workers'
+// per-shard Results into one Result that is gob-byte-identical to a
+// single-node audit of the same batch.
 //
 // The protocol rides the existing auditd surface: workers are plain auditd
 // processes. Two worker-side routes carry it —
