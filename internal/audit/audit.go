@@ -48,36 +48,39 @@ const (
 	InducerPrism InducerKind = "prism"
 )
 
-// Options configure structure induction and deviation detection.
+// Options configure structure induction and deviation detection. The JSON
+// form is what the monitor persists for re-induction after a restart; a
+// custom Trainer (a code hook) cannot be serialized, so a reloaded Options
+// falls back to the named Inducer.
 type Options struct {
 	// MinConfidence is the minimal error confidence for a record to be
 	// marked suspicious (the paper's evaluation fixes 0.8).
-	MinConfidence float64
+	MinConfidence float64 `json:"minConfidence,omitempty"`
 	// ConfLevel is the one-sided confidence level of all interval bounds
 	// (default 0.95).
-	ConfLevel float64
+	ConfLevel float64 `json:"confLevel,omitempty"`
 	// Bins is the number of equal-frequency bins for numeric/date class
 	// attributes (default 5).
-	Bins int
+	Bins int `json:"bins,omitempty"`
 	// Inducer selects the induction algorithm (default InducerC45Audit).
-	Inducer InducerKind
+	Inducer InducerKind `json:"inducer,omitempty"`
 	// KNNk parameterizes the kNN baseline (default 5).
-	KNNk int
+	KNNk int `json:"knnK,omitempty"`
 	// BaseAttrs optionally restricts, per class attribute name, the base
 	// attributes used for its classifier — the §5 domain-knowledge hook
 	// ("If it is known that an attribute does not influence the value of a
 	// class attribute, it can be removed from the set of base
 	// attributes"). Attributes not listed use all other attributes.
-	BaseAttrs map[string][]string
+	BaseAttrs map[string][]string `json:"baseAttrs,omitempty"`
 	// SkipClasses lists attribute names that are not audited as class
 	// attributes (e.g. unique keys, free text codes).
-	SkipClasses []string
+	SkipClasses []string `json:"skipClasses,omitempty"`
 	// Filter is the rule-deletion mode for the adjusted-C4.5 inducer.
-	Filter audittree.FilterMode
+	Filter audittree.FilterMode `json:"filter,omitempty"`
 	// Trainer, when non-nil, overrides Inducer with a custom induction
 	// algorithm — the hook the §5.4 ablation experiments (E8) use to mix
 	// and match individual adjustments.
-	Trainer mlcore.Trainer
+	Trainer mlcore.Trainer `json:"-"`
 }
 
 // WithDefaults fills unset fields.

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"dataaudit/internal/atomicfile"
 	"dataaudit/internal/audittree"
 	"dataaudit/internal/c45"
 	"dataaudit/internal/knn"
@@ -67,31 +67,11 @@ func Marshal(m *Model) ([]byte, error) {
 // Unmarshal deserializes a model from bytes.
 func Unmarshal(b []byte) (*Model, error) { return Decode(bytes.NewReader(b)) }
 
-// Save stores the model in a file. The write is crash-safe: the model is
-// encoded into a temporary file in the target directory and moved into
-// place with os.Rename, so a reader never observes a half-written model —
-// the guarantee internal/registry's atomic publish is built on.
+// Save stores the model in a file. The write is crash-safe: a reader never
+// observes a half-written model (atomicfile.Write) — the guarantee
+// internal/registry's atomic publish is built on.
 func Save(path string, m *Model) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Encode(tmp, m); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	// CreateTemp makes the file 0600; restore the permissions a plain
-	// os.Create would have produced so other processes (e.g. a scoring
-	// daemon under another user) can still read published models.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(path, func(w io.Writer) error { return Encode(w, m) })
 }
 
 // Load reads a model stored by Save.

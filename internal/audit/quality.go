@@ -2,6 +2,7 @@ package audit
 
 import (
 	"dataaudit/internal/dataset"
+	"dataaudit/internal/dedup"
 )
 
 // The QualityProfile is the bridge between one-shot auditing and
@@ -154,43 +155,13 @@ func (m *Model) QualityProfileFromResult(tab *dataset.Table, res *Result) *Quali
 			aq.Distinct = d.Distinct()
 			aq.Uniqueness = d.Uniqueness()
 		}
-		p.DuplicateRate = float64(exactDuplicateRows(tab)) / fr
+		// Threshold 1 turns the near pass off: exact copies only, hash-grouped
+		// and verified cell by cell. Finalize can only fail in the near pass.
+		dups, _ := dedup.Detect(tab, dedup.Options{Threshold: 1})
+		p.DuplicateRate = dups.DuplicateRate()
 	}
 	if recDev > 0 {
 		p.MeanErrorConf = recSum / float64(recDev)
 	}
 	return p
-}
-
-// exactDuplicateRows counts the rows that are exact copies of an earlier
-// row: hash-grouped on the full row, then verified cell by cell so a hash
-// collision can never inflate the count. (internal/dedup is the full
-// detector; this inline counter keeps the audit core dependency-free.)
-func exactDuplicateRows(tab *dataset.Table) int64 {
-	rows := tab.NumRows()
-	width := tab.Schema().Len()
-	byHash := make(map[uint64][]int, rows)
-	var dups int64
-	for r := 0; r < rows; r++ {
-		h := dataset.HashTableRow(tab, r, nil)
-		matched := false
-		for _, prev := range byHash[h] {
-			same := true
-			for c := 0; c < width; c++ {
-				if !tab.Get(prev, c).Equal(tab.Get(r, c)) {
-					same = false
-					break
-				}
-			}
-			if same {
-				dups++
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			byHash[h] = append(byHash[h], r)
-		}
-	}
-	return dups
 }

@@ -1,11 +1,14 @@
 package audit
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"dataaudit/internal/dataset"
+	"dataaudit/internal/pollute"
+	"dataaudit/internal/quis"
 )
 
 func qualityFixture(t *testing.T, rows int) (*Model, *dataset.Table) {
@@ -156,5 +159,26 @@ func TestQualityProfileDimensions(t *testing.T) {
 	p2 := m.QualityProfile(tab, 1)
 	if !reflect.DeepEqual(p2, q) {
 		t.Fatalf("profile from dims-less result differs from dims-backed profile")
+	}
+}
+
+// TestQualityProfileDuplicateRatePinned pins DuplicateRate, to the bit, on
+// a duplicator-polluted QUIS sample (938 appended copies, of which 576
+// stay exact after fuzzing and null pollution) to the value the audit
+// core's own hash-and-verify counter produced before the profile took it
+// from dedup.Detect's exact pass.
+func TestQualityProfileDuplicateRatePinned(t *testing.T) {
+	sample, err := quis.Generate(quis.Params{NumRecords: 30000, Seed: 2003})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := pollute.Plan{DuplicateProb: 0.03, DuplicateFuzz: 0.4, Cell: []pollute.Configured{
+		{Prob: 0.01, P: &pollute.NullValuePolluter{}},
+	}}
+	dirty, _ := pollute.Run(sample.Data, plan, rand.New(rand.NewSource(42)))
+	m := &Model{Schema: dirty.Schema(), Opts: Options{}.WithDefaults()}
+	const want = 0x3f931090d6be268f // 576.0 / 30938
+	if got := m.QualityProfile(dirty, 1).DuplicateRate; math.Float64bits(got) != want {
+		t.Fatalf("DuplicateRate = %v (%#x), want %v (%#x)", got, math.Float64bits(got), math.Float64frombits(want), uint64(want))
 	}
 }

@@ -106,12 +106,6 @@ func expErrConfNode(n *Node, confLevel, minConf float64) float64 {
 	return sum
 }
 
-// ExpErrorConf exposes Definition 9 for a whole (sub)tree; internal/audittree
-// and the experiment harness report it.
-func ExpErrorConf(n *Node, confLevel, minConf float64) float64 {
-	return expErrConfNode(n, confLevel, minConf)
-}
-
 // ExpErrorConfLeaf exposes the leaf form of Definition 9.
 func ExpErrorConfLeaf(d mlcore.Distribution, confLevel, minConf float64) float64 {
 	return expErrConfLeaf(d, confLevel, minConf)

@@ -64,6 +64,22 @@ func (c *ChunkCol) NullCount(n int) int64 {
 // nullWords returns the bitmap length (in words) needed for n rows.
 func nullWords(n int) int { return (n + 63) / 64 }
 
+// ChunkRowBytes is the memory one row occupies in a ColumnChunk over the
+// schema: 4 bytes per nominal cell, 8 per numeric or date cell, one null
+// bit per cell (rounded up to whole bytes) and the 8-byte record ID. It is
+// what callers bounding a chunk pool divide their byte budget by.
+func ChunkRowBytes(s *Schema) int {
+	n := 8 + (s.Len()+7)/8
+	for c := 0; c < s.Len(); c++ {
+		if s.Attr(c).Type == NominalType {
+			n += 4
+		} else {
+			n += 8
+		}
+	}
+	return n
+}
+
 // NewColumnChunk returns an empty chunk over the schema.
 func NewColumnChunk(s *Schema) *ColumnChunk {
 	return &ColumnChunk{schema: s, cols: make([]ChunkCol, s.Len())}

@@ -66,6 +66,29 @@ func TestChunkIntoRoundTrip(t *testing.T) {
 	}
 }
 
+// TestChunkRowBytes holds ChunkRowBytes to the layout it describes: a
+// filled chunk's vectors, bitmaps and IDs add up to rows × ChunkRowBytes
+// (64 rows over 8 columns, so every bitmap word and null byte is whole).
+func TestChunkRowBytes(t *testing.T) {
+	attrs := []*Attribute{NewNumeric("n0", 0, 1), NewNumeric("n1", 0, 1), NewDate("d", MustParseDate("1990-01-01"), MustParseDate("2030-01-01"))}
+	for _, name := range []string{"a", "b", "c", "d2", "e"} {
+		attrs = append(attrs, NewNominal(name, "x", "y"))
+	}
+	s := MustSchema(attrs...)
+	ck := NewColumnChunk(s)
+	row := make([]Value, s.Len())
+	for r := 0; r < 64; r++ {
+		ck.AppendRow(row, int64(r)) // all-null rows still occupy their slots
+	}
+	got := 8 * len(ck.ids)
+	for c := range ck.cols {
+		got += 4*len(ck.cols[c].Nom) + 8*len(ck.cols[c].Num) + 8*len(ck.cols[c].nulls)
+	}
+	if want := 64 * ChunkRowBytes(s); got != want || ChunkRowBytes(s) != 8+1+3*8+5*4 {
+		t.Fatalf("64-row chunk holds %d bytes, ChunkRowBytes says %d (%d per row)", got, want, ChunkRowBytes(s))
+	}
+}
+
 // TestChunkResetClearsNulls is the stale-bitmap regression test: a chunk
 // refilled after Reset must not inherit null bits from the rows it held
 // before, and the refill must reuse the grown buffers (no reallocation).

@@ -5,8 +5,8 @@ import "math"
 // Cell and row hashing shared by the quality dimensions (distinct-count
 // sketches, duplicate detection). The contract is representation
 // independence: the same logical cell hashes identically whether it is
-// read from a Table or a ColumnChunk, so sketches built on the columnar
-// streaming path match sketches built on the row path bit for bit.
+// read as a Value (HashValue) or from a ColumnChunk's typed vectors, so
+// equal cells hash equal however they were ingested.
 
 // Mix64 is the splitmix64 finalizer: a fast, well-distributed 64-bit
 // mixer. It is NOT cryptographic — it keys no secrets and resists no
@@ -77,13 +77,6 @@ func HashChunkCell(ck *ColumnChunk, r, c int) uint64 {
 	return Mix64(h ^ colSeed(c))
 }
 
-// HashTableCell hashes cell (r, c) of a table, keyed by column position.
-// Equal cells satisfy HashTableCell(t, r, c) == HashChunkCell(ck, r', c)
-// whenever row r of t was copied into row r' of ck.
-func HashTableCell(t *Table, r, c int) uint64 {
-	return Mix64(HashValue(t.Get(r, c)) ^ colSeed(c))
-}
-
 // HashChunkRow combines the cell hashes of the listed columns (all
 // columns when cols is nil) of chunk row r into one row hash.
 func HashChunkRow(ck *ColumnChunk, r int, cols []int) uint64 {
@@ -96,22 +89,6 @@ func HashChunkRow(ck *ColumnChunk, r int, cols []int) uint64 {
 	}
 	for _, c := range cols {
 		h = Mix64(h ^ HashChunkCell(ck, r, c))
-	}
-	return h
-}
-
-// HashTableRow is HashChunkRow over a table row: identical rows hash
-// identically across the two representations.
-func HashTableRow(t *Table, r int, cols []int) uint64 {
-	h := uint64(0x27d4_eb2f_1656_67c5)
-	if cols == nil {
-		for c := 0; c < t.Schema().Len(); c++ {
-			h = Mix64(h ^ HashTableCell(t, r, c))
-		}
-		return h
-	}
-	for _, c := range cols {
-		h = Mix64(h ^ HashTableCell(t, r, c))
 	}
 	return h
 }

@@ -163,7 +163,7 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 	}
 	for r := 0; r < n; r++ {
 		for c := 0; c < s.Len(); c++ {
-			if HashChunkCell(ck, r, c) != HashTableCell(tab, r, c) {
+			if !ck.Value(r, c).Equal(tab.Get(r, c)) {
 				t.Fatalf("chunk cell (%d,%d) differs from table", r, c)
 			}
 		}

@@ -31,22 +31,17 @@ func (p *pageHinkley) observe(x float64) bool {
 	return p.PH > p.Lambda
 }
 
-// reset clears the accumulated state (after re-induction establishes a
-// new baseline).
-func (p *pageHinkley) reset() {
-	p.N, p.Mean, p.Cum, p.Min, p.PH = 0, 0, 0, 0, 0
-}
-
-// attrDetector is one attribute's drift detector: the same threshold +
-// Page-Hinkley pair the model-level detector runs, but over the
-// attribute's own suspicious-rate series, so a drift can be attributed to
-// the attributes that caused it — and re-induction can rebuild only
-// those. The slice of these is aligned with modelState.classes.
+// attrDetector is the threshold + Page-Hinkley pair over one suspicious-rate
+// series. The model runs one over the window rate; every tallied
+// attribute runs one over its own rate (persistedState.AttrDrift, aligned
+// with Classes), so a drift can be attributed to the attributes that
+// caused it — and re-induction can rebuild only those. The attribute
+// instances also carry the completeness (null-rate) latch.
 type attrDetector struct {
 	PH        pageHinkley `json:"ph"`
 	LastDelta float64     `json:"lastDelta"`
-	// Drifted latches on first fire and clears when re-induction
-	// establishes a new baseline (adoptModel rebuilds the slice).
+	// Drifted latches on first fire and clears when trackVersion
+	// establishes a new baseline.
 	Drifted bool `json:"drifted"`
 	// LastNullDelta is the most recent window's null rate minus the
 	// attribute's baseline null rate; NullDrifted latches once it exceeds
@@ -54,4 +49,28 @@ type attrDetector struct {
 	// never enters the re-induction trigger (see Options.NullDelta).
 	LastNullDelta float64 `json:"lastNullDelta,omitempty"`
 	NullDrifted   bool    `json:"nullDrifted,omitempty"`
+}
+
+// observe folds one sealed window's rate into the detector and, when it
+// is warm (Options.MinWindows reached) and not yet latched, latches it and
+// names the test that fired: "threshold" or "page-hinkley". Every window
+// is observed, including during warm-up and while latched, so the
+// statistics of all detectors of a model stay comparable.
+func (d *attrDetector) observe(rate, baseline float64, warm bool, o *Options) (fired string) {
+	// The PH parameters are injected here rather than trusted from a
+	// persisted state, so a restart under new options picks them up.
+	d.PH.Delta, d.PH.Lambda = o.PHDelta, o.PHLambda
+	d.LastDelta = rate - baseline
+	phTrip := d.PH.observe(rate)
+	if d.Drifted || !warm {
+		return ""
+	}
+	switch {
+	case d.LastDelta > o.DriftDelta:
+		fired = "threshold"
+	case phTrip:
+		fired = "page-hinkley"
+	}
+	d.Drifted = fired != ""
+	return fired
 }

@@ -323,19 +323,16 @@ func New(reg *registry.Registry, opts Options) *Monitor {
 	return m
 }
 
-// modelState is the per-model monitoring state. Its own mutex (not the
-// Monitor's) guards it, so folding one model never blocks another; the
-// Monitor lock only guards the map.
+// modelState is the per-model monitoring state: the persisted fields plus
+// what only the running process needs. Its own mutex (not the Monitor's)
+// guards it, so folding one model never blocks another; the Monitor lock
+// only guards the map.
 type modelState struct {
 	mu sync.Mutex
 
-	name      string
-	version   int
-	createdAt time.Time // publish time of the tracked version (incarnation check)
 	// gen is the Monitor-wide generation number assigned when the state
 	// entered the model map (see Monitor.gens).
 	gen uint64
-
 	// dead marks a state removed by Forget while a background worker may
 	// still hold a pointer to it: the worker's swap guard refuses a dead
 	// state, so an in-flight re-induction cannot resurrect a deleted
@@ -350,37 +347,54 @@ type modelState struct {
 	// that would regress it (see persist.go).
 	saveSeq uint64
 
-	// What the fold and re-induction paths need from the model — never the
-	// model itself: retaining every audited model's classifiers here would
-	// defeat the registry's LRU bound on resident models.
-	schema  *dataset.Schema
-	opts    audit.Options
-	classes []int // schema column of each tallied attribute (Model.Attrs order)
-
-	baseline        *audit.QualityProfile
-	baselineAdopted bool
-
-	// open-window accumulation
-	winRows, winSuspicious int64
-	winAttrs               []audit.AttrTally
-
-	windows              int
-	windowsSinceBaseline int
-	snapshots            []Snapshot
-	ph                   pageHinkley
-	drifted              bool
-	lastDelta            float64
-	// attrDrift runs the per-attribute detectors, aligned with classes;
-	// rebuilt (zeroed) whenever adoptModel runs.
-	attrDrift []attrDetector
-	events    []Event
-	rv        *reservoir
+	persistedState
 
 	// met caches the model's interned metric children (nil when metrics
 	// are disabled, or until the first fold after the state adopted a
-	// model or was reloaded from disk). adoptModel clears it so the
+	// model or was reloaded from disk). trackVersion clears it so the
 	// per-attribute handle slices are rebuilt for the new attribute set.
 	met *modelMetrics
+}
+
+// persistedState is every field of a model's monitoring state that
+// survives a restart, declared once: modelState embeds it as the live
+// state and stateEnvelope embeds it as the on-disk form, so a save is one
+// struct copy and a load one assignment. What the fold and re-induction
+// paths need from the model is captured here — never the model itself:
+// retaining every audited model's classifiers would defeat the registry's
+// LRU bound on resident models.
+type persistedState struct {
+	Name    string `json:"name"`
+	Version int    `json:"version"`
+	// CreatedAt is the publish time of the tracked version (incarnation
+	// check).
+	CreatedAt time.Time `json:"createdAt"`
+
+	Options audit.Options `json:"options"`
+	// Classes is the schema column of each tallied attribute (Model.Attrs
+	// order). The schema itself is the reservoir table's (tab.Schema()).
+	Classes []int `json:"classes"`
+
+	Baseline        *audit.QualityProfile `json:"baseline,omitempty"`
+	BaselineAdopted bool                  `json:"baselineAdopted,omitempty"`
+
+	// open-window accumulation
+	WinRows       int64             `json:"winRows"`
+	WinSuspicious int64             `json:"winSuspicious"`
+	WinAttrs      []audit.AttrTally `json:"winAttrs"`
+
+	Windows              int        `json:"windows"`
+	WindowsSinceBaseline int        `json:"windowsSinceBaseline"`
+	Snapshots            []Snapshot `json:"snapshots"`
+	// The model-level detector over the window suspicious rate (JSON keys
+	// ph, lastDelta, drifted).
+	attrDetector
+	// AttrDrift runs the per-attribute detectors, aligned with Classes;
+	// zeroed whenever trackVersion runs.
+	AttrDrift []attrDetector `json:"attrDrift,omitempty"`
+	Events    []Event        `json:"events"`
+
+	reservoir
 }
 
 // modelMetrics holds one model's interned metric children. Resolving a
@@ -394,40 +408,40 @@ type modelMetrics struct {
 	winRate, baseRate        *obs.Gauge
 	delta, ph, active        *obs.Gauge
 	reservoir                *obs.Gauge
-	// Model.Attrs order, aligned with st.classes.
+	// Model.Attrs order, aligned with st.Classes.
 	attrDev, attrSus, attrDrift []*obs.Counter
 	attrNulls, attrNullDrift    []*obs.Counter
 	attrNullRate                []*obs.Gauge
 }
 
 // buildMetricsLocked interns the metric children for the current
-// attribute set; st.mu must be held and st.schema set.
+// attribute set; st.mu must be held and a version tracked.
 func (st *modelState) buildMetricsLocked(mets *obs.AuditMetrics) {
 	mm := &modelMetrics{
-		rows:          mets.RowsScored.With(st.name),
-		suspicious:    mets.RowsSuspicious.With(st.name),
-		sealed:        mets.WindowsSealed.With(st.name),
-		winRate:       mets.WindowSuspiciousRate.With(st.name),
-		baseRate:      mets.BaselineSuspiciousRate.With(st.name),
-		delta:         mets.DriftDelta.With(st.name),
-		ph:            mets.DriftPageHinkley.With(st.name),
-		active:        mets.DriftActive.With(st.name),
-		reservoir:     mets.ReservoirRows.With(st.name),
-		attrDev:       make([]*obs.Counter, len(st.classes)),
-		attrSus:       make([]*obs.Counter, len(st.classes)),
-		attrDrift:     make([]*obs.Counter, len(st.classes)),
-		attrNulls:     make([]*obs.Counter, len(st.classes)),
-		attrNullDrift: make([]*obs.Counter, len(st.classes)),
-		attrNullRate:  make([]*obs.Gauge, len(st.classes)),
+		rows:          mets.RowsScored.With(st.Name),
+		suspicious:    mets.RowsSuspicious.With(st.Name),
+		sealed:        mets.WindowsSealed.With(st.Name),
+		winRate:       mets.WindowSuspiciousRate.With(st.Name),
+		baseRate:      mets.BaselineSuspiciousRate.With(st.Name),
+		delta:         mets.DriftDelta.With(st.Name),
+		ph:            mets.DriftPageHinkley.With(st.Name),
+		active:        mets.DriftActive.With(st.Name),
+		reservoir:     mets.ReservoirRows.With(st.Name),
+		attrDev:       make([]*obs.Counter, len(st.Classes)),
+		attrSus:       make([]*obs.Counter, len(st.Classes)),
+		attrDrift:     make([]*obs.Counter, len(st.Classes)),
+		attrNulls:     make([]*obs.Counter, len(st.Classes)),
+		attrNullDrift: make([]*obs.Counter, len(st.Classes)),
+		attrNullRate:  make([]*obs.Gauge, len(st.Classes)),
 	}
-	for i, c := range st.classes {
-		attr := st.schema.Attr(c).Name
-		mm.attrDev[i] = mets.AttrDeviations.With(st.name, attr)
-		mm.attrSus[i] = mets.AttrSuspicious.With(st.name, attr)
-		mm.attrDrift[i] = mets.AttrDrift.With(st.name, attr)
-		mm.attrNulls[i] = mets.AttrNulls.With(st.name, attr)
-		mm.attrNullDrift[i] = mets.AttrNullDrift.With(st.name, attr)
-		mm.attrNullRate[i] = mets.AttrNullRate.With(st.name, attr)
+	for i, c := range st.Classes {
+		attr := st.tab.Schema().Attr(c).Name
+		mm.attrDev[i] = mets.AttrDeviations.With(st.Name, attr)
+		mm.attrSus[i] = mets.AttrSuspicious.With(st.Name, attr)
+		mm.attrDrift[i] = mets.AttrDrift.With(st.Name, attr)
+		mm.attrNulls[i] = mets.AttrNulls.With(st.Name, attr)
+		mm.attrNullDrift[i] = mets.AttrNullDrift.With(st.Name, attr)
+		mm.attrNullRate[i] = mets.AttrNullRate.With(st.Name, attr)
 	}
 	st.met = mm
 }
@@ -440,12 +454,12 @@ func (st *modelState) syncDriftGaugesLocked() {
 	if mm == nil {
 		return
 	}
-	if st.baseline != nil {
-		mm.baseRate.Set(st.baseline.SuspiciousRate)
+	if st.Baseline != nil {
+		mm.baseRate.Set(st.Baseline.SuspiciousRate)
 	}
-	mm.delta.Set(st.lastDelta)
-	mm.ph.Set(st.ph.PH)
-	if st.drifted {
+	mm.delta.Set(st.LastDelta)
+	mm.ph.Set(st.PH.PH)
+	if st.Drifted {
 		mm.active.Set(1)
 	} else {
 		mm.active.Set(0)
@@ -457,7 +471,7 @@ func (st *modelState) syncDriftGaugesLocked() {
 // of a name that happen to share a version number never alias; st.mu must
 // be held.
 func (st *modelState) tracking(meta registry.Meta) bool {
-	return !st.dead && st.version == meta.Version && st.createdAt.Equal(meta.CreatedAt)
+	return !st.dead && st.Version == meta.Version && st.CreatedAt.Equal(meta.CreatedAt)
 }
 
 // state returns (creating if needed) the tracked state for a model
@@ -482,23 +496,23 @@ func (m *Monitor) state(meta registry.Meta, model *audit.Model) *modelState {
 	switch {
 	case st.dead:
 		return nil // raced with Forget; the next observation re-creates
-	case st.version == 0:
-		st.resetForVersion(meta, model, m.opts)
-	case meta.Version == st.version && meta.CreatedAt.Equal(st.createdAt):
+	case st.Version == 0:
+		st.trackVersion(meta, model, &m.opts)
+	case meta.Version == st.Version && meta.CreatedAt.Equal(st.CreatedAt):
 		// the tracked version: fold
-	case meta.CreatedAt.After(st.createdAt):
+	case meta.CreatedAt.After(st.CreatedAt):
 		// Newer publish time: either the next version of the same
 		// incarnation, or the first version of a newer incarnation
 		// (delete + recreate). Either way the newer model wins.
-		st.resetForVersion(meta, model, m.opts)
-	case meta.CreatedAt.Before(st.createdAt):
+		st.trackVersion(meta, model, &m.opts)
+	case meta.CreatedAt.Before(st.CreatedAt):
 		// Older publish time — a stale version, or a ghost incarnation
 		// (even one with a higher version number): drop.
 		return nil
-	case meta.Version > st.version:
+	case meta.Version > st.Version:
 		// Identical publish times with different versions cannot come from
 		// the registry clock; trust the version order (synthetic metas).
-		st.resetForVersion(meta, model, m.opts)
+		st.trackVersion(meta, model, &m.opts)
 	default:
 		return nil
 	}
@@ -529,51 +543,42 @@ func (m *Monitor) lookupOrLoad(name string, create bool) *modelState {
 	}
 	st = loaded
 	if st == nil {
-		st = &modelState{name: name}
+		st = &modelState{persistedState: persistedState{Name: name}}
 	}
 	st.gen = m.gens.Add(1)
 	m.models[name] = st
 	return st
 }
 
-// resetForVersion points the state at a (new) model version; st.mu held.
-// Events and snapshot history survive version switches — they are the
-// lifecycle log — but windows, detectors and the reservoir restart.
-func (st *modelState) resetForVersion(meta registry.Meta, model *audit.Model, opts Options) {
-	if st.version == meta.Version && st.createdAt.Equal(meta.CreatedAt) {
-		return
-	}
-	st.version = meta.Version
-	st.createdAt = meta.CreatedAt
-	st.adoptModel(model)
-	st.baseline = meta.Quality
-	st.baselineAdopted = false
-	st.windowsSinceBaseline = 0
-	st.ph = pageHinkley{Delta: opts.PHDelta, Lambda: opts.PHLambda}
-	st.drifted = false
-	st.lastDelta = 0
-	if st.rv == nil {
-		st.rv = newReservoir(model.Schema, opts.ReservoirRows, opts.Seed)
-	} else {
-		st.rv.schema = model.Schema
-		st.rv.resetSample()
-	}
-}
-
-// adoptModel captures the slices of the model the fold path needs and
-// rebuilds the open-window accumulators to match its attribute set;
-// st.mu held.
-func (st *modelState) adoptModel(model *audit.Model) {
-	st.schema = model.Schema
-	st.opts = model.Opts
-	st.classes = make([]int, len(model.Attrs))
-	st.winAttrs = make([]audit.AttrTally, len(model.Attrs))
-	st.attrDrift = make([]attrDetector, len(model.Attrs))
+// trackVersion points the state at a model version — a newly observed
+// one, or the successor a re-induction just published — with meta.Quality
+// as the fresh baseline; st.mu held. Events and snapshot history survive
+// version switches — they are the lifecycle log — but the open window, the
+// detectors and the reservoir restart. The window accumulators are rebuilt
+// for the model's attribute set: a model re-induced from a small reservoir
+// can model fewer attributes than its predecessor, and stale accumulators
+// would misattribute tallies.
+func (st *modelState) trackVersion(meta registry.Meta, model *audit.Model, opts *Options) {
+	st.Version = meta.Version
+	st.CreatedAt = meta.CreatedAt
+	st.Options = model.Opts
+	st.Classes = make([]int, len(model.Attrs))
+	st.WinAttrs = make([]audit.AttrTally, len(model.Attrs))
+	st.AttrDrift = make([]attrDetector, len(model.Attrs))
 	for i, am := range model.Attrs {
-		st.classes[i] = am.Class
-		st.winAttrs[i].Attr = am.Class
+		st.Classes[i] = am.Class
+		st.WinAttrs[i].Attr = am.Class
 	}
-	st.winRows, st.winSuspicious = 0, 0
+	st.WinRows, st.WinSuspicious = 0, 0
+	st.Baseline = meta.Quality
+	st.BaselineAdopted = false
+	st.WindowsSinceBaseline = 0
+	st.attrDetector = attrDetector{}
+	if st.rng == nil {
+		st.reservoir = newReservoir(model.Schema, opts.ReservoirRows, opts.Seed)
+	} else {
+		st.reservoir.reset(model.Schema)
+	}
 	// Invalidate the interned metric handles: the successor's attribute
 	// set may differ, and the fold path re-interns lazily.
 	st.met = nil
@@ -595,7 +600,7 @@ func (m *Monitor) ObserveBatch(meta registry.Meta, model *audit.Model, tab *data
 	}
 	row := make([]dataset.Value, tab.NumCols())
 	for r := 0; r < tab.NumRows(); r++ {
-		st.rv.offer(tab.RowInto(r, row))
+		st.offer(tab.RowInto(r, row))
 	}
 	sus, tallies := model.TallyResult(res)
 	m.foldLocked(st, int64(tab.NumRows()), sus, tallies)
@@ -626,7 +631,7 @@ func (o *StreamObserver) OnRow(row []dataset.Value, id int64) {
 	}
 	o.st.mu.Lock()
 	if o.st.tracking(o.meta) {
-		o.st.rv.offer(row)
+		o.st.offer(row)
 	}
 	o.st.mu.Unlock()
 }
@@ -648,24 +653,24 @@ func (o *StreamObserver) Finish(res *audit.StreamResult) {
 // foldLocked accumulates one observation into the open window and seals
 // it when full; st.mu must be held.
 func (m *Monitor) foldLocked(st *modelState, rows, suspicious int64, tallies []audit.AttrTally) {
-	if st.met == nil && m.opts.Metrics != nil && st.schema != nil {
-		// Lazy so state reloaded from disk (which never runs adoptModel)
+	if st.met == nil && m.opts.Metrics != nil {
+		// Lazy so state reloaded from disk (which never runs trackVersion)
 		// interns its handles on the first fold after boot.
 		st.buildMetricsLocked(m.opts.Metrics)
 	}
 	mm := st.met
-	st.winRows += rows
-	st.winSuspicious += suspicious
+	st.WinRows += rows
+	st.WinSuspicious += suspicious
 	if mm != nil {
 		mm.rows.Add(uint64(rows))
 		mm.suspicious.Add(uint64(suspicious))
-		mm.reservoir.Set(float64(len(st.rv.rows)))
+		mm.reservoir.Set(float64(st.tab.NumRows()))
 	}
 	for i := range tallies {
-		if i >= len(st.winAttrs) {
+		if i >= len(st.WinAttrs) {
 			break
 		}
-		t, u := &st.winAttrs[i], &tallies[i]
+		t, u := &st.WinAttrs[i], &tallies[i]
 		t.Deviations += u.Deviations
 		t.Suspicious += u.Suspicious
 		t.SumErrorConf += u.SumErrorConf
@@ -679,7 +684,7 @@ func (m *Monitor) foldLocked(st *modelState, rows, suspicious int64, tallies []a
 			mm.attrNulls[i].Add(uint64(u.Nulls))
 		}
 	}
-	if st.winRows >= m.opts.WindowRows {
+	if st.WinRows >= m.opts.WindowRows {
 		m.sealLocked(st)
 	}
 }
@@ -689,36 +694,34 @@ func (m *Monitor) foldLocked(st *modelState, rows, suspicious int64, tallies []a
 // persists the sealed state; st.mu must be held.
 func (m *Monitor) sealLocked(st *modelState) {
 	snap := Snapshot{
-		Window:     st.windows,
-		Version:    st.version,
-		Rows:       st.winRows,
-		Suspicious: st.winSuspicious,
+		Window:     st.Windows,
+		Version:    st.Version,
+		Rows:       st.WinRows,
+		Suspicious: st.WinSuspicious,
 		At:         m.opts.Now(),
-		Attrs:      make([]AttrWindow, len(st.winAttrs)),
+		Attrs:      make([]AttrWindow, len(st.WinAttrs)),
 	}
 	if snap.Rows > 0 {
 		snap.SuspiciousRate = float64(snap.Suspicious) / float64(snap.Rows)
 	}
-	for i := range st.winAttrs {
-		t := &st.winAttrs[i]
+	for i := range st.WinAttrs {
+		t := &st.WinAttrs[i]
 		snap.Attrs[i] = AttrWindow{
-			Attr:         st.schema.Attr(t.Attr).Name,
+			Attr:         st.tab.Schema().Attr(t.Attr).Name,
 			Deviations:   t.Deviations,
 			Suspicious:   t.Suspicious,
 			MaxErrorConf: t.MaxErrorConf,
 			Nulls:        t.Nulls,
 		}
+		*t = audit.AttrTally{Attr: t.Attr}
 	}
-	st.snapshots = append(st.snapshots, snap)
-	if len(st.snapshots) > m.opts.MaxSnapshots {
-		st.snapshots = st.snapshots[len(st.snapshots)-m.opts.MaxSnapshots:]
+	st.Snapshots = append(st.Snapshots, snap)
+	if len(st.Snapshots) > m.opts.MaxSnapshots {
+		st.Snapshots = st.Snapshots[len(st.Snapshots)-m.opts.MaxSnapshots:]
 	}
-	st.windows++
-	st.windowsSinceBaseline++
-	st.winRows, st.winSuspicious = 0, 0
-	for i := range st.winAttrs {
-		st.winAttrs[i] = audit.AttrTally{Attr: st.winAttrs[i].Attr}
-	}
+	st.Windows++
+	st.WindowsSinceBaseline++
+	st.WinRows, st.WinSuspicious = 0, 0
 	if mm := st.met; mm != nil {
 		mm.sealed.Inc()
 		mm.winRate.Set(snap.SuspiciousRate)
@@ -731,85 +734,66 @@ func (m *Monitor) sealLocked(st *modelState) {
 	// mutates st before saveLocked runs at the end of each return path.
 	defer m.saveLocked(st)
 
-	if st.baseline == nil {
+	if st.Baseline == nil {
 		// A model published without an induction-time profile: adopt the
 		// first sealed window as the baseline of "normal".
-		st.baseline = baselineFromSnapshot(&snap, st.schema)
-		st.baselineAdopted = true
-		st.windowsSinceBaseline = 0
-		m.event(st, Event{Kind: EventBaselineAdopted, Window: snap.Window, Version: st.version,
+		st.Baseline = baselineFromSnapshot(&snap, st.tab.Schema())
+		st.BaselineAdopted = true
+		st.WindowsSinceBaseline = 0
+		m.event(st, Event{Kind: EventBaselineAdopted, Window: snap.Window, Version: st.Version,
 			Message: fmt.Sprintf("adopted window %d (suspicious rate %.4f) as baseline", snap.Window, snap.SuspiciousRate)})
 		return
 	}
 
-	st.lastDelta = snap.SuspiciousRate - st.baseline.SuspiciousRate
-	phTrip := st.ph.observe(snap.SuspiciousRate)
-	nullFired, maxNullDelta := m.observeAttrsLocked(st, &snap)
+	warm := st.WindowsSinceBaseline >= m.opts.MinWindows
+	fired := st.observe(snap.SuspiciousRate, st.Baseline.SuspiciousRate, warm, &m.opts)
+	nullFired, maxNullDelta := m.observeAttrsLocked(st, &snap, warm)
 	if len(nullFired) > 0 {
 		// Completeness drift is its own event stream: it latches and
 		// reports but never enters the re-induction trigger below —
 		// re-inducing on a load full of nulls would normalize them.
-		m.event(st, Event{Kind: EventDrift, Window: snap.Window, Version: st.version,
+		m.event(st, Event{Kind: EventDrift, Window: snap.Window, Version: st.Version,
 			Detector: "completeness", Delta: maxNullDelta, Attrs: nullFired,
 			Message: fmt.Sprintf("window %d null rate exceeds baseline by more than %.3f on %s",
 				snap.Window, m.opts.NullDelta, strings.Join(nullFired, ", "))})
 	}
-	if st.drifted || st.windowsSinceBaseline < m.opts.MinWindows {
+	if fired == "" {
 		return
 	}
-	detector := ""
-	switch {
-	case st.lastDelta > m.opts.DriftDelta:
-		detector = "threshold"
-	case phTrip:
-		detector = "page-hinkley"
-	default:
-		return
-	}
-	st.drifted = true
-	attrClasses, attrNames := st.driftedAttrsLocked()
-	m.event(st, Event{Kind: EventDrift, Window: snap.Window, Version: st.version,
-		Detector: detector, Delta: st.lastDelta, PH: st.ph.PH, Attrs: attrNames,
-		Message: fmt.Sprintf("window %d suspicious rate %.4f vs baseline %.4f", snap.Window, snap.SuspiciousRate, st.baseline.SuspiciousRate)})
+	attrClasses, attrNames := st.latchedAttrsLocked(func(d *attrDetector) bool { return d.Drifted })
+	m.event(st, Event{Kind: EventDrift, Window: snap.Window, Version: st.Version,
+		Detector: fired, Delta: st.LastDelta, PH: st.PH.PH, Attrs: attrNames,
+		Message: fmt.Sprintf("window %d suspicious rate %.4f vs baseline %.4f", snap.Window, snap.SuspiciousRate, st.Baseline.SuspiciousRate)})
 	m.triggerReinduceLocked(st, snap.Window, attrClasses)
 }
 
 // observeAttrsLocked folds the sealed window into the per-attribute drift
-// detectors; st.mu must be held and st.baseline set. Each attribute runs
-// the same threshold + Page-Hinkley pair as the model-level detector,
-// against its own baseline suspicious rate (resolved by name — the
-// baseline's attribute set can differ from the tally order), plus the
-// completeness detector: windowed null rate versus the baseline null
-// rate. The detectors observe every window, including during warm-up and
-// while already latched, so their statistics stay comparable to the
-// model's. It returns the attributes whose completeness detector latched
-// on this window (names, in tally order) and the largest null-rate delta
-// among them, for the completeness drift event.
-func (m *Monitor) observeAttrsLocked(st *modelState, snap *Snapshot) (nullFired []string, maxNullDelta float64) {
-	if len(st.attrDrift) != len(snap.Attrs) {
-		return nil, 0 // a reloaded state mid-adoption; the next adoptModel realigns
+// detectors; st.mu must be held and st.Baseline set. Each attribute runs
+// the detector the model runs, against its own baseline suspicious rate
+// (resolved by name — the baseline's attribute set can differ from the
+// tally order), plus the completeness detector: windowed null rate versus
+// the baseline null rate. It returns the attributes whose completeness
+// detector latched on this window (names, in tally order) and the largest
+// null-rate delta among them, for the completeness drift event.
+func (m *Monitor) observeAttrsLocked(st *modelState, snap *Snapshot, warm bool) (nullFired []string, maxNullDelta float64) {
+	if len(st.AttrDrift) != len(snap.Attrs) {
+		return nil, 0 // a reloaded state mid-adoption; the next trackVersion realigns
 	}
-	baseRate := make(map[string]float64, len(st.baseline.Attrs))
-	baseNull := make(map[string]float64, len(st.baseline.Attrs))
-	for _, aq := range st.baseline.Attrs {
+	baseRate := make(map[string]float64, len(st.Baseline.Attrs))
+	baseNull := make(map[string]float64, len(st.Baseline.Attrs))
+	for _, aq := range st.Baseline.Attrs {
 		baseRate[aq.Name] = aq.SuspiciousRate
 		baseNull[aq.Name] = aq.NullRate
 	}
-	warm := st.windowsSinceBaseline >= m.opts.MinWindows
 	for i := range snap.Attrs {
 		aw := &snap.Attrs[i]
-		det := &st.attrDrift[i]
-		// The PH parameters are injected here rather than persisted, so a
-		// restart under new options picks them up immediately.
-		det.PH.Delta, det.PH.Lambda = m.opts.PHDelta, m.opts.PHLambda
+		det := &st.AttrDrift[i]
 		rate, nullRate := 0.0, 0.0
 		if snap.Rows > 0 {
 			rate = float64(aw.Suspicious) / float64(snap.Rows)
 			nullRate = float64(aw.Nulls) / float64(snap.Rows)
 		}
-		det.LastDelta = rate - baseRate[aw.Attr]
 		det.LastNullDelta = nullRate - baseNull[aw.Attr]
-		phTrip := det.PH.observe(rate)
 		mm := st.met
 		if mm != nil && i < len(mm.attrNullRate) {
 			mm.attrNullRate[i].Set(nullRate)
@@ -824,41 +808,24 @@ func (m *Monitor) observeAttrsLocked(st *modelState, snap *Snapshot) (nullFired 
 				mm.attrNullDrift[i].Inc()
 			}
 		}
-		if det.Drifted || !warm {
-			continue
-		}
-		if det.LastDelta > m.opts.DriftDelta || phTrip {
-			det.Drifted = true
-			if mm != nil && i < len(mm.attrDrift) {
-				mm.attrDrift[i].Inc()
-			}
+		if det.observe(rate, baseRate[aw.Attr], warm, &m.opts) != "" && mm != nil && i < len(mm.attrDrift) {
+			mm.attrDrift[i].Inc()
 		}
 	}
 	return nullFired, maxNullDelta
 }
 
-// driftedAttrsLocked lists the currently latched attributes as schema
-// columns and names, in tally (schema-column) order; st.mu must be held.
-func (st *modelState) driftedAttrsLocked() (classes []int, names []string) {
-	for i := range st.attrDrift {
-		if st.attrDrift[i].Drifted && i < len(st.classes) {
-			classes = append(classes, st.classes[i])
-			names = append(names, st.schema.Attr(st.classes[i]).Name)
+// latchedAttrsLocked lists the attributes whose detector satisfies latched
+// (the drift latch, or the completeness latch) as schema columns and
+// names, in tally (schema-column) order; st.mu must be held.
+func (st *modelState) latchedAttrsLocked(latched func(*attrDetector) bool) (classes []int, names []string) {
+	for i := range st.AttrDrift {
+		if latched(&st.AttrDrift[i]) && i < len(st.Classes) {
+			classes = append(classes, st.Classes[i])
+			names = append(names, st.tab.Schema().Attr(st.Classes[i]).Name)
 		}
 	}
 	return classes, names
-}
-
-// nullDriftedAttrsLocked lists the attributes whose completeness detector
-// is currently latched, in tally (schema-column) order; st.mu must be
-// held.
-func (st *modelState) nullDriftedAttrsLocked() (names []string) {
-	for i := range st.attrDrift {
-		if st.attrDrift[i].NullDrifted && i < len(st.classes) {
-			names = append(names, st.schema.Attr(st.classes[i]).Name)
-		}
-	}
-	return names
 }
 
 // baselineFromSnapshot lifts a sealed window into a QualityProfile so the
@@ -893,9 +860,9 @@ func (m *Monitor) event(st *modelState, e Event) {
 	if e.At.IsZero() {
 		e.At = m.opts.Now()
 	}
-	st.events = append(st.events, e)
-	if len(st.events) > m.opts.MaxEvents {
-		st.events = st.events[len(st.events)-m.opts.MaxEvents:]
+	st.Events = append(st.Events, e)
+	if len(st.Events) > m.opts.MaxEvents {
+		st.Events = st.Events[len(st.Events)-m.opts.MaxEvents:]
 	}
 }
 
@@ -944,35 +911,36 @@ func (m *Monitor) Quality(name string) (State, bool) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.version == 0 || st.dead {
+	if st.Version == 0 || st.dead {
 		// The entry was created by a concurrent first observation whose
-		// resetForVersion has not run yet (or was just forgotten); there
-		// is no state to report (and st.rv may still be nil).
+		// trackVersion has not run yet (or was just forgotten); there is
+		// no state to report (and the reservoir has no table yet).
 		return State{}, false
 	}
-	_, driftedNames := st.driftedAttrsLocked()
+	_, driftedNames := st.latchedAttrsLocked(func(d *attrDetector) bool { return d.Drifted })
+	_, nullNames := st.latchedAttrsLocked(func(d *attrDetector) bool { return d.NullDrifted })
 	out := State{
-		Name:            st.name,
-		Version:         st.version,
+		Name:            st.Name,
+		Version:         st.Version,
 		WindowRows:      m.opts.WindowRows,
-		Windows:         st.windows,
-		PendingRows:     st.winRows,
-		Baseline:        st.baseline,
-		BaselineAdopted: st.baselineAdopted,
+		Windows:         st.Windows,
+		PendingRows:     st.WinRows,
+		Baseline:        st.Baseline,
+		BaselineAdopted: st.BaselineAdopted,
 		// Empty histories marshal as [] (not null) for wire clients.
-		Snapshots: append([]Snapshot{}, st.snapshots...),
-		Events:    append([]Event{}, st.events...),
+		Snapshots: append([]Snapshot{}, st.Snapshots...),
+		Events:    append([]Event{}, st.Events...),
 		Drift: DriftState{
-			Drifted:              st.drifted,
-			LastDelta:            st.lastDelta,
-			PH:                   st.ph.PH,
-			PHMean:               st.ph.Mean,
-			WindowsSinceBaseline: st.windowsSinceBaseline,
+			Drifted:              st.Drifted,
+			LastDelta:            st.LastDelta,
+			PH:                   st.PH.PH,
+			PHMean:               st.PH.Mean,
+			WindowsSinceBaseline: st.WindowsSinceBaseline,
 			Attrs:                driftedNames,
-			NullAttrs:            st.nullDriftedAttrsLocked(),
+			NullAttrs:            nullNames,
 		},
-		ReservoirRows: len(st.rv.rows),
-		ReservoirSeen: st.rv.seen,
+		ReservoirRows: st.tab.NumRows(),
+		ReservoirSeen: st.Seen,
 		AutoReinduce:  m.opts.AutoReinduce,
 		Reinducing:    st.reinducing,
 	}

@@ -443,28 +443,46 @@ func TestPageHinkleyCatchesSlowDrift(t *testing.T) {
 	if !fired {
 		t.Fatal("Page-Hinkley never fired on a persistent small shift")
 	}
-	ph.reset()
-	if ph.PH != 0 || ph.N != 0 {
-		t.Fatalf("reset incomplete: %+v", ph)
-	}
 }
 
 // TestReservoirDeterministicAndBounded pins the re-induction sample:
 // capacity is respected, the sample is a deterministic function of the
-// offered sequence, and resetSample keeps the PRNG stream.
+// offered sequence, and reset keeps the PRNG stream. The expected rows
+// (slot order) were recorded from the row-major reservoir this one
+// replaced, so every re-induction trains on the sample it trained on
+// before.
 func TestReservoirDeterministicAndBounded(t *testing.T) {
 	schema := dataset.MustSchema(dataset.NewNumeric("x", 0, 1e6))
-	sample := func() *dataset.Table {
-		rv := newReservoir(schema, 32, 99)
+	offer := func(rv *reservoir, n int) {
 		row := make([]dataset.Value, 1)
-		for i := 0; i < 10_000; i++ {
+		for i := 0; i < n; i++ {
 			row[0] = dataset.Num(float64(i))
 			rv.offer(row)
 		}
-		if len(rv.rows) != 32 || rv.seen != 10_000 {
-			t.Fatalf("reservoir off: %d rows, %d seen", len(rv.rows), rv.seen)
+	}
+	check := func(rv *reservoir, seen int64, want []float64) {
+		t.Helper()
+		if rv.tab.NumRows() != 32 || rv.Seen != seen {
+			t.Fatalf("reservoir off: %d rows, %d seen", rv.tab.NumRows(), rv.Seen)
 		}
-		return rv.table()
+		for r, x := range want {
+			if got := rv.tab.Get(r, 0).Float(); got != x || rv.tab.ID(r) != int64(r) {
+				t.Fatalf("slot %d holds %g (id %d), recorded %g (id %d)", r, got, rv.tab.ID(r), x, r)
+			}
+		}
+	}
+	sample := func() *dataset.Table {
+		rv := newReservoir(schema, 32, 99)
+		offer(&rv, 10_000)
+		check(&rv, 10_000, []float64{5443, 3759, 2285, 901, 113, 1193, 7136, 8138, 7005, 4902, 823,
+			1887, 6940, 1648, 4489, 3380, 1370, 4816, 2498, 9171, 7074, 2724, 1297, 7739, 2392, 9491,
+			3870, 1287, 3216, 7166, 2158, 7300})
+		full := rv.tab
+		rv.reset(schema)
+		offer(&rv, 100)
+		check(&rv, 100, []float64{66, 54, 97, 74, 83, 5, 6, 77, 62, 88, 50, 11, 38, 58, 39, 84, 65,
+			17, 36, 19, 20, 61, 94, 23, 78, 73, 26, 27, 98, 49, 92, 31})
+		return full
 	}
 	a, b := sample(), sample()
 	for r := 0; r < a.NumRows(); r++ {

@@ -3,13 +3,14 @@ package monitor
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
-	"dataaudit/internal/audit"
-	"dataaudit/internal/audittree"
+	"dataaudit/internal/atomicfile"
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/registry"
 )
@@ -44,88 +45,20 @@ func StateFile(dir, name string) string {
 	return filepath.Join(dir, name+".monitor.json")
 }
 
-// stateEnvelope is the on-disk form of one modelState. envelopeLocked
-// fills it with consistent copies under st.mu; the expensive part —
-// gob-encoding the reservoir and marshalling the JSON — happens in
-// encode, outside every monitor lock.
+// stateEnvelope is the on-disk form of one modelState: the persisted
+// fields themselves plus what only a file needs. envelopeLocked fills it
+// with a consistent copy under st.mu; the expensive part — gob-encoding
+// the reservoir and marshalling the JSON — happens in encode, outside
+// every monitor lock.
 type stateEnvelope struct {
-	// reservoir is the materialized sample, encoded into ReservoirTable
-	// by encode (never marshalled directly).
-	reservoir *dataset.Table
-
-	Format    int       `json:"format"`
-	Name      string    `json:"name"`
-	Version   int       `json:"version"`
-	CreatedAt time.Time `json:"createdAt"`
-	SavedAt   time.Time `json:"savedAt"`
-
-	Options persistedOptions `json:"options"`
-	Classes []int            `json:"classes"`
-
-	Baseline        *audit.QualityProfile `json:"baseline,omitempty"`
-	BaselineAdopted bool                  `json:"baselineAdopted,omitempty"`
-
-	WinRows       int64             `json:"winRows"`
-	WinSuspicious int64             `json:"winSuspicious"`
-	WinAttrs      []audit.AttrTally `json:"winAttrs"`
-
-	Windows              int         `json:"windows"`
-	WindowsSinceBaseline int         `json:"windowsSinceBaseline"`
-	Snapshots            []Snapshot  `json:"snapshots"`
-	PH                   pageHinkley `json:"ph"`
-	Drifted              bool        `json:"drifted"`
-	LastDelta            float64     `json:"lastDelta"`
-	// AttrDrift is the per-attribute detector state, aligned with Classes.
-	AttrDrift []attrDetector `json:"attrDrift,omitempty"`
-	Events    []Event        `json:"events"`
-
+	Format  int       `json:"format"`
+	SavedAt time.Time `json:"savedAt"`
+	persistedState
 	// ReservoirTable is the sampled rows plus their schema as a
-	// dataset.EncodeTable chunk stream (base64 inside the JSON envelope);
-	// ReservoirSeen the rows ever offered since the last re-induction.
-	// The schema embedded here is also what rebuilds st.schema on load.
+	// dataset.EncodeTable chunk stream (base64 inside the JSON envelope),
+	// filled from the embedded reservoir's table by encode. The schema
+	// embedded here is also what the reloaded state's schema comes from.
 	ReservoirTable []byte `json:"reservoirTable"`
-	ReservoirSeen  int64  `json:"reservoirSeen"`
-}
-
-// persistedOptions is the serializable subset of audit.Options the
-// re-induction path needs. A custom Options.Trainer (a code hook) cannot
-// be persisted; after a restart re-induction falls back to the named
-// Inducer.
-type persistedOptions struct {
-	MinConfidence float64             `json:"minConfidence,omitempty"`
-	ConfLevel     float64             `json:"confLevel,omitempty"`
-	Bins          int                 `json:"bins,omitempty"`
-	Inducer       audit.InducerKind   `json:"inducer,omitempty"`
-	KNNk          int                 `json:"knnK,omitempty"`
-	BaseAttrs     map[string][]string `json:"baseAttrs,omitempty"`
-	SkipClasses   []string            `json:"skipClasses,omitempty"`
-	Filter        uint8               `json:"filter,omitempty"`
-}
-
-func toPersistedOptions(o audit.Options) persistedOptions {
-	return persistedOptions{
-		MinConfidence: o.MinConfidence,
-		ConfLevel:     o.ConfLevel,
-		Bins:          o.Bins,
-		Inducer:       o.Inducer,
-		KNNk:          o.KNNk,
-		BaseAttrs:     o.BaseAttrs,
-		SkipClasses:   o.SkipClasses,
-		Filter:        uint8(o.Filter),
-	}
-}
-
-func (p persistedOptions) toAudit() audit.Options {
-	return audit.Options{
-		MinConfidence: p.MinConfidence,
-		ConfLevel:     p.ConfLevel,
-		Bins:          p.Bins,
-		Inducer:       p.Inducer,
-		KNNk:          p.KNNk,
-		BaseAttrs:     p.BaseAttrs,
-		SkipClasses:   p.SkipClasses,
-		Filter:        audittree.FilterMode(p.Filter),
-	}
 }
 
 // seqMark orders persisted snapshots of one name across state
@@ -164,23 +97,11 @@ func (p *persister) write(name string, gen, seq uint64, data []byte) error {
 	if err := os.MkdirAll(p.dir, 0o755); err != nil {
 		return err
 	}
-	path := StateFile(p.dir, name)
-	tmp, err := os.CreateTemp(p.dir, filepath.Base(path)+".tmp-*")
+	err := atomicfile.Write(StateFile(p.dir, name), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
 	p.written[name] = seqMark{gen: gen, seq: seq}
@@ -201,50 +122,27 @@ func (p *persister) remove(name string, gen uint64) {
 	}
 }
 
-// read loads a model's raw state file; os.IsNotExist errors mean "no
-// persisted state".
-func (p *persister) read(name string) ([]byte, error) {
-	return os.ReadFile(StateFile(p.dir, name))
-}
-
 // envelopeLocked captures a consistent copy of the state for
-// persistence; st.mu must be held. The capture is cheap, pure memory:
-// the histories and open-window tallies are copied (they are mutated in
-// place by the fold path), the reservoir is materialized as a fresh
-// table, and immutable values (schema, baseline, classes — replaced
-// wholesale, never edited) are shared. Encoding happens later, outside
-// the lock, so audits never wait on serialization.
+// persistence; st.mu must be held. The capture is cheap, pure memory: one
+// struct copy, then clones of what the fold path mutates in place — the
+// open-window tallies, the detectors, the two histories and the reservoir
+// table. Immutable values (baseline, classes — replaced wholesale, never
+// edited) are shared. Encoding happens later, outside the lock, so audits
+// never wait on serialization.
 func (st *modelState) envelopeLocked(now time.Time) *stateEnvelope {
-	return &stateEnvelope{
-		reservoir:            st.rv.table(),
-		Format:               stateFormat,
-		Name:                 st.name,
-		Version:              st.version,
-		CreatedAt:            st.createdAt,
-		SavedAt:              now,
-		Options:              toPersistedOptions(st.opts),
-		Classes:              st.classes,
-		Baseline:             st.baseline,
-		BaselineAdopted:      st.baselineAdopted,
-		WinRows:              st.winRows,
-		WinSuspicious:        st.winSuspicious,
-		WinAttrs:             append([]audit.AttrTally(nil), st.winAttrs...),
-		Windows:              st.windows,
-		WindowsSinceBaseline: st.windowsSinceBaseline,
-		Snapshots:            append([]Snapshot(nil), st.snapshots...),
-		PH:                   st.ph,
-		Drifted:              st.drifted,
-		LastDelta:            st.lastDelta,
-		AttrDrift:            append([]attrDetector(nil), st.attrDrift...),
-		Events:               append([]Event(nil), st.events...),
-		ReservoirSeen:        st.rv.seen,
-	}
+	env := &stateEnvelope{Format: stateFormat, SavedAt: now, persistedState: st.persistedState}
+	env.WinAttrs = slices.Clone(st.WinAttrs)
+	env.AttrDrift = slices.Clone(st.AttrDrift)
+	env.Snapshots = slices.Clone(st.Snapshots)
+	env.Events = slices.Clone(st.Events)
+	env.tab = st.tab.Clone()
+	return env
 }
 
 // encode serializes a captured envelope — the expensive half of a save,
 // safe to run without any lock because the envelope owns its data.
 func (env *stateEnvelope) encode() ([]byte, error) {
-	rvTab, err := dataset.MarshalTable(env.reservoir)
+	rvTab, err := dataset.MarshalTable(env.tab)
 	if err != nil {
 		return nil, err
 	}
@@ -256,12 +154,12 @@ func (env *stateEnvelope) encode() ([]byte, error) {
 // st.mu must be held. A no-op when persistence is disabled or the state
 // is dead (its file was already removed by Forget).
 func (m *Monitor) saveLocked(st *modelState) {
-	if m.disk == nil || st.dead || st.version == 0 {
+	if m.disk == nil || st.dead || st.Version == 0 {
 		return
 	}
 	env := st.envelopeLocked(m.opts.Now())
 	st.saveSeq++
-	gen, seq, name := st.gen, st.saveSeq, st.name
+	gen, seq, name := st.gen, st.saveSeq, st.Name
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -292,13 +190,13 @@ func (m *Monitor) SaveAll() error {
 	var firstErr error
 	for _, st := range states {
 		st.mu.Lock()
-		if st.dead || st.version == 0 {
+		if st.dead || st.Version == 0 {
 			st.mu.Unlock()
 			continue
 		}
 		env := st.envelopeLocked(m.opts.Now())
 		st.saveSeq++
-		gen, seq, name := st.gen, st.saveSeq, st.name
+		gen, seq, name := st.gen, st.saveSeq, st.Name
 		st.mu.Unlock()
 
 		data, err := env.encode()
@@ -336,7 +234,7 @@ func (m *Monitor) loadState(name string) *modelState {
 	if m.disk == nil || !registry.ValidName(name) {
 		return nil
 	}
-	data, err := m.disk.read(name)
+	data, err := os.ReadFile(StateFile(m.disk.dir, name))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			m.opts.Logger.Printf("monitor: reading state for %s: %v", name, err)
@@ -389,30 +287,8 @@ func (m *Monitor) loadState(name string) *modelState {
 		}
 	}
 
-	rv := newReservoir(schema, m.opts.ReservoirRows, m.opts.Seed)
-	rv.restore(rvTab, env.ReservoirSeen)
-	ph := env.PH
-	ph.Delta, ph.Lambda = m.opts.PHDelta, m.opts.PHLambda
-	return &modelState{
-		name:                 name,
-		version:              env.Version,
-		createdAt:            env.CreatedAt,
-		schema:               schema,
-		opts:                 env.Options.toAudit(),
-		classes:              env.Classes,
-		baseline:             env.Baseline,
-		baselineAdopted:      env.BaselineAdopted,
-		winRows:              env.WinRows,
-		winSuspicious:        env.WinSuspicious,
-		winAttrs:             env.WinAttrs,
-		windows:              env.Windows,
-		windowsSinceBaseline: env.WindowsSinceBaseline,
-		snapshots:            env.Snapshots,
-		ph:                   ph,
-		drifted:              env.Drifted,
-		lastDelta:            env.LastDelta,
-		attrDrift:            env.AttrDrift,
-		events:               env.Events,
-		rv:                   rv,
-	}
+	st := &modelState{persistedState: env.persistedState}
+	st.reservoir = newReservoir(schema, m.opts.ReservoirRows, m.opts.Seed)
+	st.adopt(rvTab, env.Seen)
+	return st
 }

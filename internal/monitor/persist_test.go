@@ -128,22 +128,17 @@ func TestPersistWindowCloseCommitPoint(t *testing.T) {
 	}
 }
 
-// TestPersistCorruptStateDegradesToFresh: an unreadable, truncated or
-// wrong-format state file must load as "no state" — never fail the model
-// — and the next observation rebuilds and overwrites it.
-func TestPersistCorruptStateDegradesToFresh(t *testing.T) {
-	_, stateDir, model, clean, _, meta, newMon := persistFixture(t, 2500)
-	mon := newMon()
-	mon.ObserveBatch(meta, model, clean, model.AuditTable(clean))
-	if err := mon.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := StateFile(stateDir, "engines")
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+// corruptState is one state file that must load as "no state".
+type corruptState struct {
+	name string
+	data []byte
+}
 
+// corruptStates derives the corrupt-file matrix from a good state file of
+// the model "engines" — the cases TestPersistCorruptStateDegradesToFresh
+// replays and FuzzLoadState starts from.
+func corruptStates(t testing.TB, good []byte) []corruptState {
+	t.Helper()
 	// A reservoir every gob decoder accepts but whose nominal column is two
 	// rows short of its ID list — in an envelope that is otherwise the good
 	// one, so nothing but the reservoir's own validation can reject it.
@@ -183,10 +178,7 @@ func TestPersistCorruptStateDegradesToFresh(t *testing.T) {
 	}
 
 	current := fmt.Sprintf(`{"format":%d,`, stateFormat)
-	cases := []struct {
-		name string
-		data []byte
-	}{
+	return []corruptState{
 		{"garbage", []byte("{ not json")},
 		{"truncated", good[:len(good)/3]},
 		{"wrong format", []byte(`{"format":999,"name":"engines","version":1}`)},
@@ -196,7 +188,25 @@ func TestPersistCorruptStateDegradesToFresh(t *testing.T) {
 			`1,"createdAt":"2026-07-01T00:00:00Z","reservoirTable":"AAAA"}`)},
 		{"inconsistent reservoir", inconsistent},
 	}
-	for _, tc := range cases {
+}
+
+// TestPersistCorruptStateDegradesToFresh: an unreadable, truncated or
+// wrong-format state file must load as "no state" — never fail the model
+// — and the next observation rebuilds and overwrites it.
+func TestPersistCorruptStateDegradesToFresh(t *testing.T) {
+	_, stateDir, model, clean, _, meta, newMon := persistFixture(t, 2500)
+	mon := newMon()
+	mon.ObserveBatch(meta, model, clean, model.AuditTable(clean))
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := StateFile(stateDir, "engines")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range corruptStates(t, good) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 				t.Fatal(err)

@@ -7,67 +7,59 @@ import (
 )
 
 // reservoir keeps a bounded uniform sample of audited rows (algorithm R)
-// for drift-triggered re-induction. The PRNG is seeded, so the sample —
-// and therefore the re-induced model — is a deterministic function of the
-// observed row sequence.
+// for drift-triggered re-induction, held as a Table so a snapshot is a
+// Clone and the persisted form is the table itself. The PRNG is seeded, so
+// the sample — and therefore the re-induced model — is a deterministic
+// function of the observed row sequence. It is embedded in persistedState:
+// Seen is its one JSON field, the rows travel as
+// stateEnvelope.ReservoirTable.
 type reservoir struct {
-	schema *dataset.Schema
-	cap    int
-	rng    *rand.Rand
-	rows   [][]dataset.Value
-	seen   int64
+	cap int
+	rng *rand.Rand
+	tab *dataset.Table
+	// Seen counts the rows offered since the sample was last reset.
+	Seen int64 `json:"reservoirSeen"`
 }
 
-func newReservoir(schema *dataset.Schema, capRows int, seed int64) *reservoir {
-	return &reservoir{
-		schema: schema,
-		cap:    capRows,
-		rng:    rand.New(rand.NewSource(seed)),
+func newReservoir(schema *dataset.Schema, capRows int, seed int64) reservoir {
+	return reservoir{
+		cap: capRows,
+		rng: rand.New(rand.NewSource(seed)),
+		tab: dataset.NewTable(schema),
 	}
 }
 
 // offer considers one row for the sample; the row is copied, never
 // retained.
 func (rv *reservoir) offer(row []dataset.Value) {
-	rv.seen++
-	if len(rv.rows) < rv.cap {
-		rv.rows = append(rv.rows, append([]dataset.Value(nil), row...))
+	rv.Seen++
+	if rv.tab.NumRows() < rv.cap {
+		rv.tab.AppendRow(row)
 		return
 	}
-	if j := rv.rng.Int63n(rv.seen); j < int64(rv.cap) {
-		copy(rv.rows[j], row)
+	if j := rv.rng.Int63n(rv.Seen); j < int64(rv.cap) {
+		for c, v := range row {
+			rv.tab.Set(int(j), c, v)
+		}
 	}
 }
 
-// table materializes the sample as a Table over the reservoir's schema.
-func (rv *reservoir) table() *dataset.Table {
-	t := dataset.NewTable(rv.schema)
-	for _, row := range rv.rows {
-		t.AppendRow(row)
-	}
-	return t
+// reset drops the sampled rows (after they were consumed by a
+// re-induction, or when the tracked version changes) but keeps the PRNG
+// stream, so determinism holds across the whole observation sequence.
+func (rv *reservoir) reset(schema *dataset.Schema) {
+	rv.tab = dataset.NewTable(schema)
+	rv.Seen = 0
 }
 
-// resetSample drops the sampled rows (after they were consumed by a
-// re-induction) but keeps the PRNG stream, so determinism holds across
-// the whole observation sequence.
-func (rv *reservoir) resetSample() {
-	rv.rows = rv.rows[:0]
-	rv.seen = 0
-}
-
-// restore refills the sample from a persisted table (state reload). The
-// PRNG was freshly seeded by the caller: the recovered rows and the seen
-// count match the pre-restart sample exactly, while the sampling stream
-// restarts from the seed.
-func (rv *reservoir) restore(tab *dataset.Table, seen int64) {
-	rv.rows = rv.rows[:0]
-	buf := make([]dataset.Value, tab.NumCols())
-	for r := 0; r < tab.NumRows(); r++ {
-		rv.rows = append(rv.rows, append([]dataset.Value(nil), tab.RowInto(r, buf)...))
+// adopt takes over a persisted sample (state reload), cut down to the
+// capacity configured now. The PRNG was freshly seeded by the caller: the
+// recovered rows and the seen count match the pre-restart sample exactly,
+// while the sampling stream restarts from the seed.
+func (rv *reservoir) adopt(tab *dataset.Table, seen int64) {
+	for tab.NumRows() > rv.cap {
+		tab.DeleteRow(tab.NumRows() - 1)
 	}
-	if seen < int64(len(rv.rows)) {
-		seen = int64(len(rv.rows))
-	}
-	rv.seen = seen
+	rv.tab = tab
+	rv.Seen = max(seen, int64(tab.NumRows()))
 }

@@ -21,8 +21,8 @@ import (
 // be clobbered by a stale candidate.
 
 // reinduceJob is the immutable snapshot a re-induction worker runs on.
-// Everything here is private to the worker: the sample is a fresh Table
-// copied out of the reservoir under st.mu, so later audits mutating the
+// Everything here is private to the worker: the sample is a clone of the
+// reservoir's table taken under st.mu, so later audits mutating the
 // reservoir race with nothing.
 type reinduceJob struct {
 	name      string
@@ -44,30 +44,30 @@ type reinduceJob struct {
 // drifted-attribute set for the partial path (may be empty).
 func (m *Monitor) triggerReinduceLocked(st *modelState, window int, attrs []int) {
 	if !m.opts.AutoReinduce {
-		m.event(st, Event{Kind: EventReinduceSkipped, Window: window, Version: st.version,
+		m.event(st, Event{Kind: EventReinduceSkipped, Window: window, Version: st.Version,
 			Message: "auto re-induction disabled"})
-		m.reinduceOutcome(st.name, obs.OutcomeSkipped, -1)
+		m.reinduceOutcome(st.Name, obs.OutcomeSkipped, -1)
 		return
 	}
 	if st.reinducing {
-		m.event(st, Event{Kind: EventReinduceSkipped, Window: window, Version: st.version,
+		m.event(st, Event{Kind: EventReinduceSkipped, Window: window, Version: st.Version,
 			Message: "re-induction already in flight; coalesced"})
-		m.reinduceOutcome(st.name, obs.OutcomeSkipped, -1)
+		m.reinduceOutcome(st.Name, obs.OutcomeSkipped, -1)
 		return
 	}
-	if len(st.rv.rows) < m.opts.MinReinduceRows {
-		m.event(st, Event{Kind: EventReinduceSkipped, Window: window, Version: st.version,
-			Message: fmt.Sprintf("reservoir has %d rows, need %d", len(st.rv.rows), m.opts.MinReinduceRows)})
-		m.reinduceOutcome(st.name, obs.OutcomeSkipped, -1)
+	if st.tab.NumRows() < m.opts.MinReinduceRows {
+		m.event(st, Event{Kind: EventReinduceSkipped, Window: window, Version: st.Version,
+			Message: fmt.Sprintf("reservoir has %d rows, need %d", st.tab.NumRows(), m.opts.MinReinduceRows)})
+		m.reinduceOutcome(st.Name, obs.OutcomeSkipped, -1)
 		return
 	}
 	job := reinduceJob{
-		name:      st.name,
-		version:   st.version,
-		createdAt: st.createdAt,
+		name:      st.Name,
+		version:   st.Version,
+		createdAt: st.CreatedAt,
 		window:    window,
-		opts:      st.opts,
-		sample:    st.rv.table(),
+		opts:      st.Options,
+		sample:    st.tab.Clone(),
 		attrs:     attrs,
 	}
 	st.reinducing = true
@@ -148,23 +148,12 @@ func (m *Monitor) reinduce(st *modelState, job reinduceJob) {
 	m.event(st, Event{Kind: EventReinduced, Window: job.window, Version: job.version, NewVersion: meta.Version,
 		Message: fmt.Sprintf("re-induced from %d reservoir rows (%s)", job.sample.NumRows(), how)})
 
-	// The successor becomes the tracked version with a fresh baseline;
-	// history (snapshots, events) carries across. adoptModel rebuilds the
-	// window accumulators for the successor's attribute set — a model
-	// re-induced from a small reservoir can model fewer attributes than
-	// its predecessor, and stale accumulators would misattribute tallies.
-	st.version = meta.Version
-	st.createdAt = meta.CreatedAt
-	st.adoptModel(next)
-	st.baseline = profile
-	st.baselineAdopted = false
-	st.windowsSinceBaseline = 0
-	st.ph.reset()
-	st.drifted = false
-	st.lastDelta = 0
-	st.rv.resetSample()
+	// The successor becomes the tracked version with the profile it was
+	// published with as its baseline; history (snapshots, events) carries
+	// across.
+	st.trackVersion(meta, next, &m.opts)
 	if mets := m.opts.Metrics; mets != nil {
-		// Re-intern immediately (adoptModel invalidated the handles) so
+		// Re-intern immediately (trackVersion invalidated the handles) so
 		// the drift gauges clear now, not at the next fold.
 		st.buildMetricsLocked(mets)
 		st.syncDriftGaugesLocked()
@@ -219,7 +208,7 @@ func (m *Monitor) reinduceOutcome(name, outcome string, seconds float64) {
 // guardHolds reports whether the worker's snapshot still matches the
 // tracked incarnation; st.mu must be held.
 func (st *modelState) guardHolds(job reinduceJob) bool {
-	return !st.dead && st.version == job.version && st.createdAt.Equal(job.createdAt)
+	return !st.dead && st.Version == job.version && st.CreatedAt.Equal(job.createdAt)
 }
 
 // finishSuperseded logs a worker that lost the guard race; st.mu must be

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -15,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dataaudit/internal/atomicfile"
 	"dataaudit/internal/audit"
 	"dataaudit/internal/dataset"
 )
@@ -246,7 +248,7 @@ func (r *Registry) PublishWithQuality(name string, m *audit.Model, quality *audi
 	if err := audit.Save(filepath.Join(dir, modelFile), m); err != nil {
 		return Meta{}, fmt.Errorf("registry: writing model: %w", err)
 	}
-	if err := writeJSONAtomic(filepath.Join(dir, metaFile), meta); err != nil {
+	if err := writeMeta(filepath.Join(dir, metaFile), meta); err != nil {
 		os.Remove(filepath.Join(dir, modelFile)) // roll back the orphan
 		return Meta{}, fmt.Errorf("registry: committing meta: %w", err)
 	}
@@ -258,29 +260,13 @@ func (r *Registry) PublishWithQuality(name string, m *audit.Model, quality *audi
 	return meta, nil
 }
 
-// writeJSONAtomic writes v as JSON via temp-file + rename.
-func writeJSONAtomic(path string, v any) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	// CreateTemp makes the file 0600; widen to world-readable like a
-	// plain os.Create would.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+// writeMeta commits a meta sidecar as indented JSON via atomicfile.Write.
+func writeMeta(path string, meta Meta) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(meta)
+	})
 }
 
 // gcAborted removes .model files (below the just-committed version) that

@@ -84,7 +84,7 @@ func (r *Registry) InstallReplica(meta Meta, m *audit.Model) error {
 	if err := audit.Save(filepath.Join(dir, modelFile), m); err != nil {
 		return fmt.Errorf("registry: writing replica model: %w", err)
 	}
-	if err := writeJSONAtomic(filepath.Join(dir, metaFile), meta); err != nil {
+	if err := writeMeta(filepath.Join(dir, metaFile), meta); err != nil {
 		os.Remove(filepath.Join(dir, modelFile)) // roll back the orphan
 		return fmt.Errorf("registry: committing replica meta: %w", err)
 	}

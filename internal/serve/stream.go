@@ -148,20 +148,7 @@ func (s *Server) handleAuditStream(w http.ResponseWriter, r *http.Request) {
 		opts.TopK = n
 	}
 
-	// Bound the engine's upfront allocation: AuditStream pre-allocates
-	// workers+1 chunk buffers of ChunkSize × width values, and chunk and
-	// workers caps alone still allow their product to reach hundreds of
-	// MB per request. Shrink the chunk until the buffer pool fits the
-	// same order as the buffered endpoints' body cap.
-	if width := int64(model.Schema.Len()); width > 0 {
-		maxChunk := maxStreamBufferBytes / streamValueBytes / int64(opts.Workers+1) / width
-		if maxChunk < 1 {
-			maxChunk = 1
-		}
-		if int64(opts.ChunkSize) > maxChunk {
-			opts.ChunkSize = int(maxChunk)
-		}
-	}
+	opts.ChunkSize = min(opts.ChunkSize, streamChunkCap(model.Schema, opts.Workers))
 
 	// The streaming route is exempt from the body byte cap, so bound the
 	// one thing the incremental decoder buffers: a single record. Without
@@ -285,8 +272,14 @@ const maxStreamTopK = 10_000
 const maxStreamRecordBytes = 1 << 20
 
 // maxStreamBufferBytes bounds the scoring pipeline's pre-allocated chunk
-// pool per request; streamValueBytes is the in-memory size of one cell.
-const (
-	maxStreamBufferBytes = 64 << 20
-	streamValueBytes     = 16
-)
+// pool per request.
+const maxStreamBufferBytes = 64 << 20
+
+// streamChunkCap bounds the engine's upfront allocation: AuditStream
+// pre-allocates workers+1 chunk buffers of ChunkSize rows, and the chunk
+// and workers caps alone still allow their product to reach hundreds of MB
+// per request on a wide schema. The cap is the largest chunk whose buffer
+// pool fits the same order as the buffered endpoints' body cap.
+func streamChunkCap(schema *dataset.Schema, workers int) int {
+	return max(1, maxStreamBufferBytes/(workers+1)/dataset.ChunkRowBytes(schema))
+}

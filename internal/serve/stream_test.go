@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -242,6 +243,32 @@ func TestStreamEndpointStreamsDuringUpload(t *testing.T) {
 	}
 	if summary == nil || summary.RowsChecked != int64(dirty.NumRows()) {
 		t.Fatalf("summary after duplex stream: %+v", summary)
+	}
+}
+
+// TestStreamChunkCapWideSchema pins the ?chunk= clamp to the chunk
+// layout: on a 600-column nominal schema with 8 workers the 9 pooled
+// chunks of the capped size fill the 64 MiB budget to within one row each
+// — the clamp used to price every cell at the 16 bytes of a
+// dataset.Value and stopped at a quarter of that.
+func TestStreamChunkCapWideSchema(t *testing.T) {
+	attrs := make([]*dataset.Attribute, 600)
+	for i := range attrs {
+		attrs[i] = dataset.NewNominal("a"+strconv.Itoa(i), "x", "y")
+	}
+	schema := dataset.MustSchema(attrs...)
+	const workers = 8
+	pool := func(chunk int) int { return chunk * (workers + 1) * dataset.ChunkRowBytes(schema) }
+	got := streamChunkCap(schema, workers)
+	if pool(got) > maxStreamBufferBytes || pool(got+1) <= maxStreamBufferBytes {
+		t.Fatalf("cap %d rows: pool of %d bytes against a budget of %d", got, pool(got), maxStreamBufferBytes)
+	}
+	if old := maxStreamBufferBytes / 16 / (workers + 1) / 600; got < 3*old {
+		t.Fatalf("cap %d rows is still within 3x of the Value-sized clamp (%d)", got, old)
+	}
+	// A schema too wide for even one row per chunk still streams.
+	if got := streamChunkCap(schema, maxStreamBufferBytes); got != 1 {
+		t.Fatalf("cap under an absurd worker count = %d, want 1", got)
 	}
 }
 

@@ -115,16 +115,6 @@ func (c *Coordinator) Workers() []string { return c.opts.Workers }
 // Shards returns the configured shard count.
 func (c *Coordinator) Shards() int { return c.opts.Shards }
 
-// AuditSource materializes a RowSource (preserving record IDs) and audits
-// it across the workers.
-func (c *Coordinator) AuditSource(ctx context.Context, model *audit.Model, meta registry.Meta, src dataset.RowSource) (*audit.Result, error) {
-	tab, err := dataset.ReadAllKeepIDs(src)
-	if err != nil {
-		return nil, err
-	}
-	return c.AuditTable(ctx, model, meta, tab)
-}
-
 // AuditTable audits the table across the workers and returns a Result
 // identical (modulo CheckTime) to model.AuditTable(tab) run locally:
 // same reports in the same row order, same Suspicious ranking, same

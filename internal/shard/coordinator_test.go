@@ -384,37 +384,6 @@ func TestShardedWorkerFailures(t *testing.T) {
 	}
 }
 
-// TestAuditSourceKeepsIDs: the RowSource entry point preserves source
-// record IDs end to end (CSV row ordinals here), matching single-node.
-func TestAuditSourceKeepsIDs(t *testing.T) {
-	m, dirty := quisFixture(t)
-	meta := publishFixture(t, m)
-	coord := newCoordinator(t, startWorkers(t, 2), nil)
-
-	var csv bytes.Buffer
-	if err := dataset.WriteCSV(&csv, dirty); err != nil {
-		t.Fatal(err)
-	}
-	src, err := dataset.NewCSVSource(bytes.NewReader(csv.Bytes()), dirty.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord.AuditSource(context.Background(), m, meta, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Single-node oracle over the same CSV materialization.
-	oracleTab, err := dataset.ReadCSV(bytes.NewReader(csv.Bytes()), dirty.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.AuditTable(oracleTab)
-	if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-		t.Fatal("AuditSource result diverges from single-node over the same CSV")
-	}
-}
-
 // TestCoordinatorOptionValidation: bad worker sets and parameters are
 // rejected at construction, not at audit time.
 func TestCoordinatorOptionValidation(t *testing.T) {
