@@ -1,11 +1,11 @@
 package dataaudit_test
 
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per experiment E1–E8 of DESIGN.md, at reduced scale so a
-// full -bench=. run stays tractable), plus micro-benchmarks of the hot
-// paths. The full-scale reproductions live in cmd/experiments; these
-// benches report the same measures via b.ReportMetric so that shape
-// regressions show up in CI timings.
+// (one benchmark per experiment E1–E8 of cmd/experiments' package doc, at
+// reduced scale so a full -bench=. run stays tractable), plus
+// micro-benchmarks of the hot paths. The full-scale reproductions live in
+// cmd/experiments; these benches report the same measures via
+// b.ReportMetric so that shape regressions show up in CI timings.
 //
 //	go test -bench=. -benchmem
 

@@ -96,6 +96,9 @@ func main() {
 		return src, closer
 	}
 
+	if *induceOnly && *modelPath == "" {
+		fail("-induce needs -model")
+	}
 	if *stream {
 		// The streaming path never loads the table: rows flow straight
 		// from the decoder into the chunked scorer. That also means
@@ -163,9 +166,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "induced structure model for %d attributes from %d records in %v\n",
 			len(model.Attrs), model.TrainRows, model.InduceTime)
 		if *induceOnly {
-			if *modelPath == "" {
-				fail("-induce needs -model")
-			}
 			if err := audit.Save(*modelPath, model); err != nil {
 				fail("saving model: %v", err)
 			}

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (§6) plus the ablation and algorithm-selection studies that
-// DESIGN.md indexes as E1–E8:
+// evaluation (§6) plus the ablation and algorithm-selection studies,
+// indexed E1–E10:
 //
 //	fig3      E1: sensitivity vs. number of records (Figure 3)
 //	fig4      E2: sensitivity vs. number of rules (Figure 4)

@@ -46,9 +46,9 @@
 // docs/api.md for the complete HTTP API reference.
 //
 // The subpackages under internal/ carry the implementation; this package
-// re-exports the stable surface. See the examples/ directory for complete
-// programs and cmd/experiments for the reproduction of every table and
-// figure of the paper's evaluation.
+// re-exports the stable surface. See the package examples (Example_quickstart
+// runs the complete loop) and cmd/experiments for the reproduction of every
+// table and figure of the paper's evaluation.
 package dataaudit
 
 import (
@@ -87,14 +87,12 @@ type Table = dataset.Table
 // RowSource is a pull iterator over rows — the streaming counterpart of a
 // materialized Table. CSVSource decodes CSV incrementally; JSONLSource
 // decodes newline-delimited JSON objects keyed by attribute name;
-// SQLSource wraps a database/sql result set; TableSource adapts an
-// existing table. Differential tests pin every source to byte-identical
-// audit results for the same rows.
+// TableSource adapts an existing table. Differential tests pin every
+// source to byte-identical audit results for the same rows.
 type (
 	RowSource   = dataset.RowSource
 	CSVSource   = dataset.CSVSource
 	JSONLSource = dataset.JSONLSource
-	SQLSource   = dataset.SQLSource
 	TableSource = dataset.TableSource
 )
 
@@ -115,14 +113,13 @@ type HeaderMismatchError = dataset.HeaderMismatchError
 // Re-exported constructors and helpers of the relational substrate.
 var (
 	// NewCSVSource / NewJSONLSource / NewTableSource and the Open*
-	// helpers build streaming row sources; OpenSQLSource wraps a live
-	// query result set; ReadAllRows drains any source into a Table.
+	// helpers build streaming row sources; ReadAllRows drains any source
+	// into a Table.
 	NewCSVSource        = dataset.NewCSVSource
 	NewJSONLSource      = dataset.NewJSONLSource
 	NewTableSource      = dataset.NewTableSource
 	OpenCSVFileSource   = dataset.OpenCSVFileSource
 	OpenJSONLFileSource = dataset.OpenJSONLFileSource
-	OpenSQLSource       = dataset.OpenSQLSource
 	ReadAllRows         = dataset.ReadAll
 	// Null returns the null value.
 	Null = dataset.Null
@@ -297,12 +294,6 @@ var (
 	// (§2.2); SaveModel is crash-safe (temp file + rename).
 	SaveModel = audit.Save
 	LoadModel = audit.Load
-	// MergeResults combines per-shard audit results in order (see also
-	// AuditResult.Merge); shards of mismatched relation widths are
-	// rejected with ErrRowWidth. AuditModel.AuditTableParallel scores a
-	// table with a worker pool, reports identical to AuditTable;
-	// AuditModel.AuditStream scores a RowSource with bounded memory.
-	MergeResults = audit.MergeResults
 	// NewScoreScratch sizes a ScoreScratch for a model's class domains.
 	NewScoreScratch = audit.NewScoreScratch
 )
@@ -431,7 +422,7 @@ var (
 // scoring/lifecycle metric set the quality monitor feeds
 // (MonitorOptions.Metrics); HTTPMetrics wraps http handlers with
 // per-route request/latency series. HistSnapshot is a point-in-time
-// histogram copy with Prometheus-style interpolated quantiles.
+// histogram copy: count, sum and cumulative buckets.
 type (
 	MetricsRegistry = obs.Registry
 	AuditMetrics    = obs.AuditMetrics

@@ -2,22 +2,19 @@ package audit
 
 import (
 	"bytes"
-	"database/sql"
-	"database/sql/driver"
 	"encoding/gob"
 	"fmt"
 	"testing"
 
 	"dataaudit/internal/dataset"
-	"dataaudit/internal/sqlmem"
 )
 
 // The ingestion-equivalence contract: a relation fed through any source —
-// CSV text, JSONL objects, a database/sql result set — produces the
-// byte-identical audit. The CSV path is the reference (it is what the
-// columnar differential suite pins against the row-path oracle); JSONL
-// and SQL must match it gob-byte-for-byte, batch and stream, across the
-// same chunk-size × worker grid as columnar_diff_test.go.
+// CSV text or JSONL objects — produces the byte-identical audit. The CSV
+// path is the reference (it is what the columnar differential suite pins
+// against the row-path oracle); JSONL must match it gob-byte-for-byte,
+// batch and stream, across the same chunk-size × worker grid as
+// columnar_diff_test.go.
 
 // streamGobBytes serializes a StreamResult with the wall-time field
 // zeroed, for byte-identity comparison.
@@ -30,31 +27,6 @@ func streamGobBytes(t *testing.T, res *StreamResult) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// sqlQUISRows renders the table as driver rows: nominals and dates in
-// their text form, numerics as native float64 — the mix a warehouse
-// driver typically produces.
-func sqlQUISRows(t *testing.T, tab *dataset.Table) [][]driver.Value {
-	t.Helper()
-	s := tab.Schema()
-	rows := make([][]driver.Value, tab.NumRows())
-	for r := range rows {
-		row := make([]driver.Value, s.Len())
-		for c, a := range s.Attrs() {
-			v := tab.Get(r, c)
-			switch {
-			case v.IsNull():
-				row[c] = nil
-			case a.Type == dataset.NumericType:
-				row[c] = v.Float()
-			default:
-				row[c] = a.Format(v)
-			}
-		}
-		rows[r] = row
-	}
-	return rows
 }
 
 func TestSourceDifferentialQUIS(t *testing.T) {
@@ -70,15 +42,6 @@ func TestSourceDifferentialQUIS(t *testing.T) {
 	if err := dataset.WriteJSONL(&jsonlBuf, dirty); err != nil {
 		t.Fatal(err)
 	}
-	if err := sqlmem.RegisterTable("quis_diff", m.Schema.Names(), sqlQUISRows(t, dirty)); err != nil {
-		t.Fatal(err)
-	}
-	defer sqlmem.DropTable("quis_diff")
-	db, err := sql.Open("sqlmem", "diff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
 
 	sources := []struct {
 		name string
@@ -93,14 +56,6 @@ func TestSourceDifferentialQUIS(t *testing.T) {
 		}},
 		{"jsonl", func(t *testing.T) dataset.RowSource {
 			return dataset.NewJSONLSource(bytes.NewReader(jsonlBuf.Bytes()), m.Schema)
-		}},
-		{"sql", func(t *testing.T) dataset.RowSource {
-			src, closer, err := dataset.OpenSQLSource(db, "SELECT * FROM quis_diff", m.Schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { closer.Close() })
-			return src
 		}},
 	}
 

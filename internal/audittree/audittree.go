@@ -100,11 +100,6 @@ func (t *Trainer) inner() *c45.Trainer {
 	}}
 }
 
-// TrainTree induces the audit-adjusted decision tree.
-func (t *Trainer) TrainTree(ins *mlcore.Instances) (*c45.Tree, error) {
-	return t.inner().TrainTree(ins)
-}
-
 // TrainRuleSet induces the tree and extracts the filtered rule set.
 func (t *Trainer) TrainRuleSet(ins *mlcore.Instances) (*RuleSet, error) {
 	return t.TrainRuleSetWarm(ins, nil)

@@ -163,74 +163,3 @@ func (n *Network) Sample(rng *rand.Rand, row []dataset.Value) []int {
 	}
 	return sampled
 }
-
-// Covers reports whether the network models the given attribute index.
-func (n *Network) Covers(attr int) bool {
-	for _, node := range n.Nodes {
-		if node.Attr == attr {
-			return true
-		}
-	}
-	return false
-}
-
-// Fit estimates a network with the given structure (node attrs + parent
-// lists) from data using Laplace-smoothed maximum likelihood. It is used by
-// the QUIS domain simulator to derive realistic multivariate distributions
-// from a seed table.
-func Fit(schema *dataset.Schema, table *dataset.Table, structure []*Node, laplace float64) (*Network, error) {
-	nodes := make([]*Node, len(structure))
-	for i, st := range structure {
-		nodes[i] = &Node{Attr: st.Attr, Parents: st.Parents}
-	}
-	net := &Network{Schema: schema, Nodes: nodes}
-	// Shape-validate without CPTs first (build empty CPTs to pass checks).
-	for i, node := range nodes {
-		k := schema.Attr(node.Attr).NumValues()
-		if k == 0 {
-			return nil, fmt.Errorf("bayesnet: Fit on non-nominal attribute %d", node.Attr)
-		}
-		rows := net.numConfigs(i)
-		counts := make([][]float64, rows)
-		for r := range counts {
-			counts[r] = make([]float64, k)
-			for j := range counts[r] {
-				counts[r][j] = laplace
-			}
-		}
-		for r := 0; r < table.NumRows(); r++ {
-			v := table.Get(r, node.Attr)
-			if v.IsNull() {
-				continue
-			}
-			// Build the parent configuration from the same record; skip if
-			// any parent is null.
-			idx, ok := 0, true
-			for _, p := range node.Parents {
-				pv := table.Get(r, nodes[p].Attr)
-				if pv.IsNull() {
-					ok = false
-					break
-				}
-				size := schema.Attr(nodes[p].Attr).NumValues()
-				idx = idx*size + pv.NomIdx()
-			}
-			if !ok {
-				continue
-			}
-			counts[idx][v.NomIdx()]++
-		}
-		node.CPT = make([]*stats.Categorical, rows)
-		for r := range counts {
-			cat, err := stats.NewCategorical(counts[r])
-			if err != nil {
-				return nil, fmt.Errorf("bayesnet: node %d row %d: %w", i, r, err)
-			}
-			node.CPT[r] = cat
-		}
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	return net, nil
-}

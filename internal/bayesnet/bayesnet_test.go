@@ -75,13 +75,6 @@ func make2rows() []*stats.Categorical {
 	return []*stats.Categorical{stats.MustCategorical(1, 1), stats.MustCategorical(1, 1)}
 }
 
-func TestCovers(t *testing.T) {
-	net := sprinklerNet(t)
-	if !net.Covers(0) || !net.Covers(2) || net.Covers(3) {
-		t.Fatalf("Covers broken")
-	}
-}
-
 func TestSamplingMarginals(t *testing.T) {
 	net := sprinklerNet(t)
 	rng := rand.New(rand.NewSource(41))
@@ -138,65 +131,4 @@ func TestTopologicalOrderRespected(t *testing.T) {
 	}
 	row := make([]dataset.Value, 4)
 	net.Sample(rand.New(rand.NewSource(43)), row) // must not panic
-}
-
-func TestFitRecoversCPT(t *testing.T) {
-	// Generate data from a known net, fit the same structure, compare CPTs.
-	net := sprinklerNet(t)
-	s := net.Schema
-	table := dataset.NewTable(s)
-	rng := rand.New(rand.NewSource(44))
-	row := make([]dataset.Value, 4)
-	for i := 0; i < 100000; i++ {
-		net.Sample(rng, row)
-		row[3] = dataset.Num(0)
-		table.AppendRow(row)
-	}
-	structure := []*Node{
-		{Attr: 0},
-		{Attr: 1, Parents: []int{0}},
-		{Attr: 2, Parents: []int{0, 1}},
-	}
-	fitted, err := Fit(s, table, structure, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, node := range fitted.Nodes {
-		for r, row := range node.CPT {
-			for j := 0; j < row.Len(); j++ {
-				want := net.Nodes[i].CPT[r].P(j)
-				got := row.P(j)
-				if math.Abs(got-want) > 0.02 {
-					t.Fatalf("node %d row %d category %d: fitted %g, true %g", i, r, j, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestFitSkipsNulls(t *testing.T) {
-	s := netSchema(t)
-	table := dataset.NewTable(s)
-	row := []dataset.Value{dataset.Nom(0), dataset.Null(), dataset.Nom(1), dataset.Num(0)}
-	for i := 0; i < 10; i++ {
-		table.AppendRow(row)
-	}
-	structure := []*Node{{Attr: 0}, {Attr: 1, Parents: []int{0}}, {Attr: 2, Parents: []int{1}}}
-	fitted, err := Fit(s, table, structure, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Attribute 1 is always null: its CPT must fall back to the Laplace
-	// prior (uniform).
-	if p := fitted.Nodes[1].CPT[0].P(0); math.Abs(p-0.5) > 1e-9 {
-		t.Fatalf("null-only attribute should fit to the prior, got %g", p)
-	}
-}
-
-func TestFitRejectsNonNominal(t *testing.T) {
-	s := netSchema(t)
-	table := dataset.NewTable(s)
-	if _, err := Fit(s, table, []*Node{{Attr: 3}}, 1); err == nil {
-		t.Fatalf("fitting a numeric attribute must fail")
-	}
 }

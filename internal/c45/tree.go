@@ -10,9 +10,6 @@
 package c45
 
 import (
-	"fmt"
-	"strings"
-
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
 )
@@ -139,33 +136,4 @@ func nodeDepth(n *Node) int {
 		}
 	}
 	return max + 1
-}
-
-// Render pretty-prints the tree using schema metadata; for debugging and
-// the example programs.
-func (t *Tree) Render(s *dataset.Schema, classLabel func(int) string) string {
-	var b strings.Builder
-	renderNode(&b, t.Root, s, classLabel, 0)
-	return b.String()
-}
-
-func renderNode(b *strings.Builder, n *Node, s *dataset.Schema, classLabel func(int) string, depth int) {
-	indent := strings.Repeat("  ", depth)
-	if n.IsLeaf() {
-		best, p := n.Dist.Best()
-		fmt.Fprintf(b, "%s=> %s (p=%.3f, n=%.1f)\n", indent, classLabel(best), p, n.Dist.N())
-		return
-	}
-	attr := s.Attr(n.Attr)
-	if n.IsNumeric {
-		fmt.Fprintf(b, "%s%s <= %g:\n", indent, attr.Name, n.Thresh)
-		renderNode(b, n.Children[0], s, classLabel, depth+1)
-		fmt.Fprintf(b, "%s%s > %g:\n", indent, attr.Name, n.Thresh)
-		renderNode(b, n.Children[1], s, classLabel, depth+1)
-		return
-	}
-	for i, ch := range n.Children {
-		fmt.Fprintf(b, "%s%s = %s:\n", indent, attr.Name, attr.Domain[i])
-		renderNode(b, ch, s, classLabel, depth+1)
-	}
 }

@@ -208,13 +208,3 @@ func (a *Attribute) Validate() error {
 	}
 	return nil
 }
-
-// Clone returns a deep copy of the attribute.
-func (a *Attribute) Clone() *Attribute {
-	c := &Attribute{Name: a.Name, Type: a.Type, Min: a.Min, Max: a.Max}
-	if a.Domain != nil {
-		c.Domain = append([]string(nil), a.Domain...)
-		c.buildIndex()
-	}
-	return c
-}

@@ -108,18 +108,6 @@ func TestAttributeValidate(t *testing.T) {
 	}
 }
 
-func TestAttributeClone(t *testing.T) {
-	a := NewNominal("c", "x", "y")
-	b := a.Clone()
-	b.Domain[0] = "z"
-	if a.Domain[0] != "x" {
-		t.Fatalf("Clone must deep-copy the domain")
-	}
-	if _, ok := a.Index("x"); !ok {
-		t.Fatalf("original index must be unaffected by clone mutation")
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	if NominalType.String() != "nominal" || NumericType.String() != "numeric" || DateType.String() != "date" {
 		t.Fatalf("Type.String broken")

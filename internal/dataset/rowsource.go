@@ -293,8 +293,9 @@ func ReadAll(src RowSource) (*Table, error) { return readAll(src, false) }
 
 // ReadAllKeepIDs drains a RowSource into a materialized Table preserving
 // the source-assigned record IDs — unlike ReadAll, which re-assigns them.
-// The shard coordinator uses it: a sharded audit must report the same
-// record IDs a single-node audit of the same source would.
+// The differential tests build their reference tables with it, so
+// a materialized audit reports the record IDs the streaming audit of the
+// same source does.
 func ReadAllKeepIDs(src RowSource) (*Table, error) { return readAll(src, true) }
 
 func readAll(src RowSource, keepIDs bool) (*Table, error) {

@@ -54,15 +54,6 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
-// ByName returns the named attribute or nil.
-func (s *Schema) ByName(name string) *Attribute {
-	i := s.Index(name)
-	if i < 0 {
-		return nil
-	}
-	return s.attrs[i]
-}
-
 // Names returns the attribute names in order.
 func (s *Schema) Names() []string {
 	out := make([]string, len(s.attrs))
@@ -70,19 +61,6 @@ func (s *Schema) Names() []string {
 		out[i] = a.Name
 	}
 	return out
-}
-
-// Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
-	attrs := make([]*Attribute, len(s.attrs))
-	for i, a := range s.attrs {
-		attrs[i] = a.Clone()
-	}
-	c, err := NewSchema(attrs...)
-	if err != nil {
-		panic(err) // a valid schema clones to a valid schema
-	}
-	return c
 }
 
 // CheckRow validates a row against the schema: correct arity (a mismatch

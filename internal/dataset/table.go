@@ -132,23 +132,3 @@ func (t *Table) Validate() error {
 // Column returns the raw backing slice of column c (callers must not
 // append; mutation via the slice is equivalent to Set).
 func (t *Table) Column(c int) []Value { return t.cols[c] }
-
-// HeadString renders the first n rows as a human-readable fixed-width block;
-// for debugging and example output.
-func (t *Table) HeadString(n int) string {
-	if n > t.NumRows() {
-		n = t.NumRows()
-	}
-	out := ""
-	for _, a := range t.schema.Attrs() {
-		out += fmt.Sprintf("%-14s", a.Name)
-	}
-	out += "\n"
-	for r := 0; r < n; r++ {
-		for c, a := range t.schema.Attrs() {
-			out += fmt.Sprintf("%-14s", a.Format(t.Get(r, c)))
-		}
-		out += "\n"
-	}
-	return out
-}

@@ -95,20 +95,6 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// Compare orders two non-null number values: -1 if v < o, 0 if equal,
-// +1 if v > o. It panics when either value is not a number.
-func (v Value) Compare(o Value) int {
-	a, b := v.Float(), o.Float()
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // String renders the value without attribute context; nominal values render
 // as #idx. Use Attribute.Format for domain-aware rendering.
 func (v Value) String() string {

@@ -72,15 +72,6 @@ func TestNumberValue(t *testing.T) {
 	if !v.IsNumber() || v.Float() != 2.5 {
 		t.Fatalf("Num misbehaves: %v", v)
 	}
-	if got := Num(1).Compare(Num(2)); got != -1 {
-		t.Fatalf("Compare(1,2) = %d", got)
-	}
-	if got := Num(2).Compare(Num(1)); got != 1 {
-		t.Fatalf("Compare(2,1) = %d", got)
-	}
-	if got := Num(2).Compare(Num(2)); got != 0 {
-		t.Fatalf("Compare(2,2) = %d", got)
-	}
 }
 
 func TestNaNEquality(t *testing.T) {

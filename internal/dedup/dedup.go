@@ -14,7 +14,7 @@
 //
 // The detector consumes typed ColumnChunks, so it rides the same columnar
 // ingestion path as the scoring core: any RowSource/ChunkSource —
-// CSV, JSONL, a database/sql query — feeds it without a row-form detour.
+// CSV, JSONL, a table — feeds it without a row-form detour.
 package dedup
 
 import (
@@ -165,9 +165,6 @@ func (d *Detector) Observe(ck *dataset.ColumnChunk) {
 	}
 	d.rows += n
 }
-
-// Rows returns the number of accumulated records.
-func (d *Detector) Rows() int { return d.rows }
 
 // cellEqual reports exact cell equality (nulls equal nulls only).
 func (d *Detector) cellEqual(c, a, b int) bool {

@@ -26,14 +26,6 @@ func (d *Distribution) Add(c int, w float64) {
 	d.Total += w
 }
 
-// AddDist accumulates another distribution scaled by w.
-func (d *Distribution) AddDist(o Distribution, w float64) {
-	for c, v := range o.Counts {
-		d.Counts[c] += v * w
-	}
-	d.Total += o.Total * w
-}
-
 // P returns the probability of class c (0 when the distribution is empty).
 func (d Distribution) P(c int) float64 {
 	if d.Total <= 0 {
@@ -130,30 +122,6 @@ func NewInstances(t *dataset.Table, base []int, k int, classOf func(r int) int) 
 		ins.Weights = append(ins.Weights, 1)
 	}
 	return ins
-}
-
-// Len returns the number of active rows.
-func (ins *Instances) Len() int { return len(ins.Rows) }
-
-// TotalWeight sums the active weights.
-func (ins *Instances) TotalWeight() float64 {
-	s := 0.0
-	for _, w := range ins.Weights {
-		s += w
-	}
-	return s
-}
-
-// ClassDistribution tallies the weighted class histogram of the active
-// rows; rows with a null class are skipped.
-func (ins *Instances) ClassDistribution() Distribution {
-	d := NewDistribution(ins.K)
-	for i, r := range ins.Rows {
-		if c := ins.Class[r]; c >= 0 {
-			d.Add(c, ins.Weights[i])
-		}
-	}
-	return d
 }
 
 // Subset returns a view sharing Table and Class but with its own row/weight

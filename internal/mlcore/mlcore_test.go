@@ -48,17 +48,6 @@ func TestDistributionTieBreaksLow(t *testing.T) {
 	}
 }
 
-func TestDistributionAddDist(t *testing.T) {
-	a := NewDistribution(2)
-	a.Add(0, 4)
-	b := NewDistribution(2)
-	b.Add(1, 2)
-	a.AddDist(b, 0.5)
-	if a.Counts[1] != 1 || math.Abs(a.N()-5) > 1e-12 {
-		t.Fatalf("AddDist wrong: %+v", a)
-	}
-}
-
 func TestDistributionClone(t *testing.T) {
 	a := NewDistribution(2)
 	a.Add(0, 3)
@@ -118,13 +107,18 @@ func testInstances(t *testing.T) (*dataset.Table, *Instances) {
 
 func TestInstancesBasics(t *testing.T) {
 	_, ins := testInstances(t)
-	if ins.Len() != 10 {
-		t.Fatalf("Len = %d", ins.Len())
+	if len(ins.Rows) != 10 || len(ins.Weights) != 10 {
+		t.Fatalf("rows = %d, weights = %d", len(ins.Rows), len(ins.Weights))
 	}
-	if w := ins.TotalWeight(); w != 10 {
-		t.Fatalf("TotalWeight = %g", w)
+	d := NewDistribution(ins.K)
+	for i, r := range ins.Rows {
+		if ins.Weights[i] != 1 {
+			t.Fatalf("weight %d = %g", i, ins.Weights[i])
+		}
+		if c := ins.Class[r]; c >= 0 {
+			d.Add(c, ins.Weights[i])
+		}
 	}
-	d := ins.ClassDistribution()
 	// Rows 0..8 labelled, row 9 null: 5 of c0 (0,2,4,6,8), 4 of c1.
 	if d.Counts[0] != 5 || d.Counts[1] != 4 {
 		t.Fatalf("class distribution = %+v", d)
@@ -137,12 +131,11 @@ func TestInstancesBasics(t *testing.T) {
 func TestInstancesSubsetSharesClass(t *testing.T) {
 	_, ins := testInstances(t)
 	sub := ins.Subset([]int{0, 1}, []float64{0.5, 0.5})
-	if sub.Len() != 2 || sub.TotalWeight() != 1 {
+	if len(sub.Rows) != 2 || len(sub.Weights) != 2 || sub.Weights[0]+sub.Weights[1] != 1 {
 		t.Fatalf("Subset wrong: %+v", sub)
 	}
-	d := sub.ClassDistribution()
-	if math.Abs(d.N()-1) > 1e-12 {
-		t.Fatalf("subset distribution = %+v", d)
+	if &sub.Class[0] != &ins.Class[0] || sub.Table != ins.Table {
+		t.Fatalf("Subset must share Table and Class with its parent")
 	}
 }
 

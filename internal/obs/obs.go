@@ -47,17 +47,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds delta (CAS loop; gauges are not hot-path metrics here).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -117,47 +106,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	cum += h.counts[len(h.bounds)].Load()
 	s.Buckets[len(h.bounds)] = Bucket{UpperBound: math.Inf(1), Count: cum}
 	return s
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket counts by
-// linear interpolation inside the target bucket — the same estimate
-// Prometheus's histogram_quantile computes. It returns NaN on an empty
-// histogram; a quantile landing in the +Inf bucket clamps to the largest
-// finite bound.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	for i, b := range s.Buckets {
-		if float64(b.Count) < rank {
-			continue
-		}
-		if math.IsInf(b.UpperBound, 1) {
-			// Clamp to the last finite bound, as histogram_quantile does.
-			if i == 0 {
-				return math.NaN()
-			}
-			return s.Buckets[i-1].UpperBound
-		}
-		lower, prev := 0.0, uint64(0)
-		if i > 0 {
-			lower, prev = s.Buckets[i-1].UpperBound, s.Buckets[i-1].Count
-		}
-		width := b.UpperBound - lower
-		inBucket := float64(b.Count - prev)
-		if inBucket == 0 {
-			return b.UpperBound
-		}
-		return lower + width*(rank-float64(prev))/inBucket
-	}
-	return s.Buckets[len(s.Buckets)-1].UpperBound
 }
 
 // DefLatencyBuckets are the default request-latency bucket bounds in

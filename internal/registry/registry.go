@@ -149,9 +149,6 @@ func Open(dir string, opts ...Option) (*Registry, error) {
 	return r, nil
 }
 
-// Root returns the registry's backing directory.
-func (r *Registry) Root() string { return r.root }
-
 // StateDir returns the directory reserved under the registry root for
 // sidecar state that should live and die with the catalogue — e.g. the
 // quality monitor's persisted lifecycle state. The leading dot keeps it

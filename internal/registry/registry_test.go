@@ -343,7 +343,8 @@ func TestPublishWithQualityRoundTrip(t *testing.T) {
 // caching it), its CreatedAt identifies the incarnation across a
 // delete/recreate, and StateDir stays outside the model namespace.
 func TestMetaOfVersionAndStateDir(t *testing.T) {
-	reg, err := Open(t.TempDir())
+	dir := t.TempDir()
+	reg, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,8 +392,8 @@ func TestMetaOfVersionAndStateDir(t *testing.T) {
 	// StateDir sits under the root but cannot collide with a model: its
 	// name is not a ValidName, so List and the model routes skip it.
 	sd := reg.StateDir()
-	if filepath.Dir(sd) != reg.Root() {
-		t.Fatalf("StateDir %q not under root %q", sd, reg.Root())
+	if filepath.Dir(sd) != dir {
+		t.Fatalf("StateDir %q not under root %q", sd, dir)
 	}
 	if ValidName(filepath.Base(sd)) {
 		t.Fatalf("StateDir base %q collides with the model namespace", filepath.Base(sd))

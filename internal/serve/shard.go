@@ -43,10 +43,6 @@ func (s *Server) initCoordinator() {
 	s.coord = coord
 }
 
-// Coordinator exposes the server's shard coordinator (nil when not in
-// coordinator mode) — tests and embedders.
-func (s *Server) Coordinator() *shard.Coordinator { return s.coord }
-
 // handleAuditShard implements POST /v1/models/{name}/audit/shard — the
 // worker half of the shard protocol. The body is a dataset chunk stream;
 // the response a gob shard result with shard-local row indices. The

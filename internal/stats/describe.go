@@ -29,9 +29,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Pearson returns the Pearson correlation coefficient of two equally long
 // series, or 0 when either series is constant. The evaluation harness uses
 // it to verify the paper's §6.1 claim that "the quality of correction is

@@ -162,16 +162,13 @@ func TestGaussianPDF(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Fatalf("Mean = %g", m)
 	}
 	if v := Variance(xs); v != 4 {
 		t.Fatalf("Variance = %g", v)
-	}
-	if s := StdDev(xs); s != 2 {
-		t.Fatalf("StdDev = %g", s)
 	}
 	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Fatalf("degenerate inputs")

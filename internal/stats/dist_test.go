@@ -38,7 +38,7 @@ func TestNormalSampling(t *testing.T) {
 	if m := Mean(xs); math.Abs(m-5) > 0.05 {
 		t.Fatalf("normal mean = %g, want ~5", m)
 	}
-	if s := StdDev(xs); math.Abs(s-2) > 0.05 {
+	if s := math.Sqrt(Variance(xs)); math.Abs(s-2) > 0.05 {
 		t.Fatalf("normal sd = %g, want ~2", s)
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Tests for the generator guards that calibrate the §6.1 operating regime
-// (see DESIGN.md §6): premise coverage, value/attribute load caps, region
-// concentration, and overlap consistency.
+// (see the guard fields of RuleGenParams): premise coverage, value/attribute
+// load caps, region concentration, and overlap consistency.
 
 func TestOverlapConsistent(t *testing.T) {
 	s := tdgSchema(t)
