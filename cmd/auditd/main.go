@@ -57,9 +57,11 @@
 //
 // Monitoring state — quality snapshots, lifecycle events, drift-detector
 // state and the re-induction reservoir — is crash-durable: it persists
-// atomically under -monitor-state (default <dir>/.state) on every sealed
-// window and on graceful shutdown, and is reloaded at the next boot, so
-// GET /v1/models/{name}/quality history survives restarts.
+// atomically under -monitor-state (default <dir>/.state) after sealed
+// windows, at most once a second per model (a crash loses at most the
+// last second's windows), and on graceful shutdown, which loses nothing;
+// it is reloaded at the next boot, so GET /v1/models/{name}/quality
+// history survives restarts.
 //
 // Observability (both on by default):
 //

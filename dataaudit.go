@@ -376,9 +376,11 @@ var (
 // reservoir of recently audited rows in a background worker (audits of
 // the drifting model are never blocked) and publishes the next version
 // through the registry's atomic path. With MonitorOptions.StateDir set
-// the whole lifecycle state is crash-durable: it persists atomically on
-// every sealed window and on Close, and is recovered — guarded against
-// deleted/recreated incarnations — at the next boot. GET
+// the whole lifecycle state is crash-durable: it persists atomically
+// after sealed windows, at most once a second per model (a crash loses at
+// most the last second's windows), and on Close, which loses nothing; it
+// is recovered — guarded against deleted/recreated incarnations — at the
+// next boot. GET
 // /v1/models/{name}/quality serves its state.
 type (
 	QualityMonitor  = monitor.Monitor

@@ -30,11 +30,14 @@
 // of being clobbered by it.
 //
 // With Options.StateDir set the lifecycle is also crash-durable
-// (persist.go): state commits atomically on every sealed window, every
-// re-induction outcome and on Close, and is recovered lazily at the next
-// boot — validated against the registry so a deleted incarnation's state
-// file is discarded rather than resurrected, and degrading to fresh
-// state (never failing the model) on corrupt files.
+// (persist.go): state commits atomically after sealed windows and
+// re-induction outcomes — at once for the first after a quiet second,
+// then at most once a second with the newest state, so a crash loses at
+// most the last second's windows — and on Close, which loses nothing.
+// It is recovered lazily at the next boot — validated against the
+// registry so a deleted incarnation's state file is discarded rather than
+// resurrected, and degrading to fresh state (never failing the model) on
+// corrupt files.
 //
 // Windows are counted in rows (not wall time) and the reservoir uses a
 // seeded deterministic PRNG, so the same sequence of observations always

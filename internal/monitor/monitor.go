@@ -71,11 +71,13 @@ type Options struct {
 	// StateDir, when non-empty, makes monitoring state crash-durable:
 	// snapshots, events, drift-detector state and the re-induction
 	// reservoir are serialized atomically (temp file + rename, versioned
-	// envelope) into this directory on every window close and on
-	// SaveAll/Close, and reloaded lazily at the next boot so quality
-	// history survives process restarts (see persist.go). Empty disables
-	// persistence. The serving layer defaults this to the registry's
-	// StateDir.
+	// envelope) into this directory after window closes — at once for the
+	// first seal after a quiet second, then at most once a second with the
+	// newest state, so a crash loses at most the last second's windows —
+	// and on SaveAll/Close, which lose nothing. The state is reloaded
+	// lazily at the next boot so quality history survives process
+	// restarts (see persist.go). Empty disables persistence. The serving
+	// layer defaults this to the registry's StateDir.
 	StateDir string
 	// Seed seeds the reservoir PRNG (default 1); fixed so the sample is a
 	// deterministic function of the observed rows. After a state reload
@@ -296,12 +298,18 @@ type Monitor struct {
 	mu     sync.Mutex
 	models map[string]*modelState
 
-	// wg tracks background work: re-induction workers and asynchronous
-	// state writes. Close/WaitReinductions rendezvous on it.
+	// wg tracks background work: re-induction workers and state
+	// flushers. Close/WaitReinductions rendezvous on it.
 	wg sync.WaitGroup
 
 	// disk is the crash-durability sink (nil: persistence disabled).
 	disk *persister
+	// interval spaces one model's state commits (commitInterval; tests
+	// shorten or lengthen it before the first observation).
+	interval time.Duration
+	// hurry counts callers draining the flushers (WaitReinductions,
+	// Close): while it is non-zero no flusher sleeps out an interval.
+	hurry atomic.Int32
 	// gens numbers modelState generations: every state entered into the
 	// map (fresh or loaded) takes the next value, so the persister can
 	// tell a dead generation's late write from a recreated name's fresh
@@ -316,7 +324,7 @@ const StateDisabled = "disabled"
 
 // New builds a Monitor over a registry.
 func New(reg *registry.Registry, opts Options) *Monitor {
-	m := &Monitor{reg: reg, opts: opts.WithDefaults(), models: make(map[string]*modelState)}
+	m := &Monitor{reg: reg, opts: opts.WithDefaults(), models: make(map[string]*modelState), interval: commitInterval}
 	if m.opts.StateDir != "" && m.opts.StateDir != StateDisabled {
 		m.disk = newPersister(m.opts.StateDir)
 	}
@@ -342,10 +350,15 @@ type modelState struct {
 	// re-induction worker is in flight for this model, further triggers
 	// are logged as skipped instead of spawning duplicate workers.
 	reinducing bool
-	// saveSeq orders persisted snapshots of this state: each marshal under
+	// saveSeq orders persisted snapshots of this state: each capture under
 	// st.mu takes the next sequence number, and the persister drops writes
 	// that would regress it (see persist.go).
 	saveSeq uint64
+	// dirty marks state changed since the flusher's last capture;
+	// flushing that a flusher goroutine is running for this state; wake
+	// cuts its pending interval short (see persist.go).
+	dirty, flushing bool
+	wake            chan struct{}
 
 	persistedState
 
@@ -412,11 +425,20 @@ type modelMetrics struct {
 	attrDev, attrSus, attrDrift []*obs.Counter
 	attrNulls, attrNullDrift    []*obs.Counter
 	attrNullRate                []*obs.Gauge
+	// State-file commit outcomes; nil when persistence is disabled.
+	writeOK, writeErr *obs.Counter
 }
 
-// buildMetricsLocked interns the metric children for the current
-// attribute set; st.mu must be held and a version tracked.
-func (st *modelState) buildMetricsLocked(mets *obs.AuditMetrics) {
+// metricsLocked returns the model's interned metric children, interning
+// them for the current attribute set on first use — lazily, so state
+// reloaded from disk (which never runs trackVersion) interns on its first
+// fold or commit after boot. Nil when metrics are disabled; st.mu must be
+// held and a version tracked.
+func (m *Monitor) metricsLocked(st *modelState) *modelMetrics {
+	mets := m.opts.Metrics
+	if st.met != nil || mets == nil {
+		return st.met
+	}
 	mm := &modelMetrics{
 		rows:          mets.RowsScored.With(st.Name),
 		suspicious:    mets.RowsSuspicious.With(st.Name),
@@ -443,7 +465,12 @@ func (st *modelState) buildMetricsLocked(mets *obs.AuditMetrics) {
 		mm.attrNullDrift[i] = mets.AttrNullDrift.With(st.Name, attr)
 		mm.attrNullRate[i] = mets.AttrNullRate.With(st.Name, attr)
 	}
+	if m.disk != nil {
+		mm.writeOK = mets.StateWrites.With(st.Name, obs.OutcomeOK)
+		mm.writeErr = mets.StateWrites.With(st.Name, obs.OutcomeError)
+	}
 	st.met = mm
+	return mm
 }
 
 // syncDriftGaugesLocked publishes the detector state into the drift
@@ -653,12 +680,7 @@ func (o *StreamObserver) Finish(res *audit.StreamResult) {
 // foldLocked accumulates one observation into the open window and seals
 // it when full; st.mu must be held.
 func (m *Monitor) foldLocked(st *modelState, rows, suspicious int64, tallies []audit.AttrTally) {
-	if st.met == nil && m.opts.Metrics != nil {
-		// Lazy so state reloaded from disk (which never runs trackVersion)
-		// interns its handles on the first fold after boot.
-		st.buildMetricsLocked(m.opts.Metrics)
-	}
-	mm := st.met
+	mm := m.metricsLocked(st)
 	st.WinRows += rows
 	st.WinSuspicious += suspicious
 	if mm != nil {
@@ -731,7 +753,8 @@ func (m *Monitor) sealLocked(st *modelState) {
 	}
 	// Every sealed window is a persistence commit point: whatever happens
 	// below (baseline adoption, drift events, a re-induction trigger)
-	// mutates st before saveLocked runs at the end of each return path.
+	// mutates st before saveLocked marks it dirty at the end of each
+	// return path.
 	defer m.saveLocked(st)
 
 	if st.Baseline == nil {
@@ -882,13 +905,14 @@ func (m *Monitor) Forget(name string) {
 	if st != nil {
 		st.mu.Lock()
 		st.dead = true
+		st.wakeLocked() // a pending flusher exits without writing
 		gen = st.gen
 		st.mu.Unlock()
 	}
 	if m.disk != nil {
-		// Exhausting the dead generation's sequence space blocks its
-		// in-flight writes; a recreated name gets a later generation and
-		// persists normally.
+		// Exhausting the dead generation's sequence space blocks a write
+		// its flusher already captured; a recreated name gets a later
+		// generation and persists normally.
 		m.disk.remove(name, gen)
 	}
 	if m.opts.Metrics != nil {

@@ -19,18 +19,30 @@ import (
 // model's monitoring state — snapshot history, lifecycle events, drift
 // detector state and the re-induction reservoir — is serialized into one
 // JSON envelope per model and committed atomically (temp file + rename)
-// at every persistence commit point: a sealed window, a re-induction
+// after every persistence commit point: a sealed window, a re-induction
 // outcome, and SaveAll/Close at graceful shutdown. At the next boot the
 // state is recovered lazily, on the model's first observation or quality
 // read, after validating that the persisted (version, createdAt) still
 // names a committed registry version — a state file left behind by a
 // deleted incarnation is discarded, never resurrected.
 //
-// Writes are asynchronous: the envelope is marshalled under st.mu (cheap,
-// pure memory) and handed to a goroutine, so the fold path never waits on
-// disk. Each marshal takes the state's next saveSeq; the persister drops
-// any write that would regress the sequence already on disk, so slow
-// writers cannot overwrite newer state with older state.
+// Commits are coalesced: a commit point only marks the state dirty, and
+// one flusher goroutine per dirty model does the writing — at once for
+// the first commit point after a quiet interval, then at most once per
+// commitInterval, always capturing the newest state. So a serving process
+// that seals a hundred windows a second writes each model's file once a
+// second, and a crash loses at most the windows sealed in the last
+// interval; WaitReinductions, Close and Forget cut a pending interval
+// short, and a graceful shutdown loses nothing. The fold path never
+// waits on disk: the flusher clones the state under st.mu (cheap, pure
+// memory) and encodes and writes it outside the lock. Each capture takes
+// the state's next saveSeq; the persister drops any write that would
+// regress the sequence already on disk, so a slow flusher cannot
+// overwrite SaveAll's newer state with older state.
+
+// commitInterval is the shortest spacing between two state commits of one
+// model by its flusher.
+const commitInterval = time.Second
 
 // stateFormat versions the envelope. Readers reject other formats and
 // fall back to fresh state — compatibility by degradation, never by
@@ -150,27 +162,122 @@ func (env *stateEnvelope) encode() ([]byte, error) {
 	return json.Marshal(env)
 }
 
-// saveLocked schedules an asynchronous persistence commit of the state;
-// st.mu must be held. A no-op when persistence is disabled or the state
-// is dead (its file was already removed by Forget).
+// saveLocked marks the state as changed since its last commit; st.mu
+// must be held. The model's flusher, started here when none is running,
+// commits it — at once, or at the end of the running flusher's interval.
+// A no-op when persistence is disabled or the state is dead (its file was
+// already removed by Forget).
 func (m *Monitor) saveLocked(st *modelState) {
 	if m.disk == nil || st.dead || st.Version == 0 {
 		return
 	}
-	env := st.envelopeLocked(m.opts.Now())
-	st.saveSeq++
-	gen, seq, name := st.gen, st.saveSeq, st.Name
+	st.dirty = true
+	if st.flushing {
+		return
+	}
+	st.flushing = true
+	if st.wake == nil {
+		st.wake = make(chan struct{}, 1)
+	}
+	// A wake-up left over from an earlier WaitReinductions must not cut
+	// the new flusher's first interval short.
+	select {
+	case <-st.wake:
+	default:
+	}
 	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		data, err := env.encode()
-		if err == nil {
-			err = m.disk.write(name, gen, seq, data)
+	go m.flush(st)
+}
+
+// flush is one model's flusher: while the state is dirty it commits the
+// newest state, then sleeps out an interval; it exits when an interval
+// passed with nothing new, or as soon as the state is dead.
+func (m *Monitor) flush(st *modelState) {
+	defer m.wg.Done()
+	for {
+		st.mu.Lock()
+		if st.dead || !st.dirty {
+			st.flushing = false
+			st.mu.Unlock()
+			return
 		}
+		st.dirty = false
+		w := m.captureLocked(st)
+		st.mu.Unlock()
+
+		if m.commit(w) != nil {
+			st.mu.Lock()
+			st.dirty = true // the next tick retries
+			if m.hurry.Load() > 0 {
+				// Draining: the drainer's SaveAll (Close) or the next seal's
+				// flusher retries, instead of spinning on a failing disk.
+				st.flushing = false
+				st.mu.Unlock()
+				return
+			}
+			st.mu.Unlock()
+		}
+		m.pause(st)
+	}
+}
+
+// pause sleeps out one commit interval, cut short by a drain
+// (WaitReinductions, Close) or by Forget.
+func (m *Monitor) pause(st *modelState) {
+	if m.hurry.Load() > 0 {
+		return
+	}
+	t := time.NewTimer(m.interval)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-st.wake:
+	}
+}
+
+// wakeLocked cuts a pending flusher interval short; st.mu must be held.
+func (st *modelState) wakeLocked() {
+	select {
+	case st.wake <- struct{}{}:
+	default:
+	}
+}
+
+// stateWrite is one captured commit: the envelope, its (gen, seq) mark
+// and the model's write counters.
+type stateWrite struct {
+	env      *stateEnvelope
+	name     string
+	gen, seq uint64
+	met      *modelMetrics
+}
+
+// captureLocked takes the state's next save sequence number and a
+// consistent copy of it; st.mu must be held.
+func (m *Monitor) captureLocked(st *modelState) stateWrite {
+	st.saveSeq++
+	return stateWrite{env: st.envelopeLocked(m.opts.Now()), name: st.Name,
+		gen: st.gen, seq: st.saveSeq, met: m.metricsLocked(st)}
+}
+
+// commit encodes and writes one captured state outside every monitor
+// lock, logging a failure and counting the outcome.
+func (m *Monitor) commit(w stateWrite) error {
+	data, err := w.env.encode()
+	if err == nil {
+		err = m.disk.write(w.name, w.gen, w.seq, data)
+	}
+	if err != nil {
+		m.opts.Logger.Printf("monitor: persisting state for %s: %v", w.name, err)
+	}
+	if mm := w.met; mm != nil {
 		if err != nil {
-			m.opts.Logger.Printf("monitor: persisting state for %s: %v", name, err)
+			mm.writeErr.Inc()
+		} else {
+			mm.writeOK.Inc()
 		}
-	}()
+	}
+	return err
 }
 
 // SaveAll synchronously persists every tracked model's state — the
@@ -180,45 +287,57 @@ func (m *Monitor) SaveAll() error {
 	if m.disk == nil {
 		return nil
 	}
-	m.mu.Lock()
-	states := make([]*modelState, 0, len(m.models))
-	for _, st := range m.models {
-		states = append(states, st)
-	}
-	m.mu.Unlock()
-
 	var firstErr error
-	for _, st := range states {
+	for _, st := range m.states() {
 		st.mu.Lock()
 		if st.dead || st.Version == 0 {
 			st.mu.Unlock()
 			continue
 		}
-		env := st.envelopeLocked(m.opts.Now())
-		st.saveSeq++
-		gen, seq, name := st.gen, st.saveSeq, st.Name
+		w := m.captureLocked(st)
 		st.mu.Unlock()
-
-		data, err := env.encode()
-		if err == nil {
-			err = m.disk.write(name, gen, seq, data)
-		}
-		if err != nil {
-			m.opts.Logger.Printf("monitor: persisting state for %s: %v", name, err)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("monitor: persisting state for %s: %w", name, err)
-			}
+		if err := m.commit(w); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("monitor: persisting state for %s: %w", w.name, err)
 		}
 	}
 	return firstErr
 }
 
-// Close waits for in-flight re-induction workers and pending asynchronous
-// writes, then persists every model's final state — the graceful-shutdown
-// hook. The caller is expected to have quiesced the observation sources
-// (e.g. drained the HTTP server) first.
-func (m *Monitor) Close() error {
+// WaitReinductions blocks until every in-flight background re-induction
+// worker and state flusher has finished — the rendezvous tests and
+// graceful shutdown use before inspecting or persisting final state. It
+// cuts every flusher's pending interval short, so dirty state is
+// committed at once rather than after the interval. It does not prevent
+// new work from starting; callers are expected to have quiesced the
+// observation sources first.
+func (m *Monitor) WaitReinductions() {
+	m.hurry.Add(1)
+	defer m.hurry.Add(-1)
+	for _, st := range m.states() {
+		st.mu.Lock()
+		st.wakeLocked()
+		st.mu.Unlock()
+	}
 	m.wg.Wait()
+}
+
+// states lists the tracked model states.
+func (m *Monitor) states() []*modelState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	states := make([]*modelState, 0, len(m.models))
+	for _, st := range m.models {
+		states = append(states, st)
+	}
+	return states
+}
+
+// Close waits for in-flight re-induction workers and flushes pending
+// state commits, then persists every model's final state — the
+// graceful-shutdown hook. The caller is expected to have quiesced the
+// observation sources (e.g. drained the HTTP server) first.
+func (m *Monitor) Close() error {
+	m.WaitReinductions()
 	return m.SaveAll()
 }
 

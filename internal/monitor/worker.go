@@ -152,10 +152,9 @@ func (m *Monitor) reinduce(st *modelState, job reinduceJob) {
 	// published with as its baseline; history (snapshots, events) carries
 	// across.
 	st.trackVersion(meta, next, &m.opts)
-	if mets := m.opts.Metrics; mets != nil {
-		// Re-intern immediately (trackVersion invalidated the handles) so
-		// the drift gauges clear now, not at the next fold.
-		st.buildMetricsLocked(mets)
+	// Re-intern immediately (trackVersion invalidated the handles) so the
+	// drift gauges clear now, not at the next fold.
+	if m.metricsLocked(st) != nil {
 		st.syncDriftGaugesLocked()
 	}
 	m.saveLocked(st)
@@ -227,10 +226,3 @@ func (m *Monitor) finishSuperseded(st *modelState, job reinduceJob, published in
 		NewVersion: published, Message: msg})
 	m.saveLocked(st)
 }
-
-// WaitReinductions blocks until every in-flight background re-induction
-// worker and pending asynchronous state write has finished — the
-// rendezvous tests and graceful shutdown use before inspecting or
-// persisting final state. It does not prevent new work from starting;
-// callers are expected to have quiesced the observation sources first.
-func (m *Monitor) WaitReinductions() { m.wg.Wait() }

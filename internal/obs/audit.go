@@ -16,6 +16,13 @@ const (
 	OutcomeSuperseded = "superseded"
 )
 
+// State-write outcome label values (the `outcome` label of
+// dataaudit_monitor_state_writes_total).
+const (
+	OutcomeOK    = "ok"
+	OutcomeError = "error"
+)
+
 // ReinduceBuckets are the re-induction duration bucket bounds in seconds:
 // re-inductions take milliseconds on toy reservoirs and whole minutes on
 // warehouse-scale ones.
@@ -65,6 +72,10 @@ type AuditMetrics struct {
 	// the background worker end-to-end (induction + profile + publish).
 	Reinductions    *CounterVec // labels: model, outcome
 	ReinduceSeconds *Histogram
+	// StateWrites counts commits of the monitor's crash-durable state
+	// file, by outcome (ok, error) — a failed write is otherwise only a
+	// log line.
+	StateWrites *CounterVec // labels: model, outcome
 }
 
 // NewAuditMetrics registers the scoring/lifecycle metric set.
@@ -105,6 +116,8 @@ func NewAuditMetrics(r *Registry) *AuditMetrics {
 		ReinduceSeconds: r.NewHistogram("dataaudit_reinduction_seconds",
 			"End-to-end background re-induction duration (induction + quality profile + publish).",
 			ReinduceBuckets()),
+		StateWrites: r.NewCounterVec("dataaudit_monitor_state_writes_total",
+			"Monitor state file commits by model and outcome: ok, error.", "model", "outcome"),
 	}
 }
 
@@ -112,7 +125,7 @@ func NewAuditMetrics(r *Registry) *AuditMetrics {
 // the model is deleted so a recreated name starts from zero instead of
 // inheriting the dead incarnation's counters.
 func (m *AuditMetrics) ForgetModel(name string) {
-	for _, v := range []*CounterVec{m.RowsScored, m.RowsSuspicious, m.AttrDeviations, m.AttrSuspicious, m.AttrDrift, m.AttrNulls, m.AttrNullDrift, m.WindowsSealed, m.Reinductions} {
+	for _, v := range []*CounterVec{m.RowsScored, m.RowsSuspicious, m.AttrDeviations, m.AttrSuspicious, m.AttrDrift, m.AttrNulls, m.AttrNullDrift, m.WindowsSealed, m.Reinductions, m.StateWrites} {
 		v.DeleteByLabel("model", name)
 	}
 	for _, v := range []*GaugeVec{m.WindowSuspiciousRate, m.BaselineSuspiciousRate, m.DriftDelta, m.DriftPageHinkley, m.DriftActive, m.ReservoirRows, m.AttrNullRate} {

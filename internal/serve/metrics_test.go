@@ -74,6 +74,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dataaudit_drift_page_hinkley",
 		"dataaudit_drift_active",
 		"dataaudit_reservoir_rows",
+		"dataaudit_monitor_state_writes_total",
 		// dataaudit_reinductions_total is absent here by design: a vec
 		// family with no children exports nothing, and no re-induction
 		// outcome has happened yet (the monitor E2E covers that path).

@@ -101,6 +101,8 @@ require 'dataaudit_attr_nulls_total{model="e2e",attr="GBM"}'
 require 'dataaudit_attr_null_rate{model="e2e",attr="GBM"}'
 require 'dataaudit_attr_null_drift_total{model="e2e",attr="GBM"} 1'
 require 'dataaudit_reservoir_rows{model="e2e"}'
+# Persistence: the sealed windows reached the state file.
+require 'dataaudit_monitor_state_writes_total{model="e2e",outcome="ok"}'
 # The closed loop: drift produced exactly one successful re-induction.
 require 'dataaudit_reinductions_total{model="e2e",outcome="reinduced"} 1'
 require 'dataaudit_reinduction_seconds_count 1'

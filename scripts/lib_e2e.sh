@@ -19,6 +19,11 @@ e2e_cleanup() {
     for pid in ${E2E_PIDS[@]+"${E2E_PIDS[@]}"}; do
         kill "$pid" 2>/dev/null || true
     done
+    # A killed auditd drains and writes its final monitor state on the
+    # way out; removing the scratch tree under it races those writes.
+    for pid in ${E2E_PIDS[@]+"${E2E_PIDS[@]}"}; do
+        wait "$pid" 2>/dev/null || true
+    done
     rm -rf "$E2E_WORK"
 }
 trap e2e_cleanup EXIT
