@@ -52,7 +52,8 @@
 //	curl -H 'Content-Type: text/csv' --data-binary @tonight.csv \
 //	     localhost:8080/v1/models/engines/audit
 //
-// Tune the fan-out with -shards, -shard-chunk and -shard-retries;
+// Tune the fan-out with -shards (shards ship in 4096-row wire chunks and
+// each is re-dispatched up to twice after a failure);
 // GET /v1/shard/workers reports the active configuration.
 //
 // Monitoring state — quality snapshots, lifecycle events, drift-detector
@@ -106,13 +107,9 @@ func main() {
 		maxBody  = flag.Int64("max-body-mb", 64, "request body limit in MiB (buffered endpoints; the streaming endpoint is bounded by -max-batch-rows instead)")
 		maxRows  = flag.Int("max-batch-rows", 1_000_000, "row limit per audit request")
 		drainFor = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
-		chunk    = flag.Int("stream-chunk", 1024, "default scoring-chunk size of the streaming audit endpoint")
-		topK     = flag.Int("stream-top", 1000, "default ranking depth of the streaming audit summary")
 
-		coordinator  = flag.String("coordinator", "", "comma-separated worker base URLs; non-empty enables coordinator mode (buffered audits are sharded across these auditd processes)")
-		shards       = flag.Int("shards", 0, "shards per audit in coordinator mode (0 = one per worker)")
-		shardChunk   = flag.Int("shard-chunk", 0, "rows per wire chunk when shipping shards (0 = default)")
-		shardRetries = flag.Int("shard-retries", 2, "re-dispatch attempts per shard after the first failure")
+		coordinator = flag.String("coordinator", "", "comma-separated worker base URLs; non-empty enables coordinator mode (buffered audits are sharded across these auditd processes)")
+		shards      = flag.Int("shards", 0, "shards per audit in coordinator mode (0 = one per worker)")
 
 		metrics   = flag.Bool("metrics", true, "serve Prometheus metrics at GET /metrics and instrument every route with request/latency series")
 		dashboard = flag.Bool("dashboard", true, "serve the embedded quality dashboard (control charts over monitoring windows) at GET /dashboard")
@@ -135,6 +132,28 @@ func main() {
 	default:
 		logger.Fatalf("-reinduce-mode %q: want incremental or full", *reMode)
 	}
+	// The libraries read zero or negative as "use the default"; on the
+	// command line such a value is a typo, so refuse to boot on it.
+	if *workers < 0 {
+		logger.Fatalf("-workers %d: want 0 (NumCPU) or more", *workers)
+	}
+	for _, f := range []struct {
+		name string
+		val  float64
+	}{
+		{"cache", float64(*cache)},
+		{"max-body-mb", float64(*maxBody)},
+		{"max-batch-rows", float64(*maxRows)},
+		{"monitor-window", float64(*monWindow)},
+		{"reservoir-rows", float64(*reservoir)},
+		{"drift-delta", *driftDelta},
+		{"null-delta", *nullDelta},
+		{"drift-ph-lambda", *phLambda},
+	} {
+		if !(f.val > 0) { // NaN too
+			logger.Fatalf("-%s %v: want a positive value", f.name, f.val)
+		}
+	}
 
 	reg, err := registry.Open(*dir, registry.WithCacheSize(*cache))
 	if err != nil {
@@ -146,8 +165,6 @@ func main() {
 		serve.WithLogger(logger),
 		serve.WithMaxBodyBytes(*maxBody<<20),
 		serve.WithMaxBatchRows(*maxRows),
-		serve.WithStreamChunkSize(*chunk),
-		serve.WithStreamTopK(*topK),
 		serve.WithMetrics(*metrics),
 		serve.WithDashboard(*dashboard),
 		serve.WithMonitorOptions(monitor.Options{
@@ -167,10 +184,8 @@ func main() {
 	}
 	if *coordinator != "" {
 		shardOpts := shard.Options{
-			Workers:   strings.Split(*coordinator, ","),
-			Shards:    *shards,
-			ChunkRows: *shardChunk,
-			Retries:   *shardRetries,
+			Workers: strings.Split(*coordinator, ","),
+			Shards:  *shards,
 		}
 		// Validate up front: serve.New has no error path, so a bad worker
 		// set should kill the boot here, not silently disable coordination.

@@ -49,8 +49,6 @@ func main() {
 		workers = flag.String("workers", "", "comma-separated worker base URLs (required unless -local)")
 		local   = flag.Bool("local", false, "score in-process instead of sharding — the single-node oracle")
 		shards  = flag.Int("shards", 0, "shard count (0 = one per worker)")
-		chunk   = flag.Int("chunk", 0, "rows per wire chunk (0 = default)")
-		retries = flag.Int("retries", 2, "re-dispatch attempts per shard after the first failure")
 		timeout = flag.Duration("timeout", 10*time.Minute, "overall audit deadline")
 		out     = flag.String("out", "", "write the merged result as gob (wall time zeroed) for byte-level diffing")
 		top     = flag.Int("top", 10, "number of top-ranked suspicious records to print")
@@ -104,11 +102,9 @@ func main() {
 		res = model.AuditTable(tab)
 	} else {
 		coord, err := shard.New(shard.Options{
-			Workers:   strings.Split(*workers, ","),
-			Shards:    *shards,
-			ChunkRows: *chunk,
-			Retries:   *retries,
-			Logger:    logger,
+			Workers: strings.Split(*workers, ","),
+			Shards:  *shards,
+			Logger:  logger,
 		})
 		if err != nil {
 			logger.Fatal(err)

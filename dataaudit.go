@@ -352,10 +352,6 @@ var (
 	ServerMaxBodyBytes = serve.WithMaxBodyBytes
 	ServerMaxBatchRows = serve.WithMaxBatchRows
 	ServerLogger       = serve.WithLogger
-	// ServerStreamChunkSize / ServerStreamTopK tune the NDJSON streaming
-	// audit endpoint (POST /v1/models/{name}/audit/stream).
-	ServerStreamChunkSize = serve.WithStreamChunkSize
-	ServerStreamTopK      = serve.WithStreamTopK
 	// ServerMonitorOptions configures the quality monitor the audit routes
 	// feed (window size, drift thresholds, opt-in auto re-induction).
 	ServerMonitorOptions = serve.WithMonitorOptions

@@ -51,17 +51,12 @@ type Options struct {
 	ConfLevel float64
 	// Filter selects the rule-deletion mode (default FilterPaper).
 	Filter FilterMode
-	// MinLeaf is C4.5's minimum branch weight (default 2).
-	MinLeaf float64
 }
 
 // WithDefaults fills unset fields.
 func (o Options) WithDefaults() Options {
 	if o.ConfLevel == 0 {
 		o.ConfLevel = 0.95
-	}
-	if o.MinLeaf == 0 {
-		o.MinLeaf = 2
 	}
 	return o
 }
@@ -92,7 +87,6 @@ func (t *Trainer) inner() *c45.Trainer {
 	minInst := stats.MinInstForConfidence(opts.MinConfidence, opts.ConfLevel)
 	return &c45.Trainer{Opts: c45.Options{
 		UseGainRatio:    true,
-		MinLeaf:         opts.MinLeaf,
 		MinInst:         float64(minInst),
 		ExpErrConfPrune: true,
 		MinErrConf:      opts.MinConfidence,

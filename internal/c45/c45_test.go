@@ -394,17 +394,16 @@ func TestTreeMetricsAndRender(t *testing.T) {
 
 func TestPessimisticErrorMonotoneInN(t *testing.T) {
 	// Same observed error rate, more data -> smaller pessimistic error.
-	opts := Options{}.WithDefaults()
 	small := mlcore.NewDistribution(2)
 	small.Add(0, 9)
 	small.Add(1, 1)
 	big := mlcore.NewDistribution(2)
 	big.Add(0, 900)
 	big.Add(1, 100)
-	if pessErrorLeaf(small, opts) <= pessErrorLeaf(big, opts) {
+	if pessErrorLeaf(small) <= pessErrorLeaf(big) {
 		t.Fatalf("pessimistic error must shrink with sample size")
 	}
-	if pe := pessErrorLeaf(big, opts); pe <= 0.1 {
+	if pe := pessErrorLeaf(big); pe <= 0.1 {
 		t.Fatalf("pessimistic error must exceed the observed rate, got %g", pe)
 	}
 }

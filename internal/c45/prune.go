@@ -20,25 +20,25 @@ import (
 
 // pessErrorLeaf is the paper's pessError for a leaf:
 // rightBound(1 - |S_C=c|/|S|, |S|) with c the majority class.
-func pessErrorLeaf(d mlcore.Distribution, opts Options) float64 {
+func pessErrorLeaf(d mlcore.Distribution) float64 {
 	if d.N() <= 0 {
 		return 1
 	}
 	_, pMaj := d.Best()
-	return stats.RightBound(1-pMaj, d.N(), 1-opts.CF)
+	return stats.RightBound(1-pMaj, d.N(), 1-cf)
 }
 
 // pessErrorNode is the weighted average over the children for inner nodes.
-func pessErrorNode(n *Node, opts Options) float64 {
+func pessErrorNode(n *Node) float64 {
 	if n.IsLeaf() {
-		return pessErrorLeaf(n.Dist, opts)
+		return pessErrorLeaf(n.Dist)
 	}
 	if n.Dist.N() <= 0 {
 		return 1
 	}
 	sum := 0.0
 	for _, ch := range n.Children {
-		sum += ch.Dist.N() / n.Dist.N() * pessErrorNode(ch, opts)
+		sum += ch.Dist.N() / n.Dist.N() * pessErrorNode(ch)
 	}
 	return sum
 }
@@ -46,14 +46,14 @@ func pessErrorNode(n *Node, opts Options) float64 {
 // prunePessimistic performs bottom-up subtree replacement: a subtree
 // becomes a leaf when the leaf's pessimistic error does not exceed the
 // subtree's.
-func prunePessimistic(n *Node, opts Options) {
+func prunePessimistic(n *Node) {
 	if n.IsLeaf() {
 		return
 	}
 	for _, ch := range n.Children {
-		prunePessimistic(ch, opts)
+		prunePessimistic(ch)
 	}
-	if pessErrorLeaf(n.Dist, opts) <= pessErrorNode(n, opts)+1e-12 {
+	if pessErrorLeaf(n.Dist) <= pessErrorNode(n)+1e-12 {
 		n.Attr = -1
 		n.IsNumeric = false
 		n.Thresh = 0

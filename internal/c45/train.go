@@ -14,15 +14,9 @@ type Options struct {
 	// UseGainRatio selects C4.5's gain-ratio criterion; false falls back to
 	// plain ID3 information gain (§5.1.1 vs §5.1.2).
 	UseGainRatio bool
-	// MinLeaf is the minimum weighted instance count each of (at least two)
-	// branches of a split must receive; C4.5's default is 2.
-	MinLeaf float64
-	// Prune enables pessimistic-error subtree replacement after growth.
+	// Prune enables pessimistic-error subtree replacement after growth,
+	// at C4.5's confidence factor 0.25.
 	Prune bool
-	// CF is the pruning confidence factor (C4.5 default 0.25): the
-	// pessimistic error is the upper bound of the (1-CF) one-sided
-	// confidence interval of the leaf error rate.
-	CF float64
 
 	// ---- §5.4 data-auditing adjustments ----
 
@@ -48,14 +42,19 @@ type Options struct {
 	ConfLevel float64
 }
 
+// C4.5's standard values, which the paper's tool runs unchanged.
+const (
+	// minLeaf is the minimum weighted instance count each of (at least
+	// two) branches of a split must receive.
+	minLeaf = 2
+	// cf is the pruning confidence factor: the pessimistic error is the
+	// upper bound of the (1-cf) one-sided confidence interval of the leaf
+	// error rate.
+	cf = 0.25
+)
+
 // WithDefaults fills unset fields with C4.5's standard values.
 func (o Options) WithDefaults() Options {
-	if o.MinLeaf == 0 {
-		o.MinLeaf = 2
-	}
-	if o.CF == 0 {
-		o.CF = 0.25
-	}
 	if o.ConfLevel == 0 {
 		o.ConfLevel = 0.95
 	}
@@ -114,7 +113,7 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 	root := g.grow(rows, weights, len(ins.Base), prev)
 	tree := &Tree{Root: root, K: ins.K, Base: ins.Base}
 	if opts.Prune {
-		prunePessimistic(root, opts)
+		prunePessimistic(root)
 	}
 	return tree, nil
 }
@@ -146,7 +145,7 @@ func (g *grower) grow(rows []int, weights []float64, attrsLeft int, hint *Skelet
 	leaf := &Node{Attr: -1, Dist: dist}
 
 	// Stop: pure node, too small, or no attributes left.
-	if attrsLeft == 0 || dist.N() < 2*g.opts.MinLeaf || isPure(dist) {
+	if attrsLeft == 0 || dist.N() < 2*minLeaf || isPure(dist) {
 		return leaf
 	}
 	// A leaf hint means the previous tree stopped here: keep the leaf
@@ -326,10 +325,10 @@ func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
 	if knownW <= 0 {
 		return nil
 	}
-	// At least two branches must carry MinLeaf weight.
+	// At least two branches must carry minLeaf weight.
 	populated := 0
 	for _, sz := range branchSizes {
-		if sz >= g.opts.MinLeaf {
+		if sz >= minLeaf {
 			populated++
 		}
 	}
@@ -390,7 +389,7 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
 		if known[i].v == known[i+1].v {
 			continue // threshold must separate distinct values
 		}
-		if leftW < g.opts.MinLeaf || knownW-leftW < g.opts.MinLeaf {
+		if leftW < minLeaf || knownW-leftW < minLeaf {
 			continue
 		}
 		gain := stats.InfoGain(parent, [][]float64{left, right})

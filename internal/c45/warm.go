@@ -117,7 +117,7 @@ func (g *grower) numericSplitAt(attr int, thresh float64, rows []int, weights []
 			rightW += w
 		}
 	}
-	if leftW < g.opts.MinLeaf || rightW < g.opts.MinLeaf {
+	if leftW < minLeaf || rightW < minLeaf {
 		return nil
 	}
 	knownW := leftW + rightW

@@ -33,8 +33,6 @@ type Options struct {
 	// Key lists the blocking-key attributes for near-duplicate
 	// detection. Nil discovers a key from the data (DiscoverKey).
 	Key []int
-	// MaxKeyAttrs caps the discovered key size (default 3).
-	MaxKeyAttrs int
 	// Threshold is the minimal mean per-attribute similarity for two
 	// blocked rows to count as near duplicates (default 0.85). With an
 	// 8-attribute schema a single flipped nominal still scores 0.875,
@@ -45,25 +43,17 @@ type Options struct {
 	// comparison (default 512); Result.BlocksCapped counts the blocks
 	// the cap truncated, so oversized blocks never fail silently.
 	MaxBlock int
-	// SampleRows caps the rows used for key discovery (default 5000).
-	SampleRows int
 	// Assoc forwards mining options to DiscoverKey.
 	Assoc AssocOptions
 }
 
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
-	if o.MaxKeyAttrs <= 0 {
-		o.MaxKeyAttrs = 3
-	}
 	if o.Threshold == 0 {
 		o.Threshold = 0.85
 	}
 	if o.MaxBlock <= 0 {
 		o.MaxBlock = 512
-	}
-	if o.SampleRows <= 0 {
-		o.SampleRows = 5000
 	}
 	return o
 }

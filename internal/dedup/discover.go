@@ -20,7 +20,7 @@ import (
 //  2. Among the rest, higher selectivity (more distinct values per row)
 //     identifies better, so candidates are ranked by distinct ratio.
 //
-// The discovery runs on a bounded sample (Options.SampleRows): rule
+// The discovery runs on a bounded sample (5000 rows): rule
 // confidence and distinct ratios are both stable under sampling at the
 // scales involved, and Apriori's counting pass is quadratic-ish in the
 // frequent sets.
@@ -29,15 +29,22 @@ import (
 // without importing the mining package.
 type AssocOptions = assoc.Options
 
-// DiscoverKey picks up to MaxKeyAttrs blocking-key attributes from the
+// Key discovery bounds.
+const (
+	// maxKeyAttrs caps the discovered key size.
+	maxKeyAttrs = 3
+	// sampleRows caps the rows used for key discovery.
+	sampleRows = 5000
+)
+
+// DiscoverKey picks up to three blocking-key attributes from the
 // accumulated rows, excluding attributes determined by high-confidence
 // association rules and ranking the rest by selectivity.
 func (d *Detector) DiscoverKey(opts Options) ([]int, error) {
-	opts = opts.withDefaults()
 	if d.rows == 0 {
 		return nil, fmt.Errorf("dedup: cannot discover a key on an empty detector")
 	}
-	sample := d.sampleTable(opts.SampleRows)
+	sample := d.sampleTable(sampleRows)
 
 	determined := make(map[int]bool)
 	model, err := assoc.Mine(sample, opts.Assoc)
@@ -77,8 +84,8 @@ func (d *Detector) DiscoverKey(opts Options) ([]int, error) {
 		// back to pure selectivity over all attributes.
 		cands = rank(false)
 	}
-	if len(cands) > opts.MaxKeyAttrs {
-		cands = cands[:opts.MaxKeyAttrs]
+	if len(cands) > maxKeyAttrs {
+		cands = cands[:maxKeyAttrs]
 	}
 	key := make([]int, len(cands))
 	for i, c := range cands {

@@ -58,8 +58,8 @@ type attrDetector struct {
 // statistics of all detectors of a model stay comparable.
 func (d *attrDetector) observe(rate, baseline float64, warm bool, o *Options) (fired string) {
 	// The PH parameters are injected here rather than trusted from a
-	// persisted state, so a restart under new options picks them up.
-	d.PH.Delta, d.PH.Lambda = o.PHDelta, o.PHLambda
+	// persisted state, so a restart under a new PHLambda picks it up.
+	d.PH.Delta, d.PH.Lambda = phDelta, o.PHLambda
 	d.LastDelta = rate - baseline
 	phTrip := d.PH.observe(rate)
 	if d.Drifted || !warm {

@@ -36,7 +36,7 @@ func parentState(t testing.TB) (dir string, data []byte) {
 // parentOptions are the options the parent-written state was produced and
 // reloaded under.
 func parentOptions(dir string) Options {
-	return withClock(Options{WindowRows: 500, MinWindows: 1, ReservoirRows: 64, Seed: 7, StateDir: dir,
+	return withClock(Options{WindowRows: 500, MinWindows: 1, ReservoirRows: 64, seed: 7, StateDir: dir,
 		Logger: log.New(io.Discard, "", 0)})
 }
 

@@ -21,22 +21,17 @@ type Options struct {
 	// counted in rows, not wall time, so snapshot history is a
 	// deterministic function of the observation sequence.
 	WindowRows int64
-	// MaxSnapshots bounds the retained snapshot history per model
-	// (default 128; oldest dropped first).
-	MaxSnapshots int
-	// MaxEvents bounds the retained lifecycle events per model
-	// (default 256; oldest dropped first).
-	MaxEvents int
 	// DriftDelta is the threshold detector: drift fires when a sealed
 	// window's suspicious rate exceeds the baseline rate by more than this.
 	// Zero or negative selects the default 0.10 (as everywhere in this
 	// struct — there is no "fire on any excess" zero setting; use a tiny
 	// positive delta for that).
 	DriftDelta float64
-	// PHDelta and PHLambda parameterize the Page-Hinkley cumulative test
-	// over the window suspicious-rate series (defaults 0.005 and 0.25;
-	// zero or negative selects the default).
-	PHDelta, PHLambda float64
+	// PHLambda is the alarm threshold of the Page-Hinkley cumulative test
+	// over the window suspicious-rate series (default 0.25; zero or
+	// negative selects the default). The test's per-window drift
+	// allowance δ is fixed at 0.005.
+	PHLambda float64
 	// NullDelta is the completeness detector: an attribute drifts when a
 	// sealed window's null rate exceeds the attribute's baseline null
 	// rate by more than this (default 0.05). Completeness drift is
@@ -79,15 +74,6 @@ type Options struct {
 	// restarts (see persist.go). Empty disables persistence. The serving
 	// layer defaults this to the registry's StateDir.
 	StateDir string
-	// Seed seeds the reservoir PRNG (default 1); fixed so the sample is a
-	// deterministic function of the observed rows. After a state reload
-	// the PRNG restarts from the seed — sampled rows and the seen count
-	// survive a restart exactly, while the sampling stream itself is only
-	// deterministic between restarts.
-	Seed int64
-	// Now is the clock used for snapshot/event timestamps (default
-	// time.Now; injectable for byte-identical histories in tests).
-	Now func() time.Time
 	// Logger receives lifecycle messages (default log.Default()).
 	Logger *log.Logger
 	// Metrics, when set, receives scoring and lifecycle instrumentation:
@@ -103,24 +89,36 @@ type Options struct {
 	// before induction begins — test instrumentation for simulating slow
 	// re-inductions. It runs outside every monitor lock.
 	hookReinduceStart func(name string, version int)
+	// seed seeds the reservoir PRNG (default 1); fixed so the sample is a
+	// deterministic function of the observed rows. After a state reload
+	// the PRNG restarts from the seed — sampled rows and the seen count
+	// survive a restart exactly, while the sampling stream itself is only
+	// deterministic between restarts.
+	seed int64
+	// now is the clock used for snapshot/event timestamps (default
+	// time.Now; tests inject one for byte-identical histories).
+	now func() time.Time
 }
+
+// History caps and the Page-Hinkley drift allowance.
+const (
+	// maxSnapshots bounds the retained snapshot history per model (oldest
+	// dropped first).
+	maxSnapshots = 128
+	// maxEvents bounds the retained lifecycle events per model (oldest
+	// dropped first).
+	maxEvents = 256
+	// phDelta is the Page-Hinkley test's tolerated drift per window.
+	phDelta = 0.005
+)
 
 // WithDefaults fills unset fields.
 func (o Options) WithDefaults() Options {
 	if o.WindowRows <= 0 {
 		o.WindowRows = 1024
 	}
-	if o.MaxSnapshots <= 0 {
-		o.MaxSnapshots = 128
-	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 256
-	}
 	if o.DriftDelta <= 0 {
 		o.DriftDelta = 0.10
-	}
-	if o.PHDelta <= 0 {
-		o.PHDelta = 0.005
 	}
 	if o.PHLambda <= 0 {
 		o.PHLambda = 0.25
@@ -137,14 +135,14 @@ func (o Options) WithDefaults() Options {
 	if o.MinReinduceRows <= 0 {
 		o.MinReinduceRows = 128
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	if o.seed == 0 {
+		o.seed = 1
 	}
 	if o.ReinduceMode == "" {
 		o.ReinduceMode = string(audit.ReinduceIncremental)
 	}
-	if o.Now == nil {
-		o.Now = time.Now
+	if o.now == nil {
+		o.now = time.Now
 	}
 	if o.Logger == nil {
 		o.Logger = log.Default()
@@ -602,7 +600,7 @@ func (st *modelState) trackVersion(meta registry.Meta, model *audit.Model, opts 
 	st.WindowsSinceBaseline = 0
 	st.attrDetector = attrDetector{}
 	if st.rng == nil {
-		st.reservoir = newReservoir(model.Schema, opts.ReservoirRows, opts.Seed)
+		st.reservoir = newReservoir(model.Schema, opts.ReservoirRows, opts.seed)
 	} else {
 		st.reservoir.reset(model.Schema)
 	}
@@ -720,7 +718,7 @@ func (m *Monitor) sealLocked(st *modelState) {
 		Version:    st.Version,
 		Rows:       st.WinRows,
 		Suspicious: st.WinSuspicious,
-		At:         m.opts.Now(),
+		At:         m.opts.now(),
 		Attrs:      make([]AttrWindow, len(st.WinAttrs)),
 	}
 	if snap.Rows > 0 {
@@ -738,8 +736,8 @@ func (m *Monitor) sealLocked(st *modelState) {
 		*t = audit.AttrTally{Attr: t.Attr}
 	}
 	st.Snapshots = append(st.Snapshots, snap)
-	if len(st.Snapshots) > m.opts.MaxSnapshots {
-		st.Snapshots = st.Snapshots[len(st.Snapshots)-m.opts.MaxSnapshots:]
+	if len(st.Snapshots) > maxSnapshots {
+		st.Snapshots = st.Snapshots[len(st.Snapshots)-maxSnapshots:]
 	}
 	st.Windows++
 	st.WindowsSinceBaseline++
@@ -881,11 +879,11 @@ func baselineFromSnapshot(snap *Snapshot, schema *dataset.Schema) *audit.Quality
 // event appends to the bounded lifecycle log; st.mu must be held.
 func (m *Monitor) event(st *modelState, e Event) {
 	if e.At.IsZero() {
-		e.At = m.opts.Now()
+		e.At = m.opts.now()
 	}
 	st.Events = append(st.Events, e)
-	if len(st.Events) > m.opts.MaxEvents {
-		st.Events = st.Events[len(st.Events)-m.opts.MaxEvents:]
+	if len(st.Events) > maxEvents {
+		st.Events = st.Events[len(st.Events)-maxEvents:]
 	}
 }
 

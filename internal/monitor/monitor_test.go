@@ -95,7 +95,7 @@ func stateJSON(t *testing.T, m *Monitor, name string) []byte {
 func TestFoldDeterminism(t *testing.T) {
 	model, clean, dirty := fixture(t, 3000)
 	meta := metaFor(model, clean)
-	opts := Options{WindowRows: 700, Now: nil, Seed: 7}
+	opts := Options{WindowRows: 700, seed: 7}
 
 	// Observation sequence: clean, dirty, clean — three requests.
 	parts := []*dataset.Table{clean, dirty, clean}
@@ -140,7 +140,7 @@ func TestFoldDeterminism(t *testing.T) {
 
 // withClock attaches a fresh deterministic clock to a copy of opts.
 func withClock(o Options) Options {
-	o.Now = fixedClock()
+	o.now = fixedClock()
 	return o
 }
 

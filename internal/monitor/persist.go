@@ -256,7 +256,7 @@ type stateWrite struct {
 // consistent copy of it; st.mu must be held.
 func (m *Monitor) captureLocked(st *modelState) stateWrite {
 	st.saveSeq++
-	return stateWrite{env: st.envelopeLocked(m.opts.Now()), name: st.Name,
+	return stateWrite{env: st.envelopeLocked(m.opts.now()), name: st.Name,
 		gen: st.gen, seq: st.saveSeq, met: m.metricsLocked(st)}
 }
 
@@ -407,7 +407,7 @@ func (m *Monitor) loadState(name string) *modelState {
 	}
 
 	st := &modelState{persistedState: env.persistedState}
-	st.reservoir = newReservoir(schema, m.opts.ReservoirRows, m.opts.Seed)
+	st.reservoir = newReservoir(schema, m.opts.ReservoirRows, m.opts.seed)
 	st.adopt(rvTab, env.Seen)
 	return st
 }

@@ -81,8 +81,8 @@ func (m *Monitor) triggerReinduceLocked(st *modelState, window int, attrs []int)
 // during the expensive stages.
 func (m *Monitor) reinduce(st *modelState, job reinduceJob) {
 	defer m.wg.Done()
-	start := m.opts.Now()
-	elapsed := func() float64 { return m.opts.Now().Sub(start).Seconds() }
+	start := m.opts.now()
+	elapsed := func() float64 { return m.opts.now().Sub(start).Seconds() }
 	if h := m.opts.hookReinduceStart; h != nil {
 		h(job.name, job.version)
 	}

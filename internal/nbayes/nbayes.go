@@ -15,16 +15,11 @@ import (
 	"dataaudit/internal/stats"
 )
 
-// Options configure training.
-type Options struct {
-	// Laplace is the additive smoothing constant (default 1).
-	Laplace float64
-}
+// laplace is the additive smoothing constant of the nominal estimates.
+const laplace = 1
 
 // Trainer induces naive Bayes models.
-type Trainer struct {
-	Opts Options
-}
+type Trainer struct{}
 
 var _ mlcore.Trainer = (*Trainer)(nil)
 
@@ -80,20 +75,17 @@ var _ mlcore.IncrementalClassifier = (*Model)(nil)
 
 // Train implements mlcore.Trainer.
 func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
-	laplace := t.Opts.Laplace
-	if laplace == 0 {
-		laplace = 1
-	}
 	return train(ins, laplace)
 }
 
-// train builds the model with a resolved smoothing constant.
-func train(ins *mlcore.Instances, laplace float64) (mlcore.Classifier, error) {
+// train builds the model with the given smoothing constant: laplace for a
+// fresh model, the frozen Model.Laplace when Update rebuilds one.
+func train(ins *mlcore.Instances, smoothing float64) (mlcore.Classifier, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
 	schema := ins.Table.Schema()
-	m := &Model{K: ins.K, Laplace: laplace, ClassW: make([]float64, ins.K)}
+	m := &Model{K: ins.K, Laplace: smoothing, ClassW: make([]float64, ins.K)}
 
 	for i, r := range ins.Rows {
 		if c := ins.Class[r]; c >= 0 {

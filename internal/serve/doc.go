@@ -34,8 +34,9 @@
 // writes suspicious records back as NDJSON lines while the upload is
 // still being read (full-duplex HTTP). Server memory stays
 // O(chunk × workers + top-K) regardless of upload size, so it is exempt
-// from the body byte cap; WithMaxBatchRows still bounds the row count and
-// WithStreamChunkSize / WithStreamTopK tune the defaults. Failures before
+// from the body byte cap; WithMaxBatchRows still bounds the row count,
+// and a request tunes its chunk size (default 1024) and ranking depth
+// (default 1000) with ?chunk= and ?top=. Failures before
 // the first row are ordinary 4xx JSON responses; once the 200 stream has
 // begun, failures arrive as a terminal {"error": ...} line.
 //

@@ -25,17 +25,15 @@ import (
 
 // Server is the auditd HTTP service.
 type Server struct {
-	reg         *registry.Registry
-	mux         *http.ServeMux
-	started     time.Time
-	logger      *log.Logger
-	maxBody     int64
-	workers     int
-	maxBatch    int
-	streamChunk int
-	streamTopK  int
-	monOpts     monitor.Options
-	mon         *monitor.Monitor
+	reg      *registry.Registry
+	mux      *http.ServeMux
+	started  time.Time
+	logger   *log.Logger
+	maxBody  int64
+	workers  int
+	maxBatch int
+	monOpts  monitor.Options
+	mon      *monitor.Monitor
 
 	// Observability. obsReg is the Prometheus-exposition registry behind
 	// GET /metrics; metrics the scoring/lifecycle set shared with the
@@ -85,28 +83,6 @@ func WithMaxBatchRows(n int) Option {
 	}
 }
 
-// WithStreamChunkSize sets the default scoring-chunk size of the
-// streaming audit endpoint (default 1024; clients can override per
-// request with ?chunk=, capped at 65536).
-func WithStreamChunkSize(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.streamChunk = n
-		}
-	}
-}
-
-// WithStreamTopK sets the default ranking depth of the streaming audit
-// endpoint's summary (default 1000; clients override per request with
-// ?top=, capped at 10000 — the server never ranks unboundedly).
-func WithStreamTopK(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.streamTopK = n
-		}
-	}
-}
-
 // WithLogger sets the request logger (default log.Default()).
 func WithLogger(l *log.Logger) Option {
 	return func(s *Server) {
@@ -151,8 +127,6 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 		maxBody:     64 << 20,
 		workers:     runtime.NumCPU(),
 		maxBatch:    1_000_000,
-		streamChunk: 1024,
-		streamTopK:  1000,
 		metricsOn:   true,
 		dashboardOn: true,
 	}

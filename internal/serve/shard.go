@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"dataaudit/internal/audit"
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/obs"
 	"dataaudit/internal/registry"
@@ -82,9 +83,8 @@ func (s *Server) handleAuditShard(w http.ResponseWriter, r *http.Request) {
 
 	res, err := shard.ScoreStream(model, dataset.NewChunkStreamReader(r.Body), meta.SchemaHash, s.maxBatch)
 	if err != nil {
-		var rle *shard.RowLimitError
 		switch {
-		case errors.As(err, &rle):
+		case errors.Is(err, audit.ErrRowLimit):
 			s.writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		default:
 			s.writeError(w, http.StatusBadRequest, "%v", err)

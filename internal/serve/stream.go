@@ -111,9 +111,9 @@ func (s *Server) handleAuditStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := audit.StreamOptions{
-		ChunkSize: s.streamChunk,
+		ChunkSize: streamChunk,
 		Workers:   s.workers,
-		TopK:      s.streamTopK,
+		TopK:      streamTopK,
 		MaxRows:   int64(s.maxBatch),
 	}
 	if workers, ok, err := s.workersParam(r); err != nil {
@@ -258,6 +258,13 @@ func finishAbortedUpload(w http.ResponseWriter, body io.ReadCloser) {
 // reads and discards to keep the connection reusable (net/http's own
 // post-handler allowance).
 const maxAbortDrainBytes = 256 << 10
+
+// streamChunk and streamTopK are the streaming route's scoring-chunk size
+// and summary ranking depth when the request names no ?chunk= / ?top=.
+const (
+	streamChunk = 1024
+	streamTopK  = 1000
+)
 
 // maxStreamChunk bounds the client-requested chunk size so one request
 // cannot make the server buffer an arbitrarily large scoring unit.

@@ -131,11 +131,3 @@ func DecodeReplica(r io.Reader) (registry.Meta, *audit.Model, error) {
 // ErrSchemaMismatch marks a shard stream whose schema does not hash to the
 // model's recorded fingerprint. Workers map it to 400.
 var ErrSchemaMismatch = errors.New("shard: stream schema does not match the model's schema hash")
-
-// RowLimitError reports a shard stream that crossed the worker's row
-// limit. Workers map it to 413.
-type RowLimitError struct{ Limit int }
-
-func (e *RowLimitError) Error() string {
-	return fmt.Sprintf("shard: stream exceeds the %d-row limit", e.Limit)
-}

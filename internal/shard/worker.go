@@ -18,7 +18,8 @@ import (
 //
 // wantSchemaHash, when non-empty, must match the stream schema's
 // registry.SchemaHash fingerprint (ErrSchemaMismatch otherwise); maxRows,
-// when positive, bounds the stream (*RowLimitError beyond it).
+// when positive, bounds the stream (an *audit.RowLimitError, which wraps
+// audit.ErrRowLimit, beyond it).
 func ScoreStream(model *audit.Model, sr *dataset.ChunkStreamReader, wantSchemaHash string, maxRows int) (*ShardResult, error) {
 	checked := false
 	rows := 0
@@ -37,7 +38,7 @@ func ScoreStream(model *audit.Model, sr *dataset.ChunkStreamReader, wantSchemaHa
 			checked = true
 		}
 		if maxRows > 0 && rows+ck.Rows() > maxRows {
-			return nil, &RowLimitError{Limit: maxRows}
+			return nil, &audit.RowLimitError{Limit: int64(maxRows)}
 		}
 		rows += ck.Rows()
 		return ck, nil

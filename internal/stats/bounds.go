@@ -94,7 +94,7 @@ func LeftBound(p, n, confidence float64) float64 {
 
 // RightBound returns the upper one-sided Wilson bound; the paper's
 // rightBound(p, n). C4.5's pessimistic error is RightBound(errorRate, n, 1-CF)
-// with the default CF = 0.25.
+// with C4.5's confidence factor CF = 0.25.
 func RightBound(p, n, confidence float64) float64 {
 	z := NormalQuantile(confidence)
 	c, h := wilson(p, n, z)

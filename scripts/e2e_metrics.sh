@@ -35,6 +35,17 @@ go run ./cmd/pollute -schema "$WORK/engine.schema" -in "$WORK/clean.csv" \
 
 # --- boot auditd ------------------------------------------------------
 go build -o "$WORK/auditd" ./cmd/auditd
+# A zero limit is refused at boot: auditd exits non-zero before it opens
+# the registry or binds the port, instead of silently using the default.
+rc=0
+timeout 10 "$WORK/auditd" -addr "127.0.0.1:$PORT" -dir "$WORK/rejected" \
+    -max-batch-rows 0 2> "$WORK/rejected.log" || rc=$?
+if [ "$rc" = 0 ] || [ "$rc" = 124 ] || ! grep -qF -- '-max-batch-rows 0' "$WORK/rejected.log" \
+    || grep -qF 'listening on' "$WORK/rejected.log" || [ -e "$WORK/rejected" ]; then
+    echo "e2e_metrics: auditd -max-batch-rows 0 did not fail fast (exit $rc):" >&2
+    cat "$WORK/rejected.log" >&2
+    exit 1
+fi
 # -null-delta 0.01: the polluter nulls one random attribute per hit
 # record, so the dirty window's per-attribute null rates sit near
 # null-prob/num-attrs ≈ 0.025 — above 0.01, so completeness drift latches.
