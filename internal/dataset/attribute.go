@@ -53,7 +53,11 @@ type Attribute struct {
 	// For date attributes they are fractional days since the epoch.
 	Min, Max float64
 
-	index map[string]int // lazy string -> domain index
+	// index is a lazily built open-addressing hash of Domain: slot h
+	// holds 1 + the domain index of a value hashing to h, 0 when empty,
+	// probed linearly. It serves string and byte-slice lookups alike
+	// without allocating.
+	index []int32
 }
 
 // NewNominal builds a nominal attribute with the given domain.
@@ -74,10 +78,45 @@ func NewDate(name string, min, max time.Time) *Attribute {
 }
 
 func (a *Attribute) buildIndex() {
-	a.index = make(map[string]int, len(a.Domain))
-	for i, s := range a.Domain {
-		a.index[s] = i
+	n := 8
+	for n < 2*len(a.Domain) {
+		n *= 2
 	}
+	index := make([]int32, n)
+	for i, s := range a.Domain {
+		h := domainHash(s) & (n - 1)
+		for index[h] != 0 && a.Domain[index[h]-1] != s {
+			h = (h + 1) & (n - 1)
+		}
+		index[h] = int32(i + 1)
+	}
+	a.index = index
+}
+
+// lookup returns the domain index of the nominal value spelt k.
+func lookup[K string | []byte](a *Attribute, k K) (int, bool) {
+	if a.index == nil {
+		a.buildIndex()
+	}
+	mask := len(a.index) - 1
+	for h := domainHash(k) & mask; ; h = (h + 1) & mask {
+		i := a.index[h]
+		if i == 0 {
+			return 0, false
+		}
+		if a.Domain[i-1] == string(k) {
+			return int(i - 1), true
+		}
+	}
+}
+
+// domainHash is 32-bit FNV-1a.
+func domainHash[K string | []byte](k K) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint32(k[i])) * 16777619
+	}
+	return int(h)
 }
 
 // IsNumberLike reports whether the attribute stores number payloads
@@ -94,13 +133,7 @@ func (a *Attribute) NumValues() int {
 }
 
 // Index returns the domain index of a nominal value string.
-func (a *Attribute) Index(s string) (int, bool) {
-	if a.index == nil {
-		a.buildIndex()
-	}
-	i, ok := a.index[s]
-	return i, ok
-}
+func (a *Attribute) Index(s string) (int, bool) { return lookup(a, s) }
 
 // Nominal returns the Value for the given domain string, or an error when
 // the string is not part of the domain.
@@ -180,6 +213,86 @@ func (a *Attribute) Parse(s string) (Value, error) {
 		}
 		return Num(f), nil
 	}
+}
+
+// parseBytes is Parse over the bytes of a cell, allocation-free on the
+// paths clean data takes: the domain hash for nominal cells,
+// strconv for numeric ones and parseISODate for dates. Whatever those
+// reject goes through Parse, so error values and texts are Parse's.
+func (a *Attribute) parseBytes(b []byte) (Value, error) {
+	if len(b) == 0 || len(b) == 1 && b[0] == '?' {
+		return Null(), nil
+	}
+	switch a.Type {
+	case NominalType:
+		if i, ok := lookup(a, b); ok {
+			return Nom(i), nil
+		}
+	case DateType:
+		if days, ok := parseISODate(b); ok {
+			return Num(days), nil
+		}
+	default:
+		if f, err := strconv.ParseFloat(string(b), 64); err == nil {
+			return Num(f), nil
+		}
+	}
+	return a.Parse(string(b))
+}
+
+// parseISODate is the fast path of a date cell: a fixed-width YYYY-MM-DD
+// that time.Parse with layout 2006-01-02 accepts, in the years 1678-2261
+// where DateToDays cannot saturate, as days since the epoch. It reports
+// false for anything else, valid or not; the caller then asks time.Parse.
+func parseISODate(b []byte) (float64, bool) {
+	if len(b) != 10 || b[4] != '-' || b[7] != '-' {
+		return 0, false
+	}
+	var d [8]int
+	for i, p := range [8]int{0, 1, 2, 3, 5, 6, 8, 9} {
+		c := b[p] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		d[i] = int(c)
+	}
+	y := d[0]*1000 + d[1]*100 + d[2]*10 + d[3]
+	m := d[4]*10 + d[5]
+	day := d[6]*10 + d[7]
+	if y < 1678 || y > 2261 || m < 1 || m > 12 || day < 1 || day > daysInMonth(y, m) {
+		return 0, false
+	}
+	return float64(daysFromCivil(y, m, day)), true
+}
+
+// daysInMonth is the length of month m (1-12) of the proleptic Gregorian
+// year y.
+func daysInMonth(y, m int) int {
+	switch m {
+	case 2:
+		if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
+}
+
+// daysFromCivil counts the days from 1970-01-01 to y-m-d in the
+// proleptic Gregorian calendar (negative before the epoch), by shifting
+// the year to start in March so the leap day comes last.
+func daysFromCivil(y, m, d int) int {
+	if m <= 2 {
+		y--
+	}
+	era := y / 400 // y >= 1677 here, so no floor correction is needed
+	yoe := y - era*400
+	mp := (m + 9) % 12 // March = 0
+	doy := (153*mp+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return era*146097 + doe - 719468
 }
 
 // Validate checks internal consistency of the attribute definition.

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNominalAttribute(t *testing.T) {
@@ -114,5 +117,90 @@ func TestTypeString(t *testing.T) {
 	}
 	if !strings.Contains(Type(42).String(), "42") {
 		t.Fatalf("unknown type should render its code")
+	}
+}
+
+// TestParseISODateExhaustive walks every day of the fast path's range,
+// 1678-01-01 to 2261-12-31, and requires parseISODate to take each one
+// and agree bit for bit with DateToDays(time.Parse(...)); the days just
+// outside the range must be left to time.Parse.
+func TestParseISODateExhaustive(t *testing.T) {
+	last := time.Date(2261, 12, 31, 0, 0, 0, 0, time.UTC)
+	days := 0
+	for d := time.Date(1678, 1, 1, 0, 0, 0, 0, time.UTC); !d.After(last); d = d.AddDate(0, 0, 1) {
+		s := d.Format("2006-01-02")
+		got, ok := parseISODate([]byte(s))
+		if !ok {
+			t.Fatalf("fast path rejected %s", s)
+		}
+		ref, err := time.Parse("2006-01-02", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := DateToDays(ref); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: fast path %v, time.Parse %v", s, got, want)
+		}
+		days++
+	}
+	if days != 213_301 {
+		t.Fatalf("walked %d days, want 213301", days)
+	}
+	for _, s := range []string{"1677-12-31", "2262-01-01", "0000-01-01", "9999-12-31"} {
+		if _, ok := parseISODate([]byte(s)); ok {
+			t.Fatalf("fast path took %s, outside 1678-2261", s)
+		}
+	}
+}
+
+// TestParseBytesMatchesParse holds the byte-level cell parser to Parse:
+// the same value bits, or the same error text, for every attribute type.
+func TestParseBytesMatchesParse(t *testing.T) {
+	attrs := []*Attribute{
+		NewNominal("n", "a", "b", "a,b", " pad ", "x\ny"),
+		NewNumeric("x", -10, 10),
+		NewDate("d", MustParseDate("2000-01-01"), MustParseDate("2010-01-01")),
+	}
+	cells := []string{
+		"", "?", "??", "a", "b", "c", "a,b", " pad ", "pad", "x\ny", "A",
+		"1", "-0", "+1.5", ".5", "5.", "1e3", "1e400", "NaN", "-Inf", "0x1p-2", "1_0", " 1", "1,5",
+		"2005-06-07", "2000-02-29", "1900-02-29", "2005-13-01", "2005-6-07", "2005-06-07T00:00",
+		"1500-01-01", "3000-12-31", "0000-01-01",
+	}
+	for _, a := range attrs {
+		for _, cell := range cells {
+			got, gotErr := a.parseBytes([]byte(cell))
+			want, wantErr := a.Parse(cell)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s %q: error %v, Parse gives %v", a.Name, cell, gotErr, wantErr)
+			}
+			if got.kind != want.kind || got.idx != want.idx || math.Float64bits(got.num) != math.Float64bits(want.num) {
+				t.Fatalf("%s %q: %#v, Parse gives %#v", a.Name, cell, got, want)
+			}
+		}
+	}
+}
+
+// TestDomainIndex checks the open-addressing domain hash finds every
+// value of domains large enough to collide and probe, and nothing else.
+func TestDomainIndex(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 100, 5000} {
+		dom := make([]string, n)
+		for i := range dom {
+			dom[i] = fmt.Sprintf("v%d", i)
+		}
+		a := NewNominal("n", dom...)
+		for i, s := range dom {
+			if got, ok := a.Index(s); !ok || got != i {
+				t.Fatalf("domain of %d: Index(%q) = %d, %v", n, s, got, ok)
+			}
+			if got, ok := lookup(a, []byte(s)); !ok || got != i {
+				t.Fatalf("domain of %d: lookup(%q) = %d, %v", n, s, got, ok)
+			}
+		}
+		for _, s := range []string{"", "v", fmt.Sprintf("v%d", n), "x0"} {
+			if _, ok := a.Index(s); ok {
+				t.Fatalf("domain of %d: Index(%q) found a value", n, s)
+			}
+		}
 	}
 }

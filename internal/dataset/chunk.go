@@ -146,6 +146,50 @@ func (ck *ColumnChunk) AppendRow(row []Value, id int64) {
 	ck.n++
 }
 
+// appendRecord parses one record of byte cells straight into the typed
+// column vectors. The row is committed only once every cell parsed: on
+// a parse error every column is cut back to the rows before it, so the
+// chunk stays aligned, and the error is returned.
+func (ck *ColumnChunk) appendRecord(rec [][]byte, id int64) error {
+	r := ck.n
+	word, bit := r>>6, uint64(1)<<(uint(r)&63)
+	if bit == 1 {
+		for c := range ck.cols {
+			ck.cols[c].nulls = append(ck.cols[c].nulls[:word], 0)
+		}
+	}
+	for c, a := range ck.schema.attrs {
+		v, err := a.parseBytes(rec[c])
+		if err != nil {
+			for i := range ck.cols {
+				col := &ck.cols[i]
+				col.Nom, col.Num = col.Nom[:min(len(col.Nom), r)], col.Num[:min(len(col.Num), r)]
+				col.nulls = col.nulls[:nullWords(r)]
+				if word < len(col.nulls) {
+					col.nulls[word] &^= bit
+				}
+			}
+			return err
+		}
+		col := &ck.cols[c]
+		switch {
+		case v.kind == kindNominal:
+			col.Nom = append(col.Nom, v.idx)
+		case v.kind == kindNumber:
+			col.Num = append(col.Num, v.num)
+		case a.Type == NominalType:
+			col.nulls[word] |= bit
+			col.Nom = append(col.Nom, -1)
+		default:
+			col.nulls[word] |= bit
+			col.Num = append(col.Num, math.NaN())
+		}
+	}
+	ck.ids = append(ck.ids, id)
+	ck.n++
+	return nil
+}
+
 // Value reconstructs the Value at (row, col).
 func (ck *ColumnChunk) Value(r, c int) Value {
 	col := &ck.cols[c]
@@ -248,13 +292,29 @@ func (s *TableSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
 	return n, nil
 }
 
-// NextChunk implements ChunkSource: it decodes up to max CSV records into
-// the chunk. Parse and width errors carry the same typed values as Next.
+// NextChunk implements ChunkSource: it decodes up to max CSV records
+// straight into the chunk's typed vectors. Parse and width errors carry
+// the same typed values as Next.
 func (s *CSVSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
-	if s.rowBuf == nil {
-		s.rowBuf = make([]Value, s.schema.Len())
+	n := 0
+	for n < max {
+		rec, err := s.record()
+		if err == io.EOF {
+			if n == 0 {
+				return 0, io.EOF
+			}
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		if err := ck.appendRecord(rec, s.nextID); err != nil {
+			return n, s.cellError(err)
+		}
+		s.nextID++
+		n++
 	}
-	return FillChunk(s, ck, s.rowBuf, max)
+	return n, nil
 }
 
 // FillChunk appends up to max rows from any RowSource into ck via the

@@ -2,10 +2,15 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // Native fuzz targets for the two untrusted entry points of the columnar
@@ -70,10 +75,150 @@ func requireChunkAligned(t *testing.T, ck *ColumnChunk) {
 	}
 }
 
-// FuzzCSVSource feeds arbitrary bytes through NewCSVSource + NextChunk.
-// The contract under fuzz: no panic, every error is a typed header/width
-// error or a parse/CSV error, and the chunk stays column-aligned after
-// every call no matter where in the input the decoder gave up.
+// csvFuzzSchema is fuzzSchema with nominal values that only a quoted CSV
+// field can spell, so quoted input can decode cleanly, not only fail.
+func csvFuzzSchema(t testing.TB) *Schema {
+	t.Helper()
+	s, err := NewSchema(
+		NewNominal("color", "red", "green", "blue", "a,b", `say "hi"`, "x\ny", " pad "),
+		NewNumeric("x", -1e9, 1e9),
+		NewDate("d", MustParseDate("1990-01-01"), MustParseDate("2030-01-01")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// csvOracle is the reference decoder FuzzCSVSource holds CSVSource to:
+// encoding/csv splits the records, Attribute.Parse parses the cells and
+// FillChunk fills the chunk through AppendRow. Its errors are worded as
+// CSVSource's, with the record's first line taken from encoding/csv.
+type csvOracle struct {
+	schema *Schema
+	cr     *csv.Reader
+	budget *budgetReader
+	nextID int64
+}
+
+func newCSVOracle(r io.Reader, s *Schema, maxRecordBytes int64) (*csvOracle, error) {
+	o := &csvOracle{schema: s}
+	if maxRecordBytes > 0 {
+		o.budget = &budgetReader{r: r, limit: maxRecordBytes, max: maxRecordBytes}
+		r = o.budget
+	}
+	o.cr = csv.NewReader(r)
+	o.cr.FieldsPerRecord = -1
+	o.cr.ReuseRecord = true
+	header, err := o.cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
+	}
+	o.extendBudget()
+	line, _ := o.cr.FieldPos(0)
+	if len(header) != s.Len() {
+		return nil, &RowWidthError{Line: line, Got: len(header), Want: s.Len()}
+	}
+	var bad []int
+	for i, name := range s.Names() {
+		if header[i] != name {
+			bad = append(bad, i)
+		}
+	}
+	if len(bad) > 0 {
+		return nil, &HeaderMismatchError{Got: slices.Clone(header), Want: s.Names(), Bad: bad}
+	}
+	return o, nil
+}
+
+func (o *csvOracle) extendBudget() {
+	if o.budget != nil {
+		o.budget.limit = o.budget.n + o.budget.max
+	}
+}
+
+func (o *csvOracle) Schema() *Schema { return o.schema }
+
+func (o *csvOracle) Next(buf []Value) (int64, error) {
+	rec, err := o.cr.Read()
+	if err == io.EOF {
+		return 0, io.EOF
+	}
+	if err != nil {
+		line := 0 // unknown unless encoding/csv says
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			line = pe.StartLine
+		}
+		return 0, fmt.Errorf("dataset: reading CSV line %d: %w", line, err)
+	}
+	o.extendBudget()
+	line, _ := o.cr.FieldPos(0)
+	if len(rec) != o.schema.Len() {
+		return 0, &RowWidthError{Line: line, Got: len(rec), Want: o.schema.Len()}
+	}
+	for c, a := range o.schema.Attrs() {
+		v, err := a.Parse(rec[c])
+		if err != nil {
+			return 0, fmt.Errorf("dataset: CSV line %d: %w", line, err)
+		}
+		buf[c] = v
+	}
+	id := o.nextID
+	o.nextID++
+	return id, nil
+}
+
+// csvErrClass names the contract an error of either CSV decoder falls
+// under.
+func csvErrClass(err error) string {
+	switch {
+	case err == nil:
+		return "none"
+	case errors.Is(err, ErrHeader):
+		return "header"
+	case errors.Is(err, ErrRowWidth):
+		return "width"
+	case errors.Is(err, csv.ErrBareQuote):
+		return "bare quote"
+	case errors.Is(err, csv.ErrQuote):
+		return "quote"
+	case strings.Contains(err.Error(), "byte limit"):
+		return "byte limit"
+	case errors.Is(err, io.EOF):
+		return "eof"
+	}
+	return "parse"
+}
+
+// requireSameCSVError fails unless both decoders failed alike: the same
+// class and, where the oracle knows the record's line, the same text.
+func requireSameCSVError(t *testing.T, got, want error) {
+	t.Helper()
+	gc, wc := csvErrClass(got), csvErrClass(want)
+	if gc != wc {
+		t.Fatalf("error class %s (%v), encoding/csv gives %s (%v)", gc, got, wc, want)
+	}
+	if gc != "none" && gc != "byte limit" && got.Error() != want.Error() {
+		t.Fatalf("error %q, encoding/csv gives %q", got, want)
+	}
+}
+
+// requireSameValue fails unless two cells are bit-identical.
+func requireSameValue(t *testing.T, row, c int, got, want Value) {
+	t.Helper()
+	if got.kind != want.kind || got.idx != want.idx || math.Float64bits(got.num) != math.Float64bits(want.num) {
+		t.Fatalf("row %d col %d: %#v, encoding/csv gives %#v", row, c, got, want)
+	}
+}
+
+// FuzzCSVSource is a two-decoder differential: arbitrary bytes go
+// through CSVSource and through csvOracle, unbounded and with a record
+// byte cap, by NextChunk and by Next. Both must accept or reject alike,
+// with the same error class (header, width, bare quote, quote, byte
+// limit or parse) and the same text, and yield bit-identical cells, null
+// bits and IDs up to the failure. The chunk must stay column-aligned
+// after every call no matter where the decoder gave up.
 func FuzzCSVSource(f *testing.F) {
 	f.Add([]byte("color,x,d\nred,1.5,2020-01-02\n?,,?\nblue,-3e4,1999-12-31\n"))
 	f.Add([]byte("colour,x,d\nred,1,2020-01-02\n"))           // wrong header name
@@ -86,37 +231,54 @@ func FuzzCSVSource(f *testing.F) {
 	f.Add([]byte("color,x,d\n\"red\n\",1,2020-01-02"))        // quoted newline
 	f.Add([]byte("\"color,x,d"))                              // unterminated quote in header
 	f.Add([]byte(""))
+	f.Add([]byte("color,x,d\r\nred,1,2020-01-02\r\nblue,2,?\r\n"))                    // CRLF
+	f.Add([]byte("\ncolor,x,d\n\n\nred,1,2020-01-02\n\r\n\nblue,bad,?\n"))            // blank lines
+	f.Add([]byte("color,x,d\nred,1,2020-01-02"))                                      // no final newline
+	f.Add([]byte("color,x,d\nred,1,2020-01-02\r"))                                    // trailing \r at EOF
+	f.Add([]byte("color,x,d\n\"say \"\"hi\"\"\",1,?\n\"\"\"\",2,?\n"))                // "" escapes
+	f.Add([]byte("color,x,d\n\"a,b\",1,?\n\"x\r\ny\",2,?\nred,3,\"2020-01-\n02\"\n")) // quoted commas and newlines
+	f.Add([]byte("color,x,d\n \"red\",1,?\n"))                                        // leading space before a quote
+	f.Add([]byte("color,x,d\n\" pad \",1,?\n\"red\"x,2,?\n"))                         // text after a closing quote
+	f.Add([]byte("color,x,d\nred,1,?\n\"x\n\ny,2,?\n"))                               // unterminated quote at EOF
+	f.Add([]byte("color,x,d\nred,1,?\r\r\nblue,\r,?\n"))                              // bare \r inside a line
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		schema := fuzzSchema(t)
+		schema := csvFuzzSchema(t)
 		for _, bound := range []int64{0, 1 << 10} {
-			var src *CSVSource
-			var err error
-			if bound > 0 {
-				src, err = NewBoundedCSVSource(bytes.NewReader(data), schema, bound)
-			} else {
-				src, err = NewCSVSource(bytes.NewReader(data), schema)
-			}
+			src, err := newCSVSource(bytes.NewReader(data), schema, bound)
+			ref, refErr := newCSVOracle(bytes.NewReader(data), schema, bound)
+			requireSameCSVError(t, err, refErr)
 			if err != nil {
-				// A rejected header must be one of the typed contracts or a
-				// CSV-level read error; all of them are errors, none panic.
 				continue
 			}
-			ck := NewColumnChunk(schema)
+			ck, refCk := NewColumnChunk(schema), NewColumnChunk(schema)
+			refBuf := make([]Value, schema.Len())
 			rows := 0
 			for {
 				n, err := src.NextChunk(ck, 7)
+				refN, refErr := FillChunk(ref, refCk, refBuf, 7)
+				requireSameCSVError(t, err, refErr)
+				if n != refN {
+					t.Fatalf("NextChunk appended %d rows, encoding/csv %d", n, refN)
+				}
 				rows += n
 				if ck.Rows() != rows {
 					t.Fatalf("chunk holds %d rows after %d accepted", ck.Rows(), rows)
 				}
 				requireChunkAligned(t, ck)
-				if errors.Is(err, io.EOF) {
-					break
+				for r := 0; r < ck.Rows(); r++ {
+					if ck.ID(r) != refCk.ID(r) {
+						t.Fatalf("row %d: ID %d, encoding/csv gives %d", r, ck.ID(r), refCk.ID(r))
+					}
+					for c := 0; c < schema.Len(); c++ {
+						got, want := ck.Col(c), refCk.Col(c)
+						if got.Null(r) != want.Null(r) {
+							t.Fatalf("row %d col %d: null bit %v, encoding/csv gives %v", r, c, got.Null(r), want.Null(r))
+						}
+						requireSameValue(t, r, c, ck.Value(r, c), refCk.Value(r, c))
+					}
 				}
 				if err != nil {
-					// Mid-stream failures keep the previously decoded rows
-					// and carry a typed width error or a parse error.
 					var widthErr *RowWidthError
 					if errors.As(err, &widthErr) && !errors.Is(err, ErrRowWidth) {
 						t.Fatalf("RowWidthError does not wrap ErrRowWidth: %v", err)
@@ -125,6 +287,25 @@ func FuzzCSVSource(f *testing.F) {
 				}
 				if n == 0 {
 					t.Fatal("NextChunk returned 0 rows with nil error")
+				}
+			}
+
+			// The row path: same decoder, same answers.
+			src, _ = newCSVSource(bytes.NewReader(data), schema, bound)
+			ref, _ = newCSVOracle(bytes.NewReader(data), schema, bound)
+			buf := make([]Value, schema.Len())
+			for row := 0; ; row++ {
+				id, err := src.Next(buf)
+				refID, refErr := ref.Next(refBuf)
+				requireSameCSVError(t, err, refErr)
+				if err != nil {
+					break
+				}
+				if id != refID {
+					t.Fatalf("row %d: Next gives ID %d, encoding/csv %d", row, id, refID)
+				}
+				for c := range buf {
+					requireSameValue(t, row, c, buf[c], refBuf[c])
 				}
 			}
 		}
@@ -368,5 +549,39 @@ func FuzzJSONLSource(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzParseDate holds the date fast path to time.Parse on arbitrary
+// bytes: whatever parseISODate takes, time.Parse must read as the same
+// day; whatever time.Parse reads in the years 1678-2261, parseISODate
+// must take. The date cell parser as a whole must give Parse's value
+// bits or Parse's error text.
+func FuzzParseDate(f *testing.F) {
+	for _, s := range []string{
+		"2020-01-02", "1678-01-01", "2261-12-31", "1677-12-31", "2262-01-01",
+		"2000-02-29", "1900-02-29", "2019-02-29", "2020-04-31", "2020-13-01", "2020-00-10",
+		"2020-1-02", "+020-01-02", "2020-01-02 ", "2020/01/02", "٢020-01-02", "", "?",
+	} {
+		f.Add([]byte(s))
+	}
+	a := NewDate("d", MustParseDate("1990-01-01"), MustParseDate("2030-01-01"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		days, ok := parseISODate(b)
+		ref, err := time.Parse("2006-01-02", string(b))
+		switch {
+		case ok && err != nil:
+			t.Fatalf("fast path took %q, time.Parse rejects it: %v", b, err)
+		case ok && math.Float64bits(days) != math.Float64bits(DateToDays(ref)):
+			t.Fatalf("%q: fast path %v, time.Parse %v", b, days, DateToDays(ref))
+		case !ok && err == nil && ref.Year() >= 1678 && ref.Year() <= 2261:
+			t.Fatalf("fast path rejected %q, time.Parse reads %v", b, ref)
+		}
+		got, gotErr := a.parseBytes(b)
+		want, wantErr := a.Parse(string(b))
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: error %v, Parse gives %v", b, gotErr, wantErr)
+		}
+		requireSameValue(t, 0, 0, got, want)
 	})
 }

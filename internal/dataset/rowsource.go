@@ -1,7 +1,7 @@
 package dataset
 
 import (
-	"encoding/csv"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -105,19 +105,17 @@ func (s *TableSource) Next(buf []Value) (int64, error) {
 }
 
 // CSVSource decodes CSV incrementally against a known schema: one row per
-// Next call, O(1) memory regardless of input size. Record IDs are the
-// 0-based data row index (the first row after the header is ID 0). Width
-// mismatches surface as RowWidthError (wrapping ErrRowWidth), parse
-// failures as the attribute's parse error, both tagged with the line
-// number.
+// Next call (or a chunk of rows per NextChunk), O(1) memory regardless of
+// input size and no allocation per row. Record IDs are the 0-based data
+// row index (the first row after the header is ID 0). Width mismatches
+// surface as RowWidthError (wrapping ErrRowWidth), parse failures as the
+// attribute's parse error and malformed quoting as a *csv.ParseError, all
+// tagged with the physical line the record starts on.
 type CSVSource struct {
 	schema *Schema
-	cr     *csv.Reader
+	sc     csvScanner
 	budget *budgetReader // nil unless record bytes are bounded
-	max    int64
-	line   int // 1-based line of the next record (header was line 1)
 	nextID int64
-	rowBuf []Value // reusable row buffer for NextChunk
 }
 
 // NewCSVSource wraps a CSV stream. The header row is read and validated
@@ -141,50 +139,44 @@ func NewBoundedCSVSource(r io.Reader, s *Schema, maxRecordBytes int64) (*CSVSour
 }
 
 func newCSVSource(r io.Reader, s *Schema, maxRecordBytes int64) (*CSVSource, error) {
-	src := &CSVSource{schema: s, max: maxRecordBytes}
+	src := &CSVSource{schema: s}
 	if maxRecordBytes > 0 {
 		src.budget = &budgetReader{r: r, limit: maxRecordBytes, max: maxRecordBytes}
 		r = src.budget
 	}
-	cr := csv.NewReader(r)
-	// Arity is checked manually to produce the typed RowWidthError instead
-	// of encoding/csv's ErrFieldCount.
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	src.cr = cr
+	src.sc.br = bufio.NewReader(r)
 
-	header, err := cr.Read()
+	header, err := src.sc.next()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
 	src.extendBudget()
 	if len(header) != s.Len() {
-		return nil, &RowWidthError{Line: 1, Got: len(header), Want: s.Len()}
+		return nil, &RowWidthError{Line: src.sc.recLine, Got: len(header), Want: s.Len()}
 	}
 	want := s.Names()
 	var bad []int
 	for i, name := range want {
-		if header[i] != name {
+		if string(header[i]) != name {
 			bad = append(bad, i)
 		}
 	}
 	if len(bad) > 0 {
-		// header aliases csv.Reader's reusable record buffer; copy it
-		// before it is overwritten by the next Read.
 		got := make([]string, len(header))
-		copy(got, header)
+		for i, f := range header {
+			got[i] = string(f)
+		}
 		return nil, &HeaderMismatchError{Got: got, Want: want, Bad: bad}
 	}
-	src.line = 2
 	return src, nil
 }
 
 // extendBudget grants the next record its byte allowance (called after
-// every successfully decoded record).
+// every successfully scanned record).
 func (s *CSVSource) extendBudget() {
 	if s.budget != nil {
-		// bufio inside csv.Reader may have read ahead past the record
-		// just decoded; basing the new limit on bytes consumed from the
+		// The scanner's bufio may have read ahead past the record just
+		// scanned; basing the new limit on bytes consumed from the
 		// underlying reader only ever grants more headroom, never less.
 		s.budget.limit = s.budget.n + s.budget.max
 	}
@@ -193,42 +185,44 @@ func (s *CSVSource) extendBudget() {
 // Schema implements RowSource.
 func (s *CSVSource) Schema() *Schema { return s.schema }
 
-// Next implements RowSource.
-func (s *CSVSource) Next(buf []Value) (int64, error) {
-	rec, err := s.cr.Read()
+// record scans the next record and checks its width. The fields are
+// valid until the next call.
+func (s *CSVSource) record() ([][]byte, error) {
+	rec, err := s.sc.next()
 	if err == io.EOF {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
 	if err != nil {
-		return 0, fmt.Errorf("dataset: reading CSV line %d: %w", s.line, err)
+		return nil, fmt.Errorf("dataset: reading CSV line %d: %w", s.sc.recLine, err)
 	}
 	s.extendBudget()
-	line := s.line
-	s.line++
-	if err := parseRecord(s.schema, rec, buf, line, "CSV line", line); err != nil {
+	if len(rec) != s.schema.Len() {
+		return nil, &RowWidthError{Line: s.sc.recLine, Got: len(rec), Want: s.schema.Len()}
+	}
+	return rec, nil
+}
+
+// cellError tags a cell parse error with the record's line.
+func (s *CSVSource) cellError(err error) error {
+	return fmt.Errorf("dataset: CSV line %d: %w", s.sc.recLine, err)
+}
+
+// Next implements RowSource.
+func (s *CSVSource) Next(buf []Value) (int64, error) {
+	rec, err := s.record()
+	if err != nil {
 		return 0, err
+	}
+	for c, a := range s.schema.attrs {
+		v, err := a.parseBytes(rec[c])
+		if err != nil {
+			return 0, s.cellError(err)
+		}
+		buf[c] = v
 	}
 	id := s.nextID
 	s.nextID++
 	return id, nil
-}
-
-// parseRecord parses one record of text cells into buf. A width mismatch
-// is a RowWidthError at the given line; a cell that does not parse is the
-// attribute's parse error, tagged with what the source calls the record
-// ("CSV line 7", "row 3").
-func parseRecord(s *Schema, rec []string, buf []Value, line int, what string, n int) error {
-	if len(rec) != s.Len() {
-		return &RowWidthError{Line: line, Got: len(rec), Want: s.Len()}
-	}
-	for c, a := range s.Attrs() {
-		v, err := a.Parse(rec[c])
-		if err != nil {
-			return fmt.Errorf("dataset: %s %d: %w", what, n, err)
-		}
-		buf[c] = v
-	}
-	return nil
 }
 
 // budgetReader fails once more bytes were consumed than the current
@@ -280,8 +274,16 @@ func (s *StringRowsSource) Next(buf []Value) (int64, error) {
 	}
 	i := s.next
 	s.next++
-	if err := parseRecord(s.schema, s.rows[i], buf, i+1, "row", i); err != nil {
-		return 0, err
+	rec := s.rows[i]
+	if len(rec) != s.schema.Len() {
+		return 0, &RowWidthError{Line: i + 1, Got: len(rec), Want: s.schema.Len()}
+	}
+	for c, a := range s.schema.attrs {
+		v, err := a.Parse(rec[c])
+		if err != nil {
+			return 0, fmt.Errorf("dataset: row %d: %w", i, err)
+		}
+		buf[c] = v
 	}
 	return int64(i), nil
 }
