@@ -14,7 +14,10 @@ package audit
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dataaudit/internal/audittree"
@@ -79,7 +82,10 @@ type Options struct {
 	Filter audittree.FilterMode `json:"filter,omitempty"`
 	// Trainer, when non-nil, overrides Inducer with a custom induction
 	// algorithm — the hook the §5.4 ablation experiments (E8) use to mix
-	// and match individual adjustments.
+	// and match individual adjustments. Induce and ReinduceAttrs call its
+	// Train (and a classifier's Update with it) from several goroutines at
+	// once, one class attribute each, so a Trainer must not mutate shared
+	// state; one that holds only options, as the built-in ones do, is safe.
 	Trainer mlcore.Trainer `json:"-"`
 }
 
@@ -169,17 +175,24 @@ func Induce(tab *dataset.Table, opts Options) (*Model, error) {
 	for _, name := range opts.SkipClasses {
 		skip[name] = true
 	}
-
-	var scratch []float64 // shared across attributes by induceAttr
+	var classes []int
 	for class := 0; class < schema.Len(); class++ {
-		attr := schema.Attr(class)
-		if skip[attr.Name] {
-			continue
+		if !skip[schema.Attr(class).Name] {
+			classes = append(classes, class)
 		}
-		am, err := induceAttr(tab, class, opts, &scratch)
-		if err != nil {
-			return nil, fmt.Errorf("audit: attribute %s: %w", attr.Name, err)
-		}
+	}
+
+	// The classifiers are independent of each other (§5), so they are
+	// induced concurrently; slot i holds classes[i]'s result, and the model
+	// is assembled in schema order afterwards.
+	ams := make([]*AttrModel, len(classes))
+	if i, err := forEachAttr(len(classes), func(i int, scratch *[]float64) (err error) {
+		ams[i], err = induceAttr(tab, classes[i], opts, scratch)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("audit: attribute %s: %w", schema.Attr(classes[i]).Name, err)
+	}
+	for _, am := range ams {
 		if am != nil {
 			m.Attrs = append(m.Attrs, am)
 		}
@@ -191,12 +204,49 @@ func Induce(tab *dataset.Table, opts Options) (*Model, error) {
 	return m, nil
 }
 
+// forEachAttr calls fn(i, scratch) for every i in [0, n) on
+// min(GOMAXPROCS, n) goroutines and returns the lowest index whose call
+// failed with that call's error, or (-1, nil). Workers claim indices in
+// increasing order from a shared counter, run every index they claim, and
+// each owns one scratch buffer. Once a call has failed no worker claims
+// another index; every lower index was claimed before it and so runs, and
+// the error returned is the one a sequential loop would have stopped at.
+func forEachAttr(n int, fn func(i int, scratch *[]float64) error) (int, error) {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch []float64
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(i, &scratch); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
+}
+
 // induceAttr builds the classifier for one class attribute; it returns
 // (nil, nil) when the attribute carries no usable training signal (e.g. all
-// null). scratch is a value buffer shared across calls — the numeric-class
-// path fills it afresh each time (NewEqualFrequency copies its input), so
-// one allocation serves the whole relation instead of one growing slice
-// per attribute.
+// null). scratch is a value buffer reused across the calls of one worker —
+// the numeric-class path fills it afresh each time (NewEqualFrequency
+// copies its input), so one allocation serves many attributes instead of
+// one growing slice per attribute.
 func induceAttr(tab *dataset.Table, class int, opts Options, scratch *[]float64) (*AttrModel, error) {
 	schema := tab.Schema()
 	attr := schema.Attr(class)

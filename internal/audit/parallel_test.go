@@ -15,24 +15,41 @@ import (
 
 // pollutedQUIS generates a QUIS sample, corrupts it with wrong-value and
 // null-value polluters (§4.2), and induces a model on the dirty table —
-// the workload the parallel-equivalence contract is stated against.
+// the workload the parallel-equivalence contract is stated against. The
+// fixture is built once and shared: no caller mutates the model or the
+// table.
 func pollutedQUIS(t testing.TB) (*Model, *dataset.Table) {
 	t.Helper()
-	sample, err := quis.Generate(quis.Params{NumRecords: 30000, Seed: 2003})
-	if err != nil {
-		t.Fatal(err)
+	pollutedFixtureOnce.Do(func() {
+		sample, err := quis.Generate(quis.Params{NumRecords: 30000, Seed: 2003})
+		if err != nil {
+			pollutedFixtureErr = err
+			return
+		}
+		plan := pollute.Plan{Cell: []pollute.Configured{
+			{Prob: 0.02, P: &pollute.WrongValuePolluter{}},
+			{Prob: 0.01, P: &pollute.NullValuePolluter{}},
+		}}
+		dirty, _ := pollute.Run(sample.Data, plan, rand.New(rand.NewSource(42)))
+		m, err := Induce(dirty, Options{MinConfidence: 0.8})
+		if err != nil {
+			pollutedFixtureErr = err
+			return
+		}
+		pollutedFixtureModel, pollutedFixtureTable = m, dirty
+	})
+	if pollutedFixtureErr != nil {
+		t.Fatal(pollutedFixtureErr)
 	}
-	plan := pollute.Plan{Cell: []pollute.Configured{
-		{Prob: 0.02, P: &pollute.WrongValuePolluter{}},
-		{Prob: 0.01, P: &pollute.NullValuePolluter{}},
-	}}
-	dirty, _ := pollute.Run(sample.Data, plan, rand.New(rand.NewSource(42)))
-	m, err := Induce(dirty, Options{MinConfidence: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, dirty
+	return pollutedFixtureModel, pollutedFixtureTable
 }
+
+var (
+	pollutedFixtureOnce  sync.Once
+	pollutedFixtureModel *Model
+	pollutedFixtureTable *dataset.Table
+	pollutedFixtureErr   error
+)
 
 // TestAuditTableParallelMatchesSequential is the determinism contract:
 // sharded scoring must reproduce the sequential reports exactly — same

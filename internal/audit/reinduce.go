@@ -8,9 +8,11 @@
 package audit
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
+	"slices"
 	"time"
 
 	"dataaudit/internal/dataset"
@@ -69,6 +71,23 @@ func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOpt
 		return nil, fmt.Errorf("audit: reinduce: unknown mode %q", mode)
 	}
 
+	// Resolve every attribute's slot before any work starts: an unknown
+	// or repeated attribute fails the call without training anything. A
+	// repeat would apply the row delta twice and race on one slot.
+	pos := make([]int, len(attrs))
+	for i, class := range attrs {
+		if class < 0 || class >= m.Schema.Len() {
+			return nil, fmt.Errorf("audit: reinduce: attribute index %d out of range", class)
+		}
+		pos[i] = slices.IndexFunc(m.Attrs, func(am *AttrModel) bool { return am.Class == class })
+		switch {
+		case pos[i] < 0:
+			return nil, fmt.Errorf("audit: reinduce: attribute %s is not modelled", m.Schema.Attr(class).Name)
+		case slices.Contains(pos[:i], pos[i]):
+			return nil, fmt.Errorf("audit: reinduce: attribute %s listed twice", m.Schema.Attr(class).Name)
+		}
+	}
+
 	start := time.Now()
 	n := &Model{
 		Schema:    m.Schema,
@@ -84,36 +103,23 @@ func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOpt
 		addedTab, removedTab = tableDiff(ropts.Prev, tab)
 	}
 
-	var scratch []float64
-	for _, class := range attrs {
-		pos := -1
-		for i, am := range n.Attrs {
-			if am.Class == class {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			return nil, fmt.Errorf("audit: reinduce: attribute %s is not modelled", m.Schema.Attr(class).Name)
-		}
-
+	// Each attribute writes only its own slot of n.Attrs, and reads only
+	// its predecessor in m.Attrs, so the attributes re-induce concurrently.
+	if i, err := forEachAttr(len(attrs), func(i int, scratch *[]float64) error {
+		var am *AttrModel
+		var err error
 		if mode == ReinduceFull {
-			am, err := induceAttr(tab, class, opts, &scratch)
-			if err != nil {
-				return nil, fmt.Errorf("audit: reinduce attribute %s: %w", m.Schema.Attr(class).Name, err)
+			am, err = induceAttr(tab, attrs[i], opts, scratch)
+			if err == nil && am == nil {
+				err = errors.New("no training signal in the new table")
 			}
-			if am == nil {
-				return nil, fmt.Errorf("audit: reinduce attribute %s: no training signal in the new table", m.Schema.Attr(class).Name)
-			}
-			n.Attrs[pos] = am
-			continue
+		} else {
+			am, err = reinduceIncremental(m.Attrs[pos[i]], tab, addedTab, removedTab, opts)
 		}
-
-		am, err := reinduceIncremental(n.Attrs[pos], tab, addedTab, removedTab, opts)
-		if err != nil {
-			return nil, fmt.Errorf("audit: reinduce attribute %s: %w", m.Schema.Attr(class).Name, err)
-		}
-		n.Attrs[pos] = am
+		n.Attrs[pos[i]] = am
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("audit: reinduce attribute %s: %w", m.Schema.Attr(attrs[i]).Name, err)
 	}
 	n.InduceTime = time.Since(start)
 	return n, nil
@@ -179,55 +185,81 @@ func compatibleSchema(want, got *dataset.Schema) error {
 
 // tableDiff computes the multiset row difference between two tables over
 // the same schema: added holds rows of cur not matched in prev, removed the
-// rows of prev not matched in cur. Matching is by value (record IDs are
-// ignored — reservoir samples renumber rows), with null, nominal and
-// numeric values keyed distinctly so e.g. Nom(1) never collides with
-// Num(1).
+// rows of prev not matched in cur, each in table order. Matching is by
+// value (record IDs are ignored — reservoir samples renumber rows), with
+// null, nominal and numeric values keyed distinctly so e.g. Nom(1) never
+// collides with Num(1).
 func tableDiff(prev, cur *dataset.Table) (added, removed *dataset.Table) {
-	counts := make(map[string]int, prev.NumRows())
-	prevKeys := make([]string, prev.NumRows())
+	// Each distinct row key gets a slot; counts[slot] is how many of
+	// prev's rows with that key are still unmatched. Looking a key up as
+	// slots[string(key)] does not allocate, so only a new key costs one.
+	slots := make(map[string]int32, prev.NumRows())
+	var counts []int
+	prevSlots := make([]int32, prev.NumRows())
 	row := make([]dataset.Value, prev.NumCols())
+	var key []byte
 	for r := 0; r < prev.NumRows(); r++ {
-		k := rowKey(prev.RowInto(r, row))
-		prevKeys[r] = k
-		counts[k]++
+		key = appendRowKey(key[:0], prev.RowInto(r, row))
+		slot, ok := slots[string(key)]
+		if !ok {
+			slot = int32(len(counts))
+			slots[string(key)] = slot
+			counts = append(counts, 0)
+		}
+		prevSlots[r] = slot
+		counts[slot]++
 	}
 	added = dataset.NewTable(cur.Schema())
 	for r := 0; r < cur.NumRows(); r++ {
-		cur.RowInto(r, row)
-		if k := rowKey(row); counts[k] > 0 {
-			counts[k]--
+		key = appendRowKey(key[:0], cur.RowInto(r, row))
+		if slot, ok := slots[string(key)]; ok && counts[slot] > 0 {
+			counts[slot]--
 		} else {
 			added.AppendRow(row)
 		}
 	}
 	removed = dataset.NewTable(prev.Schema())
-	for r := 0; r < prev.NumRows(); r++ {
-		if counts[prevKeys[r]] > 0 {
-			counts[prevKeys[r]]--
+	for r, slot := range prevSlots {
+		if counts[slot] > 0 {
+			counts[slot]--
 			removed.AppendRow(prev.RowInto(r, row))
 		}
 	}
 	return added, removed
 }
 
-// rowKey renders a row as a typed string key for the multiset diff.
-func rowKey(row []dataset.Value) string {
-	var b strings.Builder
-	for i, v := range row {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
+// Row key cell tags. The tag fixes the payload width that follows it, so
+// keys of rows over one schema compare equal exactly when every cell does.
+const (
+	keyNull    = 0
+	keyNominal = 1
+	keyNumber  = 2
+)
+
+// canonicalNaN is the one bit pattern every NaN is keyed as, so all NaNs
+// match each other; every other float keys as its own bits, so -0 and +0
+// stay distinct.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// appendRowKey appends the binary multiset key of a row to b: per cell a
+// tag byte, then the 4-byte nominal index or the 8-byte float bits.
+func appendRowKey(b []byte, row []dataset.Value) []byte {
+	for _, v := range row {
 		switch {
 		case v.IsNull():
-			b.WriteByte('_')
+			b = append(b, keyNull)
 		case v.IsNominal():
-			b.WriteByte('n')
-			b.WriteString(strconv.Itoa(v.NomIdx()))
+			b = append(b, keyNominal)
+			b = binary.LittleEndian.AppendUint32(b, uint32(v.NomIdx()))
 		default:
-			b.WriteByte('f')
-			b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
+			f := v.Float()
+			bits := math.Float64bits(f)
+			if math.IsNaN(f) {
+				bits = canonicalNaN
+			}
+			b = append(b, keyNumber)
+			b = binary.LittleEndian.AppendUint64(b, bits)
 		}
 	}
-	return b.String()
+	return b
 }
