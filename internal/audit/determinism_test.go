@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"dataaudit/internal/audit"
@@ -60,23 +61,32 @@ func quisFixture(t *testing.T) determinismFixture {
 
 // baseConfigFixture is evalx.BaseConfig(2003)'s dirty table — generated
 // the way evalx.Run generates it, duplicates and deletions included — and
-// a second pollution of the same clean table.
+// a second pollution of the same clean table. Generating it takes seconds,
+// so the tests that read it share one copy; none of them modifies it.
 func baseConfigFixture(t *testing.T) determinismFixture {
 	t.Helper()
+	fx, err := sharedBaseConfigFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+var sharedBaseConfigFixture = sync.OnceValues(func() (determinismFixture, error) {
 	cfg := evalx.BaseConfig(2003)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rules, err := tdg.GenerateRuleSet(cfg.Schema, cfg.RuleGen, rng)
 	if err != nil {
-		t.Fatal(err)
+		return determinismFixture{}, err
 	}
 	clean, err := tdg.Generate(cfg.Schema, rules, cfg.DataGen, rng)
 	if err != nil {
-		t.Fatal(err)
+		return determinismFixture{}, err
 	}
 	prev, _ := pollute.Run(clean, cfg.Plan, rng)
 	cur, _ := pollute.Run(clean, cfg.Plan, rand.New(rand.NewSource(cfg.Seed+1)))
-	return determinismFixture{"baseconfig", prev, cur}
-}
+	return determinismFixture{"baseconfig", prev, cur}, nil
+})
 
 // nextTwoBaseAttrs gives each class attribute the two attributes after it
 // (cyclically) as its base set.

@@ -2,7 +2,8 @@ package c45
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
@@ -97,7 +98,6 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 		return nil, err
 	}
 	opts := t.Opts.WithDefaults()
-	g := &grower{ins: ins, opts: opts, schema: ins.Table.Schema()}
 	// Rows whose class is null carry no supervision; C4.5 drops them.
 	var rows []int
 	var weights []float64
@@ -110,6 +110,7 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("c45: no instances with a known class value")
 	}
+	g := newGrower(ins, opts, rows)
 	root := g.grow(rows, weights, len(ins.Base), prev)
 	tree := &Tree{Root: root, K: ins.K, Base: ins.Base}
 	if opts.Prune {
@@ -118,11 +119,84 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 	return tree, nil
 }
 
-// grower carries induction state.
+// grower carries one tree's induction state. One goroutine owns it, and
+// every node's split search reuses its buffers.
 type grower struct {
 	ins    *mlcore.Instances
 	opts   Options
 	schema *dataset.Schema
+	// rootRows are the root's rows; every node's rows are a subset.
+	rootRows []int
+	// ranks[col] is the column's rank table, built the first time a full
+	// split search reaches the column (see rankTableOf).
+	ranks []*rankTable
+
+	// Threshold search buffers: the node's sort keys, the known rows'
+	// classes and weights in key order, and class histograms.
+	keys                []uint64
+	cls                 []int
+	wts                 []float64
+	parent, left, right []float64
+	bestLeft, bestRight []float64
+	// branch is partition's per-row branch (-1: missing value).
+	branch []int
+}
+
+func newGrower(ins *mlcore.Instances, opts Options, rootRows []int) *grower {
+	hist := func() []float64 { return make([]float64, ins.K) }
+	return &grower{
+		ins: ins, opts: opts, schema: ins.Table.Schema(), rootRows: rootRows,
+		ranks:  make([]*rankTable, ins.Table.NumCols()),
+		parent: hist(), left: hist(), right: hist(), bestLeft: hist(), bestRight: hist(),
+	}
+}
+
+// rankTable orders one number-like column once per tree. rank[r] is row
+// r's dense rank among the distinct values of the column over the root's
+// rows (-1 for a null cell), and values holds those distinct values in
+// ascending order, so a rank reads its value back as values[rank]. -0 and
+// +0 share a rank. NaN ranks after every number, at rank nan =
+// len(values), and has no value: NaN <= t is false for every threshold t,
+// so partition and Predict send a NaN row right, and the threshold search
+// therefore never cuts at or after a NaN.
+type rankTable struct {
+	rank   []int32
+	values []float64
+	nan    uint64
+}
+
+// rankTableOf returns the column's rank table, building it on first use.
+// A warm re-induction whose hints all hold never searches and never
+// builds one.
+func (g *grower) rankTableOf(attr int) *rankTable {
+	if rt := g.ranks[attr]; rt != nil {
+		return rt
+	}
+	col := g.ins.Table.Column(attr)
+	values := make([]float64, 0, len(g.rootRows))
+	for _, r := range g.rootRows {
+		if v := col[r]; !v.IsNull() && !math.IsNaN(v.Float()) {
+			values = append(values, v.Float())
+		}
+	}
+	slices.Sort(values)
+	// Compact keeps one of -0 and +0; the midpoint of either zero and a
+	// nonzero neighbour is the same.
+	values = slices.Clip(slices.Compact(values))
+	rt := &rankTable{rank: make([]int32, len(col)), values: values, nan: uint64(len(values))}
+	for _, r := range g.rootRows {
+		switch v := col[r]; {
+		case v.IsNull():
+			rt.rank[r] = -1
+		case math.IsNaN(v.Float()):
+			rt.rank[r] = int32(rt.nan)
+		default:
+			k, _ := slices.BinarySearch(values, v.Float())
+			rt.rank[r] = int32(k)
+		}
+	}
+	g.ranks[attr] = rt
+	return rt
 }
 
 // distOf tallies the weighted class distribution of the rows.
@@ -349,55 +423,69 @@ func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
 }
 
 // numericSplit finds the best binary threshold on a numeric attribute.
+// The node's known rows are ordered by (rank, position) through one sort
+// of packed integer keys, so rows of equal value keep their position
+// order — row order, as every node's rows ascend. A threshold lies midway
+// between two adjacent distinct values, never next to a NaN.
 func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
-	type vw struct {
-		v float64
-		c int
-		w float64
-	}
-	var known []vw
+	rt := g.rankTableOf(attr)
+	parent := g.parent
+	clear(parent)
+	keys := g.keys[:0]
 	missingW := 0.0
-	parent := make([]float64, g.ins.K)
 	for i, r := range rows {
-		val := g.ins.Table.Get(r, attr)
-		if val.IsNull() {
+		k := rt.rank[r]
+		if k < 0 {
 			missingW += weights[i]
 			continue
 		}
-		c := g.ins.Class[r]
-		known = append(known, vw{v: val.Float(), c: c, w: weights[i]})
-		parent[c] += weights[i]
+		parent[g.ins.Class[r]] += weights[i]
+		keys = append(keys, uint64(k)<<32|uint64(i))
 	}
-	if len(known) < 2 {
+	g.keys = keys
+	if len(keys) < 2 {
 		return nil
 	}
-	sort.Slice(known, func(i, j int) bool { return known[i].v < known[j].v })
+	slices.Sort(keys)
+	// Gather classes and weights in key order; the known weight sums in
+	// that order too.
+	n := len(keys)
+	g.cls, g.wts = slices.Grow(g.cls[:0], n)[:n], slices.Grow(g.wts[:0], n)[:n]
+	cls, wts := g.cls, g.wts
 	knownW := 0.0
-	for _, k := range known {
-		knownW += k.w
+	for j, key := range keys {
+		pos := uint32(key)
+		cls[j], wts[j] = g.ins.Class[rows[pos]], weights[pos]
+		knownW += wts[j]
 	}
 
-	left := make([]float64, g.ins.K)
-	right := append([]float64(nil), parent...)
+	// The parent's entropy and total are the same at every threshold.
+	parentTotal, parentH := 0.0, stats.Entropy(parent)
+	for _, c := range parent {
+		parentTotal += c
+	}
+	left, right := g.left, g.right
+	clear(left)
+	copy(right, parent)
 	leftW := 0.0
 	bestGain, bestThresh := -1.0, 0.0
-	var bestLeft, bestRight []float64
-	for i := 0; i < len(known)-1; i++ {
-		left[known[i].c] += known[i].w
-		right[known[i].c] -= known[i].w
-		leftW += known[i].w
-		if known[i].v == known[i+1].v {
-			continue // threshold must separate distinct values
+	for j := 0; j < len(keys)-1; j++ {
+		left[cls[j]] += wts[j]
+		right[cls[j]] -= wts[j]
+		leftW += wts[j]
+		rank, next := keys[j]>>32, keys[j+1]>>32
+		if rank == next || next == rt.nan {
+			continue // threshold must separate distinct numbers
 		}
 		if leftW < minLeaf || knownW-leftW < minLeaf {
 			continue
 		}
-		gain := stats.InfoGain(parent, [][]float64{left, right})
+		gain := stats.BinaryInfoGain(parentH, parentTotal, left, right)
 		if gain > bestGain {
 			bestGain = gain
-			bestThresh = (known[i].v + known[i+1].v) / 2
-			bestLeft = append(bestLeft[:0], left...)
-			bestRight = append(bestRight[:0], right...)
+			bestThresh = (rt.values[rank] + rt.values[next]) / 2
+			copy(g.bestLeft, left)
+			copy(g.bestRight, right)
 		}
 	}
 	if bestGain < 0 {
@@ -405,10 +493,10 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
 	}
 	gain := bestGain * knownW / (knownW + missingW)
 	leftSize, rightSize := 0.0, 0.0
-	for _, c := range bestLeft {
+	for _, c := range g.bestLeft {
 		leftSize += c
 	}
-	for _, c := range bestRight {
+	for _, c := range g.bestRight {
 		rightSize += c
 	}
 	sizes := []float64{leftSize, rightSize}
@@ -421,7 +509,7 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
 		thresh:    bestThresh,
 		gain:      gain,
 		gainRatio: stats.GainRatio(gain, sizes),
-		branches:  [][]float64{bestLeft, bestRight},
+		branches:  [][]float64{slices.Clone(g.bestLeft), slices.Clone(g.bestRight)},
 	}
 }
 
@@ -435,13 +523,11 @@ type childSet struct {
 // with a missing split value go to every branch with weight scaled by the
 // branch's share of the known weight — C4.5's fractional instances
 // ("this approach requires the possibility to 'distribute' a training
-// instance over several branches of an inner node", §5.1.2).
+// instance over several branches of an inner node", §5.1.2). A counting
+// pass sizes every branch first, so each child's slices are allocated
+// once, at their final size.
 func (s *split) partition(g *grower, rows []int, weights []float64) []childSet {
 	nb := len(s.branches)
-	if s.isNumeric {
-		nb = 2
-	}
-	sets := make([]childSet, nb)
 	shares := make([]float64, nb)
 	knownW := 0.0
 	for b := range s.branches {
@@ -455,31 +541,47 @@ func (s *split) partition(g *grower, rows []int, weights []float64) []childSet {
 			shares[b] /= knownW
 		}
 	}
+	branch := slices.Grow(g.branch[:0], len(rows))[:len(rows)]
+	g.branch = branch
+	sizes := make([]int, nb)
+	missing := 0
 	for i, r := range rows {
 		v := g.ins.Table.Get(r, s.attr)
-		w := weights[i]
-		if v.IsNull() {
-			for b := range sets {
-				if shares[b] <= 0 {
-					continue
-				}
-				sets[b].rows = append(sets[b].rows, r)
-				sets[b].weights = append(sets[b].weights, w*shares[b])
-			}
+		switch {
+		case v.IsNull():
+			branch[i] = -1
+			missing++
+			continue
+		case !s.isNumeric:
+			branch[i] = v.NomIdx()
+		case v.Float() <= s.thresh:
+			branch[i] = 0
+		default:
+			branch[i] = 1
+		}
+		sizes[branch[i]]++
+	}
+	sets := make([]childSet, nb)
+	for b := range sets {
+		if shares[b] > 0 {
+			sizes[b] += missing
+		}
+		if sizes[b] > 0 {
+			sets[b] = childSet{rows: make([]int, 0, sizes[b]), weights: make([]float64, 0, sizes[b])}
+		}
+	}
+	for i, r := range rows {
+		if b := branch[i]; b >= 0 {
+			sets[b].rows = append(sets[b].rows, r)
+			sets[b].weights = append(sets[b].weights, weights[i])
 			continue
 		}
-		var b int
-		if s.isNumeric {
-			if v.Float() <= s.thresh {
-				b = 0
-			} else {
-				b = 1
+		for b := range sets {
+			if shares[b] > 0 {
+				sets[b].rows = append(sets[b].rows, r)
+				sets[b].weights = append(sets[b].weights, weights[i]*shares[b])
 			}
-		} else {
-			b = v.NomIdx()
 		}
-		sets[b].rows = append(sets[b].rows, r)
-		sets[b].weights = append(sets[b].weights, w)
 	}
 	return sets
 }

@@ -101,3 +101,47 @@ func TestSplitInfoMatchesEntropy(t *testing.T) {
 		t.Fatalf("SplitInfo must equal Entropy of branch sizes")
 	}
 }
+
+// TestInfoGainKnownValue: Quinlan's weather data split on Wind — 9 yes /
+// 5 no into weak (6/2) and strong (3/3) — gains 0.048 bits.
+func TestInfoGainKnownValue(t *testing.T) {
+	g := InfoGain([]float64{9, 5}, [][]float64{{6, 2}, {3, 3}})
+	if math.Abs(g-0.048127) > 1e-6 {
+		t.Fatalf("InfoGain = %g, want 0.048127", g)
+	}
+	// Gain ratio over branch sizes 8 and 6 plus 2 missing instances.
+	if gr, want := GainRatio(g, []float64{8, 6, 2}), g/Entropy([]float64{8, 6, 2}); gr != want {
+		t.Fatalf("GainRatio = %g, want %g", gr, want)
+	}
+}
+
+// TestBinaryInfoGainMatchesInfoGain: the two-branch helper evaluates
+// InfoGain's expression bit for bit — fractional counts, empty classes,
+// an empty branch and an empty parent included.
+func TestBinaryInfoGainMatchesInfoGain(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	fractions := []float64{0, 0, 1, 0.5, 7.0 / 13, 1.0 / 3, 0.1, 12345.678}
+	for i := 0; i < 20000; i++ {
+		k := 1 + rng.Intn(6)
+		left, right, parent := make([]float64, k), make([]float64, k), make([]float64, k)
+		emptyLeft, emptyRight := rng.Intn(10) == 0, rng.Intn(10) == 0
+		for j := range parent {
+			if !emptyLeft {
+				left[j] = fractions[rng.Intn(len(fractions))] * float64(rng.Intn(20))
+			}
+			if !emptyRight {
+				right[j] = fractions[rng.Intn(len(fractions))] * float64(rng.Intn(20))
+			}
+			parent[j] = left[j] + right[j]
+		}
+		parentTotal := 0.0
+		for _, c := range parent {
+			parentTotal += c
+		}
+		got := BinaryInfoGain(Entropy(parent), parentTotal, left, right)
+		want := InfoGain(parent, [][]float64{left, right})
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("BinaryInfoGain(%v | %v) = %v, InfoGain = %v", left, right, got, want)
+		}
+	}
+}
