@@ -85,10 +85,12 @@ type Schema = dataset.Schema
 type Table = dataset.Table
 
 // RowSource is a pull iterator over rows — the streaming counterpart of a
-// materialized Table. CSVSource decodes CSV incrementally; JSONLSource
-// decodes newline-delimited JSON objects keyed by attribute name;
-// TableSource adapts an existing table. Differential tests pin every
-// source to byte-identical audit results for the same rows.
+// materialized Table. Every source fills typed column chunks through
+// NextChunk; there is no row-at-a-time read. CSVSource decodes CSV
+// incrementally; JSONLSource decodes newline-delimited JSON objects keyed
+// by attribute name; TableSource adapts an existing table. Differential
+// tests pin every source to byte-identical audit results for the same
+// rows.
 type (
 	RowSource   = dataset.RowSource
 	CSVSource   = dataset.CSVSource

@@ -46,18 +46,16 @@ func TestCheckChunkZeroAlloc(t *testing.T) {
 	}
 }
 
-// chunkSpySource wraps a ChunkSource and records the identity of every
+// chunkSpySource wraps a RowSource and records the identity of every
 // *ColumnChunk the caller hands it, so a test can count how many
 // distinct chunk buffers a whole streaming audit ever used.
 type chunkSpySource struct {
-	inner  dataset.ChunkSource
+	inner  dataset.RowSource
 	seen   map[*dataset.ColumnChunk]int
 	chunks int
 }
 
 func (s *chunkSpySource) Schema() *dataset.Schema { return s.inner.Schema() }
-
-func (s *chunkSpySource) Next(buf []dataset.Value) (int64, error) { return s.inner.Next(buf) }
 
 func (s *chunkSpySource) NextChunk(ck *dataset.ColumnChunk, max int) (int, error) {
 	s.seen[ck]++

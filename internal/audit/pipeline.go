@@ -196,21 +196,14 @@ func tableFeed(tab *dataset.Table, workers int) feed {
 	}
 }
 
-// sourceFeed decodes a RowSource into units on the caller's goroutine —
-// through its native NextChunk when it has one (CSVSource, TableSource),
-// else the generic FillChunk adapter — and owns the stream's row
-// accounting: OnRow fires for every accepted row in source order before
-// the row's unit is handed out; a row beyond MaxRows ends the feed with a
-// RowLimitError before its OnRow and without handing out its unit; rows
-// preceding a malformed row still get their OnRow before the error.
+// sourceFeed decodes a RowSource into units on the caller's goroutine
+// through its NextChunk and owns the stream's row accounting: OnRow fires
+// for every accepted row in source order before the row's unit is handed
+// out; a row beyond MaxRows ends the feed with a RowLimitError before its
+// OnRow and without handing out its unit; rows preceding a malformed row
+// still get their OnRow before the error.
 func sourceFeed(src dataset.RowSource, opts StreamOptions) feed {
-	rowBuf := make([]dataset.Value, src.Schema().Len())
-	fill := func(ck *dataset.ColumnChunk, max int) (int, error) {
-		return dataset.FillChunk(src, ck, rowBuf, max)
-	}
-	if cs, fast := src.(dataset.ChunkSource); fast {
-		fill = cs.NextChunk
-	}
+	rowBuf := make([]dataset.Value, src.Schema().Len()) // OnRow's row
 	var rows int64
 	var srcErr error // what the source's last read ended with
 	next := func(u *unit) error {
@@ -227,7 +220,7 @@ func sourceFeed(src dataset.RowSource, opts StreamOptions) feed {
 			}
 		}
 		var n int
-		n, srcErr = fill(u.ck, target)
+		n, srcErr = src.NextChunk(u.ck, target)
 		overflow := opts.MaxRows > 0 && rows+int64(n) > opts.MaxRows
 		if overflow {
 			n = int(opts.MaxRows - rows) // the rows still accepted

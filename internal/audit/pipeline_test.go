@@ -42,8 +42,19 @@ func pipelineFixture(t *testing.T) (*Model, *dataset.Table, []byte) {
 	return m, tab, buf.Bytes()
 }
 
-// rowsOnly hides a source's NextChunk, forcing the FillChunk adapter.
-type rowsOnly struct{ dataset.RowSource }
+// renderRows renders the table's rows as the text cells of a JSON rows
+// request.
+func renderRows(tab *dataset.Table) [][]string {
+	s := tab.Schema()
+	rows := make([][]string, tab.NumRows())
+	for r := range rows {
+		rows[r] = make([]string, s.Len())
+		for c, a := range s.Attrs() {
+			rows[r][c] = a.Format(tab.Get(r, c))
+		}
+	}
+	return rows
+}
 
 // pipelineFeed builds one kind of feed over the fixture. bad appends a
 // malformed row (CSV) or makes the source fail (row source) after the
@@ -75,7 +86,7 @@ func pipelineFeeds(m *Model, tab *dataset.Table, csv []byte) []pipelineFeed {
 			if bad {
 				return sourceFeed(&errSource{schema: tab.Schema(), tab: tab, after: tab.NumRows()}, opts)
 			}
-			return sourceFeed(rowsOnly{dataset.NewTableSource(tab)}, opts)
+			return sourceFeed(dataset.NewStringRowsSource(tab.Schema(), renderRows(tab)), opts)
 		}},
 	}
 }

@@ -320,13 +320,16 @@ type errSource struct {
 
 func (s *errSource) Schema() *dataset.Schema { return s.schema }
 
-func (s *errSource) Next(buf []dataset.Value) (int64, error) {
-	if s.n >= s.after {
-		return 0, io.ErrUnexpectedEOF
+func (s *errSource) NextChunk(ck *dataset.ColumnChunk, max int) (int, error) {
+	buf := make([]dataset.Value, s.schema.Len())
+	for i := 0; i < max; i++ {
+		if s.n >= s.after {
+			return i, io.ErrUnexpectedEOF
+		}
+		ck.AppendRow(s.tab.RowInto(s.n%s.tab.NumRows(), buf), int64(s.n))
+		s.n++
 	}
-	s.tab.RowInto(s.n%s.tab.NumRows(), buf)
-	s.n++
-	return int64(s.n - 1), nil
+	return max, nil
 }
 
 // TestAuditStreamReaderErrorShutsDownCleanly checks a mid-stream source

@@ -2,9 +2,9 @@ package dataset
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // ColumnChunk is a typed, columnar block of rows: nominal attributes are
@@ -264,78 +264,43 @@ func (t *Table) ChunkInto(ck *ColumnChunk, lo, hi int) {
 	ck.appendTableRows(t, lo, hi)
 }
 
-// ChunkSource is a RowSource that can additionally fill typed column
-// chunks directly, skipping the row-of-Values detour. The streaming
-// engine probes for it and falls back to FillChunk otherwise.
-type ChunkSource interface {
-	RowSource
-	// NextChunk appends up to max rows to ck and returns how many were
-	// appended. Like io.Reader, it returns rows > 0 with a nil error as
-	// long as data flows, and (0, io.EOF) once the source is exhausted.
-	// A malformed row surfaces as the same typed error Next would
-	// return, after the preceding clean rows were appended.
-	NextChunk(ck *ColumnChunk, max int) (int, error)
-}
-
-// NextChunk implements ChunkSource with a columnar copy out of the table.
-func (s *TableSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
-	if max <= 0 {
-		return 0, nil
-	}
-	rem := s.tab.NumRows() - s.row
-	if rem <= 0 {
-		return 0, io.EOF
-	}
-	n := min(rem, max)
-	ck.appendTableRows(s.tab, s.row, s.row+n)
-	s.row += n
-	return n, nil
-}
-
-// NextChunk implements ChunkSource: it decodes up to max CSV records
-// straight into the chunk's typed vectors. Parse and width errors carry
-// the same typed values as Next.
-func (s *CSVSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
-	n := 0
-	for n < max {
-		rec, err := s.record()
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
+// appendChunk appends the chunk's rows to the table column-wise — the
+// inverse of ColumnChunk.appendTableRows. keepIDs carries the chunk's
+// record IDs over; otherwise the table assigns fresh ones.
+func (t *Table) appendChunk(ck *ColumnChunk, keepIDs bool) {
+	n := ck.n
+	for c := range t.cols {
+		col := &ck.cols[c]
+		base := len(t.cols[c])
+		dst := slices.Grow(t.cols[c], n)[:base+n]
+		if ck.schema.Attr(c).Type == NominalType {
+			for r, idx := range col.Nom[:n] {
+				if idx < 0 { // -1 is the in-band null
+					dst[base+r] = Null()
+				} else {
+					dst[base+r] = Value{kind: kindNominal, idx: idx}
+				}
 			}
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := ck.appendRecord(rec, s.nextID); err != nil {
-			return n, s.cellError(err)
-		}
-		s.nextID++
-		n++
-	}
-	return n, nil
-}
-
-// FillChunk appends up to max rows from any RowSource into ck via the
-// row buffer buf (which must have the schema's arity). It is the generic
-// adapter for sources without a native NextChunk; semantics match
-// ChunkSource.NextChunk.
-func FillChunk(src RowSource, ck *ColumnChunk, buf []Value, max int) (int, error) {
-	n := 0
-	for n < max {
-		id, err := src.Next(buf)
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
+		} else {
+			for r, x := range col.Num[:n] {
+				if col.Null(r) {
+					dst[base+r] = Null()
+				} else {
+					dst[base+r] = Num(x)
+				}
 			}
-			return n, nil
 		}
-		if err != nil {
-			return n, err
-		}
-		ck.AppendRow(buf, id)
-		n++
+		t.cols[c] = dst
 	}
-	return n, nil
+	if keepIDs {
+		t.ids = append(t.ids, ck.ids[:n]...)
+		for _, id := range ck.ids[:n] {
+			t.nextID = max(t.nextID, id+1)
+		}
+		return
+	}
+	for range n {
+		t.ids = append(t.ids, t.nextID)
+		t.nextID++
+	}
 }

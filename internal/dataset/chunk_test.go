@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"io"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -113,56 +112,6 @@ func TestChunkResetClearsNulls(t *testing.T) {
 	}
 	if cap(ck.Col(0).Nom) != nomCap || cap(ck.Col(1).Num) != numCap {
 		t.Fatal("refill below the high-water mark reallocated column buffers")
-	}
-}
-
-// TestNextChunkAndFillChunkAgree checks the two chunk-filling paths — a
-// source's native NextChunk and the generic FillChunk adapter — produce
-// identical chunks and the same EOF behavior.
-func TestNextChunkAndFillChunkAgree(t *testing.T) {
-	tab := chunkFixtureTable(t)
-
-	fast := NewTableSource(tab)
-	a := NewColumnChunk(tab.Schema())
-	var fastCounts []int
-	for {
-		n, err := fast.NextChunk(a, 64)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		fastCounts = append(fastCounts, n)
-	}
-
-	slow := NewTableSource(tab)
-	b := NewColumnChunk(tab.Schema())
-	buf := make([]Value, tab.NumCols())
-	var slowCounts []int
-	for {
-		n, err := FillChunk(slow, b, buf, 64)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		slowCounts = append(slowCounts, n)
-	}
-
-	if !reflect.DeepEqual(fastCounts, slowCounts) {
-		t.Fatalf("chunk counts differ: NextChunk %v, FillChunk %v", fastCounts, slowCounts)
-	}
-	if a.Rows() != tab.NumRows() || b.Rows() != tab.NumRows() {
-		t.Fatalf("accumulated %d and %d rows, want %d", a.Rows(), b.Rows(), tab.NumRows())
-	}
-	for r := 0; r < a.Rows(); r++ {
-		for c := 0; c < tab.NumCols(); c++ {
-			if !reflect.DeepEqual(a.Value(r, c), b.Value(r, c)) {
-				t.Fatalf("row %d col %d: NextChunk %v, FillChunk %v", r, c, a.Value(r, c), b.Value(r, c))
-			}
-		}
 	}
 }
 

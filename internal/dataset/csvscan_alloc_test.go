@@ -23,7 +23,7 @@ var quisCSV = sync.OnceValues(func() ([]byte, error) {
 })
 
 // TestCSVDecodeZeroAlloc pins the CSV decoder at zero heap allocations
-// once warm: per chunk through NextChunk, and per row through Next.
+// per chunk once warm.
 func TestCSVDecodeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -47,16 +47,6 @@ func TestCSVDecodeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("NextChunk allocated %.1f times per %d-row chunk, want 0", allocs, chunkRows)
-	}
-
-	buf := make([]dataset.Value, s.Len())
-	allocs = testing.AllocsPerRun(1000, func() {
-		if _, err := src.Next(buf); err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Next allocated %.2f times per row, want 0", allocs)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,7 +21,7 @@ func csvLineSchema() *Schema {
 // TestCSVErrorLinesArePhysical is the regression test for errors that
 // counted records instead of lines: a parse or width error names the
 // physical line its record starts on, past blank lines, CRLF ends and
-// quoted fields spanning lines, through Next, NextChunk and ReadCSV alike.
+// quoted fields spanning lines, through NextChunk and ReadCSV alike.
 func TestCSVErrorLinesArePhysical(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -59,22 +58,8 @@ func TestCSVErrorLinesArePhysical(t *testing.T) {
 					t.Fatalf("%s: error %q does not name %q", via, err, want)
 				}
 			}
-			check("Next", drainCSV(tc.csv, s))
-
-			src, err := NewCSVSource(strings.NewReader(tc.csv), s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ck := NewColumnChunk(s)
-			for err == nil {
-				_, err = src.NextChunk(ck, 64)
-			}
-			if err == io.EOF {
-				err = nil
-			}
-			check("NextChunk", err)
-
-			_, err = ReadCSV(strings.NewReader(tc.csv), s)
+			check("NextChunk", drainCSV(tc.csv, s))
+			_, err := ReadCSV(strings.NewReader(tc.csv), s)
 			check("ReadCSV", err)
 		})
 	}

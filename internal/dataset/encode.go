@@ -87,7 +87,6 @@ func EncodeTable(w io.Writer, t *Table) error {
 func DecodeTable(r io.Reader) (*Table, error) {
 	sr := NewChunkStreamReader(r)
 	var t *Table
-	var row []Value
 	closed := false
 	for {
 		ck, err := sr.Read()
@@ -102,11 +101,8 @@ func DecodeTable(r io.Reader) (*Table, error) {
 		}
 		if t == nil {
 			t = NewTable(sr.Schema())
-			row = make([]Value, sr.Schema().Len())
 		}
-		for i := 0; i < ck.Rows(); i++ {
-			t.appendRowWithID(ck.RowInto(i, row), ck.ID(i))
-		}
+		t.appendChunk(ck, true)
 		closed = ck.Rows() == 0
 	}
 }

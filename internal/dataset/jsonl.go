@@ -11,9 +11,9 @@ import (
 )
 
 // JSONLSource decodes newline-delimited JSON objects incrementally
-// against a known schema: one object per line, one row per Next call,
-// O(1) memory regardless of input size. Record IDs are the 0-based data
-// row index, matching CSVSource.
+// against a known schema: one object per line, decoded into the rows of a
+// ColumnChunk, O(1) memory regardless of input size. Record IDs are the
+// 0-based data row index, matching CSVSource.
 //
 // Field mapping is by attribute name. A missing field and a JSON null
 // both decode to the null value, as do the textual null spellings "?"
@@ -30,13 +30,13 @@ type JSONLSource struct {
 	buf    []byte
 	line   int // 1-based line of the next record
 	nextID int64
-	rowBuf []Value // reusable row buffer for NextChunk
+	rowBuf []Value // the record being decoded
 	done   bool
 }
 
 // NewJSONLSource wraps a JSONL stream.
 func NewJSONLSource(r io.Reader, s *Schema) *JSONLSource {
-	return &JSONLSource{schema: s, br: bufio.NewReader(r), line: 1}
+	return &JSONLSource{schema: s, br: bufio.NewReader(r), line: 1, rowBuf: make([]Value, s.Len())}
 }
 
 // NewBoundedJSONLSource is NewJSONLSource with a cap on the bytes of any
@@ -93,45 +93,67 @@ func (s *JSONLSource) readLine() ([]byte, int, error) {
 	}
 }
 
-// Next implements RowSource.
-func (s *JSONLSource) Next(buf []Value) (int64, error) {
+// NextChunk implements RowSource: it decodes up to max records into the
+// chunk.
+func (s *JSONLSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
+	n := 0
+	for n < max {
+		if err := s.record(); err == io.EOF {
+			if n == 0 {
+				return 0, io.EOF
+			}
+			return n, nil
+		} else if err != nil {
+			return n, err
+		}
+		ck.AppendRow(s.rowBuf, s.nextID)
+		s.nextID++
+		n++
+	}
+	return n, nil
+}
+
+// record decodes the next non-blank line into rowBuf. Anything but a JSON
+// object — null included — is an error naming the line.
+func (s *JSONLSource) record() error {
 	data, line, err := s.readLine()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	var obj map[string]any
 	if err := dec.Decode(&obj); err != nil {
-		return 0, fmt.Errorf("dataset: JSONL line %d: %w", line, err)
+		return fmt.Errorf("dataset: JSONL line %d: %w", line, err)
+	}
+	if obj == nil {
+		return fmt.Errorf("dataset: JSONL line %d: null is not a JSON object", line)
 	}
 	if dec.More() {
-		return 0, fmt.Errorf("dataset: JSONL line %d: trailing data after object", line)
+		return fmt.Errorf("dataset: JSONL line %d: trailing data after object", line)
 	}
 	matched := 0
 	for c, a := range s.schema.Attrs() {
 		raw, ok := obj[a.Name]
 		if !ok {
-			buf[c] = Null()
+			s.rowBuf[c] = Null()
 			continue
 		}
 		matched++
 		v, err := jsonCell(a, raw)
 		if err != nil {
-			return 0, fmt.Errorf("dataset: JSONL line %d: %w", line, err)
+			return fmt.Errorf("dataset: JSONL line %d: %w", line, err)
 		}
-		buf[c] = v
+		s.rowBuf[c] = v
 	}
 	if matched != len(obj) {
 		for name := range obj {
 			if s.schema.Index(name) < 0 {
-				return 0, fmt.Errorf("dataset: JSONL line %d: field %q is not in the schema", line, name)
+				return fmt.Errorf("dataset: JSONL line %d: field %q is not in the schema", line, name)
 			}
 		}
 	}
-	id := s.nextID
-	s.nextID++
-	return id, nil
+	return nil
 }
 
 // jsonCell converts one decoded JSON value into a typed cell.
@@ -159,15 +181,6 @@ func jsonCell(a *Attribute, raw any) (Value, error) {
 	default:
 		return Null(), fmt.Errorf("dataset: attribute %s: unsupported JSON value of type %T", a.Name, raw)
 	}
-}
-
-// NextChunk implements ChunkSource: it decodes up to max records into the
-// chunk. Errors carry the same typed values as Next.
-func (s *JSONLSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
-	if s.rowBuf == nil {
-		s.rowBuf = make([]Value, s.schema.Len())
-	}
-	return FillChunk(s, ck, s.rowBuf, max)
 }
 
 // OpenJSONLFileSource opens the named JSONL file as a streaming

@@ -19,20 +19,17 @@ func jsonlSchema(t testing.TB) *Schema {
 
 func drain(t *testing.T, src RowSource) ([][]Value, []int64) {
 	t.Helper()
-	var rows [][]Value
-	var ids []int64
-	buf := make([]Value, src.Schema().Len())
-	for {
-		id, err := src.Next(buf)
-		if err == io.EOF {
-			return rows, ids
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, append([]Value(nil), buf...))
-		ids = append(ids, id)
+	ck, err := drainChunks(src, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rows := make([][]Value, ck.Rows())
+	ids := make([]int64, ck.Rows())
+	for r := range rows {
+		rows[r] = ck.RowInto(r, make([]Value, src.Schema().Len()))
+		ids[r] = ck.ID(r)
+	}
+	return rows, ids
 }
 
 func TestJSONLSourceDecodes(t *testing.T) {
@@ -65,6 +62,7 @@ func TestJSONLSourceErrors(t *testing.T) {
 	}{
 		{"malformed JSON", `{"brv":`, "line 1"},
 		{"not an object", `[1,2,3]`, "line 1"},
+		{"null line", "null", "line 1: null is not a JSON object"},
 		{"unknown field", `{"brv":"404","bogus":1}`, `"bogus"`},
 		{"bad nominal", `{"brv":"999"}`, "brv"},
 		{"bad number", `{"disp":"abc"}`, "disp"},
@@ -76,9 +74,8 @@ func TestJSONLSourceErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			src := NewJSONLSource(strings.NewReader(tc.in), s)
-			buf := make([]Value, s.Len())
-			_, err := src.Next(buf)
-			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			n, err := src.NextChunk(NewColumnChunk(s), 10)
+			if n != 0 || err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("err = %v, want substring %q", err, tc.wantSub)
 			}
 		})
@@ -88,13 +85,9 @@ func TestJSONLSourceErrors(t *testing.T) {
 func TestJSONLSourceLineNumbersSkipBlanks(t *testing.T) {
 	s := jsonlSchema(t)
 	src := NewJSONLSource(strings.NewReader("\n\n{\"brv\":\"404\"}\n\n{bad\n"), s)
-	buf := make([]Value, s.Len())
-	if _, err := src.Next(buf); err != nil {
-		t.Fatal(err)
-	}
-	_, err := src.Next(buf)
-	if err == nil || !strings.Contains(err.Error(), "line 5") {
-		t.Fatalf("err = %v, want line 5", err)
+	n, err := src.NextChunk(NewColumnChunk(s), 10)
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "line 5") {
+		t.Fatalf("(%d, %v), want one row and an error at line 5", n, err)
 	}
 }
 
@@ -105,8 +98,8 @@ func TestBoundedJSONLSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]Value, s.Len())
-	if _, err := src.Next(buf); err == nil || !strings.Contains(err.Error(), "64-byte limit") {
+	ck := NewColumnChunk(s)
+	if _, err := src.NextChunk(ck, 10); err == nil || !strings.Contains(err.Error(), "64-byte limit") {
 		t.Fatalf("err = %v, want byte-limit failure", err)
 	}
 	// A cap below any line is rejected up front only for non-positive.
@@ -118,16 +111,16 @@ func TestBoundedJSONLSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Next(buf); err != nil {
-		t.Fatal(err)
+	if n, err := src.NextChunk(ck, 10); n != 1 || err != nil {
+		t.Fatalf("(%d, %v), want one row", n, err)
 	}
-	if _, err := src.Next(buf); err != io.EOF {
+	if _, err := src.NextChunk(ck, 10); err != io.EOF {
 		t.Fatalf("err = %v, want EOF", err)
 	}
 }
 
 // TestWriteJSONLRoundTrip: write → read reproduces the exact cell values
-// and the chunk path agrees with the row path.
+// through ReadAll and through NextChunk alike.
 func TestWriteJSONLRoundTrip(t *testing.T) {
 	s := jsonlSchema(t)
 	tab := NewTable(s)
@@ -154,7 +147,7 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Chunk path: NextChunk must deliver the same rows and IDs.
+	// NextChunk must deliver the same rows and IDs.
 	src := NewJSONLSource(strings.NewReader(b.String()), s)
 	ck := NewColumnChunk(s)
 	n, err := src.NextChunk(ck, 100)

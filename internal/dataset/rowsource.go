@@ -67,16 +67,20 @@ func (e *RowWidthError) Error() string {
 func (e *RowWidthError) Unwrap() error { return ErrRowWidth }
 
 // RowSource is a pull iterator over the rows of a relation — the streaming
-// counterpart of a fully materialized Table. Sources are single-pass and
-// not safe for concurrent use; the streaming audit engine
+// counterpart of a fully materialized Table. Every source fills typed
+// column chunks; there is no row-at-a-time read. Sources are single-pass
+// and not safe for concurrent use; the streaming audit engine
 // (audit.AuditStream) reads them from exactly one goroutine.
 type RowSource interface {
 	// Schema returns the relation schema every row conforms to.
 	Schema() *Schema
-	// Next fills buf (whose length must equal Schema().Len()) with the
-	// next row and returns its record ID. It returns io.EOF when the
-	// source is exhausted.
-	Next(buf []Value) (id int64, err error)
+	// NextChunk appends up to max rows to ck and returns how many were
+	// appended. Like io.Reader, it returns rows > 0 with a nil error as
+	// long as data flows, and (0, io.EOF) once the source is exhausted.
+	// A malformed row surfaces as a typed error (a RowWidthError, the
+	// attribute's parse error) after the preceding clean rows were
+	// appended, so the chunk always holds exactly the accepted rows.
+	NextChunk(ck *ColumnChunk, max int) (int, error)
 }
 
 // TableSource adapts a materialized Table into a RowSource, preserving the
@@ -93,20 +97,24 @@ func NewTableSource(t *Table) *TableSource { return &TableSource{tab: t} }
 // Schema implements RowSource.
 func (s *TableSource) Schema() *Schema { return s.tab.Schema() }
 
-// Next implements RowSource.
-func (s *TableSource) Next(buf []Value) (int64, error) {
-	if s.row >= s.tab.NumRows() {
+// NextChunk implements RowSource with a columnar copy out of the table.
+func (s *TableSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
+	if max <= 0 {
+		return 0, nil
+	}
+	rem := s.tab.NumRows() - s.row
+	if rem <= 0 {
 		return 0, io.EOF
 	}
-	s.tab.RowInto(s.row, buf)
-	id := s.tab.ID(s.row)
-	s.row++
-	return id, nil
+	n := min(rem, max)
+	ck.appendTableRows(s.tab, s.row, s.row+n)
+	s.row += n
+	return n, nil
 }
 
-// CSVSource decodes CSV incrementally against a known schema: one row per
-// Next call (or a chunk of rows per NextChunk), O(1) memory regardless of
-// input size and no allocation per row. Record IDs are the 0-based data
+// CSVSource decodes CSV incrementally against a known schema straight
+// into the typed vectors of a ColumnChunk: O(1) memory regardless of input
+// size and no allocation per row. Record IDs are the 0-based data
 // row index (the first row after the header is ID 0). Width mismatches
 // surface as RowWidthError (wrapping ErrRowWidth), parse failures as the
 // attribute's parse error and malformed quoting as a *csv.ParseError, all
@@ -207,22 +215,28 @@ func (s *CSVSource) cellError(err error) error {
 	return fmt.Errorf("dataset: CSV line %d: %w", s.sc.recLine, err)
 }
 
-// Next implements RowSource.
-func (s *CSVSource) Next(buf []Value) (int64, error) {
-	rec, err := s.record()
-	if err != nil {
-		return 0, err
-	}
-	for c, a := range s.schema.attrs {
-		v, err := a.parseBytes(rec[c])
-		if err != nil {
-			return 0, s.cellError(err)
+// NextChunk implements RowSource: it decodes up to max CSV records
+// straight into the chunk's typed vectors.
+func (s *CSVSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
+	n := 0
+	for n < max {
+		rec, err := s.record()
+		if err == io.EOF {
+			if n == 0 {
+				return 0, io.EOF
+			}
+			return n, nil
 		}
-		buf[c] = v
+		if err != nil {
+			return n, err
+		}
+		if err := ck.appendRecord(rec, s.nextID); err != nil {
+			return n, s.cellError(err)
+		}
+		s.nextID++
+		n++
 	}
-	id := s.nextID
-	s.nextID++
-	return id, nil
+	return n, nil
 }
 
 // budgetReader fails once more bytes were consumed than the current
@@ -252,41 +266,58 @@ func (b *budgetReader) Read(p []byte) (int, error) {
 
 // StringRowsSource is a RowSource over pre-split string rows in the
 // attributes' text rendering — the shape JSON audit requests arrive in.
-// Record IDs are the 0-based row index.
+// Record IDs are the 0-based row index; error messages number rows from 1.
 type StringRowsSource struct {
 	schema *Schema
 	rows   [][]string
 	next   int
+	rowBuf []Value
 }
 
 // NewStringRowsSource wraps rendered string rows.
 func NewStringRowsSource(s *Schema, rows [][]string) *StringRowsSource {
-	return &StringRowsSource{schema: s, rows: rows}
+	return &StringRowsSource{schema: s, rows: rows, rowBuf: make([]Value, s.Len())}
 }
 
 // Schema implements RowSource.
 func (s *StringRowsSource) Schema() *Schema { return s.schema }
 
-// Next implements RowSource.
-func (s *StringRowsSource) Next(buf []Value) (int64, error) {
-	if s.next >= len(s.rows) {
+// NextChunk implements RowSource: it parses up to max rows into the chunk.
+func (s *StringRowsSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
+	n := 0
+	for ; n < max && s.next < len(s.rows); n++ {
+		if err := s.parse(s.next); err != nil {
+			return n, err
+		}
+		ck.AppendRow(s.rowBuf, int64(s.next))
+		s.next++
+	}
+	if n == 0 && max > 0 {
 		return 0, io.EOF
 	}
-	i := s.next
-	s.next++
-	rec := s.rows[i]
+	return n, nil
+}
+
+// parse checks the width of row i and parses its cells into rowBuf.
+func (s *StringRowsSource) parse(i int) error {
+	rec, line := s.rows[i], i+1
 	if len(rec) != s.schema.Len() {
-		return 0, &RowWidthError{Line: i + 1, Got: len(rec), Want: s.schema.Len()}
+		return &RowWidthError{Line: line, Got: len(rec), Want: s.schema.Len()}
 	}
 	for c, a := range s.schema.attrs {
 		v, err := a.Parse(rec[c])
 		if err != nil {
-			return 0, fmt.Errorf("dataset: row %d: %w", i, err)
+			return fmt.Errorf("dataset: row %d: %w", line, err)
 		}
-		buf[c] = v
+		s.rowBuf[c] = v
 	}
-	return int64(i), nil
+	return nil
 }
+
+// readAllChunkRows is the chunk ReadAll drains a source through. Small on
+// purpose: the chunk is a transit buffer, and a large one only adds growth
+// allocations on the request-sized bodies ReadAll decodes.
+const readAllChunkRows = 128
 
 // ReadAll drains a RowSource into a materialized Table — the inverse of
 // NewTableSource. Source-assigned record IDs are discarded; the table
@@ -302,19 +333,16 @@ func ReadAllKeepIDs(src RowSource) (*Table, error) { return readAll(src, true) }
 
 func readAll(src RowSource, keepIDs bool) (*Table, error) {
 	t := NewTable(src.Schema())
-	buf := make([]Value, src.Schema().Len())
+	ck := NewColumnChunk(src.Schema())
 	for {
-		id, err := src.Next(buf)
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
+		ck.Reset()
+		_, err := src.NextChunk(ck, readAllChunkRows)
+		if err != nil && err != io.EOF {
 			return nil, err
 		}
-		if keepIDs {
-			t.appendRowWithID(buf, id)
-		} else {
-			t.AppendRow(buf)
+		t.appendChunk(ck, keepIDs)
+		if err == io.EOF {
+			return t, nil
 		}
 	}
 }

@@ -15,6 +15,20 @@ func sourceSchema() *Schema {
 	)
 }
 
+// drainChunks reads src to the end in calls of at most max rows, all
+// appended to one chunk, and returns the chunk with the first error other
+// than io.EOF.
+func drainChunks(src RowSource, max int) (*ColumnChunk, error) {
+	ck := NewColumnChunk(src.Schema())
+	for {
+		if _, err := src.NextChunk(ck, max); err == io.EOF {
+			return ck, nil
+		} else if err != nil {
+			return ck, err
+		}
+	}
+}
+
 // TestCSVSourceStreamsRows drains a well-formed stream and checks rows,
 // IDs and the EOF contract.
 func TestCSVSourceStreamsRows(t *testing.T) {
@@ -24,27 +38,24 @@ func TestCSVSourceStreamsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]Value, s.Len())
-
-	id, err := src.Next(buf)
-	if err != nil || id != 0 {
-		t.Fatalf("first row: id %d, err %v", id, err)
+	ck := NewColumnChunk(s)
+	if n, err := src.NextChunk(ck, 1); n != 1 || err != nil {
+		t.Fatalf("first row: %d rows, err %v", n, err)
 	}
-	if buf[0].NomIdx() != 0 || buf[2].Float() != 2100 {
-		t.Fatalf("first row parsed wrong: %v", buf)
+	if ck.ID(0) != 0 || ck.Value(0, 0).NomIdx() != 0 || ck.Value(0, 2).Float() != 2100 {
+		t.Fatalf("first row parsed wrong: id %d, %v", ck.ID(0), ck.RowInto(0, make([]Value, s.Len())))
 	}
-	id, err = src.Next(buf)
-	if err != nil || id != 1 {
-		t.Fatalf("second row: id %d, err %v", id, err)
+	if n, err := src.NextChunk(ck, 10); n != 1 || err != nil {
+		t.Fatalf("second row: %d rows, err %v", n, err)
 	}
-	if !buf[2].IsNull() {
-		t.Fatalf("null token not parsed: %v", buf[2])
+	if ck.ID(1) != 1 || !ck.Value(1, 2).IsNull() {
+		t.Fatalf("second row: id %d, DISP %v; want id 1 and the null token parsed", ck.ID(1), ck.Value(1, 2))
 	}
-	if _, err := src.Next(buf); err != io.EOF {
+	if _, err := src.NextChunk(ck, 10); err != io.EOF {
 		t.Fatalf("want io.EOF, got %v", err)
 	}
 	// EOF is sticky.
-	if _, err := src.Next(buf); err != io.EOF {
+	if _, err := src.NextChunk(ck, 10); err != io.EOF {
 		t.Fatalf("EOF not sticky: %v", err)
 	}
 }
@@ -121,14 +132,8 @@ func drainCSV(in string, s *Schema) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]Value, s.Len())
-	for {
-		if _, err := src.Next(buf); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return err
-		}
-	}
+	_, err = drainChunks(src, 64)
+	return err
 }
 
 // TestBoundedCSVSource pins the record byte cap: normal streams of any
@@ -149,18 +154,12 @@ func TestBoundedCSVSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]Value, s.Len())
-		rows := 0
-		for {
-			if _, err := src.Next(buf); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatal(err)
-			}
-			rows++
+		ck, err := drainChunks(src, 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rows != 500 {
-			t.Fatalf("decoded %d rows, want 500", rows)
+		if ck.Rows() != 500 {
+			t.Fatalf("decoded %d rows, want 500", ck.Rows())
 		}
 	})
 
@@ -175,11 +174,11 @@ func TestBoundedCSVSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf := make([]Value, s.Len())
-			if _, err := src.Next(buf); err != nil {
-				t.Fatalf("good row rejected: %v", err)
+			ck := NewColumnChunk(s)
+			n, err := src.NextChunk(ck, 10)
+			if n != 1 {
+				t.Fatalf("good row not kept beside the error: %d rows", n)
 			}
-			_, err = src.Next(buf)
 			if err == nil || !strings.Contains(err.Error(), "byte limit") {
 				t.Fatalf("oversized record not capped: %v", err)
 			}
@@ -205,12 +204,11 @@ func TestTableSourceRoundTrip(t *testing.T) {
 	tab.DeleteRow(0) // IDs no longer dense: remaining row has ID 1
 
 	src := NewTableSource(tab)
-	buf := make([]Value, s.Len())
-	id, err := src.Next(buf)
-	if err != nil || id != 1 {
-		t.Fatalf("id %d, err %v; want id 1", id, err)
+	ck := NewColumnChunk(s)
+	if n, err := src.NextChunk(ck, 10); n != 1 || err != nil || ck.ID(0) != 1 {
+		t.Fatalf("%d rows, err %v; want one row with id 1", n, err)
 	}
-	if _, err := src.Next(buf); err != io.EOF {
+	if _, err := src.NextChunk(ck, 10); err != io.EOF {
 		t.Fatalf("want io.EOF, got %v", err)
 	}
 
@@ -231,16 +229,15 @@ func TestStringRowsSourceWidth(t *testing.T) {
 		{"404", "901", "2100"},
 		{"501", "911"},
 	})
-	buf := make([]Value, s.Len())
-	if _, err := src.Next(buf); err != nil {
-		t.Fatal(err)
+	n, err := src.NextChunk(NewColumnChunk(s), 10)
+	if n != 1 {
+		t.Fatalf("%d rows kept beside the error, want 1", n)
 	}
-	_, err := src.Next(buf)
 	if !errors.Is(err, ErrRowWidth) {
 		t.Fatalf("want ErrRowWidth, got %v", err)
 	}
 	var rwe *RowWidthError
-	if !errors.As(err, &rwe) || rwe.Got != 2 || rwe.Want != 3 {
+	if !errors.As(err, &rwe) || rwe.Line != 2 || rwe.Got != 2 || rwe.Want != 3 {
 		t.Fatalf("RowWidthError fields wrong: %+v", rwe)
 	}
 }

@@ -51,17 +51,6 @@ func (t *Table) AppendRow(row []Value) int64 {
 	return id
 }
 
-// appendRowWithID restores a row under a pre-existing ID (deserialization).
-func (t *Table) appendRowWithID(row []Value, id int64) {
-	for c := range t.cols {
-		t.cols[c] = append(t.cols[c], row[c])
-	}
-	t.ids = append(t.ids, id)
-	if id >= t.nextID {
-		t.nextID = id + 1
-	}
-}
-
 // Row copies row r into a fresh slice.
 func (t *Table) Row(r int) []Value {
 	out := make([]Value, len(t.cols))

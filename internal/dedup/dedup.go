@@ -13,8 +13,8 @@
 // machinery of internal/assoc (see discover.go).
 //
 // The detector consumes typed ColumnChunks, so it rides the same columnar
-// ingestion path as the scoring core: any RowSource/ChunkSource —
-// CSV, JSONL, a table — feeds it without a row-form detour.
+// ingestion path as the scoring core: any RowSource — CSV, JSONL, a
+// table — feeds it without a row-form detour.
 package dedup
 
 import (
@@ -362,40 +362,16 @@ func (d *Detector) Finalize(opts Options) (*Result, error) {
 
 // Detect scans a table: chunked accumulation, then Finalize.
 func Detect(tab *dataset.Table, opts Options) (*Result, error) {
-	d := NewDetector(tab.Schema())
-	ck := dataset.NewColumnChunk(tab.Schema())
-	n := tab.NumRows()
-	const chunkRows = 4096
-	for lo := 0; lo < n; lo += chunkRows {
-		hi := lo + chunkRows
-		if hi > n {
-			hi = n
-		}
-		tab.ChunkInto(ck, lo, hi)
-		d.Observe(ck)
-	}
-	return d.Finalize(opts)
+	return DetectSource(dataset.NewTableSource(tab), opts)
 }
 
-// DetectSource scans any row source, preferring the source's native
-// columnar decode when it is a ChunkSource.
+// DetectSource scans any row source chunk by chunk.
 func DetectSource(src dataset.RowSource, opts Options) (*Result, error) {
 	d := NewDetector(src.Schema())
 	ck := dataset.NewColumnChunk(src.Schema())
-	cs, fast := src.(dataset.ChunkSource)
-	var buf []dataset.Value
-	if !fast {
-		buf = make([]dataset.Value, src.Schema().Len())
-	}
 	for {
 		ck.Reset()
-		var n int
-		var err error
-		if fast {
-			n, err = cs.NextChunk(ck, 4096)
-		} else {
-			n, err = dataset.FillChunk(src, ck, buf, 4096)
-		}
+		n, err := src.NextChunk(ck, 4096)
 		if n > 0 {
 			d.Observe(ck)
 		}

@@ -31,12 +31,16 @@ type gatedSource struct {
 
 func (g *gatedSource) Schema() *dataset.Schema { return g.src.Schema() }
 
-func (g *gatedSource) Next(buf []dataset.Value) (int64, error) {
+func (g *gatedSource) NextChunk(ck *dataset.ColumnChunk, max int) (int, error) {
 	if g.n == g.gateAfter {
 		<-g.gate
 	}
-	g.n++
-	return g.src.Next(buf)
+	if g.n < g.gateAfter {
+		max = min(max, int(g.gateAfter-g.n))
+	}
+	n, err := g.src.NextChunk(ck, max)
+	g.n += int64(n)
+	return n, err
 }
 
 // publishFixture publishes the fixture model with its quality baseline

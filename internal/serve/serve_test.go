@@ -308,6 +308,37 @@ func TestBadRequests(t *testing.T) {
 		AuditRequest{Row: []string{"404", "901"}}), http.StatusBadRequest) // wrong arity
 }
 
+// TestJSONRowsErrorsNumberRowsFromOne pins one numbering for both kinds
+// of JSON-rows failure: a bad cell and a short row in the same position
+// name the same 1-based row.
+func TestJSONRowsErrorsNumberRowsFromOne(t *testing.T) {
+	ts := newTestServer(t)
+	schemaText, csvText, _ := engineFixture(t, 600)
+	decode[ModelResponse](t, postJSON(t, ts.URL+"/v1/models", InduceRequest{
+		Name: "engines", Schema: schemaText, CSV: csvText,
+	}), http.StatusCreated)
+
+	good := []string{"404", "01", "901", "1500"}
+	for _, tc := range []struct {
+		name string
+		rows [][]string
+		want string
+	}{
+		{"bad cell in the first row", [][]string{{"999", "01", "901", "1500"}, good}, "row 1:"},
+		{"short first row", [][]string{{"404", "01"}, good}, "row at line 1 "},
+		{"bad cell in the second row", [][]string{good, {"404", "01", "901", "x"}}, "row 2:"},
+		{"short second row", [][]string{good, {"404"}}, "row at line 2 "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			er := decode[ErrorResponse](t, postJSON(t, ts.URL+"/v1/models/engines/audit",
+				AuditRequest{Rows: tc.rows}), http.StatusBadRequest)
+			if !strings.Contains(er.Error, tc.want) {
+				t.Fatalf("error %q does not name %q", er.Error, tc.want)
+			}
+		})
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t)
 	health := decode[map[string]any](t, mustGet(t, ts.URL+"/healthz"), http.StatusOK)

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # check_coverage.sh — enforces per-package statement-coverage floors on
-# the scoring core.
+# the scoring core and on the packages that decode every network body
+# (internal/serve) and every model file (internal/registry).
 #
 #   go test -coverprofile=coverage.out ./...
 #   ./scripts/check_coverage.sh coverage.out
@@ -13,7 +14,7 @@ set -euo pipefail
 
 profile=${1:-coverage.out}
 floor=${FLOOR:-70}
-packages=${PACKAGES:-"dataaudit/internal/audit dataaudit/internal/mlcore dataaudit/internal/monitor dataaudit/internal/obs dataaudit/internal/dataset dataaudit/internal/shard dataaudit/internal/assoc dataaudit/internal/dedup"}
+packages=${PACKAGES:-"dataaudit/internal/audit dataaudit/internal/mlcore dataaudit/internal/monitor dataaudit/internal/obs dataaudit/internal/dataset dataaudit/internal/shard dataaudit/internal/assoc dataaudit/internal/dedup dataaudit/internal/serve dataaudit/internal/registry"}
 
 if [ ! -f "$profile" ]; then
   echo "check_coverage: profile $profile not found (run: go test -coverprofile=$profile ./...)" >&2
