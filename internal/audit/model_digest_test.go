@@ -14,8 +14,11 @@ import (
 	"dataaudit/internal/audittree"
 	"dataaudit/internal/c45"
 	"dataaudit/internal/dataset"
+	"dataaudit/internal/knn"
+	"dataaudit/internal/nbayes"
 	"dataaudit/internal/pollute"
 	"dataaudit/internal/quis"
+	"dataaudit/internal/ruleind"
 )
 
 // The tree inducers' model bytes, pinned. Each digest is the SHA-256 of
@@ -46,15 +49,34 @@ var wantModelDigests = map[string]string{
 	"quis-raw/id3/reinduce":             "2e1a71cf8e0958bee5c6c4cb24b5a8f7850a76f3d928ffc85014584a873148ea",
 }
 
+// The baseline inducers' model bytes, pinned the same way on the
+// baseconfig fixture only: a kNN model stores its training rows, so on
+// the 30 000-row QUIS pair its gob runs to tens of megabytes.
+var wantBaselineModelDigests = map[string]string{
+	"baseconfig/1r/induce":       "6d3ed517e6df6c040233bbee16dbe21bac73ab57ecbd5065c5226355f394b3df",
+	"baseconfig/1r/reinduce":     "e4f42bc0eef063282490486d6c87af96215627ab0f0a19f5fc34af08b939ecb6",
+	"baseconfig/knn/induce":      "eafe9393775d3824d35452dbc49256394419fa3737cbffaaac3754f68e0f53a3",
+	"baseconfig/knn/reinduce":    "ab2646ca461e2a32a87f00b7dbb532f19d7e0c35adb181a44caaf3228dae34c9",
+	"baseconfig/nbayes/induce":   "9d9eccda5d775581ff59e8f6bacd79ecf1e8c4fe055f604ed3eefcf6e3a6db3e",
+	"baseconfig/nbayes/reinduce": "16cf0d4878401dd3e2ccbbfeb43a1a79b3d98f830a4b5e4779dc09450968810b",
+	"baseconfig/prism/induce":    "e82da20cbad939853e71d937b847355d4c3819904923d55c8922e6614d7c8512",
+	"baseconfig/prism/reinduce":  "8aefe999ed18d808caad144c6a3c19983800cf0f70cdc37f41e17e65031def28",
+}
+
 // Gob numbers types in the order a process first encodes them, and a
 // model's bytes carry those numbers — the schema's nested stream too — so
 // a digest would depend on which tests encoded something first. Encoding
-// one model with a schema and both tree classifiers before any test runs
-// fixes the numbering of every type a tree model holds.
+// one model with a schema and every classifier before any test runs fixes
+// the numbering of every type a model holds; the tree classifiers come
+// first, so their numbering is what it was before the others were added.
 func init() {
 	m := &audit.Model{
 		Schema: dataset.MustSchema(dataset.NewNominal("a", "x"), dataset.NewNumeric("b", 0, 1)),
-		Attrs:  []*audit.AttrModel{{Classifier: &audittree.RuleSet{}}, {Classifier: &c45.Tree{}}},
+		Attrs: []*audit.AttrModel{
+			{Classifier: &audittree.RuleSet{}}, {Classifier: &c45.Tree{}},
+			{Classifier: &nbayes.Model{}}, {Classifier: &knn.Model{}},
+			{Classifier: &ruleind.OneRModel{}}, {Classifier: &ruleind.PrismModel{}},
+		},
 	}
 	if _, err := audit.Marshal(m); err != nil {
 		panic(err)
@@ -116,10 +138,23 @@ func modelDigest(t *testing.T, m *audit.Model) string {
 
 func TestTreeModelDigests(t *testing.T) {
 	canonical, raw := benchQUISFixtures(t)
-	fixtures := []determinismFixture{canonical, raw, baseConfigFixture(t)}
+	checkModelDigests(t, wantModelDigests, []determinismFixture{canonical, raw, baseConfigFixture(t)},
+		audit.InducerC45Audit, audit.InducerC45, audit.InducerID3)
+}
+
+func TestBaselineModelDigests(t *testing.T) {
+	checkModelDigests(t, wantBaselineModelDigests, []determinismFixture{baseConfigFixture(t)},
+		audit.InducerNaiveBayes, audit.InducerKNN, audit.InducerOneR, audit.InducerPrism)
+}
+
+// checkModelDigests induces a model of each kind on every fixture's prev
+// table, re-induces every attribute of it incrementally onto the cur
+// table, and holds both digests to want.
+func checkModelDigests(t *testing.T, want map[string]string, fixtures []determinismFixture, kinds ...audit.InducerKind) {
+	t.Helper()
 	got := map[string]string{}
 	for _, fx := range fixtures {
-		for _, kind := range []audit.InducerKind{audit.InducerC45Audit, audit.InducerC45, audit.InducerID3} {
+		for _, kind := range kinds {
 			m, err := audit.Induce(fx.prev, audit.Options{MinConfidence: 0.8, Inducer: kind})
 			if err != nil {
 				t.Fatal(err)
@@ -138,8 +173,8 @@ func TestTreeModelDigests(t *testing.T) {
 	}
 	failed := false
 	for key, sum := range got {
-		if wantModelDigests[key] != sum {
-			t.Errorf("%s: model digest %s, want %s", key, sum, wantModelDigests[key])
+		if want[key] != sum {
+			t.Errorf("%s: model digest %s, want %s", key, sum, want[key])
 			failed = true
 		}
 	}
