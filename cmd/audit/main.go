@@ -58,8 +58,8 @@ func main() {
 			"induction algorithm: c45-audit, c45, id3, nbayes, knn, 1r, prism")
 		top       = flag.Int("top", 20, "number of top-ranked suspicious records to print")
 		corrected = flag.String("corrected", "", "optional output CSV with corrections applied (§5.3)")
-		filter    = flag.String("filter", "", "rule filter: paper, reachable, none "+
-			"(default: paper for one-shot audits, reachable for -induce, since a model trained on "+
+		filter    = flag.String("filter", "", "rule filter: paper, reachable-only (or reachable), none "+
+			"(default: paper for one-shot audits, reachable-only for -induce, since a model trained on "+
 			"clean history needs its pure rules to flag deviations in future loads)")
 		stream  = flag.Bool("stream", false, "stream the input through a saved -model with bounded memory (no table materialization)")
 		chunk   = flag.Int("chunk", 1024, "rows per scoring chunk in -stream mode")
@@ -146,19 +146,10 @@ func main() {
 			Bins:          *bins,
 			Inducer:       audit.InducerKind(*inducer),
 		}
-		switch *filter {
-		case "":
-			if *induceOnly {
-				opts.Filter = audittree.FilterReachableOnly
-			}
-		case "paper":
-			opts.Filter = audittree.FilterPaper
-		case "reachable":
+		if *filter == "" && *induceOnly {
 			opts.Filter = audittree.FilterReachableOnly
-		case "none":
-			opts.Filter = audittree.FilterNone
-		default:
-			fail("unknown -filter %q", *filter)
+		} else if opts.Filter, err = audittree.ParseFilterMode(*filter); err != nil {
+			fail("-filter: %v", err)
 		}
 		if model, err = audit.Induce(table, opts); err != nil {
 			fail("induction: %v", err)

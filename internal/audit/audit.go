@@ -57,10 +57,10 @@ const (
 // falls back to the named Inducer.
 type Options struct {
 	// MinConfidence is the minimal error confidence for a record to be
-	// marked suspicious (the paper's evaluation fixes 0.8).
+	// marked suspicious (the paper's evaluation fixes 0.8), in (0, 1].
 	MinConfidence float64 `json:"minConfidence,omitempty"`
 	// ConfLevel is the one-sided confidence level of all interval bounds
-	// (default 0.95).
+	// (default 0.95), in (0, 1).
 	ConfLevel float64 `json:"confLevel,omitempty"`
 	// Bins is the number of equal-frequency bins for numeric/date class
 	// attributes (default 5).
@@ -107,6 +107,19 @@ func (o Options) WithDefaults() Options {
 		o.KNNk = 5
 	}
 	return o
+}
+
+// validate rejects confidence options outside their ranges. A minimum
+// confidence of zero or less would mark every row suspicious, some with
+// no finding to show. NaN fails every comparison, so it is rejected too.
+func (o Options) validate() error {
+	if !(o.MinConfidence > 0 && o.MinConfidence <= 1) {
+		return fmt.Errorf("minimum confidence %v outside (0, 1]", o.MinConfidence)
+	}
+	if !(o.ConfLevel > 0 && o.ConfLevel < 1) {
+		return fmt.Errorf("confidence level %v outside (0, 1)", o.ConfLevel)
+	}
+	return nil
 }
 
 // AttrModel is the per-attribute dependency model: one classifier plus the
@@ -167,6 +180,9 @@ type Model struct {
 // dependency of this class attribute from the other attributes").
 func Induce(tab *dataset.Table, opts Options) (*Model, error) {
 	opts = opts.WithDefaults()
+	if err := opts.validate(); err != nil {
+		return nil, fmt.Errorf("audit: %w", err)
+	}
 	schema := tab.Schema()
 	start := time.Now()
 	m := &Model{Schema: schema, Opts: opts, TrainRows: tab.NumRows()}

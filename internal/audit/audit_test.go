@@ -237,6 +237,33 @@ func TestSkipClasses(t *testing.T) {
 	}
 }
 
+// TestInduceRejectsConfidenceOutOfRange: a minimum confidence outside
+// (0, 1] or a confidence level outside (0, 1), NaN included, fails
+// Induce. Zero stands for the default and is accepted.
+func TestInduceRejectsConfidenceOutOfRange(t *testing.T) {
+	tab := engineTable(t, 500, 79)
+	nan := math.NaN()
+	for _, tc := range []struct {
+		opts Options
+		ok   bool
+	}{
+		{Options{}, true},
+		{Options{MinConfidence: 1, ConfLevel: 0.5}, true},
+		{Options{MinConfidence: -0.5}, false},
+		{Options{MinConfidence: 1.5}, false},
+		{Options{MinConfidence: nan}, false},
+		{Options{ConfLevel: -0.1}, false},
+		{Options{ConfLevel: 1}, false},
+		{Options{ConfLevel: nan}, false},
+	} {
+		_, err := Induce(tab, tc.opts)
+		if (err == nil) != tc.ok {
+			t.Errorf("MinConfidence %v ConfLevel %v: got error %v, want ok=%v",
+				tc.opts.MinConfidence, tc.opts.ConfLevel, err, tc.ok)
+		}
+	}
+}
+
 func TestAllInducersProduceWorkingModels(t *testing.T) {
 	tab := engineTable(t, 800, 79)
 	brv := tab.Get(0, 0).NomIdx()

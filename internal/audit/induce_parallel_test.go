@@ -1,19 +1,14 @@
 package audit
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
 	"slices"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
 	"dataaudit/internal/nbayes"
 )
@@ -69,8 +64,7 @@ func TestInduceReturnsLowestIndexedError(t *testing.T) {
 
 // TestReinduceAttrsRejectsBeforeTraining: an unmodelled, repeated or
 // out-of-range attribute fails ReinduceAttrs before any classifier is
-// trained, naming the attribute. A repeated attribute used to be accepted
-// and, with a Prev table, had the row delta applied to it twice.
+// trained, naming the attribute.
 func TestReinduceAttrsRejectsBeforeTraining(t *testing.T) {
 	tab := engineTable(t, 500, 5)
 	tr := &failingTrainer{}
@@ -99,126 +93,64 @@ func TestReinduceAttrsRejectsBeforeTraining(t *testing.T) {
 	}
 }
 
-// tableDiffText is the multiset diff keyed by a strconv rendering of each
-// row — the oracle tableDiff's binary key must agree with.
-func tableDiffText(prev, cur *dataset.Table) (added, removed *dataset.Table) {
-	counts := make(map[string]int, prev.NumRows())
-	prevKeys := make([]string, prev.NumRows())
-	for r := 0; r < prev.NumRows(); r++ {
-		k := textRowKey(prev.Row(r))
-		prevKeys[r] = k
-		counts[k]++
-	}
-	added = dataset.NewTable(cur.Schema())
-	for r := 0; r < cur.NumRows(); r++ {
-		row := cur.Row(r)
-		if k := textRowKey(row); counts[k] > 0 {
-			counts[k]--
-		} else {
-			added.AppendRow(row)
-		}
-	}
-	removed = dataset.NewTable(prev.Schema())
-	for r := 0; r < prev.NumRows(); r++ {
-		if counts[prevKeys[r]] > 0 {
-			counts[prevKeys[r]]--
-			removed.AppendRow(prev.Row(r))
-		}
-	}
-	return added, removed
+// refusingClassifier is a naive Bayes model with an incremental path that
+// always fails with err.
+type refusingClassifier struct {
+	mlcore.Classifier
+	err error
 }
 
-func textRowKey(row []dataset.Value) string {
-	var b strings.Builder
-	for i, v := range row {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
-		switch {
-		case v.IsNull():
-			b.WriteByte('_')
-		case v.IsNominal():
-			b.WriteByte('n')
-			b.WriteString(strconv.Itoa(v.NomIdx()))
-		default:
-			b.WriteByte('f')
-			b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
-		}
-	}
-	return b.String()
+func (c *refusingClassifier) Update(mlcore.Trainer, *mlcore.Instances) (mlcore.Classifier, error) {
+	return nil, c.err
 }
 
-// TestTableDiffMatchesTextKey: the binary row key matches exactly the rows
-// the text key matches — nulls, nominals and numbers distinct, -0 and +0
-// distinct, every NaN equal — and added and removed come out row for row
-// in the same order.
-func TestTableDiffMatchesTextKey(t *testing.T) {
-	schema := dataset.MustSchema(
-		dataset.NewNominal("A", "x", "y", "z"),
-		dataset.NewNumeric("B", -10, 10),
-	)
-	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 0x5)
-	pool := []dataset.Value{
-		dataset.Null(), dataset.Nom(0), dataset.Nom(1), dataset.Num(1), dataset.Num(0),
-		dataset.Num(math.Copysign(0, -1)), dataset.Num(math.NaN()), dataset.Num(otherNaN),
-		dataset.Num(math.Inf(1)), dataset.Num(0.1),
-	}
-	if !math.IsNaN(otherNaN) || math.Float64bits(otherNaN) == math.Float64bits(math.NaN()) {
-		t.Fatal("otherNaN must be a NaN with a different payload")
-	}
-	rows := func(rng *rand.Rand, n int) *dataset.Table {
-		tab := dataset.NewTable(schema)
-		for r := 0; r < n; r++ {
-			tab.AppendRow([]dataset.Value{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]})
-		}
-		return tab
-	}
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		prev, cur := rows(rng, rng.Intn(60)), rows(rng, rng.Intn(60))
-		gotA, gotR := tableDiff(prev, cur)
-		wantA, wantR := tableDiffText(prev, cur)
-		requireSameRows(t, "added", gotA, wantA)
-		requireSameRows(t, "removed", gotR, wantR)
-	}
+// refusingTrainer trains refusingClassifiers and counts its Train calls.
+type refusingTrainer struct {
+	err   error
+	calls atomic.Int64
+}
 
-	// The equivalences themselves, pinned: NaNs of different payloads
-	// match, -0 does not match +0, Nom(1) does not match Num(1).
-	one := func(a, b dataset.Value) *dataset.Table {
-		tab := dataset.NewTable(schema)
-		tab.AppendRow([]dataset.Value{dataset.Nom(2), a})
-		tab.AppendRow([]dataset.Value{dataset.Nom(2), b})
-		return tab
-	}
+func (r *refusingTrainer) Name() string { return "refusing" }
+
+func (r *refusingTrainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
+	r.calls.Add(1)
+	clf, err := (&nbayes.Trainer{}).Train(ins)
+	return &refusingClassifier{clf, r.err}, err
+}
+
+// TestReinduceUpdateErrors: an Update that refuses a trainer of another
+// family falls back to a retrain with that trainer; any other Update
+// error fails the re-induction instead of being papered over by one.
+func TestReinduceUpdateErrors(t *testing.T) {
+	tab := engineTable(t, 500, 5)
+	boom := errors.New("boom")
+	foreign := fmt.Errorf("refusing: %w", mlcore.ErrForeignTrainer)
 	for _, tc := range []struct {
-		prev, cur *dataset.Table
-		match     bool
+		name    string
+		err     error
+		wantErr error
 	}{
-		{one(dataset.Num(math.NaN()), dataset.Null()), one(dataset.Num(otherNaN), dataset.Null()), true},
-		{one(dataset.Num(0), dataset.Null()), one(dataset.Num(math.Copysign(0, -1)), dataset.Null()), false},
-		{one(dataset.Nom(1), dataset.Null()), one(dataset.Num(1), dataset.Null()), false},
+		{"failure", boom, boom},
+		{"foreign trainer", foreign, nil},
 	} {
-		added, removed := tableDiff(tc.prev, tc.cur)
-		if got := added.NumRows() == 0 && removed.NumRows() == 0; got != tc.match {
-			t.Fatalf("prev %v / cur %v: match %v, want %v", tc.prev.Row(0), tc.cur.Row(0), got, tc.match)
-		}
-	}
-}
-
-// requireSameRows compares two tables row for row, bit for bit (a NaN
-// payload included).
-func requireSameRows(t *testing.T, what string, got, want *dataset.Table) {
-	t.Helper()
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("%s: %d rows, want %d", what, got.NumRows(), want.NumRows())
-	}
-	for r := 0; r < want.NumRows(); r++ {
-		for c := 0; c < want.NumCols(); c++ {
-			g, _ := got.Get(r, c).GobEncode()
-			w, _ := want.Get(r, c).GobEncode()
-			if !bytes.Equal(g, w) {
-				t.Fatalf("%s row %d: %v, want %v", what, r, got.Row(r), want.Row(r))
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &refusingTrainer{err: tc.err}
+			m, err := Induce(tab, Options{Trainer: tr})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			tr.calls.Store(0)
+			_, err = m.ReinduceAttrs(tab, modelledAttrs(m), ReinduceOptions{})
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil) != (err == nil) {
+				t.Fatalf("got error %v, want %v", err, tc.wantErr)
+			}
+			if tc.wantErr != nil {
+				if n := tr.calls.Load(); n != 0 {
+					t.Fatalf("%d retrains after a failed Update", n)
+				}
+			} else if n := tr.calls.Load(); n != int64(len(m.Attrs)) {
+				t.Fatalf("%d retrains after refused Updates, want %d", n, len(m.Attrs))
+			}
+		})
 	}
 }

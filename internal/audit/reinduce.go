@@ -1,6 +1,6 @@
 // Partial re-induction: rebuild the structure model for a subset of the
 // audited attributes instead of the whole relation. This is the audit-layer
-// half of the incremental-induction stack — the per-family delta updates
+// half of the incremental-induction stack — the per-family warm starts
 // live behind mlcore.IncrementalClassifier; ReinduceAttrs routes each
 // requested attribute to the cheapest sound path and shares the untouched
 // AttrModels with the predecessor.
@@ -8,10 +8,8 @@
 package audit
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -25,9 +23,9 @@ type ReinduceMode string
 const (
 	// ReinduceIncremental freezes the attribute's discretizer bins and
 	// routes through the family's IncrementalClassifier.Update (warm start
-	// for trees and rule sets, tally refresh for the count families),
-	// falling back to a frozen-bin retrain when the family has no
-	// incremental path. The default.
+	// for trees and rule sets, frozen feature view for 1R), falling back
+	// to a frozen-bin retrain when the family has no incremental path.
+	// The default.
 	ReinduceIncremental ReinduceMode = "incremental"
 	// ReinduceFull re-induces the attribute from scratch, re-deriving the
 	// discretizer from the new table — identical to what Induce would
@@ -40,12 +38,10 @@ const (
 type ReinduceOptions struct {
 	// Mode defaults to ReinduceIncremental.
 	Mode ReinduceMode
-	// Prev, when non-nil, is the previous training table. Incremental mode
-	// then hands the families a row-level delta (multiset difference of the
-	// two tables) so count-maintained classifiers apply only the changed
-	// rows. When nil — e.g. consecutive reservoir samples that share no
-	// rows — the delta degenerates to a full replacement and the families
-	// rebuild from the new table, still reusing their frozen state.
+	// Prev has no effect. It once named the previous training table for a
+	// row-level delta, which gave the same model as re-inducing from the
+	// new table alone; it stays only until the benchmark harness stops
+	// setting it.
 	Prev *dataset.Table
 }
 
@@ -73,7 +69,7 @@ func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOpt
 
 	// Resolve every attribute's slot before any work starts: an unknown
 	// or repeated attribute fails the call without training anything. A
-	// repeat would apply the row delta twice and race on one slot.
+	// repeat would race on one slot.
 	pos := make([]int, len(attrs))
 	for i, class := range attrs {
 		if class < 0 || class >= m.Schema.Len() {
@@ -96,13 +92,6 @@ func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOpt
 		TrainRows: tab.NumRows(),
 	}
 
-	// The row-level delta is shared by every re-induced attribute, so
-	// compute it once up front.
-	var addedTab, removedTab *dataset.Table
-	if mode == ReinduceIncremental && ropts.Prev != nil {
-		addedTab, removedTab = tableDiff(ropts.Prev, tab)
-	}
-
 	// Each attribute writes only its own slot of n.Attrs, and reads only
 	// its predecessor in m.Attrs, so the attributes re-induce concurrently.
 	if i, err := forEachAttr(len(attrs), func(i int, scratch *[]float64) error {
@@ -114,7 +103,7 @@ func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOpt
 				err = errors.New("no training signal in the new table")
 			}
 		} else {
-			am, err = reinduceIncremental(m.Attrs[pos[i]], tab, addedTab, removedTab, opts)
+			am, err = reinduceIncremental(m.Attrs[pos[i]], tab, opts)
 		}
 		n.Attrs[pos[i]] = am
 		return err
@@ -127,8 +116,9 @@ func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOpt
 
 // reinduceIncremental rebuilds one attribute's classifier with frozen
 // discretizer bins, class count and labels, preferring the family's
-// incremental Update and falling back to a frozen-bin retrain.
-func reinduceIncremental(prev *AttrModel, tab, addedTab, removedTab *dataset.Table, opts Options) (*AttrModel, error) {
+// incremental Update and falling back to a frozen-bin retrain when the
+// family has none or the trainer is of another family.
+func reinduceIncremental(prev *AttrModel, tab *dataset.Table, opts Options) (*AttrModel, error) {
 	am := &AttrModel{
 		Class:  prev.Class,
 		Base:   prev.Base,
@@ -136,29 +126,22 @@ func reinduceIncremental(prev *AttrModel, tab, addedTab, removedTab *dataset.Tab
 		Disc:   prev.Disc,
 		Labels: prev.Labels,
 	}
-	insOver := func(t *dataset.Table) *mlcore.Instances {
-		return mlcore.NewInstances(t, am.Base, am.K, func(r int) int {
-			return am.ClassIndex(t.Get(r, am.Class))
-		})
-	}
-	full := insOver(tab)
-	d := mlcore.UpdateDelta{Full: full}
-	if addedTab != nil {
-		d.Added = insOver(addedTab)
-		d.Removed = insOver(removedTab)
-	}
-
+	full := mlcore.NewInstances(tab, am.Base, am.K, func(r int) int {
+		return am.ClassIndex(tab.Get(r, am.Class))
+	})
 	trainer, err := trainerFor(opts)
 	if err != nil {
 		return nil, err
 	}
 	if ic, ok := prev.Classifier.(mlcore.IncrementalClassifier); ok {
-		if clf, err := ic.Update(trainer, d); err == nil {
+		clf, err := ic.Update(trainer, full)
+		if err == nil {
 			am.Classifier = clf
 			return am, nil
 		}
-		// An unsound incremental path (e.g. a gob-decoded model predating
-		// its raw tallies) falls through to a frozen-bin retrain.
+		if !errors.Is(err, mlcore.ErrForeignTrainer) {
+			return nil, err
+		}
 	}
 	clf, err := trainer.Train(full)
 	if err != nil {
@@ -181,85 +164,4 @@ func compatibleSchema(want, got *dataset.Schema) error {
 		}
 	}
 	return nil
-}
-
-// tableDiff computes the multiset row difference between two tables over
-// the same schema: added holds rows of cur not matched in prev, removed the
-// rows of prev not matched in cur, each in table order. Matching is by
-// value (record IDs are ignored — reservoir samples renumber rows), with
-// null, nominal and numeric values keyed distinctly so e.g. Nom(1) never
-// collides with Num(1).
-func tableDiff(prev, cur *dataset.Table) (added, removed *dataset.Table) {
-	// Each distinct row key gets a slot; counts[slot] is how many of
-	// prev's rows with that key are still unmatched. Looking a key up as
-	// slots[string(key)] does not allocate, so only a new key costs one.
-	slots := make(map[string]int32, prev.NumRows())
-	var counts []int
-	prevSlots := make([]int32, prev.NumRows())
-	row := make([]dataset.Value, prev.NumCols())
-	var key []byte
-	for r := 0; r < prev.NumRows(); r++ {
-		key = appendRowKey(key[:0], prev.RowInto(r, row))
-		slot, ok := slots[string(key)]
-		if !ok {
-			slot = int32(len(counts))
-			slots[string(key)] = slot
-			counts = append(counts, 0)
-		}
-		prevSlots[r] = slot
-		counts[slot]++
-	}
-	added = dataset.NewTable(cur.Schema())
-	for r := 0; r < cur.NumRows(); r++ {
-		key = appendRowKey(key[:0], cur.RowInto(r, row))
-		if slot, ok := slots[string(key)]; ok && counts[slot] > 0 {
-			counts[slot]--
-		} else {
-			added.AppendRow(row)
-		}
-	}
-	removed = dataset.NewTable(prev.Schema())
-	for r, slot := range prevSlots {
-		if counts[slot] > 0 {
-			counts[slot]--
-			removed.AppendRow(prev.RowInto(r, row))
-		}
-	}
-	return added, removed
-}
-
-// Row key cell tags. The tag fixes the payload width that follows it, so
-// keys of rows over one schema compare equal exactly when every cell does.
-const (
-	keyNull    = 0
-	keyNominal = 1
-	keyNumber  = 2
-)
-
-// canonicalNaN is the one bit pattern every NaN is keyed as, so all NaNs
-// match each other; every other float keys as its own bits, so -0 and +0
-// stay distinct.
-var canonicalNaN = math.Float64bits(math.NaN())
-
-// appendRowKey appends the binary multiset key of a row to b: per cell a
-// tag byte, then the 4-byte nominal index or the 8-byte float bits.
-func appendRowKey(b []byte, row []dataset.Value) []byte {
-	for _, v := range row {
-		switch {
-		case v.IsNull():
-			b = append(b, keyNull)
-		case v.IsNominal():
-			b = append(b, keyNominal)
-			b = binary.LittleEndian.AppendUint32(b, uint32(v.NomIdx()))
-		default:
-			f := v.Float()
-			bits := math.Float64bits(f)
-			if math.IsNaN(f) {
-				bits = canonicalNaN
-			}
-			b = append(b, keyNumber)
-			b = binary.LittleEndian.AppendUint64(b, bits)
-		}
-	}
-	return b
 }

@@ -11,18 +11,16 @@ import (
 	"dataaudit/internal/quis"
 )
 
-// The re-induction differential suite. The count-maintained families
-// (naive Bayes, kNN, 1R) promise an *exact* incremental path: the
-// delta-updated successor must gob-serialize byte-for-byte like a
-// frozen-state rebuild on the same sample — and, where no state is frozen
-// (nominal class attributes under naive Bayes), like a from-scratch
-// Induce on the new table. The warm-started families are covered by the
+// The re-induction differential suite. A family without a warm start
+// (naive Bayes, kNN) retrains over the frozen class bins, so where no
+// state is frozen (nominal class attributes under naive Bayes) its
+// successor must gob-serialize byte-for-byte like a from-scratch Induce
+// on the new table. The warm-started families are covered by the
 // quality-equivalence suite in reinduce_quality_test.go.
 
 // reinduceFixture returns two pollutions of the same clean QUIS slice:
 // the table the base model was induced on, and the "drifted" table a
-// re-induction sees. They share most rows, so the Prev delta path has
-// both matched and unmatched rows to chew on.
+// re-induction sees. They share most rows.
 func reinduceFixture(t testing.TB, rows int) (prev, cur *dataset.Table) {
 	t.Helper()
 	sample, err := quis.Generate(quis.Params{NumRecords: 30000, Seed: 7})
@@ -72,14 +70,14 @@ func attrModelBytes(t *testing.T, am *AttrModel) []byte {
 	return buf.Bytes()
 }
 
-// TestReinduceDeltaMatchesReplacementExactFamilies: for the exact
-// families, re-inducing with a row-level Prev delta and re-inducing with
-// no delta (full replacement from the new sample, frozen state) must
-// produce byte-identical successors — the delta bookkeeping adds and
-// subtracts exactly what a rebuild recounts.
+// TestReinduceDeltaMatchesReplacementExactFamilies: ReinduceOptions.Prev
+// is documented as having no effect, so re-inducing with the previous
+// table and without it must produce byte-identical successors in every
+// family.
 func TestReinduceDeltaMatchesReplacementExactFamilies(t *testing.T) {
 	prev, cur := reinduceFixture(t, 1200)
-	for _, kind := range []InducerKind{InducerNaiveBayes, InducerKNN, InducerOneR} {
+	for _, kind := range []InducerKind{InducerNaiveBayes, InducerKNN, InducerOneR,
+		InducerPrism, InducerC45Audit, InducerC45, InducerID3} {
 		t.Run(string(kind), func(t *testing.T) {
 			m, err := Induce(prev, Options{MinConfidence: 0.8, Inducer: kind})
 			if err != nil {
@@ -95,7 +93,7 @@ func TestReinduceDeltaMatchesReplacementExactFamilies(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(modelBytes(t, withDelta), modelBytes(t, replaced)) {
-				t.Fatal("delta-updated successor is not byte-identical to the frozen-state rebuild")
+				t.Fatal("re-induction with Prev is not byte-identical to the one without")
 			}
 		})
 	}
@@ -223,49 +221,5 @@ func TestReinduceErrors(t *testing.T) {
 	}
 	if _, err := m.ReinduceAttrs(dataset.NewTable(other), modelledAttrs(m), ReinduceOptions{}); err == nil {
 		t.Error("schema drift did not fail")
-	}
-}
-
-// TestTableDiff pins the multiset semantics of the row diff: duplicates
-// count, record IDs do not, and null/nominal/numeric values never collide.
-func TestTableDiff(t *testing.T) {
-	schema, err := dataset.NewSchema(
-		dataset.NewNominal("n", "a", "b", "c"),
-		dataset.NewNumeric("x", 0, 10),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(rows ...[]dataset.Value) *dataset.Table {
-		tab := dataset.NewTable(schema)
-		for _, r := range rows {
-			tab.AppendRow(r)
-		}
-		return tab
-	}
-	row := func(n int, x float64) []dataset.Value {
-		return []dataset.Value{dataset.Nom(n), dataset.Num(x)}
-	}
-	nullRow := []dataset.Value{dataset.Null(), dataset.Null()}
-
-	prev := mk(row(0, 1), row(0, 1), row(1, 2), nullRow)
-	cur := mk(row(0, 1), row(1, 2), row(2, 3), row(2, 3), nullRow)
-
-	added, removed := tableDiff(prev, cur)
-	if added.NumRows() != 2 || removed.NumRows() != 1 {
-		t.Fatalf("diff added %d removed %d rows, want 2 and 1", added.NumRows(), removed.NumRows())
-	}
-	if got := added.Get(0, 0); got.NomIdx() != 2 {
-		t.Errorf("added row 0 = %v, want nominal c", got)
-	}
-	if got := removed.Get(0, 0); got.NomIdx() != 0 {
-		t.Errorf("removed row 0 = %v, want the duplicate nominal a", got)
-	}
-
-	// Identical tables diff to nothing, whatever the record IDs are.
-	shifted := mk(nullRow, row(1, 2), row(0, 1), row(0, 1))
-	added, removed = tableDiff(prev, shifted)
-	if added.NumRows() != 0 || removed.NumRows() != 0 {
-		t.Fatalf("reordered identical tables diffed to +%d/-%d rows", added.NumRows(), removed.NumRows())
 	}
 }

@@ -41,6 +41,20 @@ const (
 	FilterNone
 )
 
+// ParseFilterMode reads a filter mode by name: "paper" (or ""),
+// "reachable-only" (or its short form "reachable") and "none".
+func ParseFilterMode(name string) (FilterMode, error) {
+	switch name {
+	case "", "paper":
+		return FilterPaper, nil
+	case "reachable-only", "reachable":
+		return FilterReachableOnly, nil
+	case "none":
+		return FilterNone, nil
+	}
+	return 0, fmt.Errorf("unknown filter mode %q (want paper, reachable-only or none)", name)
+}
+
 // Options configure the adjusted inducer.
 type Options struct {
 	// MinConfidence is the user's minimal error confidence for detected
@@ -223,20 +237,18 @@ var _ mlcore.Classifier = (*RuleSet)(nil)
 var _ mlcore.IncrementalClassifier = (*RuleSet)(nil)
 
 // Update implements mlcore.IncrementalClassifier by warm re-induction:
-// the tree is regrown over the full post-delta set seeded with the
-// stored skeleton (only subtrees whose split became inadmissible
-// re-search), then rules are re-extracted and re-filtered. The trainer
-// must be the *audittree.Trainer carrying the filter options; the
-// successor is quality-equivalent to a cold retrain.
-func (rs *RuleSet) Update(trainer mlcore.Trainer, d mlcore.UpdateDelta) (mlcore.Classifier, error) {
-	if d.Full == nil {
-		return nil, fmt.Errorf("audittree: update requires the full post-delta instance set")
-	}
+// the tree is regrown over full seeded with the stored skeleton (only
+// subtrees whose split became inadmissible re-search), then rules are
+// re-extracted and re-filtered. The trainer must be the
+// *audittree.Trainer carrying the filter options; any other is refused
+// with mlcore.ErrForeignTrainer. The successor is quality-equivalent to
+// a cold retrain.
+func (rs *RuleSet) Update(trainer mlcore.Trainer, full *mlcore.Instances) (mlcore.Classifier, error) {
 	tr, ok := trainer.(*Trainer)
 	if !ok {
-		return nil, fmt.Errorf("audittree: update requires a *audittree.Trainer, got %T", trainer)
+		return nil, fmt.Errorf("audittree: update with a %T: %w", trainer, mlcore.ErrForeignTrainer)
 	}
-	return tr.TrainRuleSetWarm(d.Full, rs.Hint)
+	return tr.TrainRuleSetWarm(full, rs.Hint)
 }
 
 // Compile builds the trie matcher. Rules extracted from a tree are

@@ -129,6 +129,32 @@ func TestFilterPaperDropsPureAndWeakRules(t *testing.T) {
 	}
 }
 
+// TestParseFilterMode: the canonical names, the empty default and the
+// short "reachable" parse; anything else is an error naming the modes.
+func TestParseFilterMode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want FilterMode
+		ok   bool
+	}{
+		{"", FilterPaper, true},
+		{"paper", FilterPaper, true},
+		{"reachable-only", FilterReachableOnly, true},
+		{"reachable", FilterReachableOnly, true},
+		{"none", FilterNone, true},
+		{"Paper", 0, false},
+		{"bogus", 0, false},
+	} {
+		got, err := ParseFilterMode(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseFilterMode(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "reachable-only") {
+			t.Errorf("ParseFilterMode(%q) error %q does not name the modes", tc.name, err)
+		}
+	}
+}
+
 func TestFilterModes(t *testing.T) {
 	// Perfectly clean dependency: leaves are pure, expErrorConf = 0.
 	tab := engineTable(t, 4000, 0, 24)

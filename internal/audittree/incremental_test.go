@@ -14,9 +14,9 @@ import (
 // looser than the plain-tree families — a structural difference in one
 // subtree can unmatch a block of rows.
 func TestIncrementalConformance(t *testing.T) {
-	base, delta := conform.Fixture(t, 400, 60, 40, 8)
+	base, full := conform.Fixture(t, 400, 60, 40, 8)
 	conform.Run(t, conform.Config{
 		Trainer:  &audittree.Trainer{Opts: audittree.Options{MinConfidence: 0.8, Filter: audittree.FilterReachableOnly}},
 		MinAgree: 0.85,
-	}, base, delta)
+	}, base, full)
 }

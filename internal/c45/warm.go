@@ -57,19 +57,16 @@ func (t *Trainer) TrainTreeWarm(ins *mlcore.Instances, prev *Skeleton) (*Tree, e
 var _ mlcore.IncrementalClassifier = (*Tree)(nil)
 
 // Update implements mlcore.IncrementalClassifier by warm re-induction
-// over the full post-delta set with the receiver's own skeleton as the
-// hint. The trainer must be the *c45.Trainer carrying the induction
-// options (a tree does not store them); the successor is
-// quality-equivalent to a cold retrain.
-func (t *Tree) Update(trainer mlcore.Trainer, d mlcore.UpdateDelta) (mlcore.Classifier, error) {
-	if d.Full == nil {
-		return nil, fmt.Errorf("c45: update requires the full post-delta instance set")
-	}
+// over full with the receiver's own skeleton as the hint. The trainer
+// must be the *c45.Trainer carrying the induction options (a tree does
+// not store them); any other is refused with mlcore.ErrForeignTrainer.
+// The successor is quality-equivalent to a cold retrain.
+func (t *Tree) Update(trainer mlcore.Trainer, full *mlcore.Instances) (mlcore.Classifier, error) {
 	tr, ok := trainer.(*Trainer)
 	if !ok {
-		return nil, fmt.Errorf("c45: update requires a *c45.Trainer, got %T", trainer)
+		return nil, fmt.Errorf("c45: update with a %T: %w", trainer, mlcore.ErrForeignTrainer)
 	}
-	return tr.TrainTreeWarm(d.Full, t.Skeleton())
+	return tr.TrainTreeWarm(full, t.Skeleton())
 }
 
 // evalHint re-evaluates a previously chosen split on the current

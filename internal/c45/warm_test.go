@@ -10,21 +10,21 @@ import (
 // TestWarmConformanceC45 and TestWarmConformanceID3 hold the
 // warm-started tree Update to the IncrementalClassifier contract:
 // copy-on-write, deterministic, and prediction-agreeing with a cold
-// retrain on the post-delta set.
+// retrain on the new training set.
 func TestWarmConformanceC45(t *testing.T) {
-	base, delta := conform.Fixture(t, 400, 60, 40, 5)
+	base, full := conform.Fixture(t, 400, 60, 40, 5)
 	conform.Run(t, conform.Config{
 		Trainer:  &c45.Trainer{Opts: c45.Options{UseGainRatio: true, Prune: true}},
 		MinAgree: 0.9,
-	}, base, delta)
+	}, base, full)
 }
 
 func TestWarmConformanceID3(t *testing.T) {
-	base, delta := conform.Fixture(t, 400, 60, 40, 6)
+	base, full := conform.Fixture(t, 400, 60, 40, 6)
 	conform.Run(t, conform.Config{
 		Trainer:  &c45.Trainer{},
 		MinAgree: 0.9,
-	}, base, delta)
+	}, base, full)
 }
 
 // TestWarmStartReusesSkeleton checks the warm path actually follows the

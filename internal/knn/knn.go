@@ -43,21 +43,15 @@ type Model struct {
 }
 
 var _ mlcore.Classifier = (*Model)(nil)
-var _ mlcore.IncrementalClassifier = (*Model)(nil)
 
-// Train implements mlcore.Trainer.
+// Train implements mlcore.Trainer: it memorizes the instance set.
 func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
+	if err := ins.Validate(); err != nil {
+		return nil, err
+	}
 	k := t.Opts.K
 	if k == 0 {
 		k = 5
-	}
-	return train(ins, k)
-}
-
-// train memorizes the instance set; k is the resolved neighbourhood size.
-func train(ins *mlcore.Instances, k int) (mlcore.Classifier, error) {
-	if err := ins.Validate(); err != nil {
-		return nil, err
 	}
 	schema := ins.Table.Schema()
 	m := &Model{K: k, Classes: ins.K, Base: ins.Base}
@@ -86,19 +80,6 @@ func train(ins *mlcore.Instances, k int) (mlcore.Classifier, error) {
 		return nil, fmt.Errorf("knn: no instances with a known class value")
 	}
 	return m, nil
-}
-
-// Update implements mlcore.IncrementalClassifier. A kNN model *is* its
-// training set, so the cheapest sound successor is a fresh memorization
-// of the full post-delta set (a reservoir swap): trivially
-// gob-byte-identical to a retrain, with no distance structures to
-// rebuild. The neighbourhood size is frozen from the model; the trainer
-// argument is unused.
-func (m *Model) Update(_ mlcore.Trainer, d mlcore.UpdateDelta) (mlcore.Classifier, error) {
-	if d.Full == nil {
-		return nil, fmt.Errorf("knn: update requires the full post-delta instance set")
-	}
-	return train(d.Full, m.K)
 }
 
 // distance computes HEOM between a query row and stored instance i.

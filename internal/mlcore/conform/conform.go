@@ -1,16 +1,16 @@
 // Package conform is the shared conformance suite for the
 // mlcore.IncrementalClassifier contract. Each classifier family's test
-// package calls Run with its trainer and a delta fixture; the suite then
-// holds the family to the contract's three clauses:
+// package calls Run with its trainer and a base/full fixture; the suite
+// then holds the family to the contract's three clauses:
 //
 //  1. copy-on-write — Update never mutates the receiver (the model's gob
 //     bytes are identical before and after);
-//  2. empty-delta identity — Update with an empty delta reproduces the
+//  2. identity — Update on the model's own training set reproduces the
 //     model byte-for-byte (exact families);
-//  3. successor equivalence — the successor equals a full retrain on the
-//     post-delta instance set: gob-byte-identical for exact families,
-//     deterministic and prediction-agreeing within tolerance for the
-//     warm-started structure searchers.
+//  3. successor equivalence — the successor equals a retrain on the new
+//     training set: gob-byte-identical for exact families, deterministic
+//     and prediction-agreeing within tolerance for the warm-started
+//     structure searchers.
 package conform
 
 import (
@@ -42,9 +42,10 @@ type Config struct {
 	Retrain func(model mlcore.Classifier, full *mlcore.Instances) (mlcore.Classifier, error)
 }
 
-// Run executes the conformance suite: trains on base, applies d through
-// the incremental path, and checks the contract clauses above.
-func Run(t *testing.T, cfg Config, base *mlcore.Instances, d mlcore.UpdateDelta) {
+// Run executes the conformance suite: trains on base, updates the model
+// to full through the incremental path, and checks the contract clauses
+// above.
+func Run(t *testing.T, cfg Config, base, full *mlcore.Instances) {
 	t.Helper()
 	if cfg.MinAgree == 0 {
 		cfg.MinAgree = 0.9
@@ -65,20 +66,20 @@ func Run(t *testing.T, cfg Config, base *mlcore.Instances, d mlcore.UpdateDelta)
 	}
 	before := gobBytes(t, model)
 
-	// Empty delta: for exact families the successor must be the model,
-	// byte for byte. Warm-started families re-accumulate float sums in a
-	// different order than the cold search (unsorted threshold pass vs
-	// sort-and-scan), so their empty-delta guarantee is the agreement
+	// Same training set: for exact families the successor must be the
+	// model, byte for byte. Warm-started families re-accumulate float sums
+	// in a different order than the cold search (unsorted threshold pass
+	// vs sort-and-scan), so their identity guarantee is the agreement
 	// check below, not bit-equality.
-	same, err := inc.Update(cfg.Trainer, mlcore.UpdateDelta{Full: base})
+	same, err := inc.Update(cfg.Trainer, base)
 	if err != nil {
-		t.Fatalf("conform: empty-delta update failed: %v", err)
+		t.Fatalf("conform: same-set update failed: %v", err)
 	}
 	if cfg.Exact && !bytes.Equal(before, gobBytes(t, same)) {
-		t.Fatal("conform: empty-delta successor is not byte-identical to the model")
+		t.Fatal("conform: same-set successor is not byte-identical to the model")
 	}
 
-	succ, err := inc.Update(cfg.Trainer, d)
+	succ, err := inc.Update(cfg.Trainer, full)
 	if err != nil {
 		t.Fatalf("conform: update failed: %v", err)
 	}
@@ -86,7 +87,7 @@ func Run(t *testing.T, cfg Config, base *mlcore.Instances, d mlcore.UpdateDelta)
 		t.Fatal("conform: Update mutated the receiver (copy-on-write violated)")
 	}
 
-	ref, err := retrain(d.Full)
+	ref, err := retrain(full)
 	if err != nil {
 		t.Fatalf("conform: reference retrain failed: %v", err)
 	}
@@ -98,7 +99,7 @@ func Run(t *testing.T, cfg Config, base *mlcore.Instances, d mlcore.UpdateDelta)
 	}
 
 	// Warm-started families: the update must be deterministic...
-	succ2, err := inc.Update(cfg.Trainer, d)
+	succ2, err := inc.Update(cfg.Trainer, full)
 	if err != nil {
 		t.Fatalf("conform: repeated update failed: %v", err)
 	}
@@ -107,10 +108,10 @@ func Run(t *testing.T, cfg Config, base *mlcore.Instances, d mlcore.UpdateDelta)
 	}
 	// ...and quality-equivalent: Best-class agreement with the retrain.
 	agree, total := 0, 0
-	row := make([]dataset.Value, d.Full.Table.NumCols())
+	row := make([]dataset.Value, full.Table.NumCols())
 	var ds, dr mlcore.Distribution
-	for _, r := range d.Full.Rows {
-		d.Full.Table.RowInto(r, row)
+	for _, r := range full.Rows {
+		full.Table.RowInto(r, row)
 		succ.PredictInto(row, &ds)
 		ref.PredictInto(row, &dr)
 		bs, _ := ds.Best()
@@ -128,13 +129,12 @@ func Run(t *testing.T, cfg Config, base *mlcore.Instances, d mlcore.UpdateDelta)
 	}
 }
 
-// Fixture builds a deterministic synthetic delta fixture: a table whose
-// class attribute depends on the first nominal base attribute (with
-// noise) and correlates with the numeric attribute, split into a base
-// set, an added batch, and a removed sub-multiset of the base rows.
-// The returned base holds the first baseRows rows; the delta adds the
-// remaining addRows rows and removes removeRows rows drawn from base.
-func Fixture(t *testing.T, baseRows, addRows, removeRows int, seed int64) (*mlcore.Instances, mlcore.UpdateDelta) {
+// Fixture builds a deterministic synthetic pair of training sets over
+// one table whose class attribute depends on the first nominal base
+// attribute (with noise) and correlates with the numeric attribute. base
+// holds the first baseRows rows; full drops removeRows of them, drawn at
+// random, and appends the remaining addRows rows.
+func Fixture(t *testing.T, baseRows, addRows, removeRows int, seed int64) (base, full *mlcore.Instances) {
 	t.Helper()
 	if removeRows >= baseRows {
 		t.Fatalf("conform: removeRows %d must be < baseRows %d", removeRows, baseRows)
@@ -197,25 +197,13 @@ func Fixture(t *testing.T, baseRows, addRows, removeRows int, seed int64) (*mlco
 	for len(removedSet) < removeRows {
 		removedSet[rng.Intn(baseRows)] = true
 	}
-	var removedIdx, fullIdx []int
-	for i := 0; i < baseRows; i++ {
-		if removedSet[i] {
-			removedIdx = append(removedIdx, i)
-		} else {
+	var fullIdx []int
+	for i := 0; i < n; i++ {
+		if !removedSet[i] {
 			fullIdx = append(fullIdx, i)
 		}
 	}
-	addedIdx := make([]int, addRows)
-	for i := range addedIdx {
-		addedIdx[i] = baseRows + i
-	}
-	fullIdx = append(fullIdx, addedIdx...)
-
-	return sub(baseIdx), mlcore.UpdateDelta{
-		Added:   sub(addedIdx),
-		Removed: sub(removedIdx),
-		Full:    sub(fullIdx),
-	}
+	return sub(baseIdx), sub(fullIdx)
 }
 
 func gobBytes(t *testing.T, v any) []byte {

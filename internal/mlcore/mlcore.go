@@ -1,6 +1,7 @@
 package mlcore
 
 import (
+	"errors"
 	"fmt"
 
 	"dataaudit/internal/dataset"
@@ -201,40 +202,29 @@ type Trainer interface {
 	Train(ins *Instances) (Classifier, error)
 }
 
-// UpdateDelta describes a batch change to a training set: rows that were
-// added, rows that were removed, and the full post-change training set.
-// Full must always be the complete new training set — families whose
-// sufficient statistics cannot be maintained exactly under subtraction
-// (Gaussian moments) or whose structure must be re-searched (trees, rule
-// covers) read it; pure count-based families apply Added/Removed
-// directly. When Added and Removed are BOTH nil the delta is a full
-// replacement: the successor must be rebuilt from Full, reusing whatever
-// frozen state the family keeps (discretizer bins, tree skeletons,
-// hyperparameters) — the path a caller takes when it cannot attribute
-// the change row by row (e.g. disjoint reservoir samples).
-type UpdateDelta struct {
-	Added   *Instances
-	Removed *Instances
-	Full    *Instances
-}
+// ErrForeignTrainer is the one refusal IncrementalClassifier.Update
+// may make: the trainer belongs to another family than the model (a
+// custom Trainer, say, from the §5.4 ablations), so the model's frozen
+// structure says nothing about what that trainer would induce. The
+// caller then retrains with the trainer; every other Update error is a
+// failure.
+var ErrForeignTrainer = errors.New("mlcore: trainer of another family")
 
 // IncrementalClassifier is implemented by classifier families that can
-// produce a successor model from a batch delta more cheaply than
-// retraining from scratch.
+// build a successor model from a new training set more cheaply than a
+// cold retrain, by reusing state the model froze: a tree's skeleton, or a
+// rule inducer's discretization bins.
 //
 // Update is copy-on-write: the receiver is never mutated (live scorers
-// may still be serving it concurrently) and a new classifier equivalent
-// to trainer.Train(d.Full) is returned. "Equivalent" is exact —
-// gob-byte-identical — for the count-maintained families (naive Bayes,
-// kNN, 1R given the same frozen feature view) and quality-equivalent
-// (same sensitivity/specificity within tolerance) for the warm-started
-// structure searchers (C4.5/ID3 trees, rule sets). The trainer argument
-// supplies the induction options for families that re-search structure;
-// count families use the parameters frozen inside the model and may
-// ignore it. Implementations return an error when the incremental path
-// is unsound for this model (e.g. a gob-decoded model predating the raw
-// tallies) — callers fall back to a full retrain.
+// may still be serving it concurrently) and a new classifier trained on
+// full is returned. It is gob-byte-identical to a retrain that reuses the
+// same frozen state (1R and PRISM given the model's feature view) or
+// quality-equivalent (same sensitivity/specificity within tolerance) to
+// a cold retrain (the warm-started C4.5/ID3 trees and audit rule sets).
+// The trainer argument supplies the induction options for families that
+// re-search structure; a family that needs its own trainer type returns
+// an error wrapping ErrForeignTrainer for any other.
 type IncrementalClassifier interface {
 	Classifier
-	Update(trainer Trainer, d UpdateDelta) (Classifier, error)
+	Update(trainer Trainer, full *Instances) (Classifier, error)
 }

@@ -58,8 +58,8 @@ type Options struct {
 	// stall behind it (see worker.go).
 	AutoReinduce bool
 	// ReinduceMode selects how a partial re-induction rebuilds the drifted
-	// attributes: "incremental" (default — frozen discretizer bins, warm
-	// starts, tally refreshes) or "full" (each drifted attribute re-induced
+	// attributes: "incremental" (default — frozen discretizer bins and
+	// warm starts) or "full" (each drifted attribute re-induced
 	// from scratch). Matches audit.ReinduceMode. Not a fork of one result:
 	// "full" re-derives the bins, so the two modes induce different models.
 	ReinduceMode string

@@ -165,13 +165,13 @@ func (m *Monitor) reinduce(st *modelState, job reinduceJob) {
 // the drift was attributed to specific attributes, the predecessor model
 // is fetched back from the registry (guarded by the same (version,
 // createdAt) incarnation check as the swap) and only the drifted
-// attributes are re-induced — with no Prev delta, because consecutive
-// reservoir samples share no row identity, so the families take their
-// full-replacement path over frozen state (≈ 18× cheaper than a rebuild at
-// the same sensitivity/specificity on the benchmark's maintain workload).
-// Any failure along the partial path, or a drift no attribute owns, falls
-// back to a full induction from scratch; partial reports how many
-// attributes the partial path rebuilt (0 for a full induction).
+// attributes are re-induced from the reservoir sample over the families'
+// frozen state (discretizer bins, tree skeletons), which is ≈ 15–20×
+// cheaper than a rebuild at the same sensitivity/specificity on the
+// benchmark's maintain workload. Any failure along the partial path, or a
+// drift no attribute owns, falls back to a full induction from scratch;
+// partial reports how many attributes the partial path rebuilt (0 for a
+// full induction).
 func (m *Monitor) induceCandidate(job reinduceJob) (next *audit.Model, partial int, err error) {
 	if len(job.attrs) > 0 && m.reg != nil {
 		prev, meta, getErr := m.reg.GetVersion(job.name, job.version)

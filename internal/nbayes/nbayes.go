@@ -32,8 +32,8 @@ type nominalModel struct {
 	// Cond[class][value] is the smoothed conditional probability, derived
 	// from Counts by refit.
 	Cond [][]float64
-	// Counts[class][value] is the raw weighted value tally — the
-	// sufficient statistic the incremental update maintains.
+	// Counts[class][value] is the raw weighted value tally Cond derives
+	// from.
 	Counts [][]float64
 }
 
@@ -43,9 +43,7 @@ type gaussModel struct {
 	Mu, Sigma   []float64
 	SeenByClass []bool
 	// Sum, SumSq and W are the per-class raw moments Mu/Sigma derive
-	// from. Update re-accumulates them from the full post-delta set (a
-	// float-sum is not exact under subtraction), in Train's row order so
-	// the result stays bit-identical to a retrain.
+	// from.
 	Sum, SumSq, W []float64
 }
 
@@ -56,11 +54,8 @@ type Model struct {
 	TotalW   float64
 	Nominals []nominalModel
 	Gauss    []gaussModel
-	// Laplace and ClassW freeze the training parameters and raw class
-	// tallies so Update can rebuild the derived estimates without the
-	// trainer. Models gob-decoded from before these fields existed carry
-	// zero values; Update detects that and reports that a full retrain is
-	// required.
+	// Laplace is the smoothing constant the estimates were fitted with
+	// and ClassW the raw class tallies Priors derive from.
 	Laplace float64
 	ClassW  []float64
 
@@ -71,21 +66,14 @@ type Model struct {
 }
 
 var _ mlcore.Classifier = (*Model)(nil)
-var _ mlcore.IncrementalClassifier = (*Model)(nil)
 
 // Train implements mlcore.Trainer.
 func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
-	return train(ins, laplace)
-}
-
-// train builds the model with the given smoothing constant: laplace for a
-// fresh model, the frozen Model.Laplace when Update rebuilds one.
-func train(ins *mlcore.Instances, smoothing float64) (mlcore.Classifier, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
 	schema := ins.Table.Schema()
-	m := &Model{K: ins.K, Laplace: smoothing, ClassW: make([]float64, ins.K)}
+	m := &Model{K: ins.K, Laplace: laplace, ClassW: make([]float64, ins.K)}
 
 	for i, r := range ins.Rows {
 		if c := ins.Class[r]; c >= 0 {
@@ -127,8 +115,7 @@ func train(ins *mlcore.Instances, smoothing float64) (mlcore.Classifier, error) 
 }
 
 // accumGauss adds the instance set's raw moments for gm's attribute into
-// gm.Sum/SumSq/W, iterating rows in order — Update re-accumulates with
-// the same loop so its sums are bit-identical to a retrain's.
+// gm.Sum/SumSq/W, iterating rows in order.
 func accumGauss(gm *gaussModel, ins *mlcore.Instances) {
 	for i, r := range ins.Rows {
 		c := ins.Class[r]
@@ -146,9 +133,8 @@ func accumGauss(gm *gaussModel, ins *mlcore.Instances) {
 	}
 }
 
-// refit recomputes every derived estimate (Priors, Cond, Mu/Sigma) from
-// the raw tallies, with formulas identical to the original single-pass
-// training code so a refit of untouched tallies is bit-identical.
+// refit derives every estimate (Priors, Cond, Mu/Sigma) from the raw
+// tallies.
 func (m *Model) refit() {
 	m.Priors = make([]float64, m.K)
 	for c := range m.Priors {
@@ -187,86 +173,6 @@ func (m *Model) refit() {
 			gm.Sigma[c] = math.Sqrt(variance)
 		}
 	}
-}
-
-// Update implements mlcore.IncrementalClassifier: nominal value tallies
-// and class weights are weight-1-exact under add/subtract, so the delta
-// is applied directly; Gaussian moments are re-accumulated from the full
-// post-delta set in Train's row order. The successor is therefore
-// gob-byte-identical to a full retrain (for integer instance weights).
-// The trainer argument is unused — the smoothing constant is frozen in
-// the model.
-func (m *Model) Update(_ mlcore.Trainer, d mlcore.UpdateDelta) (mlcore.Classifier, error) {
-	if m.ClassW == nil || m.Laplace == 0 {
-		return nil, fmt.Errorf("nbayes: model predates raw tallies (old gob); full retrain required")
-	}
-	if d.Full == nil {
-		return nil, fmt.Errorf("nbayes: update requires the full post-delta instance set")
-	}
-	if d.Added == nil && d.Removed == nil {
-		// Full replacement: rebuild every tally from Full with the frozen
-		// smoothing constant — the same code path as a retrain, so the
-		// successor is bit-identical to one.
-		return train(d.Full, m.Laplace)
-	}
-	n := &Model{
-		K:       m.K,
-		Laplace: m.Laplace,
-		TotalW:  m.TotalW,
-		ClassW:  append([]float64(nil), m.ClassW...),
-	}
-	n.Nominals = make([]nominalModel, len(m.Nominals))
-	for i, nm := range m.Nominals {
-		counts := make([][]float64, len(nm.Counts))
-		for c := range nm.Counts {
-			counts[c] = append([]float64(nil), nm.Counts[c]...)
-		}
-		n.Nominals[i] = nominalModel{Attr: nm.Attr, Counts: counts}
-	}
-	n.Gauss = make([]gaussModel, len(m.Gauss))
-	for i, gm := range m.Gauss {
-		n.Gauss[i] = gaussModel{
-			Attr:  gm.Attr,
-			Sum:   make([]float64, m.K),
-			SumSq: make([]float64, m.K),
-			W:     make([]float64, m.K),
-		}
-	}
-
-	apply := func(ins *mlcore.Instances, sign float64) {
-		if ins == nil {
-			return
-		}
-		for i, r := range ins.Rows {
-			c := ins.Class[r]
-			if c < 0 {
-				continue
-			}
-			w := sign * ins.Weights[i]
-			n.ClassW[c] += w
-			n.TotalW += w
-			for j := range n.Nominals {
-				nm := &n.Nominals[j]
-				v := ins.Table.Get(r, nm.Attr)
-				if v.IsNull() {
-					continue
-				}
-				if idx := v.NomIdx(); idx < len(nm.Counts[c]) {
-					nm.Counts[c][idx] += w
-				}
-			}
-		}
-	}
-	apply(d.Removed, -1)
-	apply(d.Added, +1)
-	if n.TotalW <= 0 {
-		return nil, fmt.Errorf("nbayes: no instances with a known class value after update")
-	}
-	for i := range n.Gauss {
-		accumGauss(&n.Gauss[i], d.Full)
-	}
-	n.refit()
-	return n, nil
 }
 
 // Predict implements mlcore.Classifier. The returned distribution's support

@@ -13,28 +13,28 @@ import (
 // retrain*: the Retrain override reuses the base model's FeatureView,
 // mirroring what the warm re-induction path does in production.
 
-// TestOneRIncrementalConformance: the 1R tally refresh must reproduce a
+// TestOneRIncrementalConformance: the 1R re-tally must reproduce a
 // frozen-view retrain byte for byte.
 func TestOneRIncrementalConformance(t *testing.T) {
-	base, delta := conform.Fixture(t, 400, 60, 40, 3)
+	base, full := conform.Fixture(t, 400, 60, 40, 3)
 	conform.Run(t, conform.Config{
 		Trainer: &ruleind.OneRTrainer{},
 		Exact:   true,
 		Retrain: func(model mlcore.Classifier, full *mlcore.Instances) (mlcore.Classifier, error) {
 			return (&ruleind.OneRTrainer{FV: model.(*ruleind.OneRModel).FV}).Train(full)
 		},
-	}, base, delta)
+	}, base, full)
 }
 
 // TestPrismIncrementalConformance: the warm covering rerun must
 // reproduce a frozen-view retrain byte for byte.
 func TestPrismIncrementalConformance(t *testing.T) {
-	base, delta := conform.Fixture(t, 400, 60, 40, 4)
+	base, full := conform.Fixture(t, 400, 60, 40, 4)
 	conform.Run(t, conform.Config{
 		Trainer: &ruleind.PrismTrainer{},
 		Exact:   true,
 		Retrain: func(model mlcore.Classifier, full *mlcore.Instances) (mlcore.Classifier, error) {
 			return (&ruleind.PrismTrainer{FV: model.(*ruleind.PrismModel).FV}).Train(full)
 		},
-	}, base, delta)
+	}, base, full)
 }

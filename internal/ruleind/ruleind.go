@@ -86,8 +86,7 @@ type OneRTrainer struct {
 	// FV, when non-nil, is reused as the (frozen) feature view instead of
 	// deriving discretization bins from the training data. This is the
 	// warm re-induction path: against a drifted sample the bins stay
-	// frozen, so the incremental tally refresh and a frozen-view retrain
-	// are byte-identical.
+	// frozen, so the model keeps bucketing values the way it did.
 	FV *FeatureView
 }
 
@@ -106,9 +105,8 @@ type OneRModel struct {
 	NullDist mlcore.Distribution
 	K        int
 	// AllDists[pos][bucket] and AllNull[pos] keep every attribute's
-	// tallies (not just the winner's) so Update can refresh the counts
-	// and re-pick the best attribute without rescanning the training
-	// set. BucketDist/NullDist alias AllDists[AttrPos]/AllNull[AttrPos].
+	// tallies, not just the winner's. BucketDist/NullDist alias
+	// AllDists[AttrPos]/AllNull[AttrPos].
 	AllDists [][]mlcore.Distribution
 	AllNull  []mlcore.Distribution
 }
@@ -204,68 +202,12 @@ func (m *OneRModel) pickBest() bool {
 	return true
 }
 
-// Update implements mlcore.IncrementalClassifier: the per-bucket class
-// tallies are weight-1-exact under add/subtract, so the delta is applied
-// directly and the winning attribute re-picked from the refreshed
-// counts. The feature view stays frozen, so the successor is
-// gob-byte-identical to a frozen-view retrain on the full set. The
-// trainer argument is unused.
-func (m *OneRModel) Update(_ mlcore.Trainer, d mlcore.UpdateDelta) (mlcore.Classifier, error) {
-	if m.AllDists == nil {
-		return nil, fmt.Errorf("ruleind: 1R model predates per-attribute tallies (old gob); full retrain required")
-	}
-	if d.Added == nil && d.Removed == nil {
-		// Full replacement: re-tally from Full against the frozen feature
-		// view — the same code path as a frozen-view retrain, so the
-		// successor is bit-identical to one.
-		if d.Full == nil {
-			return nil, fmt.Errorf("ruleind: 1R update requires the full post-delta instance set")
-		}
-		return (&OneRTrainer{FV: m.FV}).Train(d.Full)
-	}
-	n := &OneRModel{FV: m.FV, K: m.K}
-	n.AllDists = make([][]mlcore.Distribution, len(m.AllDists))
-	for pos := range m.AllDists {
-		dists := make([]mlcore.Distribution, len(m.AllDists[pos]))
-		for b := range dists {
-			dists[b] = m.AllDists[pos][b].Clone()
-		}
-		n.AllDists[pos] = dists
-	}
-	n.AllNull = make([]mlcore.Distribution, len(m.AllNull))
-	for pos := range m.AllNull {
-		n.AllNull[pos] = m.AllNull[pos].Clone()
-	}
-
-	apply := func(ins *mlcore.Instances, sign float64) {
-		if ins == nil {
-			return
-		}
-		row := make([]dataset.Value, ins.Table.NumCols())
-		for i, r := range ins.Rows {
-			c := ins.Class[r]
-			if c < 0 {
-				continue
-			}
-			ins.Table.RowInto(r, row)
-			w := sign * ins.Weights[i]
-			for pos := range n.AllDists {
-				b := n.FV.feature(row, pos)
-				switch {
-				case b < 0:
-					n.AllNull[pos].Add(c, w)
-				case b < len(n.AllDists[pos]):
-					n.AllDists[pos][b].Add(c, w)
-				}
-			}
-		}
-	}
-	apply(d.Removed, -1)
-	apply(d.Added, +1)
-	if !n.pickBest() {
-		return nil, fmt.Errorf("ruleind: no usable attribute for 1R after update")
-	}
-	return n, nil
+// Update implements mlcore.IncrementalClassifier: it re-tallies full
+// against the model's frozen feature view and re-picks the winning
+// attribute, which is exactly a frozen-view retrain. The trainer argument
+// is unused.
+func (m *OneRModel) Update(_ mlcore.Trainer, full *mlcore.Instances) (mlcore.Classifier, error) {
+	return (&OneRTrainer{FV: m.FV}).Train(full)
 }
 
 // Predict implements mlcore.Classifier.
@@ -326,22 +268,18 @@ var _ mlcore.Classifier = (*PrismModel)(nil)
 var _ mlcore.IncrementalClassifier = (*PrismModel)(nil)
 
 // Update implements mlcore.IncrementalClassifier via warm re-induction:
-// the covering search reruns over the full post-delta set, but with the
-// model's feature view frozen, so no discretization pass happens and the
-// successor stays byte-identical to a frozen-view retrain (and
-// quality-equivalent to a cold one). The trainer, when it is a
-// *PrismTrainer, supplies the rule-count cap; otherwise the defaults
-// apply.
-func (m *PrismModel) Update(trainer mlcore.Trainer, d mlcore.UpdateDelta) (mlcore.Classifier, error) {
-	if d.Full == nil {
-		return nil, fmt.Errorf("ruleind: prism update requires the full post-delta instance set")
-	}
+// the covering search reruns over full, but with the model's feature view
+// frozen, so no discretization pass happens and the successor stays
+// byte-identical to a frozen-view retrain (and quality-equivalent to a
+// cold one). The trainer, when it is a *PrismTrainer, supplies the
+// rule-count cap; otherwise the defaults apply.
+func (m *PrismModel) Update(trainer mlcore.Trainer, full *mlcore.Instances) (mlcore.Classifier, error) {
 	warm := &PrismTrainer{FV: m.FV}
 	if pt, ok := trainer.(*PrismTrainer); ok && pt != nil {
 		warm.Bins = pt.Bins
 		warm.MaxRulesPerClass = pt.MaxRulesPerClass
 	}
-	return warm.Train(d.Full)
+	return warm.Train(full)
 }
 
 // Train implements mlcore.Trainer.

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"dataaudit/internal/audit"
 	"dataaudit/internal/audittree"
 	"dataaudit/internal/dataset"
@@ -40,17 +38,9 @@ func (o OptionsJSON) ToOptions() (audit.Options, error) {
 		SkipClasses:   o.SkipClasses,
 		BaseAttrs:     o.BaseAttrs,
 	}
-	switch o.Filter {
-	case "", "paper":
-		opts.Filter = audittree.FilterPaper
-	case "reachable-only":
-		opts.Filter = audittree.FilterReachableOnly
-	case "none":
-		opts.Filter = audittree.FilterNone
-	default:
-		return opts, fmt.Errorf("unknown filter mode %q (want paper, reachable-only or none)", o.Filter)
-	}
-	return opts, nil
+	var err error
+	opts.Filter, err = audittree.ParseFilterMode(o.Filter)
+	return opts, err
 }
 
 // InduceRequest is the JSON body of POST /v1/models (the multipart form

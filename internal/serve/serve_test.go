@@ -294,6 +294,13 @@ func TestBadRequests(t *testing.T) {
 		Options: OptionsJSON{Filter: "bogus"},
 	}), http.StatusBadRequest)
 
+	// Confidence options out of range.
+	for _, opts := range []OptionsJSON{{MinConfidence: -0.5}, {MinConfidence: 1.5}, {ConfLevel: 1}} {
+		decode[ErrorResponse](t, postJSON(t, ts.URL+"/v1/models", InduceRequest{
+			Name: "x", Schema: schemaText, CSV: csvText, Options: opts,
+		}), http.StatusUnprocessableEntity)
+	}
+
 	// Audit against a model that does not exist.
 	decode[ErrorResponse](t, postJSON(t, ts.URL+"/v1/models/nope/audit",
 		AuditRequest{Row: []string{"404"}}), http.StatusNotFound)
