@@ -1,11 +1,10 @@
-package ruleind_test
+package ruleind
 
 import (
 	"testing"
 
 	"dataaudit/internal/mlcore"
 	"dataaudit/internal/mlcore/conform"
-	"dataaudit/internal/ruleind"
 )
 
 // Both rule inducers freeze the discretization bins inside the model, so
@@ -18,10 +17,10 @@ import (
 func TestOneRIncrementalConformance(t *testing.T) {
 	base, full := conform.Fixture(t, 400, 60, 40, 3)
 	conform.Run(t, conform.Config{
-		Trainer: &ruleind.OneRTrainer{},
+		Trainer: &OneRTrainer{},
 		Exact:   true,
 		Retrain: func(model mlcore.Classifier, full *mlcore.Instances) (mlcore.Classifier, error) {
-			return (&ruleind.OneRTrainer{FV: model.(*ruleind.OneRModel).FV}).Train(full)
+			return (&OneRTrainer{FV: model.(*OneRModel).FV}).Train(full)
 		},
 	}, base, full)
 }
@@ -31,10 +30,10 @@ func TestOneRIncrementalConformance(t *testing.T) {
 func TestPrismIncrementalConformance(t *testing.T) {
 	base, full := conform.Fixture(t, 400, 60, 40, 4)
 	conform.Run(t, conform.Config{
-		Trainer: &ruleind.PrismTrainer{},
+		Trainer: &PrismTrainer{},
 		Exact:   true,
 		Retrain: func(model mlcore.Classifier, full *mlcore.Instances) (mlcore.Classifier, error) {
-			return (&ruleind.PrismTrainer{FV: model.(*ruleind.PrismModel).FV}).Train(full)
+			return (&PrismTrainer{FV: model.(*PrismModel).FV}).Train(full)
 		},
 	}, base, full)
 }
