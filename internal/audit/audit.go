@@ -63,11 +63,11 @@ type Options struct {
 	// (default 0.95), in (0, 1).
 	ConfLevel float64 `json:"confLevel,omitempty"`
 	// Bins is the number of equal-frequency bins for numeric/date class
-	// attributes (default 5).
+	// attributes (default 5), at least 0.
 	Bins int `json:"bins,omitempty"`
 	// Inducer selects the induction algorithm (default InducerC45Audit).
 	Inducer InducerKind `json:"inducer,omitempty"`
-	// KNNk parameterizes the kNN baseline (default 5).
+	// KNNk parameterizes the kNN baseline (default 5), at least 0.
 	KNNk int `json:"knnK,omitempty"`
 	// BaseAttrs optionally restricts, per class attribute name, the base
 	// attributes used for its classifier — the §5 domain-knowledge hook
@@ -109,15 +109,23 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// validate rejects confidence options outside their ranges. A minimum
-// confidence of zero or less would mark every row suspicious, some with
-// no finding to show. NaN fails every comparison, so it is rejected too.
+// validate rejects options outside their ranges, once the defaults are
+// filled. A minimum confidence of zero or less would mark every row
+// suspicious, some with no finding to show. NaN fails every comparison,
+// so it is rejected too. A negative kNN k builds a model with no
+// neighbours to score from.
 func (o Options) validate() error {
 	if !(o.MinConfidence > 0 && o.MinConfidence <= 1) {
 		return fmt.Errorf("minimum confidence %v outside (0, 1]", o.MinConfidence)
 	}
 	if !(o.ConfLevel > 0 && o.ConfLevel < 1) {
 		return fmt.Errorf("confidence level %v outside (0, 1)", o.ConfLevel)
+	}
+	if o.Bins < 0 {
+		return fmt.Errorf("bin count %d is negative", o.Bins)
+	}
+	if o.KNNk < 0 {
+		return fmt.Errorf("kNN k %d is negative", o.KNNk)
 	}
 	return nil
 }

@@ -255,11 +255,13 @@ func TestInduceRejectsConfidenceOutOfRange(t *testing.T) {
 		{Options{ConfLevel: -0.1}, false},
 		{Options{ConfLevel: 1}, false},
 		{Options{ConfLevel: nan}, false},
+		// A negative k used to build a kNN model whose scoring panicked.
+		{Options{Inducer: InducerKNN, KNNk: -1}, false},
+		{Options{Bins: -1}, false},
 	} {
 		_, err := Induce(tab, tc.opts)
 		if (err == nil) != tc.ok {
-			t.Errorf("MinConfidence %v ConfLevel %v: got error %v, want ok=%v",
-				tc.opts.MinConfidence, tc.opts.ConfLevel, err, tc.ok)
+			t.Errorf("%+v: got error %v, want ok=%v", tc.opts, err, tc.ok)
 		}
 	}
 }

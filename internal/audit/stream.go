@@ -177,13 +177,7 @@ func (m *Model) auditStream(f feed, opts StreamOptions) (*StreamResult, error) {
 		res.RowsChecked += int64(p.rows)
 		res.NumSuspicious += int64(len(p.suspicious))
 		for i := range p.tallies {
-			t, u := &res.Attrs[i], &p.tallies[i]
-			t.Deviations += u.Deviations
-			t.Suspicious += u.Suspicious
-			t.SumErrorConf += u.SumErrorConf
-			if u.MaxErrorConf > t.MaxErrorConf {
-				t.MaxErrorConf = u.MaxErrorConf
-			}
+			res.Attrs[i].Add(&p.tallies[i])
 		}
 		for i := range p.suspicious {
 			rep := &p.suspicious[i]
@@ -228,6 +222,17 @@ func tallyReport(rep *RecordReport, slots []int, tallies []AttrTally, minConf fl
 		if f.ErrorConf >= minConf {
 			t.Suspicious++
 		}
+	}
+}
+
+// Add folds u's counts into t; Attr stays t's.
+func (t *AttrTally) Add(u *AttrTally) {
+	t.Deviations += u.Deviations
+	t.Suspicious += u.Suspicious
+	t.SumErrorConf += u.SumErrorConf
+	t.Nulls += u.Nulls
+	if u.MaxErrorConf > t.MaxErrorConf {
+		t.MaxErrorConf = u.MaxErrorConf
 	}
 }
 

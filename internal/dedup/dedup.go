@@ -43,8 +43,6 @@ type Options struct {
 	// comparison (default 512); Result.BlocksCapped counts the blocks
 	// the cap truncated, so oversized blocks never fail silently.
 	MaxBlock int
-	// Assoc forwards mining options to DiscoverKey.
-	Assoc AssocOptions
 }
 
 // withDefaults fills unset fields.
@@ -274,7 +272,7 @@ func (d *Detector) Finalize(opts Options) (*Result, error) {
 		key := opts.Key
 		if key == nil {
 			var err error
-			key, err = d.DiscoverKey(opts)
+			key, err = d.DiscoverKey()
 			if err != nil {
 				return nil, err
 			}

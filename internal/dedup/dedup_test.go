@@ -141,7 +141,7 @@ func TestDiscoverKeyExcludesDeterminedAttrs(t *testing.T) {
 	tab.ChunkInto(ck, 0, tab.NumRows())
 	d.Observe(ck)
 
-	key, err := d.DiscoverKey(Options{})
+	key, err := d.DiscoverKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestDetectOptionErrors(t *testing.T) {
 		t.Fatal("out-of-range key attribute accepted")
 	}
 	d := NewDetector(tab.Schema())
-	if _, err := d.DiscoverKey(Options{}); err == nil {
+	if _, err := d.DiscoverKey(); err == nil {
 		t.Fatal("key discovery on an empty detector succeeded")
 	}
 	// Finalize on an empty detector is a clean zero result.

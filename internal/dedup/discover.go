@@ -25,10 +25,6 @@ import (
 // scales involved, and Apriori's counting pass is quadratic-ish in the
 // frequent sets.
 
-// AssocOptions re-exports assoc.Options so callers configure discovery
-// without importing the mining package.
-type AssocOptions = assoc.Options
-
 // Key discovery bounds.
 const (
 	// maxKeyAttrs caps the discovered key size.
@@ -40,14 +36,14 @@ const (
 // DiscoverKey picks up to three blocking-key attributes from the
 // accumulated rows, excluding attributes determined by high-confidence
 // association rules and ranking the rest by selectivity.
-func (d *Detector) DiscoverKey(opts Options) ([]int, error) {
+func (d *Detector) DiscoverKey() ([]int, error) {
 	if d.rows == 0 {
 		return nil, fmt.Errorf("dedup: cannot discover a key on an empty detector")
 	}
 	sample := d.sampleTable(sampleRows)
 
 	determined := make(map[int]bool)
-	model, err := assoc.Mine(sample, opts.Assoc)
+	model, err := assoc.Mine(sample, assoc.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("dedup: key discovery mining: %w", err)
 	}

@@ -16,7 +16,7 @@ import (
 
 // Options configure training.
 type Options struct {
-	// K is the neighbourhood size (default 5).
+	// K is the neighbourhood size (default 5), at least 0.
 	K int
 }
 
@@ -50,6 +50,9 @@ func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 		return nil, err
 	}
 	k := t.Opts.K
+	if k < 0 {
+		return nil, fmt.Errorf("knn: negative neighbourhood size %d", k)
+	}
 	if k == 0 {
 		k = 5
 	}

@@ -91,6 +91,13 @@ func TestKNNKLargerThanData(t *testing.T) {
 	}
 }
 
+func TestKNNNegativeKFails(t *testing.T) {
+	tab := clustersTable(t, 10, 46)
+	if _, err := (&Trainer{Opts: Options{K: -1}}).Train(knnInstances(t, tab)); err == nil {
+		t.Fatalf("a negative neighbourhood size must fail")
+	}
+}
+
 func TestKNNNullDistance(t *testing.T) {
 	// A null query value must push instances away but not crash; identical
 	// non-null features dominate.

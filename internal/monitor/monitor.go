@@ -690,14 +690,8 @@ func (m *Monitor) foldLocked(st *modelState, rows, suspicious int64, tallies []a
 		if i >= len(st.WinAttrs) {
 			break
 		}
-		t, u := &st.WinAttrs[i], &tallies[i]
-		t.Deviations += u.Deviations
-		t.Suspicious += u.Suspicious
-		t.SumErrorConf += u.SumErrorConf
-		t.Nulls += u.Nulls
-		if u.MaxErrorConf > t.MaxErrorConf {
-			t.MaxErrorConf = u.MaxErrorConf
-		}
+		u := &tallies[i]
+		st.WinAttrs[i].Add(u)
 		if mm != nil && i < len(mm.attrDev) {
 			mm.attrDev[i].Add(uint64(u.Deviations))
 			mm.attrSus[i].Add(uint64(u.Suspicious))

@@ -20,7 +20,7 @@ func TestOneRIncrementalConformance(t *testing.T) {
 		Trainer: &OneRTrainer{},
 		Exact:   true,
 		Retrain: func(model mlcore.Classifier, full *mlcore.Instances) (mlcore.Classifier, error) {
-			return (&OneRTrainer{FV: model.(*OneRModel).FV}).Train(full)
+			return trainOneR(full, model.(*OneRModel).FV)
 		},
 	}, base, full)
 }
@@ -33,7 +33,7 @@ func TestPrismIncrementalConformance(t *testing.T) {
 		Trainer: &PrismTrainer{},
 		Exact:   true,
 		Retrain: func(model mlcore.Classifier, full *mlcore.Instances) (mlcore.Classifier, error) {
-			return (&PrismTrainer{FV: model.(*PrismModel).FV}).Train(full)
+			return trainPrism(full, model.(*PrismModel).FV)
 		},
 	}, base, full)
 }

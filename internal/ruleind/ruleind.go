@@ -12,10 +12,19 @@ package ruleind
 
 import (
 	"fmt"
+	"slices"
 
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
 	"dataaudit/internal/stats"
+)
+
+const (
+	// numBins is the equal-frequency discretization width of numeric and
+	// date base attributes.
+	numBins = 6
+	// maxRulesPerClass caps PRISM's covering search for one class.
+	maxRulesPerClass = 64
 )
 
 // FeatureView discretizes the base attributes into small nominal spaces.
@@ -26,7 +35,11 @@ type FeatureView struct {
 	Widths []int
 }
 
-func newFeatureView(ins *mlcore.Instances, bins int) (*FeatureView, error) {
+// newFeatureView validates ins and derives the view's bins from it.
+func newFeatureView(ins *mlcore.Instances) (*FeatureView, error) {
+	if err := ins.Validate(); err != nil {
+		return nil, err
+	}
 	schema := ins.Table.Schema()
 	fv := &FeatureView{
 		Base:   ins.Base,
@@ -54,7 +67,7 @@ func newFeatureView(ins *mlcore.Instances, bins int) (*FeatureView, error) {
 			fv.Widths[i] = 1
 			continue
 		}
-		d, err := stats.NewEqualFrequency(vals, bins)
+		d, err := stats.NewEqualFrequency(vals, numBins)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +79,11 @@ func newFeatureView(ins *mlcore.Instances, bins int) (*FeatureView, error) {
 
 // feature maps base position i of a row to a bucket index, or -1 for null.
 func (fv *FeatureView) feature(row []dataset.Value, i int) int {
-	v := row[fv.Base[i]]
+	return fv.bucket(i, row[fv.Base[i]])
+}
+
+// bucket maps a value of base position i to a bucket index, or -1 for null.
+func (fv *FeatureView) bucket(i int, v dataset.Value) int {
 	if v.IsNull() {
 		return -1
 	}
@@ -76,19 +93,49 @@ func (fv *FeatureView) feature(row []dataset.Value, i int) int {
 	return v.NomIdx()
 }
 
+// featureMatrix holds the instances with a known class, in instance
+// order, bucketed through a feature view.
+type featureMatrix struct {
+	cols    [][]int32 // cols[pos][i]: bucket of instance i, or -1 for null
+	class   []int32
+	weights []float64
+}
+
+// matrix validates ins against the view and encodes every instance with
+// a known class, one column per base position.
+func (fv *FeatureView) matrix(ins *mlcore.Instances) (featureMatrix, error) {
+	if err := ins.Validate(); err != nil {
+		return featureMatrix{}, err
+	}
+	if len(fv.Base) != len(ins.Base) {
+		return featureMatrix{}, fmt.Errorf("ruleind: frozen feature view covers %d attributes, instances have %d", len(fv.Base), len(ins.Base))
+	}
+	var rows []int
+	var mx featureMatrix
+	for i, r := range ins.Rows {
+		if c := ins.Class[r]; c >= 0 {
+			rows = append(rows, r)
+			mx.class = append(mx.class, int32(c))
+			mx.weights = append(mx.weights, ins.Weights[i])
+		}
+	}
+	mx.cols = make([][]int32, len(fv.Base))
+	for pos, attr := range fv.Base {
+		vals := ins.Table.Column(attr)
+		col := make([]int32, len(rows))
+		for i, r := range rows {
+			col[i] = int32(fv.bucket(pos, vals[r]))
+		}
+		mx.cols[pos] = col
+	}
+	return mx, nil
+}
+
 // ---------------------------------------------------------------------------
 // 1R
 
 // OneRTrainer induces 1R models.
-type OneRTrainer struct {
-	// Bins is the numeric discretization width (default 6).
-	Bins int
-	// FV, when non-nil, is reused as the (frozen) feature view instead of
-	// deriving discretization bins from the training data. This is the
-	// warm re-induction path: against a drifted sample the bins stay
-	// frozen, so the model keeps bucketing values the way it did.
-	FV *FeatureView
-}
+type OneRTrainer struct{}
 
 var _ mlcore.Trainer = (*OneRTrainer)(nil)
 
@@ -116,42 +163,34 @@ var _ mlcore.IncrementalClassifier = (*OneRModel)(nil)
 
 // Train implements mlcore.Trainer.
 func (t *OneRTrainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
-	if err := ins.Validate(); err != nil {
+	fv, err := newFeatureView(ins)
+	if err != nil {
 		return nil, err
 	}
-	bins := t.Bins
-	if bins == 0 {
-		bins = 6
-	}
-	fv := t.FV
-	if fv == nil {
-		var err error
-		if fv, err = newFeatureView(ins, bins); err != nil {
-			return nil, err
-		}
-	} else if len(fv.Base) != len(ins.Base) {
-		return nil, fmt.Errorf("ruleind: frozen feature view covers %d attributes, instances have %d", len(fv.Base), len(ins.Base))
+	return trainOneR(ins, fv)
+}
+
+// trainOneR tallies ins through fv, a fresh view from Train or the
+// model's frozen one from Update: against a drifted sample the bins stay
+// frozen, so the model keeps bucketing values the way it did.
+func trainOneR(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, error) {
+	mx, err := fv.matrix(ins)
+	if err != nil {
+		return nil, err
 	}
 	allDists := make([][]mlcore.Distribution, len(fv.Base))
 	allNull := make([]mlcore.Distribution, len(fv.Base))
-	row := make([]dataset.Value, ins.Table.NumCols())
-	for pos := range fv.Base {
+	for pos, col := range mx.cols {
 		dists := make([]mlcore.Distribution, fv.Widths[pos])
 		for b := range dists {
 			dists[b] = mlcore.NewDistribution(ins.K)
 		}
 		nullDist := mlcore.NewDistribution(ins.K)
-		for i, r := range ins.Rows {
-			c := ins.Class[r]
-			if c < 0 {
-				continue
-			}
-			ins.Table.RowInto(r, row)
-			b := fv.feature(row, pos)
+		for i, b := range col {
 			if b < 0 {
-				nullDist.Add(c, ins.Weights[i])
+				nullDist.Add(int(mx.class[i]), mx.weights[i])
 			} else {
-				dists[b].Add(c, ins.Weights[i])
+				dists[b].Add(int(mx.class[i]), mx.weights[i])
 			}
 		}
 		allDists[pos] = dists
@@ -207,7 +246,7 @@ func (m *OneRModel) pickBest() bool {
 // attribute, which is exactly a frozen-view retrain. The trainer argument
 // is unused.
 func (m *OneRModel) Update(_ mlcore.Trainer, full *mlcore.Instances) (mlcore.Classifier, error) {
-	return (&OneRTrainer{FV: m.FV}).Train(full)
+	return trainOneR(full, m.FV)
 }
 
 // Predict implements mlcore.Classifier.
@@ -228,16 +267,7 @@ func (m *OneRModel) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 // PRISM
 
 // PrismTrainer induces PRISM covering rules.
-type PrismTrainer struct {
-	// Bins is the numeric discretization width (default 6).
-	Bins int
-	// MaxRulesPerClass caps rule induction (default 64).
-	MaxRulesPerClass int
-	// FV, when non-nil, is reused as the (frozen) feature view instead of
-	// deriving discretization bins from the training data — the warm
-	// re-induction path (see OneRTrainer.FV).
-	FV *FeatureView
-}
+type PrismTrainer struct{}
 
 var _ mlcore.Trainer = (*PrismTrainer)(nil)
 
@@ -271,122 +301,82 @@ var _ mlcore.IncrementalClassifier = (*PrismModel)(nil)
 // the covering search reruns over full, but with the model's feature view
 // frozen, so no discretization pass happens and the successor stays
 // byte-identical to a frozen-view retrain (and quality-equivalent to a
-// cold one). The trainer, when it is a *PrismTrainer, supplies the
-// rule-count cap; otherwise the defaults apply.
-func (m *PrismModel) Update(trainer mlcore.Trainer, full *mlcore.Instances) (mlcore.Classifier, error) {
-	warm := &PrismTrainer{FV: m.FV}
-	if pt, ok := trainer.(*PrismTrainer); ok && pt != nil {
-		warm.Bins = pt.Bins
-		warm.MaxRulesPerClass = pt.MaxRulesPerClass
-	}
-	return warm.Train(full)
+// cold one). The trainer argument is unused.
+func (m *PrismModel) Update(_ mlcore.Trainer, full *mlcore.Instances) (mlcore.Classifier, error) {
+	return trainPrism(full, m.FV)
 }
 
 // Train implements mlcore.Trainer.
 func (t *PrismTrainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
-	if err := ins.Validate(); err != nil {
+	fv, err := newFeatureView(ins)
+	if err != nil {
 		return nil, err
 	}
-	bins := t.Bins
-	if bins == 0 {
-		bins = 6
-	}
-	maxRules := t.MaxRulesPerClass
-	if maxRules == 0 {
-		maxRules = 64
-	}
-	fv := t.FV
-	if fv == nil {
-		var err error
-		if fv, err = newFeatureView(ins, bins); err != nil {
-			return nil, err
-		}
-	} else if len(fv.Base) != len(ins.Base) {
-		return nil, fmt.Errorf("ruleind: frozen feature view covers %d attributes, instances have %d", len(fv.Base), len(ins.Base))
-	}
+	return trainPrism(ins, fv)
+}
 
-	// Materialize feature buckets per instance.
-	type inst struct {
-		feats []int
-		class int
-		w     float64
+// trainPrism runs the covering search over ins bucketed through fv, a
+// fresh view from Train or the model's frozen one from Update. The
+// remaining set and each rule's pool are instance indices into the
+// matrix, kept in instance order, so every distribution sums its weights
+// in that order.
+func trainPrism(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, error) {
+	mx, err := fv.matrix(ins)
+	if err != nil {
+		return nil, err
 	}
-	var data []inst
-	row := make([]dataset.Value, ins.Table.NumCols())
-	for i, r := range ins.Rows {
-		c := ins.Class[r]
-		if c < 0 {
-			continue
-		}
-		ins.Table.RowInto(r, row)
-		feats := make([]int, len(fv.Base))
-		for pos := range fv.Base {
-			feats[pos] = fv.feature(row, pos)
-		}
-		data = append(data, inst{feats: feats, class: c, w: ins.Weights[i]})
-	}
-	if len(data) == 0 {
+	n := len(mx.class)
+	if n == 0 {
 		return nil, fmt.Errorf("ruleind: no instances with a known class value")
 	}
-
 	model := &PrismModel{FV: fv, K: ins.K, Default: mlcore.NewDistribution(ins.K)}
-	for _, d := range data {
-		model.Default.Add(d.class, d.w)
+	for i, c := range mx.class {
+		model.Default.Add(int(c), mx.weights[i])
 	}
 
-	covers := func(conds []PrismCond, in inst) bool {
-		for _, c := range conds {
-			if in.feats[c.Pos] != c.Bucket {
-				return false
-			}
-		}
-		return true
+	// pw[b] and tw[b]: the pool's positive and total weight in bucket b.
+	maxWidth := 0
+	for _, w := range fv.Widths {
+		maxWidth = max(maxWidth, w)
 	}
-
-	for class := 0; class < ins.K; class++ {
-		remaining := make([]inst, 0, len(data))
-		for _, d := range data {
-			remaining = append(remaining, d)
+	pw, tw := make([]float64, maxWidth), make([]float64, maxWidth)
+	used := make([]bool, len(fv.Base))
+	remaining := make([]int32, 0, n)
+	pool := make([]int32, 0, n)
+	for class := int32(0); class < int32(ins.K); class++ {
+		remaining = remaining[:0]
+		for i := range n {
+			remaining = append(remaining, int32(i))
 		}
-		for ruleCount := 0; ruleCount < maxRules; ruleCount++ {
-			// Any positives left?
-			hasPos := false
-			for _, d := range remaining {
-				if d.class == class {
-					hasPos = true
-					break
-				}
-			}
-			if !hasPos {
+		for ruleCount := 0; ruleCount < maxRulesPerClass; ruleCount++ {
+			if !slices.ContainsFunc(remaining, func(i int32) bool { return mx.class[i] == class }) {
 				break
 			}
 			var conds []PrismCond
-			pool := remaining
+			pool = append(pool[:0], remaining...)
+			clear(used)
 			for len(conds) < len(fv.Base) {
 				// Choose the test maximizing precision p/t on the pool.
 				bestPrec, bestCover := -1.0, 0.0
 				var best PrismCond
-				used := make(map[int]bool, len(conds))
-				for _, c := range conds {
-					used[c.Pos] = true
-				}
-				for pos := range fv.Base {
+				for pos, col := range mx.cols {
 					if used[pos] {
 						continue
 					}
-					pw := make([]float64, fv.Widths[pos])
-					tw := make([]float64, fv.Widths[pos])
-					for _, d := range pool {
-						b := d.feats[pos]
+					width := fv.Widths[pos]
+					clear(pw[:width])
+					clear(tw[:width])
+					for _, i := range pool {
+						b := col[i]
 						if b < 0 {
 							continue
 						}
-						tw[b] += d.w
-						if d.class == class {
-							pw[b] += d.w
+						tw[b] += mx.weights[i]
+						if mx.class[i] == class {
+							pw[b] += mx.weights[i]
 						}
 					}
-					for b := range tw {
+					for b := range width {
 						if tw[b] <= 0 {
 							continue
 						}
@@ -401,13 +391,9 @@ func (t *PrismTrainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 					break
 				}
 				conds = append(conds, best)
-				var next []inst
-				for _, d := range pool {
-					if d.feats[best.Pos] == best.Bucket {
-						next = append(next, d)
-					}
-				}
-				pool = next
+				used[best.Pos] = true
+				col := mx.cols[best.Pos]
+				pool = slices.DeleteFunc(pool, func(i int32) bool { return col[i] != int32(best.Bucket) })
 				if bestPrec >= 1-1e-12 {
 					break // perfect rule
 				}
@@ -416,19 +402,20 @@ func (t *PrismTrainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 				break
 			}
 			dist := mlcore.NewDistribution(ins.K)
-			for _, d := range pool {
-				dist.Add(d.class, d.w)
+			for _, i := range pool {
+				dist.Add(int(mx.class[i]), mx.weights[i])
 			}
 			model.Rules = append(model.Rules, PrismRule{Conds: conds, Dist: dist})
-			// Remove the covered positives of this class.
-			var next []inst
-			for _, d := range remaining {
-				if d.class == class && covers(conds, d) {
-					continue
+			// Remove the covered positives of this class. The pool is the
+			// remaining instances the rule covers, in the same order.
+			covered := pool
+			remaining = slices.DeleteFunc(remaining, func(i int32) bool {
+				if len(covered) == 0 || covered[0] != i {
+					return false
 				}
-				next = append(next, d)
-			}
-			remaining = next
+				covered = covered[1:]
+				return mx.class[i] == class
+			})
 		}
 	}
 	return model, nil

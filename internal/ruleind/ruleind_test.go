@@ -81,7 +81,7 @@ func TestOneRNumericAttribute(t *testing.T) {
 		}
 		tab.AppendRow([]dataset.Value{dataset.Nom(rng.Intn(3)), dataset.Nom(rng.Intn(2)), dataset.Num(x), dataset.Nom(c)})
 	}
-	model, err := (&OneRTrainer{Bins: 6}).Train(riInstances(t, tab))
+	model, err := (&OneRTrainer{}).Train(riInstances(t, tab))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,8 +294,12 @@ func TestBadRequests(t *testing.T) {
 		Options: OptionsJSON{Filter: "bogus"},
 	}), http.StatusBadRequest)
 
-	// Confidence options out of range.
-	for _, opts := range []OptionsJSON{{MinConfidence: -0.5}, {MinConfidence: 1.5}, {ConfLevel: 1}} {
+	// Options out of range. A negative knnK used to build a model whose
+	// baseline audit panicked on a pipeline worker and took the server down.
+	for _, opts := range []OptionsJSON{
+		{MinConfidence: -0.5}, {MinConfidence: 1.5}, {ConfLevel: 1},
+		{Inducer: "knn", KNNk: -1}, {Bins: -1},
+	} {
 		decode[ErrorResponse](t, postJSON(t, ts.URL+"/v1/models", InduceRequest{
 			Name: "x", Schema: schemaText, CSV: csvText, Options: opts,
 		}), http.StatusUnprocessableEntity)
