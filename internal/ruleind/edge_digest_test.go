@@ -51,7 +51,7 @@ func init() {
 
 type edgeCase struct {
 	name string
-	// row draws one row of the riSchema table: a, b, x and the class.
+	// row draws one row: a, b, x and the class, as in riSchema.
 	row func(rng *rand.Rand) []dataset.Value
 	// schema overrides riSchema when non-nil.
 	schema *dataset.Schema

@@ -408,14 +408,17 @@ func trainPrism(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, erro
 			model.Rules = append(model.Rules, PrismRule{Conds: conds, Dist: dist})
 			// Remove the covered positives of this class. The pool is the
 			// remaining instances the rule covers, in the same order.
-			covered := pool
-			remaining = slices.DeleteFunc(remaining, func(i int32) bool {
-				if len(covered) == 0 || covered[0] != i {
-					return false
+			next, j := remaining[:0], 0
+			for _, i := range remaining {
+				if j < len(pool) && pool[j] == i {
+					j++
+					if mx.class[i] == class {
+						continue
+					}
 				}
-				covered = covered[1:]
-				return mx.class[i] == class
-			})
+				next = append(next, i)
+			}
+			remaining = next
 		}
 	}
 	return model, nil
