@@ -11,11 +11,10 @@ import (
 // re-scans it for the argmax and re-derives the Wilson bounds — even
 // though all rows reaching the same rule share all of that. CheckChunk
 // flips the loop: each attribute scores a whole ColumnChunk in one pass
-// (batched trie descent for rule sets, a columnar kernel for
-// mlcore.BlockClassifier families, a per-row fallback for the rest), and
-// per-(rule, observed-class) findings are memoized, so the expensive
-// confidence math runs once per distinct deviation instead of once per
-// row. The produced reports are byte-identical to the row path's — the
+// (batched trie descent for rule sets, a per-row PredictInto loop for
+// every other family), and per-(rule, observed-class) findings are
+// memoized, so the expensive confidence math runs once per distinct
+// deviation instead of once per row. The produced reports are byte-identical to the row path's — the
 // differential suite in columnar_diff_test.go holds both paths to that.
 
 // batchChunkRows is the largest block the table feed hands CheckChunk.
@@ -68,7 +67,8 @@ func (c *ruleCache) fill(am *AttrModel, rule, obs, slot int, confLevel float64) 
 
 // ChunkScratch is the per-worker reusable state of the columnar scoring
 // path: partition slabs for the batched trie descent, the finding caches,
-// a block of prediction distributions, and the hit/finding/report arenas.
+// the per-row kernel's row and prediction buffers, and the
+// hit/finding/report arenas.
 // Like ScoreScratch, all buffers grow to the model's high-water mark once
 // and are reused, so steady-state chunk scoring performs zero heap
 // allocations. A ChunkScratch must not be shared between goroutines.
@@ -76,10 +76,9 @@ type ChunkScratch struct {
 	match  audittree.MatchScratch
 	caches []ruleCache // one per model attribute (only rule sets use theirs)
 
-	obs   []int32               // observed class per row (discretized attrs)
-	dists []mlcore.Distribution // block predictions (BlockClassifier path)
-	row   []dataset.Value       // gather buffer (per-row fallback path)
-	dist  mlcore.Distribution   // prediction buffer (per-row fallback path)
+	obs  []int32             // observed class per row (discretized attrs)
+	row  []dataset.Value     // gather buffer (per-row kernel)
+	dist mlcore.Distribution // prediction buffer (per-row kernel)
 
 	hits     []chunkHit // attr-major deviation arena
 	rowStart []int32    // per-row segment start in the findings arena
@@ -181,26 +180,8 @@ func (s *ChunkScratch) ruleKernel(m *Model, ai int, am *AttrModel, rs *audittree
 	}
 }
 
-// blockKernel scores one attribute whose classifier has a columnar batch
-// kernel (naive Bayes: selected by classifier type, no option): predictions
-// for the whole chunk in one call, then the deviation test per row.
-func (s *ChunkScratch) blockKernel(m *Model, am *AttrModel, bc mlcore.BlockClassifier, ck *dataset.ColumnChunk) {
-	n := ck.Rows()
-	for len(s.dists) < n {
-		s.dists = append(s.dists, mlcore.Distribution{})
-	}
-	dists := s.dists[:n]
-	bc.PredictBlockInto(ck, dists)
-	obs := s.observed(am, ck, nil)
-	for r := 0; r < n; r++ {
-		if f, ok := am.deviation(&dists[r], int(obs[r]), m.Opts.ConfLevel); ok {
-			s.hits = append(s.hits, chunkHit{row: int32(r), f: f})
-		}
-	}
-}
-
-// rowKernel is the fallback for classifier families without a batch
-// kernel (kNN, 1R, Prism, plain C4.5 trees): gather each row out of the
+// rowKernel scores one attribute of every family but rule sets (naive
+// Bayes, kNN, 1R, PRISM, plain C4.5 trees): gather each row out of the
 // chunk and run the row path's prediction and the deviation test.
 func (s *ChunkScratch) rowKernel(m *Model, am *AttrModel, ck *dataset.ColumnChunk) {
 	n := ck.Rows()
@@ -247,7 +228,7 @@ func detachReports(reps []RecordReport, dst []RecordReport) {
 
 // CheckChunk runs deviation detection for every row of the chunk,
 // attribute-major: each modelled attribute scores the whole block with
-// its best available kernel, then the per-attribute hits are scattered
+// its kernel (the trie for rule sets, the per-row loop otherwise), then the per-attribute hits are scattered
 // into per-row reports. firstRow is the table/stream row index of chunk
 // row 0 (reports carry absolute row numbers, like the row path's
 // callers set).
@@ -289,8 +270,6 @@ func (m *Model) CheckChunk(ck *dataset.ColumnChunk, firstRow int64, s *ChunkScra
 			switch clf := am.Classifier.(type) {
 			case *audittree.RuleSet:
 				s.ruleKernel(m, ai, am, clf, ck, kernelRows)
-			case mlcore.BlockClassifier:
-				s.blockKernel(m, am, clf, ck)
 			default:
 				s.rowKernel(m, am, ck)
 			}

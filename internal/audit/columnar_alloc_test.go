@@ -13,31 +13,61 @@ import (
 // free list instead of building fresh ones per chunk.
 
 // TestCheckChunkZeroAlloc pins the columnar inner loop at zero heap
-// allocations per chunk once warm. The warm-up pass covers the whole
-// fixture so every buffer (partition slabs, finding arenas, the
-// signature memo's table and arena) has grown to its high-water mark
+// allocations per chunk once warm: the default model trained on the whole
+// fixture, and a model of every inducer trained on its first 1 000 rows,
+// so the per-row kernel is pinned for every family that runs it. Each
+// case scores its chunks once to warm up, so every buffer (partition
+// slabs, finding arenas, the signature memo's table and arena, the
+// per-row kernel's row and distribution) has grown to its high-water mark
 // and every distinct row signature is cached.
 func TestCheckChunkZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
 	m, dirty := streamQUIS(t)
-	n := dirty.NumRows()
-	ck := dataset.NewColumnChunk(dirty.Schema())
+	t.Run("default", func(t *testing.T) {
+		checkChunkZeroAlloc(t, m, dirty, dirty.NumRows(), batchChunkRows, 100)
+	})
+	train := dataset.NewTable(dirty.Schema())
+	for r := 0; r < 1000; r++ {
+		train.AppendRow(dirty.Row(r))
+	}
+	for _, kind := range []InducerKind{
+		InducerC45Audit, InducerC45, InducerID3,
+		InducerNaiveBayes, InducerKNN, InducerOneR, InducerPrism,
+	} {
+		t.Run(string(kind), func(t *testing.T) {
+			m, err := Induce(train, Options{MinConfidence: 0.8, Inducer: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// kNN scans its 1 000 stored rows per prediction, so every
+			// case scores a short span in small chunks.
+			checkChunkZeroAlloc(t, m, dirty, 1024, 128, 16)
+		})
+	}
+}
+
+// checkChunkZeroAlloc scores tab's first rows rows in chunks of
+// chunkRows, once to warm up, then runs more chunks cycling over the same
+// span, and fails if a chunk allocates.
+func checkChunkZeroAlloc(t *testing.T, m *Model, tab *dataset.Table, rows, chunkRows, runs int) {
+	t.Helper()
+	ck := dataset.NewColumnChunk(tab.Schema())
 	scratch := NewChunkScratch(m)
-	for lo := 0; lo < n; lo += batchChunkRows {
-		hi := min(lo+batchChunkRows, n)
-		dirty.ChunkInto(ck, lo, hi)
+	for lo := 0; lo < rows; lo += chunkRows {
+		hi := min(lo+chunkRows, rows)
+		tab.ChunkInto(ck, lo, hi)
 		m.CheckChunk(ck, int64(lo), scratch)
 	}
 
 	lo := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		hi := min(lo+batchChunkRows, n)
-		dirty.ChunkInto(ck, lo, hi)
+	allocs := testing.AllocsPerRun(runs, func() {
+		hi := min(lo+chunkRows, rows)
+		tab.ChunkInto(ck, lo, hi)
 		m.CheckChunk(ck, int64(lo), scratch)
-		lo += batchChunkRows
-		if lo >= n {
+		lo += chunkRows
+		if lo >= rows {
 			lo = 0
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"dataaudit/internal/dataset"
+	"dataaudit/internal/mlcore"
 )
 
 // This file supports the interactive error correction of §5.3: "the
@@ -42,10 +43,11 @@ func (m *Model) ExplainRow(row []dataset.Value) []RootCause {
 	}
 	scratch := make([]dataset.Value, len(row))
 	var out []RootCause
+	var dist mlcore.Distribution
 	for _, am := range m.Attrs {
 		// The hypothesis value is what this attribute's own classifier
 		// would predict from the rest of the record.
-		dist := am.Classifier.Predict(row)
+		am.Classifier.PredictInto(row, &dist)
 		if dist.N() <= 0 {
 			continue
 		}

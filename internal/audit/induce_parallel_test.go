@@ -32,8 +32,6 @@ type failingTrainer struct {
 	calls atomic.Int64
 }
 
-func (f *failingTrainer) Name() string { return "failing" }
-
 func (f *failingTrainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 	f.calls.Add(1)
 	class := classOf(ins)
@@ -109,8 +107,6 @@ type refusingTrainer struct {
 	err   error
 	calls atomic.Int64
 }
-
-func (r *refusingTrainer) Name() string { return "refusing" }
 
 func (r *refusingTrainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 	r.calls.Add(1)

@@ -7,18 +7,20 @@ import (
 	"testing"
 
 	"dataaudit/internal/dataset"
+	"dataaudit/internal/mlcore"
 	"dataaudit/internal/quis"
 	"dataaudit/internal/stats"
 )
 
 // checkRowReference is the pre-scratch scoring path, kept verbatim as the
-// differential oracle: per-attribute Predict with a freshly allocated
+// differential oracle: per-attribute PredictInto into a freshly allocated
 // distribution, findings accumulated in a fresh slice. CheckRowScratch
 // must reproduce its output bit for bit.
 func checkRowReference(m *Model, row []dataset.Value) RecordReport {
 	rep := RecordReport{Row: -1, ID: -1}
 	for _, am := range m.Attrs {
-		dist := am.Classifier.Predict(row)
+		var dist mlcore.Distribution
+		am.Classifier.PredictInto(row, &dist)
 		if dist.N() <= 0 {
 			continue
 		}

@@ -82,9 +82,6 @@ type Trainer struct {
 
 var _ mlcore.Trainer = (*Trainer)(nil)
 
-// Name implements mlcore.Trainer.
-func (t *Trainer) Name() string { return "c4.5-audit" }
-
 // Train implements mlcore.Trainer: it induces the adjusted tree and returns
 // the filtered rule set (the structure model used for deviation detection).
 func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
@@ -283,14 +280,6 @@ func (rs *RuleSet) match(row []dataset.Value) *Rule {
 	return nil
 }
 
-// Predict implements mlcore.Classifier.
-func (rs *RuleSet) Predict(row []dataset.Value) mlcore.Distribution {
-	if r := rs.match(row); r != nil {
-		return r.Dist
-	}
-	return mlcore.NewDistribution(rs.K)
-}
-
 // PredictInto implements mlcore.Classifier without allocating: the
 // matched rule's distribution is copied into the caller's scratch buffer;
 // rows matching no retained rule answer with an empty distribution.
@@ -305,7 +294,7 @@ func (rs *RuleSet) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 // ExtractRules walks the tree and converts every root-to-leaf path into a
 // rule, then deletes rules according to the filter mode. Rules are ordered
 // by descending support so that reports list the strongest dependencies
-// first (tree paths are disjoint, so order does not affect Predict).
+// first (tree paths are disjoint, so order does not affect PredictInto).
 func ExtractRules(tree *c45.Tree, opts Options) *RuleSet {
 	opts = opts.WithDefaults()
 	rs := &RuleSet{K: tree.K}

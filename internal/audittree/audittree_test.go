@@ -96,7 +96,8 @@ func TestRuleSetFlagsDeviation(t *testing.T) {
 	}
 	// A record BRV=404, GBM=911 must receive a high error confidence.
 	row := []dataset.Value{dataset.Nom(0), dataset.Nom(0), dataset.Nom(1)}
-	d := rs.Predict(row)
+	var d mlcore.Distribution
+	rs.PredictInto(row, &d)
 	if d.N() == 0 {
 		t.Fatalf("no rule matched the deviating record")
 	}
@@ -123,7 +124,8 @@ func TestFilterPaperDropsPureAndWeakRules(t *testing.T) {
 		t.Fatalf("tiny training set must not retain any rule, got %d", len(rs.Rules))
 	}
 	// Unmatched records yield the empty distribution: no detection.
-	d := rs.Predict([]dataset.Value{dataset.Nom(0), dataset.Nom(0), dataset.Nom(1)})
+	var d mlcore.Distribution
+	rs.PredictInto([]dataset.Value{dataset.Nom(0), dataset.Nom(0), dataset.Nom(1)}, &d)
 	if d.N() != 0 {
 		t.Fatalf("empty rule set must return empty distribution")
 	}

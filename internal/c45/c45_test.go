@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dataaudit/internal/dataset"
@@ -70,7 +71,8 @@ func TestLearnsConjunction(t *testing.T) {
 	// noise-free and greedily learnable).
 	correct := 0
 	for r := 0; r < tab.NumRows(); r++ {
-		d := tree.Predict(tab.Row(r))
+		var d mlcore.Distribution
+		tree.PredictInto(tab.Row(r), &d)
 		best, _ := d.Best()
 		if best == tab.Get(r, 4).NomIdx() {
 			correct++
@@ -109,7 +111,8 @@ func TestLearnsNumericThreshold(t *testing.T) {
 	}
 	// Probe predictions around the boundary.
 	probe := func(x float64) int {
-		d := tree.Predict([]dataset.Value{dataset.Nom(0), dataset.Nom(0), dataset.Nom(0), dataset.Num(x), dataset.Null()})
+		var d mlcore.Distribution
+		tree.PredictInto([]dataset.Value{dataset.Nom(0), dataset.Nom(0), dataset.Nom(0), dataset.Num(x), dataset.Null()}, &d)
 		best, _ := d.Best()
 		return best
 	}
@@ -202,7 +205,8 @@ func TestMissingValuesFractionalWeights(t *testing.T) {
 		t.Fatalf("mass not conserved: children %g vs parent %g", childTotal, tree.Root.Dist.N())
 	}
 	// Prediction with a missing split value returns the node aggregate.
-	d := tree.Predict([]dataset.Value{dataset.Null(), dataset.Nom(0), dataset.Nom(0), dataset.Num(1), dataset.Null()})
+	var d mlcore.Distribution
+	tree.PredictInto([]dataset.Value{dataset.Null(), dataset.Nom(0), dataset.Nom(0), dataset.Num(1), dataset.Null()}, &d)
 	if math.Abs(d.N()-tree.Root.Dist.N()) > 1e-6 {
 		t.Fatalf("missing-value prediction should carry the node's support")
 	}
@@ -359,7 +363,8 @@ func TestPredictionDistributionIsNormalized(t *testing.T) {
 		if rng.Float64() < 0.3 {
 			rowVals[rng.Intn(4)] = dataset.Null()
 		}
-		d := tree.Predict(rowVals)
+		var d mlcore.Distribution
+		tree.PredictInto(rowVals, &d)
 		sum := 0.0
 		for c := 0; c < d.K(); c++ {
 			p := d.P(c)
@@ -451,20 +456,24 @@ func TestEmptyBranchFallsBackToParent(t *testing.T) {
 	if tree.Root.IsLeaf() {
 		t.Fatalf("expected a split on f")
 	}
-	d := tree.Predict([]dataset.Value{dataset.Nom(2), dataset.Null()})
+	var d mlcore.Distribution
+	tree.PredictInto([]dataset.Value{dataset.Nom(2), dataset.Null()}, &d)
 	if d.N() != tree.Root.Dist.N() {
 		t.Fatalf("unseen branch should answer with parent evidence (n=%g, want %g)", d.N(), tree.Root.Dist.N())
 	}
 }
 
-func TestPredictIntoMatchesPredict(t *testing.T) {
+// TestPredictIntoDoesNotAlias: PredictInto hands back a copy of the
+// answering node's distribution, so overwriting the answer leaves the
+// tree, and the next answer for the same row, unchanged.
+func TestPredictIntoDoesNotAlias(t *testing.T) {
 	tab := conjTable(t, 400, 61)
 	ins := buildInstances(t, tab, []int{0, 1, 2, 3})
 	tree, err := (&Trainer{Opts: Options{UseGainRatio: true, Prune: true}}).TrainTree(ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d mlcore.Distribution
+	var d, again mlcore.Distribution
 	rng := rand.New(rand.NewSource(62))
 	for i := 0; i < 500; i++ {
 		row := []dataset.Value{
@@ -474,20 +483,14 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			row[rng.Intn(4)] = dataset.Null()
 		}
-		want := tree.Predict(row)
 		tree.PredictInto(row, &d)
-		if want.Total != d.Total || len(want.Counts) != len(d.Counts) {
-			t.Fatalf("row %v: Predict %+v, PredictInto %+v", row, want, d)
+		want := d.Clone()
+		for c := range d.Counts {
+			d.Counts[c] = -1
 		}
-		for c := range want.Counts {
-			if want.Counts[c] != d.Counts[c] {
-				t.Fatalf("row %v class %d: %v vs %v", row, c, want.Counts[c], d.Counts[c])
-			}
-		}
-		// PredictInto must hand back an independent copy, not the node's
-		// own distribution.
-		if len(want.Counts) > 0 && &want.Counts[0] == &d.Counts[0] {
-			t.Fatal("PredictInto must not alias the tree's distribution")
+		tree.PredictInto(row, &again)
+		if want.Total != again.Total || !slices.Equal(want.Counts, again.Counts) {
+			t.Fatalf("row %v: PredictInto aliases the tree's distribution: %+v after overwrite, want %+v", row, again, want)
 		}
 	}
 }

@@ -69,14 +69,6 @@ type Trainer struct {
 
 var _ mlcore.Trainer = (*Trainer)(nil)
 
-// Name implements mlcore.Trainer.
-func (t *Trainer) Name() string {
-	if t.Opts.UseGainRatio {
-		return "c4.5"
-	}
-	return "id3"
-}
-
 // Train implements mlcore.Trainer.
 func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 	tree, err := t.TrainTree(ins)
@@ -157,7 +149,7 @@ func newGrower(ins *mlcore.Instances, opts Options, rootRows []int) *grower {
 // ascending order, so a rank reads its value back as values[rank]. -0 and
 // +0 share a rank. NaN ranks after every number, at rank nan =
 // len(values), and has no value: NaN <= t is false for every threshold t,
-// so partition and Predict send a NaN row right, and the threshold search
+// so partition and PredictInto send a NaN row right, and the threshold search
 // therefore never cuts at or after a NaN.
 type rankTable struct {
 	rank   []int32

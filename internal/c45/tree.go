@@ -48,17 +48,11 @@ type Tree struct {
 
 var _ mlcore.Classifier = (*Tree)(nil)
 
-// Predict implements mlcore.Classifier: it descends to the leaf selected by
-// the row's base attribute values and returns that leaf's class
-// distribution (with its training support as Total). Missing values stop
-// at the current node and return its aggregate distribution.
-func (t *Tree) Predict(row []dataset.Value) mlcore.Distribution {
-	return t.descend(row).Dist
-}
-
-// PredictInto implements mlcore.Classifier without allocating: the
-// answering node's distribution is copied into the caller's scratch
-// buffer.
+// PredictInto implements mlcore.Classifier: it descends to the leaf
+// selected by the row's base attribute values and copies that leaf's
+// class distribution (with its training support as Total) into the
+// caller's buffer. Missing values stop at the current node and answer
+// with its aggregate distribution.
 func (t *Tree) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 	d.CopyFrom(t.descend(row).Dist)
 }

@@ -27,9 +27,6 @@ type Trainer struct {
 
 var _ mlcore.Trainer = (*Trainer)(nil)
 
-// Name implements mlcore.Trainer.
-func (t *Trainer) Name() string { return "knn" }
-
 // Model is the stored instance base.
 type Model struct {
 	K       int // neighbours
@@ -139,19 +136,12 @@ func candSiftDown(heap []cand, i int) {
 	}
 }
 
-// Predict implements mlcore.Classifier: the class histogram of the k
+// PredictInto implements mlcore.Classifier: the class histogram of the k
 // nearest stored instances, with the neighbourhood weight as support.
 // Selection uses a bounded max-heap (O(n log k)), not a full sort — kNN is
-// already the slowest family in the §5 comparison without extra help.
-func (m *Model) Predict(row []dataset.Value) mlcore.Distribution {
-	var d mlcore.Distribution
-	m.PredictInto(row, &d)
-	return d
-}
-
-// PredictInto implements mlcore.Classifier without allocating for the
-// usual neighbourhood sizes: the selection buffer lives on the stack for
-// k <= candStackSize.
+// already the slowest family in the §5 comparison without extra help. The
+// call does not allocate for the usual neighbourhood sizes: the selection
+// buffer lives on the stack for k <= candStackSize.
 func (m *Model) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 	k := m.K
 	if k > len(m.Rows) {

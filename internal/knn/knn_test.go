@@ -58,7 +58,8 @@ func TestKNNLearnsClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := func(f1 int, x float64) int {
-		d := model.Predict([]dataset.Value{dataset.Nom(f1), dataset.Num(x), dataset.Null()})
+		var d mlcore.Distribution
+		model.PredictInto([]dataset.Value{dataset.Nom(f1), dataset.Num(x), dataset.Null()}, &d)
 		best, _ := d.Best()
 		return best
 	}
@@ -73,7 +74,8 @@ func TestKNNSupportIsNeighbourhood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := model.Predict(tab.Row(0))
+	var d mlcore.Distribution
+	model.PredictInto(tab.Row(0), &d)
 	if math.Abs(d.N()-7) > 1e-9 {
 		t.Fatalf("support = %g, want 7", d.N())
 	}
@@ -85,7 +87,8 @@ func TestKNNKLargerThanData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := model.Predict(tab.Row(0))
+	var d mlcore.Distribution
+	model.PredictInto(tab.Row(0), &d)
 	if math.Abs(d.N()-3) > 1e-9 {
 		t.Fatalf("support = %g, want all 3", d.N())
 	}
@@ -106,7 +109,8 @@ func TestKNNNullDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := model.Predict([]dataset.Value{dataset.Null(), dataset.Num(80), dataset.Null()})
+	var d mlcore.Distribution
+	model.PredictInto([]dataset.Value{dataset.Null(), dataset.Num(80), dataset.Null()}, &d)
 	best, _ := d.Best()
 	if best != 1 {
 		t.Fatalf("numeric feature should still identify the cluster, got class %d", best)
@@ -123,7 +127,9 @@ func TestKNNNoLabelsFails(t *testing.T) {
 	}
 }
 
-func TestPredictIntoMatchesPredict(t *testing.T) {
+// TestPredictIntoReusedBuffer: a buffer that earlier predictions left
+// dirty gets the same answer as a fresh one.
+func TestPredictIntoReusedBuffer(t *testing.T) {
 	tab := clustersTable(t, 400, 47)
 	model, err := (&Trainer{Opts: Options{K: 5}}).Train(knnInstances(t, tab))
 	if err != nil {
@@ -139,10 +145,11 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 		if rng.Intn(5) == 0 {
 			row[1] = dataset.Null()
 		}
-		want := model.Predict(row)
-		model.(*Model).PredictInto(row, &d)
+		var want mlcore.Distribution
+		model.PredictInto(row, &want)
+		model.PredictInto(row, &d)
 		if want.Total != d.Total || !slicesEqual(want.Counts, d.Counts) {
-			t.Fatalf("row %v: Predict %+v, PredictInto %+v", row, want, d)
+			t.Fatalf("row %v: fresh buffer %+v, reused buffer %+v", row, want, d)
 		}
 	}
 }

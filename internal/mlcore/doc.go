@@ -23,14 +23,15 @@
 //     handling; Subset shares the table and class assignment while
 //     narrowing the active rows, which is what lets tree inducers recurse
 //     without copying data.
-//   - Classifier / Trainer: Predict maps a row to a Distribution; Train
-//     induces a Classifier from Instances. audit.Options.Trainer accepts
-//     any Trainer, which is how the §5.4 ablation experiments mix and
-//     match individual algorithm adjustments.
+//   - Classifier / Trainer: each has one method. PredictInto writes a
+//     row's Distribution into a caller-owned buffer without allocating;
+//     Train induces a Classifier from Instances. audit.Options.Trainer
+//     accepts any Trainer, which is how the §5.4 ablation experiments mix
+//     and match individual algorithm adjustments.
 //
 // Everything in this package is deterministic: given the same instances,
 // every Trainer in the repository induces the same classifier, and
-// Predict is a pure function — the property the parallel and streaming
-// audit paths (audit.AuditTableParallel, audit.AuditStream) rely on to
-// produce byte-identical reports under any scheduling.
+// PredictInto is a pure function of the row — the property the parallel
+// and streaming audit paths (audit.AuditTableParallel, audit.AuditStream)
+// rely on to produce byte-identical reports under any scheduling.
 package mlcore

@@ -159,45 +159,19 @@ func (ins *Instances) Validate() error {
 }
 
 // Classifier predicts a class distribution (with support) for a row.
-//
-// The allocation contract: PredictInto is the steady-state scoring path —
-// once the caller's scratch distribution has grown to the classifier's
-// class count, a PredictInto call performs no heap allocation. Predict is
-// the convenience form; implementations may allocate or may return a
-// distribution sharing memory with the model (callers must not mutate
-// it). The two must produce identical values for the same row.
 type Classifier interface {
-	// Predict returns the class distribution for the row. The
-	// distribution's Total is the weighted number of training instances
-	// the prediction is based on — the n of Definition 7.
-	Predict(row []dataset.Value) Distribution
 	// PredictInto writes the class distribution for the row into d,
 	// reusing d's backing memory (via Reset/CopyFrom) instead of
 	// allocating. d's previous contents are discarded; after the call d
-	// shares no memory with the model.
+	// shares no memory with the model. The distribution's Total is the
+	// weighted number of training instances the prediction is based on —
+	// the n of Definition 7. Once d has grown to the classifier's class
+	// count, the call performs no heap allocation.
 	PredictInto(row []dataset.Value, d *Distribution)
-}
-
-// BlockClassifier is implemented by classifier families with a columnar
-// batch kernel: one call scores a whole ColumnChunk, hoisting per-row
-// dispatch, table lookups, and transcendental-function setup out of the
-// inner loop. The chunked scorer (audit.CheckChunk) probes for it and
-// falls back to per-row PredictInto otherwise.
-type BlockClassifier interface {
-	Classifier
-	// PredictBlockInto writes the class distribution of chunk row r into
-	// dists[r] for every r in [0, len(dists)); len(dists) must not exceed
-	// ck.Rows(). Each dists[r] must end up exactly as PredictInto would
-	// leave it for the same row — the differential suite holds the two
-	// paths byte-identical. Like PredictInto, the call performs no heap
-	// allocation once every dists[r] has grown to the class count.
-	PredictBlockInto(ck *dataset.ColumnChunk, dists []Distribution)
 }
 
 // Trainer induces a Classifier from instances.
 type Trainer interface {
-	// Name identifies the algorithm in experiment reports.
-	Name() string
 	// Train induces a classifier.
 	Train(ins *Instances) (Classifier, error)
 }

@@ -9,6 +9,7 @@ package nbayes
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
@@ -22,9 +23,6 @@ const laplace = 1
 type Trainer struct{}
 
 var _ mlcore.Trainer = (*Trainer)(nil)
-
-// Name implements mlcore.Trainer.
-func (t *Trainer) Name() string { return "naive-bayes" }
 
 // nominalModel holds P(value | class) estimates for one attribute.
 type nominalModel struct {
@@ -59,10 +57,19 @@ type Model struct {
 	Laplace float64
 	ClassW  []float64
 
-	// batch holds the lazily built columnar log tables (see batch.go);
-	// unexported, so gob-encoded models round-trip without it and rebuild
-	// on first block prediction.
-	batch batchState
+	// logs holds the log tables PredictInto reads; unexported, so
+	// gob-encoded models round-trip without them and rebuild them on
+	// first prediction.
+	logs logTables
+}
+
+// logTables hoists the logs of the prior and nominal estimates out of
+// PredictInto: they are fixed once the model is fitted, so each is
+// computed once per model instead of once per row.
+type logTables struct {
+	once  sync.Once
+	prior []float64     // prior[c] = log(Priors[c])
+	cond  [][][]float64 // cond[i][c][v] = log(Nominals[i].Cond[c][v])
 }
 
 var _ mlcore.Classifier = (*Model)(nil)
@@ -175,33 +182,48 @@ func (m *Model) refit() {
 	}
 }
 
-// Predict implements mlcore.Classifier. The returned distribution's support
-// is the full training weight: naive Bayes bases every prediction on the
-// entire training set.
-func (m *Model) Predict(row []dataset.Value) mlcore.Distribution {
-	var d mlcore.Distribution
-	m.PredictInto(row, &d)
-	return d
+// tables returns the model's log tables, building them on first use.
+func (m *Model) tables() *logTables {
+	t := &m.logs
+	t.once.Do(func() {
+		t.prior = make([]float64, m.K)
+		for c, p := range m.Priors {
+			t.prior[c] = math.Log(p)
+		}
+		t.cond = make([][][]float64, len(m.Nominals))
+		for i, nm := range m.Nominals {
+			t.cond[i] = make([][]float64, len(nm.Cond))
+			for c, cond := range nm.Cond {
+				lc := make([]float64, len(cond))
+				for v, p := range cond {
+					lc[v] = math.Log(p)
+				}
+				t.cond[i][c] = lc
+			}
+		}
+	})
+	return t
 }
 
 // PredictInto implements mlcore.Classifier without allocating: the
 // caller's buffer doubles as the log-probability workspace, which is then
-// normalized in place.
+// normalized in place. The support is the full training weight: naive
+// Bayes bases every prediction on the entire training set.
 func (m *Model) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
+	t := m.tables()
 	d.Reset(m.K)
 	logp := d.Counts
-	for c := range logp {
-		logp[c] = math.Log(m.Priors[c])
-	}
-	for _, nm := range m.Nominals {
+	copy(logp, t.prior)
+	for i, nm := range m.Nominals {
 		v := row[nm.Attr]
 		if v.IsNull() || !v.IsNominal() {
 			continue
 		}
 		idx := v.NomIdx()
+		lc := t.cond[i]
 		for c := range logp {
-			if idx < len(nm.Cond[c]) {
-				logp[c] += math.Log(nm.Cond[c][idx])
+			if idx < len(lc[c]) {
+				logp[c] += lc[c][idx]
 			}
 		}
 	}

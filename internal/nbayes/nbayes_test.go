@@ -1,12 +1,15 @@
 package nbayes
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
 
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
+	"dataaudit/internal/stats"
 )
 
 func nbSchema(t testing.TB) *dataset.Schema {
@@ -65,7 +68,8 @@ func TestNaiveBayesLearnsMixedFeatures(t *testing.T) {
 	}
 	correct := 0
 	for r := 0; r < tab.NumRows(); r++ {
-		d := model.Predict(tab.Row(r))
+		var d mlcore.Distribution
+		model.PredictInto(tab.Row(r), &d)
 		best, _ := d.Best()
 		if best == tab.Get(r, 2).NomIdx() {
 			correct++
@@ -82,7 +86,8 @@ func TestNaiveBayesSupportIsTrainingWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := model.Predict(tab.Row(0))
+	var d mlcore.Distribution
+	model.PredictInto(tab.Row(0), &d)
 	if math.Abs(d.N()-500) > 1e-9 {
 		t.Fatalf("support = %g, want 500", d.N())
 	}
@@ -106,7 +111,8 @@ func TestNaiveBayesHandlesNulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All-null row: prediction falls back to the prior.
-	d := model.Predict([]dataset.Value{dataset.Null(), dataset.Null(), dataset.Null()})
+	var d mlcore.Distribution
+	model.PredictInto([]dataset.Value{dataset.Null(), dataset.Null(), dataset.Null()}, &d)
 	if d.N() <= 0 {
 		t.Fatalf("null-row prediction must still carry support")
 	}
@@ -137,7 +143,8 @@ func TestNaiveBayesUnseenClassGaussian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := model.Predict([]dataset.Value{dataset.Nom(1), dataset.Num(10), dataset.Null()})
+	var d mlcore.Distribution
+	model.PredictInto([]dataset.Value{dataset.Nom(1), dataset.Num(10), dataset.Null()}, &d)
 	for c := 0; c < d.K(); c++ {
 		if math.IsNaN(d.P(c)) {
 			t.Fatalf("NaN probability")
@@ -145,30 +152,105 @@ func TestNaiveBayesUnseenClassGaussian(t *testing.T) {
 	}
 }
 
-func TestPredictIntoMatchesPredict(t *testing.T) {
-	tab := mixedTable(t, 1000, 53)
-	model, err := (&Trainer{}).Train(nbInstances(t, tab))
+// referencePredict is PredictInto as it was before the log tables: a
+// math.Log of every prior and of every matched nominal estimate on each
+// row, into a fresh distribution. Kept verbatim as the oracle.
+func referencePredict(m *Model, row []dataset.Value) mlcore.Distribution {
+	var d mlcore.Distribution
+	d.Reset(m.K)
+	logp := d.Counts
+	for c := range logp {
+		logp[c] = math.Log(m.Priors[c])
+	}
+	for _, nm := range m.Nominals {
+		v := row[nm.Attr]
+		if v.IsNull() || !v.IsNominal() {
+			continue
+		}
+		idx := v.NomIdx()
+		for c := range logp {
+			if idx < len(nm.Cond[c]) {
+				logp[c] += math.Log(nm.Cond[c][idx])
+			}
+		}
+	}
+	for _, gm := range m.Gauss {
+		v := row[gm.Attr]
+		if v.IsNull() || !v.IsNumber() {
+			continue
+		}
+		x := v.Float()
+		for c := range logp {
+			if gm.SeenByClass[c] {
+				logp[c] += math.Log(stats.GaussianPDF(x, gm.Mu[c], gm.Sigma[c]) + 1e-300)
+			}
+		}
+	}
+	// Normalize in log space.
+	maxLog := math.Inf(-1)
+	for _, lp := range logp {
+		if lp > maxLog {
+			maxLog = lp
+		}
+	}
+	total := 0.0
+	for c, lp := range logp {
+		p := math.Exp(lp - maxLog)
+		d.Counts[c] = p
+		total += p
+	}
+	if total > 0 {
+		for c := range d.Counts {
+			d.Counts[c] = d.Counts[c] / total * m.TotalW
+		}
+	}
+	d.Total = m.TotalW
+	return d
+}
+
+// TestPredictIntoMatchesLogFormula holds the table-backed PredictInto bit
+// for bit to referencePredict, into one buffer reused across rows —
+// including rows with nulls and all-null rows, and on a gob-decoded
+// model, which rebuilds its tables on first use.
+func TestPredictIntoMatchesLogFormula(t *testing.T) {
+	tab := mixedTable(t, 2000, 47)
+	// Sprinkle nulls the generator does not produce.
+	for r := 0; r < tab.NumRows(); r += 17 {
+		tab.Set(r, 0, dataset.Null())
+	}
+	for r := 0; r < tab.NumRows(); r += 23 {
+		tab.Set(r, 1, dataset.Null())
+	}
+	for r := 0; r < tab.NumRows(); r += 311 {
+		tab.Set(r, 0, dataset.Null())
+		tab.Set(r, 1, dataset.Null())
+	}
+	clf, err := (&Trainer{}).Train(nbInstances(t, tab))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d mlcore.Distribution
-	rng := rand.New(rand.NewSource(54))
-	for i := 0; i < 500; i++ {
-		row := []dataset.Value{dataset.Nom(rng.Intn(2)), dataset.Num(rng.Float64() * 100), dataset.Null()}
-		if rng.Intn(5) == 0 {
-			row[0] = dataset.Null()
-		}
-		if rng.Intn(5) == 0 {
-			row[1] = dataset.Null()
-		}
-		want := model.Predict(row)
-		model.(*Model).PredictInto(row, &d)
-		if want.Total != d.Total {
-			t.Fatalf("row %v: totals differ: %v vs %v", row, want.Total, d.Total)
-		}
-		for c := range want.Counts {
-			if want.Counts[c] != d.Counts[c] {
-				t.Fatalf("row %v class %d: Predict %v, PredictInto %v", row, c, want.Counts[c], d.Counts[c])
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(clf); err != nil {
+		t.Fatal(err)
+	}
+	decoded := &Model{}
+	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Model{"trained": clf.(*Model), "decoded": decoded} {
+		row := make([]dataset.Value, tab.NumCols())
+		var got mlcore.Distribution
+		for r := 0; r < tab.NumRows(); r++ {
+			tab.RowInto(r, row)
+			want := referencePredict(m, row)
+			m.PredictInto(row, &got)
+			if math.Float64bits(want.Total) != math.Float64bits(got.Total) || len(want.Counts) != len(got.Counts) {
+				t.Fatalf("%s row %d: %+v, want %+v", name, r, got, want)
+			}
+			for c := range want.Counts {
+				if math.Float64bits(want.Counts[c]) != math.Float64bits(got.Counts[c]) {
+					t.Fatalf("%s row %d class %d: %v, want %v", name, r, c, got.Counts[c], want.Counts[c])
+				}
 			}
 		}
 	}

@@ -141,17 +141,21 @@ func TestRuleModelEdgeDigests(t *testing.T) {
 	for _, c := range edgeCases() {
 		train := edgeInstances(t, c, 1200, 62)
 		next := edgeInstances(t, c, 1000, 63)
-		for _, tr := range []mlcore.Trainer{&OneRTrainer{}, &PrismTrainer{}} {
-			m, err := tr.Train(train)
+		for _, inducer := range []struct {
+			name string
+			tr   mlcore.Trainer
+		}{{"1r", &OneRTrainer{}}, {"prism", &PrismTrainer{}}} {
+			key := c.name + "/" + inducer.name
+			m, err := inducer.tr.Train(train)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", c.name, tr.Name(), err)
+				t.Fatalf("%s: %v", key, err)
 			}
-			succ, err := m.(mlcore.IncrementalClassifier).Update(tr, next)
+			succ, err := m.(mlcore.IncrementalClassifier).Update(inducer.tr, next)
 			if err != nil {
-				t.Fatalf("%s/%s update: %v", c.name, tr.Name(), err)
+				t.Fatalf("%s update: %v", key, err)
 			}
-			got[c.name+"/"+tr.Name()+"/train"] = gobDigest(t, m)
-			got[c.name+"/"+tr.Name()+"/update"] = gobDigest(t, succ)
+			got[key+"/train"] = gobDigest(t, m)
+			got[key+"/update"] = gobDigest(t, succ)
 			if pm, ok := m.(*PrismModel); ok && c.name == "rule-cap" {
 				checkRuleCap(t, pm)
 			}

@@ -139,9 +139,6 @@ type OneRTrainer struct{}
 
 var _ mlcore.Trainer = (*OneRTrainer)(nil)
 
-// Name implements mlcore.Trainer.
-func (t *OneRTrainer) Name() string { return "1r" }
-
 // OneRModel predicts from a single attribute's value buckets.
 type OneRModel struct {
 	FV      *FeatureView
@@ -249,18 +246,14 @@ func (m *OneRModel) Update(_ mlcore.Trainer, full *mlcore.Instances) (mlcore.Cla
 	return trainOneR(full, m.FV)
 }
 
-// Predict implements mlcore.Classifier.
-func (m *OneRModel) Predict(row []dataset.Value) mlcore.Distribution {
-	b := m.FV.feature(row, m.AttrPos)
-	if b < 0 {
-		return m.NullDist
-	}
-	return m.BucketDist[b]
-}
-
-// PredictInto implements mlcore.Classifier without allocating.
+// PredictInto implements mlcore.Classifier without allocating: the
+// training distribution of the row's bucket of the chosen attribute.
 func (m *OneRModel) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
-	d.CopyFrom(m.Predict(row))
+	if b := m.FV.feature(row, m.AttrPos); b >= 0 {
+		d.CopyFrom(m.BucketDist[b])
+		return
+	}
+	d.CopyFrom(m.NullDist)
 }
 
 // ---------------------------------------------------------------------------
@@ -270,9 +263,6 @@ func (m *OneRModel) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 type PrismTrainer struct{}
 
 var _ mlcore.Trainer = (*PrismTrainer)(nil)
-
-// Name implements mlcore.Trainer.
-func (t *PrismTrainer) Name() string { return "prism" }
 
 // PrismCond is one attribute-bucket test.
 type PrismCond struct {
@@ -425,13 +415,14 @@ func trainPrism(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, erro
 }
 
 // featStackSize bounds the base-attribute count whose feature buckets fit
-// in a stack-allocated buffer during Predict; wider schemas fall back to a
-// heap allocation.
+// in a stack-allocated buffer during PredictInto; wider schemas fall back
+// to a heap allocation.
 const featStackSize = 64
 
-// Predict implements mlcore.Classifier: the first matching rule's training
-// distribution, falling back to the global class distribution.
-func (m *PrismModel) Predict(row []dataset.Value) mlcore.Distribution {
+// PredictInto implements mlcore.Classifier without allocating for the
+// usual schema widths: the first matching rule's training distribution,
+// falling back to the global class distribution.
+func (m *PrismModel) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 	var stack [featStackSize]int
 	var feats []int
 	if len(m.FV.Base) <= featStackSize {
@@ -451,14 +442,9 @@ func (m *PrismModel) Predict(row []dataset.Value) mlcore.Distribution {
 			}
 		}
 		if match {
-			return r.Dist
+			d.CopyFrom(r.Dist)
+			return
 		}
 	}
-	return m.Default
-}
-
-// PredictInto implements mlcore.Classifier without allocating for the
-// usual schema widths.
-func (m *PrismModel) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
-	d.CopyFrom(m.Predict(row))
+	d.CopyFrom(m.Default)
 }

@@ -2,6 +2,7 @@ package ruleind
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dataaudit/internal/dataset"
@@ -55,7 +56,8 @@ func TestOneRPicksBestAttribute(t *testing.T) {
 	}
 	correct := 0
 	for r := 0; r < tab.NumRows(); r++ {
-		d := model.Predict(tab.Row(r))
+		var d mlcore.Distribution
+		model.PredictInto(tab.Row(r), &d)
 		best, _ := d.Best()
 		if best == tab.Get(r, 3).NomIdx() {
 			correct++
@@ -91,7 +93,8 @@ func TestOneRNumericAttribute(t *testing.T) {
 	}
 	correct := 0
 	for r := 0; r < tab.NumRows(); r++ {
-		d := model.Predict(tab.Row(r))
+		var d mlcore.Distribution
+		model.PredictInto(tab.Row(r), &d)
 		best, _ := d.Best()
 		if best == tab.Get(r, 3).NomIdx() {
 			correct++
@@ -111,7 +114,8 @@ func TestOneRNullFeatureBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := model.Predict([]dataset.Value{dataset.Null(), dataset.Nom(0), dataset.Num(5), dataset.Null()})
+	var d mlcore.Distribution
+	model.PredictInto([]dataset.Value{dataset.Null(), dataset.Nom(0), dataset.Num(5), dataset.Null()}, &d)
 	if d.K() != 3 {
 		t.Fatalf("bad distribution")
 	}
@@ -135,7 +139,8 @@ func TestPrismLearnsConjunction(t *testing.T) {
 	}
 	correct := 0
 	for r := 0; r < tab.NumRows(); r++ {
-		d := model.Predict(tab.Row(r))
+		var d mlcore.Distribution
+		model.PredictInto(tab.Row(r), &d)
 		best, _ := d.Best()
 		if best == tab.Get(r, 3).NomIdx() {
 			correct++
@@ -157,7 +162,8 @@ func TestPrismFallbackToDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An all-null row matches no rule: default distribution with support.
-	d := model.Predict([]dataset.Value{dataset.Null(), dataset.Null(), dataset.Null(), dataset.Null()})
+	var d mlcore.Distribution
+	model.PredictInto([]dataset.Value{dataset.Null(), dataset.Null(), dataset.Null(), dataset.Null()}, &d)
 	if d.N() <= 0 {
 		t.Fatalf("default prediction must carry support")
 	}
@@ -177,22 +183,22 @@ func TestTrainersFailWithoutLabels(t *testing.T) {
 	}
 }
 
-func TestTrainerNames(t *testing.T) {
-	if (&OneRTrainer{}).Name() != "1r" || (&PrismTrainer{}).Name() != "prism" {
-		t.Fatalf("trainer names changed")
-	}
-}
-
-func TestPredictIntoMatchesPredict(t *testing.T) {
+// TestPredictIntoDoesNotAlias: PredictInto hands back a copy of the
+// matched distribution, so overwriting the answer leaves the model, and
+// the next answer for the same row, unchanged.
+func TestPredictIntoDoesNotAlias(t *testing.T) {
 	tab := aDrivenTable(t, 600, 57)
 	ins := riInstances(t, tab)
-	for _, tr := range []mlcore.Trainer{&OneRTrainer{}, &PrismTrainer{}} {
-		t.Run(tr.Name(), func(t *testing.T) {
-			model, err := tr.Train(ins)
+	for _, tc := range []struct {
+		name string
+		tr   mlcore.Trainer
+	}{{"1r", &OneRTrainer{}}, {"prism", &PrismTrainer{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			model, err := tc.tr.Train(ins)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var d mlcore.Distribution
+			var d, again mlcore.Distribution
 			rng := rand.New(rand.NewSource(58))
 			for i := 0; i < 500; i++ {
 				row := []dataset.Value{
@@ -202,15 +208,14 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 				if rng.Intn(5) == 0 {
 					row[rng.Intn(3)] = dataset.Null()
 				}
-				want := model.Predict(row)
 				model.PredictInto(row, &d)
-				if want.Total != d.Total || len(want.Counts) != len(d.Counts) {
-					t.Fatalf("row %v: Predict %+v, PredictInto %+v", row, want, d)
+				want := d.Clone()
+				for c := range d.Counts {
+					d.Counts[c] = -1
 				}
-				for c := range want.Counts {
-					if want.Counts[c] != d.Counts[c] {
-						t.Fatalf("row %v class %d: %v vs %v", row, c, want.Counts[c], d.Counts[c])
-					}
+				model.PredictInto(row, &again)
+				if want.Total != again.Total || !slices.Equal(want.Counts, again.Counts) {
+					t.Fatalf("row %v: PredictInto aliases the model's distribution: %+v after overwrite, want %+v", row, again, want)
 				}
 			}
 		})
