@@ -53,14 +53,14 @@ var wantModelDigests = map[string]string{
 // baseconfig fixture only: a kNN model stores its training rows, so on
 // the 30 000-row QUIS pair its gob runs to tens of megabytes.
 var wantBaselineModelDigests = map[string]string{
-	"baseconfig/1r/induce":       "6d3ed517e6df6c040233bbee16dbe21bac73ab57ecbd5065c5226355f394b3df",
-	"baseconfig/1r/reinduce":     "e4f42bc0eef063282490486d6c87af96215627ab0f0a19f5fc34af08b939ecb6",
+	"baseconfig/1r/induce":       "ace8deaeaf417d75dfc0fe6894f39e7cf811f85026103bd03b3b0ed0851f0d35",
+	"baseconfig/1r/reinduce":     "896e964b8a314ed7297451ab337ad9bc160e3c2cdf18b69b9580a86d123a1257",
 	"baseconfig/knn/induce":      "eafe9393775d3824d35452dbc49256394419fa3737cbffaaac3754f68e0f53a3",
 	"baseconfig/knn/reinduce":    "ab2646ca461e2a32a87f00b7dbb532f19d7e0c35adb181a44caaf3228dae34c9",
 	"baseconfig/nbayes/induce":   "9d9eccda5d775581ff59e8f6bacd79ecf1e8c4fe055f604ed3eefcf6e3a6db3e",
 	"baseconfig/nbayes/reinduce": "16cf0d4878401dd3e2ccbbfeb43a1a79b3d98f830a4b5e4779dc09450968810b",
-	"baseconfig/prism/induce":    "e82da20cbad939853e71d937b847355d4c3819904923d55c8922e6614d7c8512",
-	"baseconfig/prism/reinduce":  "8aefe999ed18d808caad144c6a3c19983800cf0f70cdc37f41e17e65031def28",
+	"baseconfig/prism/induce":    "134c9ae07247f0467a855d5bcb426e07693a2b1d31678a1c9c5869d28601be6f",
+	"baseconfig/prism/reinduce":  "0679eb03ff3ffdf193d909af1b8aa3f55c227995f9738690360f1d08d760fe13",
 }
 
 // Gob numbers types in the order a process first encodes them, and a

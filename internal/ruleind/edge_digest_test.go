@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -23,18 +25,18 @@ import (
 // order moves a digest. A change that moves one must say why its models
 // differ; the failure message prints the digests of the build.
 var wantEdgeDigests = map[string]string{
-	"all-null-numeric/1r/train":     "03860b7f623bae852bde2d580fb880caea49c31a1bc7dc9b1ab796c8be507f99",
-	"all-null-numeric/1r/update":    "bc753ef6d0ea6cb63b424d26877c50aa85424ca60c8977334eefbef746f267bf",
-	"all-null-numeric/prism/train":  "5fe9c8aca9296679ace88abab4edc571ccede843b696288c32ffb5aa3e3924b6",
-	"all-null-numeric/prism/update": "4d50d5cd634f0fe2bd2c388feb7e0f879236d5a87281339abdfef298cc3db5ce",
-	"no-positives/1r/train":         "92cd82f254baa2b1a332f94f57a7ea0ee7ded5a76ec21453a2431e30e1070f94",
-	"no-positives/1r/update":        "5195b929f8818b8d3fa05a4cef092ba3c56197e9ed2d71932740d6c33b874a97",
-	"no-positives/prism/train":      "17a0069c2b7784d001bbe39269e98844fd865afeaab269f828c79b258e796f46",
-	"no-positives/prism/update":     "00d56889b1d2fab06088e694d1befdf4fc90ad9ac0d155c711ee9c21df705b69",
-	"rule-cap/1r/train":             "1cf48709069590c83bc4fdafda3ae27959839cef219f4fec9e3741c3a38d6480",
-	"rule-cap/1r/update":            "0cbdd1e0253780117c19fac84028a0e79720c8fb091b6f2b9d0579ab998cdeb9",
-	"rule-cap/prism/train":          "9acadf4ae4cb32301cd05700976d34c9c6719d2133f954fae9f7451b07dc8344",
-	"rule-cap/prism/update":         "6ed1d4fc18361e1b7232b53d6585b1d5528e27dd97b77dcf7b07b479224ebd27",
+	"all-null-numeric/1r/train":     "a2b34e2d4aaec32b0a9a650c9f090c1d9cced9fb70c835adcc5b20d5b13ccc1f",
+	"all-null-numeric/1r/update":    "cacbc3db38486f05bb06713824fa2f312802f74c6962d57db6dd7967f3b40476",
+	"all-null-numeric/prism/train":  "31c6ed538aa74ccad54b7574d727699bdfeadcb6b64570dd4c5b5befb93b0625",
+	"all-null-numeric/prism/update": "b46b86448e06f6852d79b7e91edb16dcdb5bd880d3d354f45d3f9a02423f1406",
+	"no-positives/1r/train":         "55f7198c34868debd707c60ab8acc4237658f88e0e3ea7b8217d72b7a043e7cb",
+	"no-positives/1r/update":        "f445c18a0345566c57556d6bb3257562e798a4aab4c412b0291be9ac99f1a6a0",
+	"no-positives/prism/train":      "bd1296bc4875c24be95abe1296a9083d06e734e38303f8f1e56359151f589a5c",
+	"no-positives/prism/update":     "05f8fd9935be0c29ea4295d91ca1396211182080080016647382c650f7c2311e",
+	"rule-cap/1r/train":             "fe2511a65790db8dc381ce25962ff40eff806f3b13594f6890fb4d17eb45bd38",
+	"rule-cap/1r/update":            "80724a869a1ef067de7b8198f60b37e51a37663d9b78b80fff57fd6fb04d5e69",
+	"rule-cap/prism/train":          "f19f09dfc6fe0fc508122cec586fc5bdd79155ca01b1d3df3307258b8918e814",
+	"rule-cap/prism/update":         "7b6743b71b00ac81f6f15983f52e96c40ea42a12a52ee16fd60b8cb299fa5365",
 }
 
 // Gob numbers types in the order a process first encodes them; encoding
@@ -192,5 +194,29 @@ func checkRuleCap(t *testing.T, pm *PrismModel) {
 	}
 	if perClass[0] != 64 || perClass[1] != 64 {
 		t.Fatalf("rule-cap: rules per class %v, want 64 for c0 and c1", perClass)
+	}
+}
+
+// TestOneRDecodesModelWithTallies: 1R models used to carry every base
+// attribute's bucket tallies (the fields AllDists and AllNull). A gob
+// written then must still load, and equal field for field the model the
+// same instances train today. testdata/oner_with_tallies.gob is the gob
+// of commit d87ce94's 1R trained on the no-positives case's 300 rows of
+// seed 71.
+func TestOneRDecodesModelWithTallies(t *testing.T) {
+	b, err := os.ReadFile("testdata/oner_with_tallies.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old OneRModel
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := (&OneRTrainer{}).Train(edgeInstances(t, edgeCases()[0], 300, 71))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&old, fresh) {
+		t.Fatalf("decoded model %+v\ndiffers from the trained one %+v", old, fresh)
 	}
 }

@@ -148,11 +148,6 @@ type OneRModel struct {
 	// NullDist covers rows whose chosen attribute is null.
 	NullDist mlcore.Distribution
 	K        int
-	// AllDists[pos][bucket] and AllNull[pos] keep every attribute's
-	// tallies, not just the winner's. BucketDist/NullDist alias
-	// AllDists[AttrPos]/AllNull[AttrPos].
-	AllDists [][]mlcore.Distribution
-	AllNull  []mlcore.Distribution
 }
 
 var _ mlcore.Classifier = (*OneRModel)(nil)
@@ -193,20 +188,21 @@ func trainOneR(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, error
 		allDists[pos] = dists
 		allNull[pos] = nullDist
 	}
-	m := &OneRModel{FV: fv, K: ins.K, AllDists: allDists, AllNull: allNull}
-	if !m.pickBest() {
+	pos := pickBest(allDists, allNull)
+	if pos < 0 {
 		return nil, fmt.Errorf("ruleind: no usable attribute for 1R")
 	}
-	return m, nil
+	return &OneRModel{FV: fv, AttrPos: pos, BucketDist: allDists[pos], NullDist: allNull[pos], K: ins.K}, nil
 }
 
-// pickBest recomputes each attribute's training error from the tallies
-// and selects the winner (lowest error, ties to the lowest position —
-// the same deterministic order Train has always used). It reports false
-// when no attribute has any training weight.
-func (m *OneRModel) pickBest() bool {
+// pickBest computes each attribute's training error from its bucket
+// tallies dists[pos] and null tally nulls[pos], and returns the winner's
+// position (lowest error, ties to the lowest position — the same
+// deterministic order Train has always used), or -1 when no attribute has
+// any training weight.
+func pickBest(dists [][]mlcore.Distribution, nulls []mlcore.Distribution) int {
 	bestPos, bestErr := -1, -1.0
-	for pos := range m.AllDists {
+	for pos := range dists {
 		// Training error of the value -> majority mapping.
 		errW, totW := 0.0, 0.0
 		acc := func(d mlcore.Distribution) {
@@ -217,10 +213,10 @@ func (m *OneRModel) pickBest() bool {
 			errW += (1 - pMaj) * d.N()
 			totW += d.N()
 		}
-		for _, d := range m.AllDists[pos] {
+		for _, d := range dists[pos] {
 			acc(d)
 		}
-		acc(m.AllNull[pos])
+		acc(nulls[pos])
 		if totW <= 0 {
 			continue
 		}
@@ -229,13 +225,7 @@ func (m *OneRModel) pickBest() bool {
 			bestPos, bestErr = pos, rate
 		}
 	}
-	if bestPos < 0 {
-		return false
-	}
-	m.AttrPos = bestPos
-	m.BucketDist = m.AllDists[bestPos]
-	m.NullDist = m.AllNull[bestPos]
-	return true
+	return bestPos
 }
 
 // Update implements mlcore.IncrementalClassifier: it re-tallies full
