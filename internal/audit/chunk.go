@@ -14,8 +14,9 @@ import (
 // (batched trie descent for rule sets, a per-row PredictInto loop for
 // every other family), and per-(rule, observed-class) findings are
 // memoized, so the expensive confidence math runs once per distinct
-// deviation instead of once per row. The produced reports are byte-identical to the row path's — the
-// differential suite in columnar_diff_test.go holds both paths to that.
+// deviation instead of once per row. The produced reports are
+// byte-identical to the row path's — the differential suite in
+// columnar_diff_test.go holds both paths to that.
 
 // batchChunkRows is the largest block the table feed hands CheckChunk.
 const batchChunkRows = 4096
@@ -228,10 +229,10 @@ func detachReports(reps []RecordReport, dst []RecordReport) {
 
 // CheckChunk runs deviation detection for every row of the chunk,
 // attribute-major: each modelled attribute scores the whole block with
-// its kernel (the trie for rule sets, the per-row loop otherwise), then the per-attribute hits are scattered
-// into per-row reports. firstRow is the table/stream row index of chunk
-// row 0 (reports carry absolute row numbers, like the row path's
-// callers set).
+// its kernel (the trie for rule sets, the per-row loop otherwise), then
+// the per-attribute hits are scattered into per-row reports. firstRow is
+// the table/stream row index of chunk row 0 (reports carry absolute row
+// numbers, like the row path's callers set).
 //
 // The returned reports — including their Findings slices and Best
 // pointers — are backed by the scratch and valid only until the next
