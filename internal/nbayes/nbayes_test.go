@@ -255,3 +255,36 @@ func TestPredictIntoMatchesLogFormula(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictIntoReusedBuffer: a buffer that earlier predictions left
+// dirty gets the same answer, bit for bit, as a fresh one — on random
+// rows with nulls in either attribute.
+func TestPredictIntoReusedBuffer(t *testing.T) {
+	tab := mixedTable(t, 1000, 53)
+	model, err := (&Trainer{}).Train(nbInstances(t, tab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d mlcore.Distribution
+	rng := rand.New(rand.NewSource(54))
+	for i := 0; i < 500; i++ {
+		row := []dataset.Value{dataset.Nom(rng.Intn(2)), dataset.Num(rng.Float64() * 100), dataset.Null()}
+		if rng.Intn(5) == 0 {
+			row[0] = dataset.Null()
+		}
+		if rng.Intn(5) == 0 {
+			row[1] = dataset.Null()
+		}
+		var want mlcore.Distribution
+		model.PredictInto(row, &want)
+		model.PredictInto(row, &d)
+		if math.Float64bits(want.Total) != math.Float64bits(d.Total) || len(want.Counts) != len(d.Counts) {
+			t.Fatalf("row %v: fresh buffer %+v, reused buffer %+v", row, want, d)
+		}
+		for c := range want.Counts {
+			if math.Float64bits(want.Counts[c]) != math.Float64bits(d.Counts[c]) {
+				t.Fatalf("row %v class %d: fresh buffer %v, reused buffer %v", row, c, want.Counts[c], d.Counts[c])
+			}
+		}
+	}
+}
