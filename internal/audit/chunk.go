@@ -10,23 +10,17 @@ import (
 // record re-enters every classifier, re-copies its leaf distribution,
 // re-scans it for the argmax and re-derives the Wilson bounds — even
 // though all rows reaching the same rule share all of that. CheckChunk
-// flips the loop: each attribute scores a whole ColumnChunk in one pass
-// (batched trie descent for rule sets, a per-row PredictInto loop for
-// every other family), and per-(rule, observed-class) findings are
-// memoized, so the expensive confidence math runs once per distinct
-// deviation instead of once per row. The produced reports are
+// takes one path through a ColumnChunk: the signature memo answers the
+// rows it has seen (sigmemo.go), each attribute then scores the rest in
+// one pass (batched trie descent for rule sets, a per-row PredictInto
+// loop for every other family, with per-(rule, observed-class) findings
+// memoized so the confidence math runs once per distinct deviation), and
+// one assembly pass in row order builds the reports. They are
 // byte-identical to the row path's — the differential suite in
 // columnar_diff_test.go holds both paths to that.
 
 // batchChunkRows is the largest block the table feed hands CheckChunk.
 const batchChunkRows = 4096
-
-// chunkHit is one deviation found by an attribute kernel: the chunk row
-// it belongs to plus the finished finding.
-type chunkHit struct {
-	row int32
-	f   Finding
-}
 
 // ruleCache memoizes findings per (rule, observed class) for one
 // attribute's RuleSet. Valid because a rule-set prediction is fully
@@ -81,11 +75,9 @@ type ChunkScratch struct {
 	row  []dataset.Value     // gather buffer (per-row kernel)
 	dist mlcore.Distribution // prediction buffer (per-row kernel)
 
-	hits     []chunkHit // attr-major deviation arena
-	rowStart []int32    // per-row segment start in the findings arena
-	cursor   []int32    // per-row write cursor (ends at the segment end)
-	bestSlot []int32    // per-row arena index of the best finding (-1)
-	findings []Finding  // row-major findings arena the reports slice into
+	hits     []Finding // the kernels' findings, in the order they found them
+	hitAt    []int32   // per (kernel row, model attribute): index into hits, -1 none
+	findings []Finding // row-major findings arena the reports slice into
 	reports  []RecordReport
 
 	memo sigMemo // row-signature outcome cache (see sigmemo.go)
@@ -105,27 +97,32 @@ func growInt32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
+// addHit records f as model attribute ai's finding for chunk row r.
+func (s *ChunkScratch) addHit(m *Model, r int32, ai int, f Finding) {
+	s.hitAt[int(r)*len(m.Attrs)+ai] = int32(len(s.hits))
+	s.hits = append(s.hits, f)
+}
+
 // observed returns the observed class index per chunk row for the
 // attribute (-1 at nulls) — ClassIndex, columnarized. Nominal class
 // columns are returned without copying (the chunk already stores -1 at
-// nulls); discretized ones are binned into the scratch's obs buffer.
-// When rows is non-nil only those positions are filled (the rest of the
-// buffer is stale garbage the caller must not read).
+// nulls); discretized ones are binned into the scratch's obs buffer at
+// the listed rows only (the rest of the buffer is stale garbage the
+// caller must not read).
 func (s *ChunkScratch) observed(am *AttrModel, ck *dataset.ColumnChunk, rows []int32) []int32 {
 	col := ck.Col(am.Class)
 	if am.Disc == nil {
 		return col.Nom
 	}
-	n := ck.Rows()
-	s.obs = growInt32(s.obs, n)
+	s.obs = growInt32(s.obs, ck.Rows())
 	// Manually inlined sort.SearchFloat64s (Bin's implementation): the
 	// closure-free search saves a call per row, and the `cuts[mid] >= v`
 	// comparison keeps NaN handling identical.
 	cuts := am.Disc.Cuts
-	bin := func(r int) {
-		if col.Null(r) {
+	for _, r := range rows {
+		if col.Null(int(r)) {
 			s.obs[r] = -1
-			return
+			continue
 		}
 		v := col.Num[r]
 		lo, hi := 0, len(cuts)
@@ -139,34 +136,18 @@ func (s *ChunkScratch) observed(am *AttrModel, ck *dataset.ColumnChunk, rows []i
 		}
 		s.obs[r] = int32(lo)
 	}
-	if rows != nil {
-		for _, r := range rows {
-			bin(int(r))
-		}
-	} else {
-		for r := 0; r < n; r++ {
-			bin(r)
-		}
-	}
 	return s.obs
 }
 
-// ruleKernel scores one rule-set attribute via the batched trie descent,
-// appending a hit per deviating row. rows == nil scores the whole chunk;
-// otherwise only the listed rows (the signature-memo miss set).
+// ruleKernel scores the listed rows for one rule-set attribute via the
+// batched trie descent, recording a hit per deviating row.
 func (s *ChunkScratch) ruleKernel(m *Model, ai int, am *AttrModel, rs *audittree.RuleSet, ck *dataset.ColumnChunk, rows []int32) {
-	var groups []audittree.MatchGroup
-	if rows != nil {
-		groups = rs.MatchRows(ck, rows, &s.match)
-	} else {
-		groups = rs.MatchBlock(ck, &s.match)
-	}
 	cache := &s.caches[ai]
 	if cache.rs != rs || cache.stride != am.K+1 {
 		cache.reset(rs, am.K)
 	}
 	obs := s.observed(am, ck, rows)
-	for _, g := range groups {
+	for _, g := range rs.MatchRows(ck, rows, &s.match) {
 		base := g.Rule * cache.stride
 		for _, r := range g.Rows {
 			slot := base + int(obs[r]) + 1
@@ -175,27 +156,27 @@ func (s *ChunkScratch) ruleKernel(m *Model, ai int, am *AttrModel, rs *audittree
 				st = cache.fill(am, g.Rule, int(obs[r]), slot, m.Opts.ConfLevel)
 			}
 			if st == 2 {
-				s.hits = append(s.hits, chunkHit{row: r, f: cache.find[slot]})
+				s.addHit(m, r, ai, cache.find[slot])
 			}
 		}
 	}
 }
 
-// rowKernel scores one attribute of every family but rule sets (naive
-// Bayes, kNN, 1R, PRISM, plain C4.5 trees): gather each row out of the
-// chunk and run the row path's prediction and the deviation test.
-func (s *ChunkScratch) rowKernel(m *Model, am *AttrModel, ck *dataset.ColumnChunk) {
-	n := ck.Rows()
+// rowKernel scores the listed rows for one attribute of every family but
+// rule sets (naive Bayes, kNN, 1R, PRISM, plain C4.5 trees): gather each
+// row out of the chunk and run the row path's prediction and the
+// deviation test.
+func (s *ChunkScratch) rowKernel(m *Model, ai int, am *AttrModel, ck *dataset.ColumnChunk, rows []int32) {
 	width := ck.Schema().Len()
 	if cap(s.row) < width {
 		s.row = make([]dataset.Value, width)
 	}
 	row := s.row[:width]
-	for r := 0; r < n; r++ {
-		ck.RowInto(r, row)
+	for _, r := range rows {
+		ck.RowInto(int(r), row)
 		am.Classifier.PredictInto(row, &s.dist)
 		if f, ok := am.deviation(&s.dist, am.ClassIndex(row[am.Class]), m.Opts.ConfLevel); ok {
-			s.hits = append(s.hits, chunkHit{row: int32(r), f: f})
+			s.addHit(m, r, ai, f)
 		}
 	}
 }
@@ -227,12 +208,12 @@ func detachReports(reps []RecordReport, dst []RecordReport) {
 	}
 }
 
-// CheckChunk runs deviation detection for every row of the chunk,
-// attribute-major: each modelled attribute scores the whole block with
-// its kernel (the trie for rule sets, the per-row loop otherwise), then
-// the per-attribute hits are scattered into per-row reports. firstRow is
-// the table/stream row index of chunk row 0 (reports carry absolute row
-// numbers, like the row path's callers set).
+// CheckChunk runs deviation detection for every row of the chunk. The
+// signature memo answers the rows whose outcome it holds; each modelled
+// attribute scores the others with its kernel (the trie for rule sets,
+// the per-row loop otherwise); one pass in row order then assembles the
+// reports. firstRow is the table/stream row index of chunk row 0 (reports
+// carry absolute row numbers, like the row path's callers set).
 //
 // The returned reports — including their Findings slices and Best
 // pointers — are backed by the scratch and valid only until the next
@@ -240,172 +221,80 @@ func detachReports(reps []RecordReport, dst []RecordReport) {
 // Every report is value-identical to what CheckRowScratch produces for
 // the same row.
 func (m *Model) CheckChunk(ck *dataset.ColumnChunk, firstRow int64, s *ChunkScratch) []RecordReport {
-	n := ck.Rows()
-	if len(s.caches) < len(m.Attrs) {
-		s.caches = make([]ruleCache, len(m.Attrs))
+	n, na := ck.Rows(), len(m.Attrs)
+	if len(s.caches) < na {
+		s.caches = make([]ruleCache, na)
 	}
-	s.hits = s.hits[:0]
-
-	// Signature memoization: when the model qualifies, look every row up
-	// by its encoded signature and run the kernels only for rows whose
-	// signature has not been scored before (nil kernelRows = all rows,
-	// the memo-disabled path).
 	memo := &s.memo
 	if !memo.built || memo.model != m {
 		memo.build(m)
 	}
-	var kernelRows []int32
-	useMemo := memo.ok
-	if useMemo {
-		memo.encode(ck)
-		kernelRows = memo.probe(n)
-	}
+	kernelRows := memo.lookup(ck)
 
-	// Attribute-major scoring. Kernels append hits per attribute, so for
-	// any row the arena holds its findings in model-attribute order —
-	// the order CheckRowScratch emits them in. (Under the memo, build
-	// guaranteed every attribute is a rule set, so only ruleKernel runs
-	// and the row subset is always honored.)
-	if !useMemo || len(kernelRows) > 0 {
-		for ai, am := range m.Attrs {
-			switch clf := am.Classifier.(type) {
-			case *audittree.RuleSet:
-				s.ruleKernel(m, ai, am, clf, ck, kernelRows)
-			default:
-				s.rowKernel(m, am, ck)
-			}
+	// Attribute-major scoring of the rows the memo did not answer.
+	s.hits = s.hits[:0]
+	s.hitAt = growInt32(s.hitAt, n*na)
+	for _, r := range kernelRows {
+		at := s.hitAt[int(r)*na : int(r)*na+na]
+		for i := range at {
+			at[i] = -1
+		}
+	}
+	for ai, am := range m.Attrs {
+		if rs, ok := am.Classifier.(*audittree.RuleSet); ok {
+			s.ruleKernel(m, ai, am, rs, ck, kernelRows)
+		} else {
+			s.rowKernel(m, ai, am, ck, kernelRows)
 		}
 	}
 
-	// Counting scatter: per-row finding counts → contiguous per-row
-	// segments in one findings arena, preserving the attr-major order
-	// within each row's segment. Memo-hit rows take their count from the
-	// cached entry; kernel-scored rows from their hits.
-	s.rowStart = growInt32(s.rowStart, n)
-	s.cursor = growInt32(s.cursor, n)
-	s.bestSlot = growInt32(s.bestSlot, n)
-	if useMemo {
-		for r := 0; r < n; r++ {
-			if e := memo.hit[r]; e >= 0 {
-				s.cursor[r] = memo.entries[e].n
-			} else {
-				s.cursor[r] = 0
-			}
-			s.bestSlot[r] = -1
-		}
-	} else {
-		for r := 0; r < n; r++ {
-			s.cursor[r] = 0
-			s.bestSlot[r] = -1
-		}
-	}
-	for i := range s.hits {
-		s.cursor[s.hits[i].row]++
-	}
-	if useMemo {
-		// A row aliased to an earlier in-chunk miss has the same outcome,
-		// so the same count. The representative always precedes it and is
-		// never itself aliased, so its count is final here.
-		for r := 0; r < n; r++ {
-			if p := memo.rep[r]; p >= 0 {
-				s.cursor[r] = s.cursor[p]
-			}
-		}
-	}
-	off := int32(0)
-	for r := 0; r < n; r++ {
-		c := s.cursor[r]
-		s.rowStart[r] = off
-		s.cursor[r] = off
-		off += c
-	}
-	total := int(off)
-	if cap(s.findings) < total {
-		s.findings = make([]Finding, total)
-	}
-	findings := s.findings[:total]
-
+	// One pass in row order. A row's findings are its memo entry's, its
+	// representative's (an earlier row of this chunk with the same
+	// signature, already assembled), or its kernel hits in model-attribute
+	// order — the order CheckRowScratch emits them in — and Best is the
+	// first strict maximum over them, the row path's pick.
 	if cap(s.reports) < n {
 		s.reports = make([]RecordReport, n)
 	}
 	reps := s.reports[:n]
-	for r := 0; r < n; r++ {
-		reps[r] = RecordReport{Row: int(firstRow) + r, ID: ck.ID(r)}
-	}
-
-	// Copy cached outcomes for memo-hit rows.
-	if useMemo {
-		for r := 0; r < n; r++ {
-			ei := memo.hit[r]
-			if ei < 0 {
-				continue
-			}
-			e := &memo.entries[ei]
-			if e.n == 0 {
-				continue
-			}
-			start := s.rowStart[r]
-			copy(findings[start:start+e.n], memo.arena[e.off:e.off+e.n])
-			s.cursor[r] = start + e.n
-			s.bestSlot[r] = start + e.best
-			reps[r].ErrorConf = findings[start+e.best].ErrorConf
-		}
-	}
-
-	for i := range s.hits {
-		h := &s.hits[i]
-		slot := s.cursor[h.row]
-		s.cursor[h.row] = slot + 1
-		findings[slot] = h.f
-		rep := &reps[h.row]
-		// Same first-strict-max best selection as the row path; hits for
-		// one row arrive in model-attribute order.
-		if h.f.ErrorConf > rep.ErrorConf {
-			rep.ErrorConf = h.f.ErrorConf
-			s.bestSlot[h.row] = slot
-		}
-	}
-
-	// Alias-copy pass: duplicate-signature rows take their representative's
-	// freshly scored segment (the scatter above has completed it).
-	if useMemo {
-		for r := 0; r < n; r++ {
-			p := memo.rep[r]
-			if p < 0 {
-				continue
-			}
-			start, pstart, pend := s.rowStart[r], s.rowStart[int(p)], s.cursor[int(p)]
-			if cnt := pend - pstart; cnt > 0 {
-				copy(findings[start:start+cnt], findings[pstart:pend])
-				s.cursor[r] = start + cnt
-				s.bestSlot[r] = start + (s.bestSlot[int(p)] - pstart)
-				reps[r].ErrorConf = reps[p].ErrorConf
+	// When an append outgrows the arena, earlier reports keep their
+	// segments in the old array, which nothing writes to again.
+	findings := s.findings[:0]
+	for r := range reps {
+		start := len(findings)
+		if e := memo.hit[r]; e >= 0 {
+			en := memo.entries[e]
+			findings = append(findings, memo.arena[en.off:en.off+en.n]...)
+		} else if p := memo.rep[r]; p >= 0 {
+			findings = append(findings, reps[p].Findings...)
+		} else {
+			for _, h := range s.hitAt[r*na : r*na+na] {
+				if h >= 0 {
+					findings = append(findings, s.hits[h])
+				}
 			}
 		}
-	}
-
-	for r := 0; r < n; r++ {
 		rep := &reps[r]
-		start, end := s.rowStart[r], s.cursor[r]
-		if end > start {
+		*rep = RecordReport{Row: int(firstRow) + r, ID: ck.ID(r)}
+		if end := len(findings); end > start {
 			rep.Findings = findings[start:end:end]
-			rep.Best = &rep.Findings[s.bestSlot[r]-start]
+			for i := range rep.Findings {
+				if f := &rep.Findings[i]; f.ErrorConf > rep.ErrorConf {
+					rep.ErrorConf, rep.Best = f.ErrorConf, f
+				}
+			}
 		}
 		rep.Suspicious = rep.ErrorConf >= m.Opts.MinConfidence
 	}
+	s.findings = findings
 
 	// Insert the freshly scored rows' outcomes so identical rows later in
 	// the table (or stream) take the hit path.
-	if useMemo {
+	if memo.ok {
 		for _, r := range kernelRows {
-			if memo.bad[r] || memo.find(memo.sig[r]) >= 0 {
-				continue // unmemoizable (probe deduped the rest)
+			if !memo.bad[r] && memo.find(memo.sig[r]) < 0 { // probe deduped the rest
+				memo.remember(memo.sig[r], reps[r].Findings)
 			}
-			bestRel := int32(-1)
-			if s.bestSlot[r] >= 0 {
-				bestRel = s.bestSlot[r] - s.rowStart[r]
-			}
-			memo.remember(memo.sig[r], findings[s.rowStart[r]:s.cursor[r]], bestRel)
 		}
 	}
 	return reps

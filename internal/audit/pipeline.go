@@ -2,9 +2,11 @@ package audit
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -60,7 +62,11 @@ func poolSize(workers int) int {
 // With one worker, or a feed of a single unit, everything runs on the
 // caller's goroutine and nothing is started. Otherwise the caller feeds
 // workers+1 recycled units to the workers, which fold their parts in unit
-// order — so workers+1 chunk buffers bound the memory of a long input.
+// order — so workers+1 chunk buffers bound the memory of a long input. A
+// panic on a worker (a classifier or a sink that panics) stops the feed
+// like a fold error; once the pool has exited, run re-panics on the
+// caller's goroutine with the first panic's value and its worker's
+// stack, as the inline path would have panicked there.
 func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordReport) P, fold func(P) error, workers int) ([]AttrDim, error) {
 	workers = max(1, min(poolSize(workers), f.units))
 	type lane struct { // the private state of one scoring goroutine
@@ -102,13 +108,26 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 			pending = make(map[int]P)
 			folded  int
 			folding bool        // a worker is inside fold, with mu released
-			failed  atomic.Bool // foldErr != nil, readable without mu
+			failed  atomic.Bool // foldErr != nil or a worker panicked
+			crash   atomic.Pointer[workerPanic]
 			wg      sync.WaitGroup
 		)
 		for _, l := range lanes {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer func() {
+					if v := recover(); v != nil {
+						crash.CompareAndSwap(nil, &workerPanic{v, debug.Stack()})
+						failed.Store(true)
+						// Hand back what the caller still feeds, so it
+						// cannot wait for good on free when every worker
+						// has died.
+						for u := range work {
+							free <- u
+						}
+					}
+				}()
 				for u := range work {
 					p, seq := score(u, l), u.seq
 					free <- u
@@ -134,18 +153,24 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 			}()
 		}
 		// Neither channel operation can block for good: workers+1 units
-		// exist, the workers return every one they take, and work has
-		// room for all that are not in this goroutine's hands.
-		for seq := 0; !failed.Load(); seq++ {
-			u := <-free
-			u.seq = seq
-			if feedErr = f.next(u); feedErr != nil {
-				break
+		// exist, the workers return every one they take but the one each
+		// panicked on, and work has room for all that are not in this
+		// goroutine's hands. The pool is closed and waited for even when
+		// the feed itself panics, so no worker outlives the call.
+		func() {
+			defer func() { close(work); wg.Wait() }()
+			for seq := 0; !failed.Load(); seq++ {
+				u := <-free
+				u.seq = seq
+				if feedErr = f.next(u); feedErr != nil {
+					break
+				}
+				work <- u
 			}
-			work <- u
+		}()
+		if p := crash.Load(); p != nil {
+			panic(p)
 		}
-		close(work)
-		wg.Wait()
 	}
 	if feedErr != nil && feedErr != io.EOF {
 		return nil, feedErr
@@ -160,6 +185,16 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 		MergeDims(dims, l.dims.Dims())
 	}
 	return dims, nil
+}
+
+// workerPanic is a scoring worker's panic, re-raised on run's caller.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("%v [recovered on a scoring worker]\n\n%s", p.value, p.stack)
 }
 
 const (

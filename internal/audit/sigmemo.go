@@ -46,17 +46,15 @@ import (
 const memoMaxEntries = 1 << 16
 
 // memoEntry is one cached per-row outcome: a segment of the memo's
-// finding arena plus the row-relative index of the best finding (valid
-// when n > 0 — a finding only exists with positive error confidence, so
-// any non-empty row has a best).
+// finding arena.
 type memoEntry struct {
-	off  int32
-	n    int32
-	best int32
+	off, n int32
 }
 
 // sigMemo is the per-scratch signature cache. Not safe for concurrent
-// use — like the rest of ChunkScratch it is per-worker state.
+// use — like the rest of ChunkScratch it is per-worker state. When ok is
+// false (a family that is not a rule set, or a signature wider than 64
+// bits) it answers nothing: lookup returns every row as a miss.
 type sigMemo struct {
 	built bool
 	ok    bool
@@ -290,13 +288,16 @@ func (mm *sigMemo) encode(ck *dataset.ColumnChunk) {
 	}
 }
 
-// probe looks the chunk's signatures up, recording the entry index per
-// row and collecting the rows that need the kernel path. Miss rows whose
+// lookup returns the chunk rows that need the kernel path, recording per
+// row the entry that answers it (hit) and the earlier miss row of the same
+// chunk whose outcome it shares (rep), -1 for none. Miss rows whose
 // signature already missed earlier in the same chunk are not returned:
-// they are aliased (rep) to that first occurrence and assembled by
-// copying its freshly scored segment. Bad rows are always returned and
-// never aliased — their signatures are unreliable.
-func (mm *sigMemo) probe(n int) []int32 {
+// they are aliased to that first occurrence and assembled by copying its
+// freshly scored segment. Bad rows are always returned and never aliased
+// — their signatures are unreliable. A disabled memo returns every row,
+// with none hit and none aliased.
+func (mm *sigMemo) lookup(ck *dataset.ColumnChunk) []int32 {
+	n := ck.Rows()
 	if cap(mm.hit) < n {
 		mm.hit = make([]int32, n)
 		mm.rep = make([]int32, n)
@@ -305,6 +306,14 @@ func (mm *sigMemo) probe(n int) []int32 {
 	mm.hit = mm.hit[:n]
 	mm.rep = mm.rep[:n]
 	mm.miss = mm.miss[:0]
+	if !mm.ok {
+		for r := range mm.hit {
+			mm.hit[r], mm.rep[r] = -1, -1
+			mm.miss = append(mm.miss, int32(r))
+		}
+		return mm.miss
+	}
+	mm.encode(ck)
 
 	psize := 1
 	for psize < 2*n {
@@ -412,11 +421,11 @@ func (mm *sigMemo) grow(size int) {
 
 // remember captures a freshly scored row's findings segment as the cached
 // outcome for its signature.
-func (mm *sigMemo) remember(sig uint64, findings []Finding, bestRel int32) {
+func (mm *sigMemo) remember(sig uint64, findings []Finding) {
 	if mm.live >= memoMaxEntries {
 		return
 	}
-	e := memoEntry{off: int32(len(mm.arena)), n: int32(len(findings)), best: bestRel}
+	e := memoEntry{off: int32(len(mm.arena)), n: int32(len(findings))}
 	mm.arena = append(mm.arena, findings...)
 	mm.entries = append(mm.entries, e)
 	mm.insert(sig, int32(len(mm.entries)-1))

@@ -4,8 +4,8 @@ import (
 	"dataaudit/internal/dataset"
 )
 
-// The columnar matcher. MatchBlock descends the compiled trie once per
-// *block* instead of once per row: at every split the current row set is
+// The columnar matcher. MatchRows descends the compiled trie once per
+// *block* of chunk rows instead of once per row: at every split the row set is
 // partitioned over typed column vectors (a two-way scatter for numeric
 // thresholds, a counting scatter for nominal splits), so the per-row cost
 // is one comparison per trie level with no Value unboxing and no per-row
@@ -15,13 +15,13 @@ import (
 
 // MatchGroup is one leaf's worth of matched rows: the rule index and the
 // chunk-row indices that reached it. Rows is backed by the MatchScratch
-// and valid until the next MatchBlock call on the same scratch.
+// and valid until the next MatchRows call on the same scratch.
 type MatchGroup struct {
 	Rule int
 	Rows []int32
 }
 
-// MatchScratch holds the per-depth partition buffers MatchBlock reuses
+// MatchScratch holds the per-depth partition buffers MatchRows reuses
 // across calls. The zero value is ready to use; after a warm-up call the
 // matcher allocates nothing.
 type MatchScratch struct {
@@ -59,24 +59,13 @@ func (s *MatchScratch) zeroCounts(d, n int) []int32 {
 	return c
 }
 
-// MatchBlock matches every row of the chunk against the compiled trie and
+// MatchRows matches the listed chunk rows against the compiled trie and
 // returns one group per matched leaf (row order within a group is
 // unspecified; a row appears in at most one group). Rows matching no rule
 // appear in no group — exactly the rows for which the row path would
 // predict an empty distribution. The groups (and their Rows) are backed by
-// the scratch and valid until the next MatchBlock or MatchRows call on it.
-func (rs *RuleSet) MatchBlock(ck *dataset.ColumnChunk, s *MatchScratch) []MatchGroup {
-	rows := s.level(0, ck.Rows())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	return rs.MatchRows(ck, rows, s)
-}
-
-// MatchRows is MatchBlock restricted to a subset of the chunk's rows:
-// only the listed row indices are matched, everything else about the
-// contract is identical. The rows slice is read but never written or
-// retained.
+// the scratch and valid until the next MatchRows call on it. The rows
+// slice is read but never written or retained.
 func (rs *RuleSet) MatchRows(ck *dataset.ColumnChunk, rows []int32, s *MatchScratch) []MatchGroup {
 	s.groups = s.groups[:0]
 	if len(rows) == 0 {
@@ -89,7 +78,7 @@ func (rs *RuleSet) MatchRows(ck *dataset.ColumnChunk, rows []int32, s *MatchScra
 	} else {
 		s.out = s.out[:0]
 	}
-	matchBlock(rs.root(), ck, rows, 1, s)
+	matchBlock(rs.root(), ck, rows, 0, s)
 	return s.groups
 }
 
@@ -124,7 +113,7 @@ const smallGroupRows = 64
 
 // matchBlock partitions rows over node's split and recurses. The depth-d
 // slab holds the partition of the rows slice (which lives in the parent's
-// slab); a subtree only ever writes slabs deeper than its parent's, so
+// slab, or the caller's for the root); a subtree only ever writes slabs deeper than its parent's, so
 // the sibling's still-unread segment and every emitted group stay intact.
 func matchBlock(t *trieNode, ck *dataset.ColumnChunk, rows []int32, depth int, s *MatchScratch) {
 	if t.rule >= 0 {

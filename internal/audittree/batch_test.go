@@ -83,7 +83,7 @@ func linearMatch(rs *RuleSet, row []dataset.Value) int {
 	return -1
 }
 
-// blockAssignment runs MatchBlock and flattens the groups into a per-row
+// blockAssignment flattens MatchRows' groups the groups into a per-row
 // rule index (-1 = no match), failing if any row appears twice.
 func blockAssignment(t *testing.T, groups []MatchGroup, n int) []int {
 	t.Helper()
@@ -102,21 +102,25 @@ func blockAssignment(t *testing.T, groups []MatchGroup, n int) []int {
 	return got
 }
 
-// TestMatchBlockMatchesLinearScan holds the columnar descent to the
-// linear-scan oracle row by row, for chunks above the partitioned path's
-// threshold and small chunks that take the scalar walk.
-func TestMatchBlockMatchesLinearScan(t *testing.T) {
+// TestMatchRowsMatchesLinearScan holds the columnar descent over every row
+// of a chunk to the linear-scan oracle row by row, for chunks above the
+// partitioned path's threshold and small chunks that take the scalar walk.
+func TestMatchRowsMatchesLinearScan(t *testing.T) {
 	tab := mixedTable(t, 5000, 11)
 	rs := trainMixedRuleSet(t, tab)
 	var s MatchScratch
 
+	all := make([]int32, tab.NumRows())
+	for i := range all {
+		all[i] = int32(i)
+	}
 	for _, chunkRows := range []int{5000, smallGroupRows, 17, 1} {
 		ck := dataset.NewColumnChunk(tab.Schema())
 		row := make([]dataset.Value, tab.NumCols())
 		for lo := 0; lo < tab.NumRows(); lo += chunkRows {
 			hi := min(lo+chunkRows, tab.NumRows())
 			tab.ChunkInto(ck, lo, hi)
-			got := blockAssignment(t, rs.MatchBlock(ck, &s), hi-lo)
+			got := blockAssignment(t, rs.MatchRows(ck, all[:hi-lo], &s), hi-lo)
 			for r := lo; r < hi; r++ {
 				tab.RowInto(r, row)
 				if want := linearMatch(rs, row); got[r-lo] != want {
