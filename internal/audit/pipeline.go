@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,12 +18,15 @@ import (
 // lives in run.
 
 // unit is one block of rows on its way through the pipeline; units, and
-// the chunk buffers that travel with them, are recycled once scored.
+// the buffers that travel with them, are recycled once scored, or once
+// folded when the feed's accept reads them.
 type unit struct {
 	seq      int   // position in feed order; the fold follows it
 	firstRow int64 // table/stream row index of chunk row 0
 	rows     int
 	ck       *dataset.ColumnChunk
+	blk      *dataset.CSVBlock // the records load decodes into ck, for a cut feed
+	err      error             // what ended the unit's rows, for accept to report
 }
 
 // feed produces the units of one audit.
@@ -36,10 +38,15 @@ type feed struct {
 	// the input. It runs on the goroutine that called run only: sources
 	// are single-pass and not concurrency-safe.
 	next func(u *unit) error
-	// load, when set, runs on the scoring goroutine and fills that
-	// goroutine's own chunk with rows [lo, hi) of the unit; feeds that fill
-	// the unit's chunk in next leave it nil.
-	load func(ck *dataset.ColumnChunk, lo, hi int)
+	// load, when set, runs on the scoring goroutine before the unit is
+	// scored and fills ck with the unit's rows, so that filling
+	// parallelises with scoring. ck is u.ck when the feed's accept reads
+	// the unit, else the scoring goroutine's own chunk.
+	load func(u *unit, ck *dataset.ColumnChunk)
+	// accept, when set, runs in unit order, one call at a time, before the
+	// unit's part is folded; an error from it ends the audit as a fold
+	// error does. The unit, u.ck included, is intact until accept returns.
+	accept func(u *unit) error
 }
 
 // poolSize resolves a worker-count argument.
@@ -55,18 +62,20 @@ func poolSize(workers int) int {
 // functions around P, what it keeps of one unit: collect runs on the
 // scoring goroutine right after CheckChunk, while reps are still backed
 // by that goroutine's scratch (firstRow is the row index of reps[0]);
-// fold runs in unit order, one call at a time, and an error from it
-// aborts the audit — no later part is folded. A feed error wins over a
-// fold error; every goroutine run started has exited when it returns.
+// fold runs in unit order, one call at a time, after the feed's accept,
+// and an error from either aborts the audit: no later unit is folded. So
+// the first such error in input order wins, and a feed error wins over
+// it. Every goroutine run started has exited when it returns.
 //
 // With one worker, or a feed of a single unit, everything runs on the
 // caller's goroutine and nothing is started. Otherwise the caller feeds
 // workers+1 recycled units to the workers, which fold their parts in unit
-// order — so workers+1 chunk buffers bound the memory of a long input. A
-// panic on a worker (a classifier or a sink that panics) stops the feed
-// like a fold error; once the pool has exited, run re-panics on the
-// caller's goroutine with the first panic's value and its worker's
-// stack, as the inline path would have panicked there.
+// order — so workers+1 units bound the memory of a long input. A unit
+// goes back to the caller once scored, or, when the feed has an accept,
+// once folded. A panic on a worker (a classifier or a sink that panics)
+// stops the feed like a fold error; once the pool has exited, run
+// re-panics on the caller's goroutine with the first panic's value and
+// its worker's stack, as the inline path would have panicked there.
 func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordReport) P, fold func(P) error, workers int) ([]AttrDim, error) {
 	workers = max(1, min(poolSize(workers), f.units))
 	type lane struct { // the private state of one scoring goroutine
@@ -81,11 +90,21 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 	score := func(u *unit, l lane) P {
 		ck := u.ck
 		if f.load != nil {
-			ck = l.ck
-			f.load(ck, int(u.firstRow), int(u.firstRow)+u.rows)
+			if f.accept == nil {
+				ck = l.ck
+			}
+			f.load(u, ck)
 		}
 		l.dims.ObserveChunk(ck)
 		return collect(u.firstRow, m.CheckChunk(ck, u.firstRow, l.scratch))
+	}
+	settle := func(u *unit, p P) error {
+		if f.accept != nil {
+			if err := f.accept(u); err != nil {
+				return err
+			}
+		}
+		return fold(p)
 	}
 
 	var feedErr, foldErr error
@@ -95,23 +114,39 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 			if feedErr = f.next(u); feedErr != nil {
 				break
 			}
-			foldErr = fold(score(u, lanes[0]))
+			foldErr = settle(u, score(u, lanes[0]))
 		}
 	} else {
+		// free has room for every unit, so returning one never blocks;
+		// work has room for every unit but the one the caller is filling.
 		work := make(chan *unit, workers)
 		free := make(chan *unit, workers+1)
 		for range workers + 1 {
 			free <- &unit{ck: dataset.NewColumnChunk(f.schema)}
 		}
+		type scored struct {
+			u *unit
+			p P
+		}
 		var (
-			mu      sync.Mutex // guards pending, folded, folding and foldErr
-			pending = make(map[int]P)
-			folded  int
-			folding bool        // a worker is inside fold, with mu released
-			failed  atomic.Bool // foldErr != nil or a worker panicked
-			crash   atomic.Pointer[workerPanic]
-			wg      sync.WaitGroup
+			mu       sync.Mutex // guards pending, folded, folding and foldErr
+			pending  = make(map[int]scored)
+			folded   int
+			folding  bool                  // a worker is inside settle, with mu released
+			stop     = make(chan struct{}) // closed once the audit has failed
+			stopOnce sync.Once
+			crash    atomic.Pointer[workerPanic]
+			wg       sync.WaitGroup
 		)
+		halt := func() { stopOnce.Do(func() { close(stop) }) }
+		halted := func() bool {
+			select {
+			case <-stop:
+				return true
+			default:
+				return false
+			}
+		}
 		for _, l := range lanes {
 			wg.Add(1)
 			go func() {
@@ -119,53 +154,65 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 				defer func() {
 					if v := recover(); v != nil {
 						crash.CompareAndSwap(nil, &workerPanic{v, debug.Stack()})
-						failed.Store(true)
-						// Hand back what the caller still feeds, so it
-						// cannot wait for good on free when every worker
-						// has died.
-						for u := range work {
-							free <- u
-						}
+						halt()
 					}
 				}()
 				for u := range work {
-					p, seq := score(u, l), u.seq
-					free <- u
-					// Whoever holds the next part in sequence folds it, and
-					// any that arrive meanwhile; fold may call out
-					// (OnSuspicious), so it runs with mu released.
+					if halted() { // drain what the caller still hands out
+						continue
+					}
+					seq, p := u.seq, score(u, l)
+					if f.accept == nil { // nothing reads the unit any more
+						free <- u
+						u = nil
+					}
+					// Whoever holds the next unit in sequence folds it, and
+					// any that arrive meanwhile; settle may call out (OnRow,
+					// OnSuspicious), so it runs with mu released.
 					mu.Lock()
-					pending[seq] = p
-					for p, ok := pending[folded]; ok && !folding; p, ok = pending[folded] {
+					pending[seq] = scored{u, p}
+					for s, ok := pending[folded]; ok && !folding && !halted(); s, ok = pending[folded] {
 						delete(pending, folded)
 						folded++
-						if foldErr == nil { // else drain without folding
-							folding = true
-							mu.Unlock()
-							err := fold(p)
-							mu.Lock()
-							folding, foldErr = false, err
-							failed.Store(err != nil)
+						folding = true
+						mu.Unlock()
+						err := settle(s.u, s.p)
+						if s.u != nil {
+							free <- s.u
+						}
+						mu.Lock()
+						folding = false
+						if err != nil {
+							foldErr = err
+							halt()
 						}
 					}
 					mu.Unlock()
 				}
 			}()
 		}
-		// Neither channel operation can block for good: workers+1 units
-		// exist, the workers return every one they take but the one each
-		// panicked on, and work has room for all that are not in this
-		// goroutine's hands. The pool is closed and waited for even when
-		// the feed itself panics, so no worker outlives the call.
+		// The feed waits on free and work only until the audit fails: a
+		// panicked worker takes its unit with it, and a failed fold leaves
+		// later units unfolded. The pool is closed and waited for even
+		// when the feed itself panics, so no worker outlives the call.
 		func() {
 			defer func() { close(work); wg.Wait() }()
-			for seq := 0; !failed.Load(); seq++ {
-				u := <-free
+			for seq := 0; !halted(); seq++ {
+				var u *unit
+				select {
+				case u = <-free:
+				case <-stop:
+					return
+				}
 				u.seq = seq
 				if feedErr = f.next(u); feedErr != nil {
-					break
+					return
 				}
-				work <- u
+				select {
+				case work <- u:
+				case <-stop:
+					return
+				}
 			}
 		}()
 		if p := crash.Load(); p != nil {
@@ -227,55 +274,94 @@ func tableFeed(tab *dataset.Table, workers int) feed {
 			lo += u.rows
 			return nil
 		},
-		load: tab.ChunkInto,
+		load: func(u *unit, ck *dataset.ColumnChunk) {
+			tab.ChunkInto(ck, int(u.firstRow), int(u.firstRow)+u.rows)
+		},
 	}
 }
 
-// sourceFeed decodes a RowSource into units on the caller's goroutine
-// through its NextChunk and owns the stream's row accounting: OnRow fires
-// for every accepted row in source order before the row's unit is handed
-// out; a row beyond MaxRows ends the feed with a RowLimitError before its
-// OnRow and without handing out its unit; rows preceding a malformed row
-// still get their OnRow before the error.
+// sourceFeed reads a RowSource into units and owns the stream's row
+// accounting. A CSVSource is only cut on the caller's goroutine, and each
+// unit's block is decoded on the scoring goroutine that scores it; any
+// other source decodes through NextChunk on the caller's goroutine. A
+// unit carries the error its rows ended in, and accept reports it when
+// the unit's turn to fold comes, so the first error in input order wins.
+// In that fold order, OnRow fires for every accepted row, before the
+// unit's part is folded; a row beyond MaxRows ends the audit with a
+// RowLimitError before its OnRow; rows preceding a malformed row still
+// get their OnRow before the error.
 func sourceFeed(src dataset.RowSource, opts StreamOptions) feed {
-	rowBuf := make([]dataset.Value, src.Schema().Len()) // OnRow's row
-	var rows int64
-	var srcErr error // what the source's last read ended with
-	next := func(u *unit) error {
-		if srcErr != nil {
-			return srcErr
-		}
-		u.ck.Reset()
-		// Pull at most one row past MaxRows, so the limit fires on the
-		// first overflowing row exactly as a row-at-a-time read would.
-		target := opts.ChunkSize
+	var fed int64 // rows cut or decoded so far
+	// target is how many rows the next unit pulls: at most one past
+	// MaxRows, so the limit fires on the first overflowing row exactly as a
+	// row-at-a-time read would.
+	target := func() int {
 		if opts.MaxRows > 0 {
-			if rem := opts.MaxRows - rows; rem < int64(target) {
-				target = int(rem) + 1
-			}
+			return int(min(int64(opts.ChunkSize), opts.MaxRows-fed+1))
 		}
-		var n int
-		n, srcErr = src.NextChunk(u.ck, target)
-		overflow := opts.MaxRows > 0 && rows+int64(n) > opts.MaxRows
+		return opts.ChunkSize
+	}
+	f := feed{schema: src.Schema(), units: math.MaxInt}
+	if csv, ok := src.(*dataset.CSVSource); ok {
+		f.next = func(u *unit) error {
+			if opts.MaxRows > 0 && fed > opts.MaxRows {
+				return io.EOF
+			}
+			if u.blk == nil {
+				u.blk = new(dataset.CSVBlock)
+			}
+			n, err := csv.Cut(u.blk, target())
+			if err != nil {
+				return err
+			}
+			u.firstRow = fed
+			fed += int64(n)
+			return nil
+		}
+		f.load = func(u *unit, ck *dataset.ColumnChunk) {
+			ck.Reset()
+			u.rows, u.err = u.blk.Decode(ck)
+		}
+	} else {
+		var ended bool // the source has ended in an error
+		f.next = func(u *unit) error {
+			if ended || opts.MaxRows > 0 && fed > opts.MaxRows {
+				return io.EOF
+			}
+			u.ck.Reset()
+			n, err := src.NextChunk(u.ck, target())
+			if err == io.EOF {
+				if n == 0 {
+					return io.EOF
+				}
+				err = nil
+			}
+			u.firstRow, u.rows, u.err = fed, n, err
+			fed += int64(n)
+			ended = err != nil
+			return nil
+		}
+	}
+	rowBuf := make([]dataset.Value, src.Schema().Len()) // OnRow's row
+	var accepted int64
+	f.accept = func(u *unit) error {
+		n := u.rows
+		overflow := opts.MaxRows > 0 && accepted+int64(n) > opts.MaxRows
 		if overflow {
-			n = int(opts.MaxRows - rows) // the rows still accepted
+			n = int(opts.MaxRows - accepted) // the rows still accepted
 		}
 		if opts.OnRow != nil {
 			for i := 0; i < n; i++ {
 				opts.OnRow(u.ck.RowInto(i, rowBuf), u.ck.ID(i))
 			}
 		}
+		accepted += int64(n)
 		if overflow {
 			return &RowLimitError{Limit: opts.MaxRows}
 		}
-		if srcErr != nil && (n == 0 || !errors.Is(srcErr, io.EOF)) {
-			return srcErr
-		}
-		u.firstRow, u.rows = rows, n
-		rows += int64(n)
-		return nil
+		return u.err
 	}
-	return feed{schema: src.Schema(), units: math.MaxInt, next: next}
+	return f
 }
 
 // chunkFeed passes on column chunks that were decoded elsewhere (the

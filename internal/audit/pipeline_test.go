@@ -278,12 +278,12 @@ func TestPipelineInlineAndFanOut(t *testing.T) {
 		f := tableFeed(cloneRows(dirty, 0, rows), 4)
 		var mu sync.Mutex
 		load := f.load
-		f.load = func(ck *dataset.ColumnChunk, lo, hi int) {
+		f.load = func(u *unit, ck *dataset.ColumnChunk) {
 			mu.Lock()
 			onCaller = append(onCaller, onTestGoroutine())
 			goroutines = append(goroutines, runtime.NumGoroutine())
 			mu.Unlock()
-			load(ck, lo, hi)
+			load(u, ck)
 		}
 		if res, err := m.auditResult(f, rows, 4); err != nil || len(res.Reports) != rows {
 			t.Fatalf("%d-row table: %v", rows, err)

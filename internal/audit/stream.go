@@ -57,11 +57,14 @@ type StreamOptions struct {
 	// still being read. Returning an error aborts the stream with that
 	// error. The report (and its findings) must not be retained.
 	OnSuspicious func(rep *RecordReport) error
-	// OnRow, when non-nil, is called on the goroutine that called
-	// AuditStream for every row pulled from the source, in source order,
-	// before the row is scored — the hook the monitoring layer samples
-	// rows through (e.g. into a re-induction reservoir). The row buffer is
-	// recycled between calls and must be copied if retained.
+	// OnRow, when non-nil, is called for every row pulled from the
+	// source, one call at a time and in source order — the hook the
+	// monitoring layer samples rows through (e.g. into a re-induction
+	// reservoir). It runs in the pipeline's in-order fold, not on the
+	// goroutine that called AuditStream: a unit's rows are offered after
+	// the unit is scored and before its suspicious records reach
+	// OnSuspicious. The row buffer is recycled between calls and must be
+	// copied if retained.
 	OnRow func(row []dataset.Value, id int64)
 }
 

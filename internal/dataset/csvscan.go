@@ -20,7 +20,7 @@ import (
 // lines. Either way the fields stay valid only until the next call to
 // next.
 type csvScanner struct {
-	br      *bufio.Reader
+	br      lineReader
 	raw     []byte   // a line longer than br's buffer, reassembled
 	rec     []byte   // unquoted field bytes of a record with a quote
 	ends    []int    // end offset in rec of each field
@@ -29,11 +29,16 @@ type csvScanner struct {
 	recLine int      // physical line the current record started on
 }
 
-// readLine reads the next physical line including its trailing \n, with
-// a CRLF end rewritten to LF. A line cut short by EOF has no \n (and
-// loses a final \r); if any bytes were read the error is never io.EOF.
-// The line is valid until the next call.
-func (s *csvScanner) readLine() ([]byte, error) {
+// lineReader is where a csvScanner reads physical lines from: the
+// input's bufio.Reader, or the bytes of a cut CSVBlock.
+type lineReader interface {
+	ReadSlice(delim byte) ([]byte, error)
+}
+
+// readRaw reads the next physical line as the input spells it, its \n
+// included; a line cut short by the end of the input or a read error
+// comes with that error. The line is valid until the next call.
+func (s *csvScanner) readRaw() ([]byte, error) {
 	line, err := s.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		s.raw = append(s.raw[:0], line...)
@@ -43,13 +48,22 @@ func (s *csvScanner) readLine() ([]byte, error) {
 		}
 		line = s.raw
 	}
+	s.numLine++
+	return line, err
+}
+
+// readLine reads the next physical line including its trailing \n, with
+// a CRLF end rewritten to LF. A line cut short by EOF has no \n (and
+// loses a final \r); if any bytes were read the error is never io.EOF.
+// The line is valid until the next call.
+func (s *csvScanner) readLine() ([]byte, error) {
+	line, err := s.readRaw()
 	if len(line) > 0 && err == io.EOF {
 		err = nil
 		if line[len(line)-1] == '\r' {
 			line = line[:len(line)-1]
 		}
 	}
-	s.numLine++
 	if n := len(line); n >= 2 && line[n-2] == '\r' && line[n-1] == '\n' {
 		line[n-2] = '\n'
 		line = line[:n-1]

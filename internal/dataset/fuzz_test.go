@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -235,7 +236,8 @@ func requireSameValue(t *testing.T, row, c int, got, want Value) {
 // (header, width, bare quote, quote, byte limit or parse) and the same
 // text, and yield bit-identical cells, null bits and IDs up to the
 // failure. The chunk must stay column-aligned after every call no matter
-// where the decoder gave up.
+// where the decoder gave up. The same input is also cut into blocks
+// (requireBlocksMatchOracle), which must decode to the same outcome.
 func FuzzCSVSource(f *testing.F) {
 	f.Add([]byte("color,x,d\nred,1.5,2020-01-02\n?,,?\nblue,-3e4,1999-12-31\n"))
 	f.Add([]byte("colour,x,d\nred,1,2020-01-02\n"))           // wrong header name
@@ -258,6 +260,7 @@ func FuzzCSVSource(f *testing.F) {
 	f.Add([]byte("color,x,d\n\" pad \",1,?\n\"red\"x,2,?\n"))                         // text after a closing quote
 	f.Add([]byte("color,x,d\nred,1,?\n\"x\n\ny,2,?\n"))                               // unterminated quote at EOF
 	f.Add([]byte("color,x,d\nred,1,?\r\r\nblue,\r,?\n"))                              // bare \r inside a line
+	f.Add([]byte("color,x,d\nre\"d,1,?\n" + strings.Repeat("blue,2,?\n", 120)))       // bare quote, then over 1 KiB of lines
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		schema := csvFuzzSchema(t)
@@ -305,8 +308,122 @@ func FuzzCSVSource(f *testing.F) {
 					t.Fatal("NextChunk returned 0 rows with nil error")
 				}
 			}
+			for _, limit := range []int{1, 7, 1024} {
+				requireBlocksMatchOracle(t, data, schema, bound, limit, false)
+			}
+			requireBlocksMatchOracle(t, data, schema, bound, 7, true)
 		}
 	})
+}
+
+// fuzzCutBytes is the byte target the block leg of FuzzCSVSource cuts
+// at: small enough that most inputs span several blocks.
+const fuzzCutBytes = 32
+
+// shortReader hands out at most 13 bytes a read, so that lines straddle
+// the fills of the decoders' bufio.Readers.
+type shortReader struct{ r io.Reader }
+
+func (s shortReader) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), 13)]) }
+
+// requireBlocksMatchOracle cuts the whole input into blocks of at most
+// limit records, decodes the blocks concurrently, launched in reverse
+// order, and holds their concatenation up to the first failing block to
+// csvOracle's read of the whole input: the same rows, IDs, null bits and
+// cells, and the same error, line numbers included. With short, both
+// decoders read the input through a shortReader.
+func requireBlocksMatchOracle(t *testing.T, data []byte, schema *Schema, bound int64, limit int, short bool) {
+	t.Helper()
+	input := func() io.Reader {
+		if short {
+			return shortReader{bytes.NewReader(data)}
+		}
+		return bytes.NewReader(data)
+	}
+	src, err := newCSVSource(input(), schema, bound)
+	if err != nil {
+		return // the header failed, as the first leg checked
+	}
+	src.cutBytes = fuzzCutBytes
+	var blocks []*CSVBlock
+	cut := 0
+	for {
+		b := new(CSVBlock)
+		n, err := src.Cut(b, limit)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || n > limit {
+			t.Fatalf("Cut(%d): %d records, %v", limit, n, err)
+		}
+		if b.firstID != int64(cut) {
+			t.Fatalf("block %d starts at ID %d after %d records", len(blocks), b.firstID, cut)
+		}
+		cut += n
+		blocks = append(blocks, b)
+	}
+
+	type decoded struct {
+		ck  *ColumnChunk
+		n   int
+		err error
+	}
+	out := make([]decoded, len(blocks))
+	var wg sync.WaitGroup
+	for i := len(blocks) - 1; i >= 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ck := NewColumnChunk(schema)
+			n, err := blocks[i].Decode(ck)
+			out[i] = decoded{ck, n, err}
+		}()
+	}
+	wg.Wait()
+
+	ref, err := newCSVOracle(input(), schema, bound)
+	if err != nil {
+		t.Fatalf("encoding/csv rejects a header CSVSource took: %v", err)
+	}
+	refCk := NewColumnChunk(schema)
+	var refErr error
+	for refErr == nil {
+		_, refErr = ref.NextChunk(refCk, 1<<20)
+	}
+	if refErr == io.EOF {
+		refErr = nil
+	}
+
+	row := 0
+	var gotErr error
+	for i, d := range out {
+		if d.ck.Rows() != d.n {
+			t.Fatalf("limit %d block %d: Decode returned %d rows, chunk holds %d", limit, i, d.n, d.ck.Rows())
+		}
+		requireChunkAligned(t, d.ck)
+		for r := 0; r < d.n; r, row = r+1, row+1 {
+			if row >= refCk.Rows() {
+				t.Fatalf("limit %d: blocks decode more than encoding/csv's %d rows", limit, refCk.Rows())
+			}
+			if d.ck.ID(r) != refCk.ID(row) {
+				t.Fatalf("limit %d row %d: ID %d, encoding/csv gives %d", limit, row, d.ck.ID(r), refCk.ID(row))
+			}
+			for c := 0; c < schema.Len(); c++ {
+				if d.ck.Col(c).Null(r) != refCk.Col(c).Null(row) {
+					t.Fatalf("limit %d row %d col %d: null bit differs from encoding/csv", limit, row, c)
+				}
+				requireSameValue(t, row, c, d.ck.Value(r, c), refCk.Value(row, c))
+			}
+		}
+		if d.err != nil {
+			gotErr = d.err
+			break
+		}
+	}
+	if row != refCk.Rows() {
+		t.Fatalf("limit %d: blocks decode %d rows, encoding/csv %d", limit, row, refCk.Rows())
+	}
+	requireSameCSVError(t, gotErr, refErr)
 }
 
 // fuzzStreamRows is how many rows FuzzColumnChunkRoundTrip puts into one

@@ -118,12 +118,19 @@ func (s *TableSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
 // row index (the first row after the header is ID 0). Width mismatches
 // surface as RowWidthError (wrapping ErrRowWidth), parse failures as the
 // attribute's parse error and malformed quoting as a *csv.ParseError, all
-// tagged with the physical line the record starts on.
+// tagged with the physical line the record starts on. Besides NextChunk,
+// a CSVSource can Cut its input into CSVBlocks that decode elsewhere
+// (csvblock.go).
 type CSVSource struct {
-	schema *Schema
-	sc     csvScanner
-	budget *budgetReader // nil unless record bytes are bounded
-	nextID int64
+	schema   *Schema
+	br       *bufio.Reader
+	sc       csvScanner // reads the header, then the lines Cut reads one by one
+	budget   *budgetReader
+	nextID   int64 // the ID of the next record Cut reads
+	cutEnd   error // what ended the input for Cut; nil while it flows
+	cutBytes int   // Cut's byte target: CSVBlockBytes
+	blockCap int   // the largest block buffer so far, for fresh blocks
+	blk      CSVBlock
 }
 
 // NewCSVSource wraps a CSV stream. The header row is read and validated
@@ -147,12 +154,13 @@ func NewBoundedCSVSource(r io.Reader, s *Schema, maxRecordBytes int64) (*CSVSour
 }
 
 func newCSVSource(r io.Reader, s *Schema, maxRecordBytes int64) (*CSVSource, error) {
-	src := &CSVSource{schema: s}
+	src := &CSVSource{schema: s, cutBytes: CSVBlockBytes}
 	if maxRecordBytes > 0 {
 		src.budget = &budgetReader{r: r, limit: maxRecordBytes, max: maxRecordBytes}
 		r = src.budget
 	}
-	src.sc.br = bufio.NewReader(r)
+	src.br = bufio.NewReader(r)
+	src.sc.br = src.br
 
 	header, err := src.sc.next()
 	if err != nil {
@@ -180,11 +188,11 @@ func newCSVSource(r io.Reader, s *Schema, maxRecordBytes int64) (*CSVSource, err
 }
 
 // extendBudget grants the next record its byte allowance (called after
-// every successfully scanned record).
+// the header and after every record Cut completes).
 func (s *CSVSource) extendBudget() {
 	if s.budget != nil {
-		// The scanner's bufio may have read ahead past the record just
-		// scanned; basing the new limit on bytes consumed from the
+		// The bufio.Reader may have read ahead past the record just
+		// completed; basing the new limit on bytes consumed from the
 		// underlying reader only ever grants more headroom, never less.
 		s.budget.limit = s.budget.n + s.budget.max
 	}
@@ -193,50 +201,13 @@ func (s *CSVSource) extendBudget() {
 // Schema implements RowSource.
 func (s *CSVSource) Schema() *Schema { return s.schema }
 
-// record scans the next record and checks its width. The fields are
-// valid until the next call.
-func (s *CSVSource) record() ([][]byte, error) {
-	rec, err := s.sc.next()
-	if err == io.EOF {
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV line %d: %w", s.sc.recLine, err)
-	}
-	s.extendBudget()
-	if len(rec) != s.schema.Len() {
-		return nil, &RowWidthError{Line: s.sc.recLine, Got: len(rec), Want: s.schema.Len()}
-	}
-	return rec, nil
-}
-
-// cellError tags a cell parse error with the record's line.
-func (s *CSVSource) cellError(err error) error {
-	return fmt.Errorf("dataset: CSV line %d: %w", s.sc.recLine, err)
-}
-
-// NextChunk implements RowSource: it decodes up to max CSV records
-// straight into the chunk's typed vectors.
+// NextChunk implements RowSource: it cuts up to max records and decodes
+// them straight into the chunk's typed vectors.
 func (s *CSVSource) NextChunk(ck *ColumnChunk, max int) (int, error) {
-	n := 0
-	for n < max {
-		rec, err := s.record()
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := ck.appendRecord(rec, s.nextID); err != nil {
-			return n, s.cellError(err)
-		}
-		s.nextID++
-		n++
+	if _, err := s.Cut(&s.blk, max); err != nil {
+		return 0, err
 	}
-	return n, nil
+	return s.blk.Decode(ck)
 }
 
 // budgetReader fails once more bytes were consumed than the current

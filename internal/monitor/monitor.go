@@ -649,7 +649,8 @@ func (m *Monitor) Stream(meta registry.Meta, model *audit.Model) *StreamObserver
 }
 
 // OnRow offers one audited row to the re-induction reservoir (rows arrive
-// in source order from the stream engine's reader goroutine).
+// one at a time, in source order, from the stream engine's in-order fold,
+// which runs on its scoring goroutines).
 func (o *StreamObserver) OnRow(row []dataset.Value, id int64) {
 	if o.st == nil {
 		return

@@ -148,6 +148,7 @@ func (s *Server) handleAuditStream(w http.ResponseWriter, r *http.Request) {
 		opts.TopK = n
 	}
 
+	opts.Workers = min(opts.Workers, streamWorkersCap(model.Schema))
 	opts.ChunkSize = min(opts.ChunkSize, streamChunkCap(model.Schema, opts.Workers))
 
 	// The streaming route is exempt from the body byte cap, so bound the
@@ -278,15 +279,39 @@ const maxStreamTopK = 10_000
 // streaming route (enforced quote-aware inside the decoder).
 const maxStreamRecordBytes = 1 << 20
 
-// maxStreamBufferBytes bounds the scoring pipeline's pre-allocated chunk
-// pool per request.
+// maxStreamBufferBytes bounds the scoring pipeline's pool of units per
+// request: their chunk buffers and, on a CSV body, their blocks.
 const maxStreamBufferBytes = 64 << 20
 
-// streamChunkCap bounds the engine's upfront allocation: AuditStream
-// pre-allocates workers+1 chunk buffers of ChunkSize rows, and the chunk
-// and workers caps alone still allow their product to reach hundreds of MB
-// per request on a wide schema. The cap is the largest chunk whose buffer
-// pool fits the same order as the buffered endpoints' body cap.
+// streamUnitBytes is what one pooled unit of a stream may hold: a chunk of
+// chunk rows and, on a CSV body, a block of up to dataset.CSVBlockBytes
+// plus the one record, of at most maxStreamRecordBytes, that crosses it.
+func streamUnitBytes(schema *dataset.Schema, chunk int) int {
+	return chunk*dataset.ChunkRowBytes(schema) + dataset.CSVBlockBytes + maxStreamRecordBytes
+}
+
+// streamUnits is how many units AuditStream pools for a worker count:
+// workers+1, or one when a single worker runs everything inline.
+func streamUnits(workers int) int {
+	if workers == 1 {
+		return 1
+	}
+	return workers + 1
+}
+
+// streamWorkersCap is the largest worker count whose pool of one-row
+// units fits maxStreamBufferBytes; the block bytes alone would otherwise
+// outgrow the budget at the ?workers= ceiling of a many-core host.
+func streamWorkersCap(schema *dataset.Schema) int {
+	return max(1, maxStreamBufferBytes/streamUnitBytes(schema, 1)-1)
+}
+
+// streamChunkCap bounds the engine's upfront allocation: the chunk and
+// workers caps alone still allow the pool to reach hundreds of MB per
+// request on a wide schema. The cap is the largest chunk whose pool of
+// streamUnits units fits the same order as the buffered endpoints' body
+// cap.
 func streamChunkCap(schema *dataset.Schema, workers int) int {
-	return max(1, maxStreamBufferBytes/(workers+1)/dataset.ChunkRowBytes(schema))
+	perUnit := maxStreamBufferBytes/streamUnits(workers) - streamUnitBytes(schema, 0)
+	return max(1, perUnit/dataset.ChunkRowBytes(schema))
 }

@@ -246,11 +246,13 @@ func TestStreamEndpointStreamsDuringUpload(t *testing.T) {
 	}
 }
 
-// TestStreamChunkCapWideSchema pins the ?chunk= clamp to the chunk
-// layout: on a 600-column nominal schema with 8 workers the 9 pooled
-// chunks of the capped size fill the 64 MiB budget to within one row each
-// — the clamp used to price every cell at the 16 bytes of a
-// dataset.Value and stopped at a quarter of that.
+// TestStreamChunkCapWideSchema pins the ?chunk= clamp to the pool the
+// pipeline really holds: on a 600-column nominal schema with 8 workers
+// the 9 pooled units — each a chunk of the capped size and a CSV block of
+// up to dataset.CSVBlockBytes plus one maxStreamRecordBytes record — fill
+// the 64 MiB budget to within one row each. The clamp used to price every
+// cell at the 16 bytes of a dataset.Value and stopped at a quarter of
+// that; the worker clamp keeps the blocks alone within the budget.
 func TestStreamChunkCapWideSchema(t *testing.T) {
 	attrs := make([]*dataset.Attribute, 600)
 	for i := range attrs {
@@ -258,15 +260,24 @@ func TestStreamChunkCapWideSchema(t *testing.T) {
 	}
 	schema := dataset.MustSchema(attrs...)
 	const workers = 8
-	pool := func(chunk int) int { return chunk * (workers + 1) * dataset.ChunkRowBytes(schema) }
+	pool := func(workers, chunk int) int { return streamUnits(workers) * streamUnitBytes(schema, chunk) }
 	got := streamChunkCap(schema, workers)
-	if pool(got) > maxStreamBufferBytes || pool(got+1) <= maxStreamBufferBytes {
-		t.Fatalf("cap %d rows: pool of %d bytes against a budget of %d", got, pool(got), maxStreamBufferBytes)
+	if pool(workers, got) > maxStreamBufferBytes || pool(workers, got+1) <= maxStreamBufferBytes {
+		t.Fatalf("cap %d rows: pool of %d bytes against a budget of %d", got, pool(workers, got), maxStreamBufferBytes)
 	}
 	if old := maxStreamBufferBytes / 16 / (workers + 1) / 600; got < 3*old {
 		t.Fatalf("cap %d rows is still within 3x of the Value-sized clamp (%d)", got, old)
 	}
-	// A schema too wide for even one row per chunk still streams.
+	// One worker pools one unit, so its chunk may take the whole budget.
+	if one := streamChunkCap(schema, 1); pool(1, one) > maxStreamBufferBytes || pool(1, one+1) <= maxStreamBufferBytes {
+		t.Fatalf("one worker: cap %d rows, pool of %d bytes", one, pool(1, one))
+	}
+	// The worker clamp leaves room for one-row units and no more.
+	w := streamWorkersCap(schema)
+	if pool(w, 1) > maxStreamBufferBytes || pool(w+1, 1) <= maxStreamBufferBytes {
+		t.Fatalf("worker cap %d: pool of %d bytes against a budget of %d", w, pool(w, 1), maxStreamBufferBytes)
+	}
+	// A worker count beyond the clamp still streams, one row per chunk.
 	if got := streamChunkCap(schema, maxStreamBufferBytes); got != 1 {
 		t.Fatalf("cap under an absurd worker count = %d, want 1", got)
 	}
