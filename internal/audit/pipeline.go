@@ -47,6 +47,9 @@ type feed struct {
 	// unit's part is folded; an error from it ends the audit as a fold
 	// error does. The unit, u.ck included, is intact until accept returns.
 	accept func(u *unit) error
+	// release, when set, runs once run has no goroutine left, however it
+	// returns: nothing touches the units any more.
+	release func()
 }
 
 // poolSize resolves a worker-count argument.
@@ -77,6 +80,9 @@ func poolSize(workers int) int {
 // re-panics on the caller's goroutine with the first panic's value and
 // its worker's stack, as the inline path would have panicked there.
 func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordReport) P, fold func(P) error, workers int) ([]AttrDim, error) {
+	if f.release != nil {
+		defer f.release()
+	}
 	workers = max(1, min(poolSize(workers), f.units))
 	type lane struct { // the private state of one scoring goroutine
 		scratch *ChunkScratch
@@ -303,12 +309,14 @@ func sourceFeed(src dataset.RowSource, opts StreamOptions) feed {
 	}
 	f := feed{schema: src.Schema(), units: math.MaxInt}
 	if csv, ok := src.(*dataset.CSVSource); ok {
+		var blocks []*dataset.CSVBlock
 		f.next = func(u *unit) error {
 			if opts.MaxRows > 0 && fed > opts.MaxRows {
 				return io.EOF
 			}
 			if u.blk == nil {
-				u.blk = new(dataset.CSVBlock)
+				u.blk = csvBlocks.Get().(*dataset.CSVBlock)
+				blocks = append(blocks, u.blk)
 			}
 			n, err := csv.Cut(u.blk, target())
 			if err != nil {
@@ -321,6 +329,11 @@ func sourceFeed(src dataset.RowSource, opts StreamOptions) feed {
 		f.load = func(u *unit, ck *dataset.ColumnChunk) {
 			ck.Reset()
 			u.rows, u.err = u.blk.Decode(ck)
+		}
+		f.release = func() {
+			for _, b := range blocks {
+				csvBlocks.Put(b)
+			}
 		}
 	} else {
 		var ended bool // the source has ended in an error
@@ -363,6 +376,11 @@ func sourceFeed(src dataset.RowSource, opts StreamOptions) feed {
 	}
 	return f
 }
+
+// csvBlocks keeps the blocks of finished CSV audits, so a stream's units
+// take buffers already grown to a block's size instead of growing their
+// own.
+var csvBlocks = sync.Pool{New: func() any { return new(dataset.CSVBlock) }}
 
 // chunkFeed passes on column chunks that were decoded elsewhere (the
 // shard wire stream); read returns io.EOF at the clean end.
