@@ -181,6 +181,13 @@ type Model struct {
 	TrainRows int
 	// InduceTime records how long structure induction took.
 	InduceTime time.Duration
+
+	// scoring is the model's scoring plan (chunk.go), built once on first
+	// use under scoringMu. Both are unexported: gob skips them and a
+	// decoded model builds its own. They also make go vet refuse a copy
+	// of a Model, which would share a plan its edited Attrs no longer fit.
+	scoring   atomic.Pointer[scorePlan]
+	scoringMu sync.Mutex
 }
 
 // Induce builds the structure model for the table (§5: "For each attribute
@@ -235,15 +242,19 @@ func Induce(tab *dataset.Table, opts Options) (*Model, error) {
 // each owns one scratch buffer. Once a call has failed no worker claims
 // another index; every lower index was claimed before it and so runs, and
 // the error returned is the one a sequential loop would have stopped at.
+// A panic stops the claiming too, and is re-raised on the caller with its
+// worker's stack once every worker has exited, as run does for scoring.
 func forEachAttr(n int, fn func(i int, scratch *[]float64) error) (int, error) {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
+	var crashes workerPanics
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer crashes.catch(func() { failed.Store(true) })
 			var scratch []float64
 			for !failed.Load() {
 				i := int(next.Add(1) - 1)
@@ -257,6 +268,7 @@ func forEachAttr(n int, fn func(i int, scratch *[]float64) error) (int, error) {
 		}()
 	}
 	wg.Wait()
+	crashes.rethrow()
 	for i, err := range errs {
 		if err != nil {
 			return i, err

@@ -359,6 +359,33 @@ func TestDecodeRejectsNonTreeRuleSet(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsOptionsOutOfRange: a model file whose stored options
+// lie outside the ranges Induce enforces must fail to load, naming the
+// option. A confidence level of 1 used to load and then panic in
+// stats.NormalQuantile on the model's first finding.
+func TestDecodeRejectsOptionsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		set  func(*Options)
+		want string
+	}{
+		{func(o *Options) { o.ConfLevel = 1 }, "confidence level 1 outside"},
+		{func(o *Options) { o.MinConfidence = 0 }, "minimum confidence 0 outside"},
+	} {
+		m, err := Induce(engineTable(t, 400, 84), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.set(&m.Opts)
+		b, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Unmarshal: %v, want an error containing %q", err, tc.want)
+		}
+	}
+}
+
 func TestDescribeFinding(t *testing.T) {
 	tab := engineTable(t, 3000, 82)
 	tab.Set(0, 2, dataset.Nom((tab.Get(0, 0).NomIdx()+1)%3))

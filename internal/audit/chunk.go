@@ -12,64 +12,75 @@ import (
 // though all rows reaching the same rule share all of that. CheckChunk
 // takes one path through a ColumnChunk: the signature memo answers the
 // rows it has seen (sigmemo.go), each attribute then scores the rest in
-// one pass (batched trie descent for rule sets, a per-row PredictInto
-// loop for every other family, with per-(rule, observed-class) findings
-// memoized so the confidence math runs once per distinct deviation), and
-// one assembly pass in row order builds the reports. They are
-// byte-identical to the row path's — the differential suite in
-// columnar_diff_test.go holds both paths to that.
+// one pass (batched trie descent for rule sets, reading each matched
+// rule's finding from the model's scoring plan, and a per-row PredictInto
+// loop for every other family), and one assembly pass in row order builds
+// the reports. They are byte-identical to the row path's — the
+// differential suite in columnar_diff_test.go holds both paths to that.
 
 // batchChunkRows is the largest block the table feed hands CheckChunk.
 const batchChunkRows = 4096
 
-// ruleCache memoizes findings per (rule, observed class) for one
-// attribute's RuleSet. Valid because a rule-set prediction is fully
-// determined by the matched rule: every row pair (rule, obs) yields the
-// same finding (or none).
-type ruleCache struct {
-	rs     *audittree.RuleSet // cache identity: rebuilt when the model changes
-	stride int                // K+1 slots per rule (observed class -1..K-1)
-	state  []uint8            // 0 unknown, 1 no finding, 2 finding cached
-	find   []Finding
+// scorePlan is what scoring derives from a model once and never changes,
+// so no scratch re-derives it per call: the signature memo's encoding
+// (sigmemo.go) and, since under Definition 7 a rule set's finding depends
+// only on the matched rule and the observed class, each such finding.
+type scorePlan struct {
+	// findings[ai], for a rule-set attribute, holds rule r's finding for
+	// observed class obs (-1 null) at r*(K+1)+obs+1; a zero ErrorConf
+	// means none. Nil for every other family.
+	findings [][]Finding
+
+	// The signature encoding. memo is false when the memo answers nothing
+	// (a family that is not a rule set, or a signature wider than 64
+	// bits); the other three are then nil.
+	memo  bool
+	radix []uint64    // per attribute: size of its code domain
+	isNom []bool      // per attribute: nominal (domain-index) encoding
+	ranks []rankIndex // per numeric attribute: its rank index
 }
 
-// reset re-keys the cache to a rule set, clearing all entries.
-func (c *ruleCache) reset(rs *audittree.RuleSet, k int) {
-	c.rs, c.stride = rs, k+1
-	n := len(rs.Rules) * c.stride
-	if cap(c.state) < n {
-		c.state = make([]uint8, n)
-		c.find = make([]Finding, n)
-	} else {
-		c.state = c.state[:n]
-		c.find = c.find[:n]
-		for i := range c.state {
-			c.state[i] = 0
+// plan returns the model's scoring plan, building it on first use. A
+// build that panics stores nothing, so no caller sees half a plan.
+func (m *Model) plan() *scorePlan {
+	if p := m.scoring.Load(); p != nil {
+		return p
+	}
+	m.scoringMu.Lock()
+	defer m.scoringMu.Unlock()
+	if p := m.scoring.Load(); p != nil {
+		return p
+	}
+	p := &scorePlan{findings: make([][]Finding, len(m.Attrs))}
+	for ai, am := range m.Attrs {
+		rs, ok := am.Classifier.(*audittree.RuleSet)
+		if !ok {
+			continue
+		}
+		stride := am.K + 1
+		p.findings[ai] = make([]Finding, len(rs.Rules)*stride)
+		for r := range rs.Rules {
+			for obs := -1; obs < am.K; obs++ {
+				if f, ok := am.deviation(&rs.Rules[r].Dist, obs, m.Opts.ConfLevel); ok {
+					p.findings[ai][r*stride+obs+1] = f
+				}
+			}
 		}
 	}
-}
-
-// fill computes and caches the slot's finding (or that there is none).
-func (c *ruleCache) fill(am *AttrModel, rule, obs, slot int, confLevel float64) uint8 {
-	st := uint8(1)
-	if f, ok := am.deviation(&c.rs.Rules[rule].Dist, obs, confLevel); ok {
-		c.find[slot] = f
-		st = 2
-	}
-	c.state[slot] = st
-	return st
+	p.buildSignature(m)
+	m.scoring.Store(p)
+	return p
 }
 
 // ChunkScratch is the per-worker reusable state of the columnar scoring
-// path: partition slabs for the batched trie descent, the finding caches,
-// the per-row kernel's row and prediction buffers, and the
-// hit/finding/report arenas.
-// Like ScoreScratch, all buffers grow to the model's high-water mark once
-// and are reused, so steady-state chunk scoring performs zero heap
-// allocations. A ChunkScratch must not be shared between goroutines.
+// path: partition slabs for the batched trie descent, the per-row
+// kernel's row and prediction buffers, the hit/finding/report arenas and
+// the signature memo's tables. Like ScoreScratch, all buffers grow to the
+// model's high-water mark once and are reused, so steady-state chunk
+// scoring performs zero heap allocations. A ChunkScratch must not be
+// shared between goroutines.
 type ChunkScratch struct {
-	match  audittree.MatchScratch
-	caches []ruleCache // one per model attribute (only rule sets use theirs)
+	match audittree.MatchScratch
 
 	obs  []int32             // observed class per row (discretized attrs)
 	row  []dataset.Value     // gather buffer (per-row kernel)
@@ -83,10 +94,10 @@ type ChunkScratch struct {
 	memo sigMemo // row-signature outcome cache (see sigmemo.go)
 }
 
-// NewChunkScratch returns an empty scratch; buffers grow on first use.
-func NewChunkScratch(m *Model) *ChunkScratch {
-	return &ChunkScratch{caches: make([]ruleCache, len(m.Attrs))}
-}
+// NewChunkScratch returns an empty scratch for scoring m; buffers grow
+// on first use. The scratch holds nothing of m itself, so it may go on to
+// score another model.
+func NewChunkScratch(m *Model) *ChunkScratch { return &ChunkScratch{} }
 
 // growInt32 returns buf resized to n, reallocating only past the
 // high-water mark.
@@ -140,23 +151,16 @@ func (s *ChunkScratch) observed(am *AttrModel, ck *dataset.ColumnChunk, rows []i
 }
 
 // ruleKernel scores the listed rows for one rule-set attribute via the
-// batched trie descent, recording a hit per deviating row.
-func (s *ChunkScratch) ruleKernel(m *Model, ai int, am *AttrModel, rs *audittree.RuleSet, ck *dataset.ColumnChunk, rows []int32) {
-	cache := &s.caches[ai]
-	if cache.rs != rs || cache.stride != am.K+1 {
-		cache.reset(rs, am.K)
-	}
+// batched trie descent, reading each row's finding from the plan's table
+// for the attribute and recording a hit per deviating row.
+func (s *ChunkScratch) ruleKernel(m *Model, ai int, am *AttrModel, rs *audittree.RuleSet, table []Finding, ck *dataset.ColumnChunk, rows []int32) {
+	stride := am.K + 1
 	obs := s.observed(am, ck, rows)
 	for _, g := range rs.MatchRows(ck, rows, &s.match) {
-		base := g.Rule * cache.stride
+		base := g.Rule * stride
 		for _, r := range g.Rows {
-			slot := base + int(obs[r]) + 1
-			st := cache.state[slot]
-			if st == 0 {
-				st = cache.fill(am, g.Rule, int(obs[r]), slot, m.Opts.ConfLevel)
-			}
-			if st == 2 {
-				s.addHit(m, r, ai, cache.find[slot])
+			if f := &table[base+int(obs[r])+1]; f.ErrorConf > 0 {
+				s.addHit(m, r, ai, *f)
 			}
 		}
 	}
@@ -222,14 +226,9 @@ func detachReports(reps []RecordReport, dst []RecordReport) {
 // the same row.
 func (m *Model) CheckChunk(ck *dataset.ColumnChunk, firstRow int64, s *ChunkScratch) []RecordReport {
 	n, na := ck.Rows(), len(m.Attrs)
-	if len(s.caches) < na {
-		s.caches = make([]ruleCache, na)
-	}
+	p := m.plan()
 	memo := &s.memo
-	if !memo.built || memo.model != m {
-		memo.build(m)
-	}
-	kernelRows := memo.lookup(ck)
+	kernelRows := memo.lookup(ck, p)
 
 	// Attribute-major scoring of the rows the memo did not answer.
 	s.hits = s.hits[:0]
@@ -242,15 +241,15 @@ func (m *Model) CheckChunk(ck *dataset.ColumnChunk, firstRow int64, s *ChunkScra
 	}
 	for ai, am := range m.Attrs {
 		if rs, ok := am.Classifier.(*audittree.RuleSet); ok {
-			s.ruleKernel(m, ai, am, rs, ck, kernelRows)
+			s.ruleKernel(m, ai, am, rs, p.findings[ai], ck, kernelRows)
 		} else {
 			s.rowKernel(m, ai, am, ck, kernelRows)
 		}
 	}
 
-	// One pass in row order. A row's findings are its memo entry's, its
-	// representative's (an earlier row of this chunk with the same
-	// signature, already assembled), or its kernel hits in model-attribute
+	// One pass in row order. A row's findings are its memo entry's (for
+	// an entry still pending, those of the earlier row of this chunk that
+	// scores it, already assembled), or its kernel hits in model-attribute
 	// order — the order CheckRowScratch emits them in — and Best is the
 	// first strict maximum over them, the row path's pick.
 	if cap(s.reports) < n {
@@ -263,10 +262,7 @@ func (m *Model) CheckChunk(ck *dataset.ColumnChunk, firstRow int64, s *ChunkScra
 	for r := range reps {
 		start := len(findings)
 		if e := memo.hit[r]; e >= 0 {
-			en := memo.entries[e]
-			findings = append(findings, memo.arena[en.off:en.off+en.n]...)
-		} else if p := memo.rep[r]; p >= 0 {
-			findings = append(findings, reps[p].Findings...)
+			findings = append(findings, memo.outcome(e, reps)...)
 		} else {
 			for _, h := range s.hitAt[r*na : r*na+na] {
 				if h >= 0 {
@@ -287,15 +283,6 @@ func (m *Model) CheckChunk(ck *dataset.ColumnChunk, firstRow int64, s *ChunkScra
 		rep.Suspicious = rep.ErrorConf >= m.Opts.MinConfidence
 	}
 	s.findings = findings
-
-	// Insert the freshly scored rows' outcomes so identical rows later in
-	// the table (or stream) take the hit path.
-	if memo.ok {
-		for _, r := range kernelRows {
-			if !memo.bad[r] && memo.find(memo.sig[r]) < 0 { // probe deduped the rest
-				memo.remember(memo.sig[r], reps[r].Findings)
-			}
-		}
-	}
+	memo.commit(reps)
 	return reps
 }

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"runtime"
 	"testing"
 
 	"dataaudit/internal/dataset"
@@ -46,6 +47,35 @@ func TestCheckChunkZeroAlloc(t *testing.T) {
 			checkChunkZeroAlloc(t, m, dirty, 1024, 128, 16)
 		})
 	}
+}
+
+// TestCheckChunkFreshScratchBytes pins what a short call pays once its
+// model is warm: the model's scoring plan is built by then, so a fresh
+// ChunkScratch's first CheckChunk on a one-row chunk allocates only the
+// scratch's own buffers, under 32 KB. A scratch that derived the rule
+// findings itself allocated a slot per rule and observed class on every
+// call, ~56 KB on the benchmark's QUIS model.
+func TestCheckChunkFreshScratchBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	m, dirty := streamQUIS(t)
+	m.AuditTable(cloneRows(dirty, 0, 1))
+	ck := dataset.NewColumnChunk(dirty.Schema())
+	dirty.ChunkInto(ck, 0, 1)
+	// The least of a few tries, so a background allocation cannot fail it.
+	least := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.CheckChunk(ck, 0, NewChunkScratch(m))
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 32<<10 {
+		t.Fatalf("a fresh scratch's first one-row CheckChunk allocated %d bytes, want under %d", least, 32<<10)
+	}
+	t.Logf("a fresh scratch's first one-row CheckChunk allocated %d bytes", least)
 }
 
 // checkChunkZeroAlloc scores tab's first rows rows in chunks of

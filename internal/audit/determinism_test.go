@@ -111,7 +111,7 @@ func headRows(tab *dataset.Table, n int) *dataset.Table {
 // iteration order, and both builds are handed the same map anyway.
 func gobWithoutTime(t *testing.T, m *audit.Model) []byte {
 	t.Helper()
-	cp := *m
+	cp := audit.Model{Schema: m.Schema, Attrs: m.Attrs, Opts: m.Opts, TrainRows: m.TrainRows, InduceTime: m.InduceTime}
 	cp.InduceTime = 0
 	cp.Opts.BaseAttrs = nil
 	var buf bytes.Buffer

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dataaudit/internal/audittree"
 	"dataaudit/internal/mlcore"
 	"dataaudit/internal/nbayes"
 )
@@ -55,6 +57,49 @@ func TestInduceReturnsLowestIndexedError(t *testing.T) {
 			_, err := Induce(tab, Options{Trainer: tr})
 			if err == nil || err.Error() != want {
 				t.Fatalf("got error %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestReinducePanicReachesCaller: a c45-audit model whose warm-start hint
+// names attribute 999 still decodes, and re-inducing it panics inside the
+// tree grower on an induction goroutine. The panic must reach the
+// goroutine that called ReinduceAttrs, with the worker's stack, at every
+// GOMAXPROCS; before, it exited the process, auditd's monitor included.
+func TestReinducePanicReachesCaller(t *testing.T) {
+	tab := engineTable(t, 2000, 5)
+	m, err := Induce(tab, Options{MinConfidence: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, ok := m.Attrs[0].Classifier.(*audittree.RuleSet)
+	if !ok || rs.Hint == nil {
+		t.Fatalf("attribute 0 is a %T without a hint; the test needs a c45-audit rule set", m.Attrs[0].Classifier)
+	}
+	rs.Hint.Attr, rs.Hint.IsNumeric = 999, false
+	b, err := Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := Unmarshal(b)
+	if err != nil {
+		t.Fatalf("Unmarshal: %v; the test needs a model that decodes", err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			v := func() (v any) {
+				defer func() { v = recover() }()
+				bad.ReinduceAttrs(tab, modelledAttrs(bad), ReinduceOptions{})
+				return nil
+			}()
+			p, ok := v.(*workerPanic)
+			if !ok {
+				t.Fatalf("ReinduceAttrs recovered %v (%T), want a *workerPanic", v, v)
+			}
+			if msg := p.Error(); !strings.Contains(msg, "index out of range [999]") || !strings.Contains(msg, "nominalSplit") {
+				t.Fatalf("the panic lacks the grower's index error or its stack:\n%s", msg)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -100,33 +101,55 @@ func TestAuditTableParallelSmallTableFallsBack(t *testing.T) {
 	}
 }
 
-// TestAuditTableParallelConcurrentCallers shares one model across many
-// goroutines, each scoring the full table — the serving layer's usage
-// pattern (one loaded model, many concurrent audit requests).
+// TestAuditTableParallelConcurrentCallers has eight goroutines audit one
+// freshly induced model at once, with every worker count, so the model's
+// scoring plan is first built under contention; every result must be
+// gob-identical to the row-path oracle.
 func TestAuditTableParallelConcurrentCallers(t *testing.T) {
 	tab := engineTable(t, 2000, 73)
 	m, err := Induce(tab, Options{MinConfidence: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.AuditTable(tab).NumSuspicious()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(workers int) {
-			defer wg.Done()
-			res := m.AuditTableParallel(tab, workers)
-			if got := res.NumSuspicious(); got != want {
-				errs <- fmt.Errorf("workers=%d: suspicious %d, want %d", workers, got, want)
-			}
-		}(1 + i%4)
+	want := gobBytes(t, auditTableReference(m, tab))
+	if m.scoring.Load() != nil {
+		t.Fatal("the scoring plan was built before the concurrent callers ran")
 	}
+
+	results := make([]*Result, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[i] = m.AuditTableParallel(tab, 1+i%4)
+		}()
+	}
+	close(start)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for i, res := range results {
+		if !bytes.Equal(want, gobBytes(t, res)) {
+			t.Errorf("caller %d (workers=%d) is not byte-identical to the reference", i, 1+i%4)
+		}
+	}
+}
+
+// BenchmarkAuditTableParallelRows times AuditTableParallel with the
+// default worker count on the polluted QUIS fixture at two sizes: one
+// row, what most served requests carry, and a 2 000-row batch.
+func BenchmarkAuditTableParallelRows(b *testing.B) {
+	m, dirty := streamQUIS(b)
+	for _, rows := range []int{1, 2000} {
+		tab := cloneRows(dirty, 0, rows)
+		m.AuditTableParallel(tab, 0) // the plan is built once per model, not per call
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.AuditTableParallel(tab, 0)
+			}
+		})
 	}
 }
 

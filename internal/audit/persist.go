@@ -38,12 +38,16 @@ func Encode(w io.Writer, m *Model) error {
 
 // Decode reads a model written by Encode. It is the one door every
 // loaded model comes through (Load, Unmarshal, the registry, the shard
-// replica codec), so it is where a rule set that does not have the tree
-// shape the matcher needs is rejected.
+// replica codec), so it is where options outside the ranges Induce
+// enforces, and a rule set that does not have the tree shape the matcher
+// needs, are rejected.
 func Decode(r io.Reader) (*Model, error) {
 	var m Model
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("audit: decoding model: %w", err)
+	}
+	if err := m.Opts.validate(); err != nil {
+		return nil, fmt.Errorf("audit: decoding model: options: %w", err)
 	}
 	for _, am := range m.Attrs {
 		if rs, ok := am.Classifier.(*audittree.RuleSet); ok {

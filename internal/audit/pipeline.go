@@ -141,7 +141,7 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 			folding  bool                  // a worker is inside settle, with mu released
 			stop     = make(chan struct{}) // closed once the audit has failed
 			stopOnce sync.Once
-			crash    atomic.Pointer[workerPanic]
+			crashes  workerPanics
 			wg       sync.WaitGroup
 		)
 		halt := func() { stopOnce.Do(func() { close(stop) }) }
@@ -157,12 +157,7 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() {
-					if v := recover(); v != nil {
-						crash.CompareAndSwap(nil, &workerPanic{v, debug.Stack()})
-						halt()
-					}
-				}()
+				defer crashes.catch(halt)
 				for u := range work {
 					if halted() { // drain what the caller still hands out
 						continue
@@ -221,9 +216,7 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 				}
 			}
 		}()
-		if p := crash.Load(); p != nil {
-			panic(p)
-		}
+		crashes.rethrow()
 	}
 	if feedErr != nil && feedErr != io.EOF {
 		return nil, feedErr
@@ -240,14 +233,33 @@ func run[P any](m *Model, f feed, collect func(firstRow int64, reps []RecordRepo
 	return dims, nil
 }
 
-// workerPanic is a scoring worker's panic, re-raised on run's caller.
+// workerPanic is a worker goroutine's panic — a scoring worker's in run,
+// an induction worker's in forEachAttr — re-raised on the caller.
 type workerPanic struct {
 	value any
 	stack []byte
 }
 
 func (p *workerPanic) Error() string {
-	return fmt.Sprintf("%v [recovered on a scoring worker]\n\n%s", p.value, p.stack)
+	return fmt.Sprintf("%v [recovered on a worker goroutine]\n\n%s", p.value, p.stack)
+}
+
+// workerPanics keeps the first of a worker pool's panics: each worker
+// defers catch, which keeps its panic with the worker's stack and calls
+// stop, and once every worker has exited the caller calls rethrow.
+type workerPanics struct{ first atomic.Pointer[workerPanic] }
+
+func (w *workerPanics) catch(stop func()) {
+	if v := recover(); v != nil {
+		w.first.CompareAndSwap(nil, &workerPanic{v, debug.Stack()})
+		stop()
+	}
+}
+
+func (w *workerPanics) rethrow() {
+	if p := w.first.Load(); p != nil {
+		panic(p)
+	}
 }
 
 const (

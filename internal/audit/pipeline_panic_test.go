@@ -88,7 +88,7 @@ func TestPipelinePanicReachesCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	stub := func(all bool) *Model {
-		cp := *m
+		cp := Model{Schema: m.Schema, Attrs: m.Attrs, Opts: m.Opts, TrainRows: m.TrainRows, InduceTime: m.InduceTime}
 		cp.Attrs = append([]*AttrModel(nil), m.Attrs...)
 		am := *cp.Attrs[0]
 		am.Classifier = panicClassifier{am.Classifier, all}

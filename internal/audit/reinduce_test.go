@@ -52,7 +52,7 @@ func modelledAttrs(m *Model) []int {
 // modelBytes gob-serializes a model with the wall-time field zeroed.
 func modelBytes(t *testing.T, m *Model) []byte {
 	t.Helper()
-	cp := *m
+	cp := Model{Schema: m.Schema, Attrs: m.Attrs, Opts: m.Opts, TrainRows: m.TrainRows, InduceTime: m.InduceTime}
 	cp.InduceTime = 0
 	var buf bytes.Buffer
 	if err := Encode(&buf, &cp); err != nil {

@@ -41,8 +41,8 @@ func NewScoreScratch(m *Model) *ScoreScratch {
 // predicted distribution d. It reports false when the classifier offers
 // no opinion (no evidence), the observation is the prediction, or the
 // error confidence is not positive. Every scoring path — the row path
-// here, the chunk kernels and the rule cache in chunk.go — goes through
-// it.
+// here, the per-row chunk kernel and the scoring plan in chunk.go — goes
+// through it.
 func (am *AttrModel) deviation(d *mlcore.Distribution, obs int, confLevel float64) (Finding, bool) {
 	n := d.N()
 	if n <= 0 {

@@ -24,76 +24,62 @@ import (
 //     observed class bin). Two values with the same rank are
 //     indistinguishable to every kernel.
 //
-// sigMemo packs those codes into one mixed-radix uint64 per row and
-// caches the complete per-row finding set per distinct signature, so a
-// repeated row costs one encode + one table probe instead of a full
-// descent through every attribute model. Rows with a signature never seen
-// before are scored by the regular kernels (restricted to just those
-// rows) and their result is inserted, so output is byte-identical to the
-// unmemoized path regardless of hit pattern — the differential suite
-// exercises exactly that.
+// The encoding is fixed per model, so it is part of the model's scoring
+// plan (chunk.go). sigMemo packs those codes into one mixed-radix uint64
+// per row and caches the complete per-row finding set per distinct
+// signature, so a repeated row costs one encode + one table probe instead
+// of a full descent through every attribute model. Rows with a signature
+// never seen before are scored by the regular kernels (restricted to just
+// those rows) and their result is inserted, so output is byte-identical
+// to the unmemoized path regardless of hit pattern — the differential
+// suite exercises exactly that.
 //
 // The memo is only sound when every attribute model is a rule set:
 // families that consume raw numeric values (naive Bayes densities, kNN
-// distances) are not rank-invariant, and build leaves the memo disabled
-// for them — the code picks the path from the classifier types. It earns
-// its place: forced off, table_batch measured audit_p50_ms 32.2 → 35.4 and
-// rows_per_s −6 %, and the memo won 4 of 5 pairs there and on csv_stream.
+// distances) are not rank-invariant, and the model's scoring plan leaves
+// the memo disabled for them — the code picks the path from the
+// classifier types. It earns its place: forced off, table_batch measured
+// audit_p50_ms 32.2 → 35.4 and rows_per_s −6 %, and the memo won 4 of 5
+// pairs there and on csv_stream.
 
 // memoMaxEntries bounds the cache (and its finding arena) on
 // high-cardinality data; once full, unseen signatures simply keep taking
-// the kernel path.
+// the kernel path, every row of them.
 const memoMaxEntries = 1 << 16
 
 // memoEntry is one cached per-row outcome: a segment of the memo's
-// finding arena.
+// finding arena. A pending entry, one the current chunk added, has no
+// segment yet: its off names the chunk row that scores it.
 type memoEntry struct {
 	off, n int32
 }
 
-// sigMemo is the per-scratch signature cache. Not safe for concurrent
-// use — like the rest of ChunkScratch it is per-worker state. When ok is
-// false (a family that is not a rule set, or a signature wider than 64
-// bits) it answers nothing: lookup returns every row as a miss.
+// sigMemo is the per-scratch signature cache: the mutable tables over a
+// model's signature encoding, which lives in the model's scorePlan. Not
+// safe for concurrent use — like the rest of ChunkScratch it is
+// per-worker state. Under a plan whose memo is off it answers nothing:
+// lookup returns every row as a miss.
 type sigMemo struct {
-	built bool
-	ok    bool
-	model *Model
+	plan *scorePlan // the plan the tables belong to
 
-	radix []uint64    // per attribute: size of its code domain
-	isNom []bool      // per attribute: nominal (domain-index) encoding
-	ranks []rankIndex // per numeric attribute: its rank index
-
-	keys    []uint64 // open-addressed signature table
-	vals    []int32  // entry index per slot, -1 = empty
-	shift   uint     // fibonacci-hash shift for the current table size
-	live    int
-	entries []memoEntry
+	keys    []uint64    // open-addressed signature table
+	vals    []int32     // entry index per slot, -1 = empty
+	shift   uint        // fibonacci-hash shift for the current table size
+	entries []memoEntry // entries[done:] are pending
+	done    int
 	arena   []Finding
 
 	sig  []uint64 // per-chunk row signatures
 	bad  []bool   // per-chunk: row had an out-of-domain code, never memoize
-	hit  []int32  // per-chunk: entry index per row, -1 = miss
+	hit  []int32  // per-chunk: entry answering the row, -1 = kernel row
 	miss []int32  // per-chunk: rows that need the kernel path
-	rep  []int32  // per-chunk: earlier miss row with the same signature, -1
-
-	// Per-chunk pending table for within-chunk dedup: repeated rows
-	// cluster, so most occurrences of a new signature land in the chunk
-	// that first sees it — all before the end-of-chunk insert. Probe
-	// detects the duplicates and aliases them to the first occurrence, so
-	// the kernels score each new signature once per chunk, not once per
-	// row.
-	pkeys  []uint64
-	pvals  []int32
-	pused  []int32 // occupied slots, for O(distinct) clearing per chunk
-	pshift uint
 }
 
-// build derives the encoding from the model, enabling the memo only when
-// every attribute model is a rule set (so the rank grids provably cover
-// every comparison) and the combined code space fits a uint64 signature.
-func (mm *sigMemo) build(m *Model) {
-	mm.built, mm.ok, mm.model = true, false, m
+// buildSignature derives the signature encoding from the model, enabling
+// the memo only when every attribute model is a rule set (so the rank
+// grids provably cover every comparison) and the combined code space fits
+// a uint64 signature.
+func (p *scorePlan) buildSignature(m *Model) {
 	width := m.Schema.Len()
 	thresholds := make([][]float64, width)
 	// m.Attrs is position-indexed (a model may audit fewer attributes than
@@ -109,15 +95,15 @@ func (mm *sigMemo) build(m *Model) {
 			thresholds[attr] = append(thresholds[attr], thresh)
 		})
 	}
-	mm.radix = make([]uint64, width)
-	mm.isNom = make([]bool, width)
-	mm.ranks = make([]rankIndex, width)
+	radix := make([]uint64, width)
+	isNom := make([]bool, width)
+	ranks := make([]rankIndex, width)
 	product := uint64(1)
 	for c := 0; c < width; c++ {
 		if m.Schema.Attr(c).Type == dataset.NominalType {
-			mm.isNom[c] = true
+			isNom[c] = true
 			// Codes 0 (null) .. domain (last index).
-			mm.radix[c] = uint64(len(m.Schema.Attr(c).Domain)) + 1
+			radix[c] = uint64(len(m.Schema.Attr(c).Domain)) + 1
 		} else {
 			grid := thresholds[c]
 			if disc := discByClass[c]; disc != nil {
@@ -125,20 +111,16 @@ func (mm *sigMemo) build(m *Model) {
 			}
 			sort.Float64s(grid)
 			grid = dedupFloats(grid)
-			mm.ranks[c] = newRankIndex(grid)
+			ranks[c] = newRankIndex(grid)
 			// Codes 0..len(grid) (ranks), len+1 (NaN), len+2 (null).
-			mm.radix[c] = uint64(len(grid)) + 3
+			radix[c] = uint64(len(grid)) + 3
 		}
-		if mm.radix[c] == 0 || product > (1<<62)/mm.radix[c] {
+		if radix[c] == 0 || product > (1<<62)/radix[c] {
 			return // signature would overflow; leave the memo disabled
 		}
-		product *= mm.radix[c]
+		product *= radix[c]
 	}
-	mm.grow(1 << 10)
-	mm.entries = mm.entries[:0]
-	mm.arena = mm.arena[:0]
-	mm.live = 0
-	mm.ok = true
+	p.memo, p.radix, p.isNom, p.ranks = true, radix, isNom, ranks
 }
 
 // rankBuckets is the uniform-bucket count of a rankIndex. 256 int32
@@ -223,7 +205,7 @@ func dedupFloats(s []float64) []float64 {
 // path) is flagged bad: it still scores through the kernels but is never
 // looked up or inserted, so a malformed code can't alias another row's
 // cached outcome.
-func (mm *sigMemo) encode(ck *dataset.ColumnChunk) {
+func (mm *sigMemo) encode(ck *dataset.ColumnChunk, p *scorePlan) {
 	n := ck.Rows()
 	if cap(mm.sig) < n {
 		mm.sig = make([]uint64, n)
@@ -235,9 +217,9 @@ func (mm *sigMemo) encode(ck *dataset.ColumnChunk) {
 		sig[r] = 0
 		bad[r] = false
 	}
-	for c, rad := range mm.radix {
+	for c, rad := range p.radix {
 		col := ck.Col(c)
-		if mm.isNom[c] {
+		if p.isNom[c] {
 			noms := col.Nom
 			for r := 0; r < n; r++ {
 				// Nulls are stored as -1, so +1 maps the column onto
@@ -250,7 +232,7 @@ func (mm *sigMemo) encode(ck *dataset.ColumnChunk) {
 				sig[r] = sig[r]*rad + code
 			}
 		} else {
-			ri := &mm.ranks[c]
+			ri := &p.ranks[c]
 			nan := uint64(len(ri.grid)) + 1
 			null := nan + 1
 			nums := col.Num
@@ -289,111 +271,84 @@ func (mm *sigMemo) encode(ck *dataset.ColumnChunk) {
 }
 
 // lookup returns the chunk rows that need the kernel path, recording per
-// row the entry that answers it (hit) and the earlier miss row of the same
-// chunk whose outcome it shares (rep), -1 for none. Miss rows whose
-// signature already missed earlier in the same chunk are not returned:
-// they are aliased to that first occurrence and assembled by copying its
-// freshly scored segment. Bad rows are always returned and never aliased
-// — their signatures are unreliable. A disabled memo returns every row,
-// with none hit and none aliased.
-func (mm *sigMemo) lookup(ck *dataset.ColumnChunk) []int32 {
+// row the entry that answers it (hit), -1 for none. A signature new to the
+// memo goes in as a pending entry naming its first row, which the kernels
+// score; later rows of the chunk with that signature hit the pending
+// entry and copy that row's freshly scored segment, and commit hands the
+// entry its findings once the reports are assembled. Bad rows are always
+// returned and never entered — their signatures are unreliable. A
+// disabled memo returns every row, with none hit.
+func (mm *sigMemo) lookup(ck *dataset.ColumnChunk, p *scorePlan) []int32 {
 	n := ck.Rows()
 	if cap(mm.hit) < n {
 		mm.hit = make([]int32, n)
-		mm.rep = make([]int32, n)
 		mm.miss = make([]int32, 0, n)
 	}
 	mm.hit = mm.hit[:n]
-	mm.rep = mm.rep[:n]
 	mm.miss = mm.miss[:0]
-	if !mm.ok {
-		for r := range mm.hit {
-			mm.hit[r], mm.rep[r] = -1, -1
-			mm.miss = append(mm.miss, int32(r))
+	// The tables start afresh for another model's plan, and when pending
+	// entries are left: the last chunk panicked before commit.
+	if mm.plan != p || mm.done != len(mm.entries) {
+		mm.plan, mm.done = p, 0
+		mm.keys, mm.vals = nil, nil
+		mm.entries, mm.arena = mm.entries[:0], mm.arena[:0]
+		if p.memo {
+			mm.grow(1 << 10)
 		}
-		return mm.miss
 	}
-	mm.encode(ck)
-
-	psize := 1
-	for psize < 2*n {
-		psize <<= 1
+	if p.memo {
+		mm.encode(ck, p)
 	}
-	if len(mm.pvals) < psize {
-		mm.pkeys = make([]uint64, psize)
-		mm.pvals = make([]int32, psize)
-		for i := range mm.pvals {
-			mm.pvals[i] = -1
-		}
-		mm.pshift = 64 - uint(bits.Len64(uint64(psize-1)))
-	}
-	for _, i := range mm.pused {
-		mm.pvals[i] = -1
-	}
-	mm.pused = mm.pused[:0]
-	pmask := uint64(len(mm.pvals) - 1)
-
 	for r := 0; r < n; r++ {
-		mm.rep[r] = -1
-		if mm.bad[r] {
-			mm.hit[r] = -1
-			mm.miss = append(mm.miss, int32(r))
-			continue
-		}
-		sig := mm.sig[r]
-		e := mm.find(sig)
-		mm.hit[r] = e
-		if e >= 0 {
-			continue
-		}
-		i := (sig * 0x9E3779B97F4A7C15) >> mm.pshift
-		for {
-			v := mm.pvals[i]
-			if v < 0 {
-				mm.pkeys[i], mm.pvals[i] = sig, int32(r)
-				mm.pused = append(mm.pused, int32(i))
-				mm.miss = append(mm.miss, int32(r))
-				break
+		mm.hit[r] = -1
+		if p.memo && !mm.bad[r] {
+			i := mm.slot(mm.sig[r])
+			if e := mm.vals[i]; e >= 0 {
+				mm.hit[r] = e
+				continue
 			}
-			if mm.pkeys[i] == sig {
-				mm.rep[r] = v
-				break
+			if len(mm.entries) < memoMaxEntries {
+				mm.keys[i], mm.vals[i] = mm.sig[r], int32(len(mm.entries))
+				mm.entries = append(mm.entries, memoEntry{off: int32(r)})
+				if len(mm.entries)*4 > len(mm.keys)*3 {
+					mm.grow(len(mm.keys) * 2)
+				}
 			}
-			i = (i + 1) & pmask
 		}
+		mm.miss = append(mm.miss, int32(r))
 	}
 	return mm.miss
 }
 
-// find returns the entry index for a signature, or -1.
-func (mm *sigMemo) find(sig uint64) int32 {
-	mask := uint64(len(mm.keys) - 1)
-	i := (sig * 0x9E3779B97F4A7C15) >> mm.shift
-	for {
-		v := mm.vals[i]
-		if v < 0 || mm.keys[i] == sig {
-			return v
-		}
-		i = (i + 1) & mask
+// outcome returns entry e's findings: its arena segment or, while it is
+// pending, the segment of the chunk row that scored it.
+func (mm *sigMemo) outcome(e int32, reps []RecordReport) []Finding {
+	en := mm.entries[e]
+	if int(e) >= mm.done {
+		return reps[en.off].Findings
 	}
+	return mm.arena[en.off : en.off+en.n]
 }
 
-// insert adds a signature -> entry mapping (the caller has checked it is
-// absent) unless the cache is full.
-func (mm *sigMemo) insert(sig uint64, entry int32) {
-	if mm.live >= memoMaxEntries {
-		return
+// commit gives the chunk's pending entries the findings their rows were
+// assembled with, so identical rows later in the table (or stream) hit.
+func (mm *sigMemo) commit(reps []RecordReport) {
+	for e := mm.done; e < len(mm.entries); e++ {
+		f := reps[mm.entries[e].off].Findings
+		mm.entries[e] = memoEntry{off: int32(len(mm.arena)), n: int32(len(f))}
+		mm.arena = append(mm.arena, f...)
 	}
-	if (mm.live+1)*4 > len(mm.keys)*3 {
-		mm.grow(len(mm.keys) * 2)
-	}
+	mm.done = len(mm.entries)
+}
+
+// slot returns the table slot holding sig, or the empty slot it goes in.
+func (mm *sigMemo) slot(sig uint64) uint64 {
 	mask := uint64(len(mm.keys) - 1)
 	i := (sig * 0x9E3779B97F4A7C15) >> mm.shift
-	for mm.vals[i] >= 0 {
+	for mm.vals[i] >= 0 && mm.keys[i] != sig {
 		i = (i + 1) & mask
 	}
-	mm.keys[i], mm.vals[i] = sig, entry
-	mm.live++
+	return i
 }
 
 // grow rehashes the table into a larger power-of-two size.
@@ -417,16 +372,4 @@ func (mm *sigMemo) grow(size int) {
 		}
 		mm.keys[j], mm.vals[j] = k, v
 	}
-}
-
-// remember captures a freshly scored row's findings segment as the cached
-// outcome for its signature.
-func (mm *sigMemo) remember(sig uint64, findings []Finding) {
-	if mm.live >= memoMaxEntries {
-		return
-	}
-	e := memoEntry{off: int32(len(mm.arena)), n: int32(len(findings))}
-	mm.arena = append(mm.arena, findings...)
-	mm.entries = append(mm.entries, e)
-	mm.insert(sig, int32(len(mm.entries)-1))
 }

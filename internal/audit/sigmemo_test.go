@@ -73,8 +73,7 @@ func TestColumnarMemoOffRuleSet(t *testing.T) {
 			t.Fatalf("attribute %d is a %T, not a rule set", am.Class, am.Classifier)
 		}
 	}
-	var memo sigMemo
-	if memo.build(m); memo.ok {
+	if m.plan().memo {
 		t.Fatal("the signature memo is enabled on a 32-attribute nominal schema")
 	}
 	want := auditTableReference(m, tab)

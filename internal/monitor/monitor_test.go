@@ -296,6 +296,61 @@ func TestDriftAttributionRoutesPartialReinduce(t *testing.T) {
 	}
 }
 
+// TestReinducePanicFailsReinduction: a registry model whose warm-start
+// hints name attribute 999 decodes and scores, but its partial
+// re-induction panics inside the tree grower. The worker must record a
+// reinduce-failed event, clear its in-flight flag and leave the process,
+// and the monitor's folding, alive.
+func TestReinducePanicFailsReinduction(t *testing.T) {
+	model, clean, dirty := fixture(t, 3000)
+	for _, am := range model.Attrs {
+		if rs, ok := am.Classifier.(*audittree.RuleSet); ok && rs.Hint != nil {
+			rs.Hint.Attr, rs.Hint.IsNumeric = 999, false
+		}
+	}
+	reg, err := registry.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := reg.PublishWithQuality("engines", model, model.QualityProfile(clean, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := New(reg, withClock(Options{
+		WindowRows:      1000,
+		MinWindows:      1,
+		DriftDelta:      0.10,
+		AutoReinduce:    true,
+		MinReinduceRows: 200,
+		ReservoirRows:   2048,
+	}))
+	mon.ObserveBatch(meta, model, clean, model.AuditTable(clean))
+	mon.ObserveBatch(meta, model, dirty, model.AuditTable(dirty))
+	mon.WaitReinductions()
+	st, ok := mon.Quality("engines")
+	if !ok {
+		t.Fatal("no monitoring state")
+	}
+	var failed *Event
+	for i := range st.Events {
+		if e := &st.Events[i]; e.Kind == EventReinduceFailed {
+			failed = e
+		}
+	}
+	if failed == nil || !strings.Contains(failed.Message, "panic: ") || !strings.Contains(failed.Message, "index out of range [999]") {
+		t.Fatalf("no reinduce-failed event naming the panic: %+v", st.Events)
+	}
+	if st.Reinducing || st.Version != 1 {
+		t.Fatalf("after the failed re-induction: reinducing=%v version=%d, want false and 1", st.Reinducing, st.Version)
+	}
+
+	mon.ObserveBatch(meta, model, clean, model.AuditTable(clean))
+	after, _ := mon.Quality("engines")
+	if after.Windows <= st.Windows {
+		t.Fatalf("windows %d -> %d: the monitor stopped folding after the panic", st.Windows, after.Windows)
+	}
+}
+
 // TestBaselineAdopted covers models published without an induction-time
 // profile: the first sealed window becomes the baseline and only later
 // windows can drift.

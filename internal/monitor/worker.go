@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"fmt"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"dataaudit/internal/audit"
@@ -87,11 +89,7 @@ func (m *Monitor) reinduce(st *modelState, job reinduceJob) {
 		h(job.name, job.version)
 	}
 
-	next, partial, indErr := m.induceCandidate(job)
-	var profile *audit.QualityProfile
-	if indErr == nil {
-		profile = next.QualityProfile(job.sample, 0)
-	}
+	next, partial, profile, indErr := m.candidate(job)
 
 	// Pre-publish guard: if the tracked incarnation already moved on (or
 	// the model was deleted), discard the candidate before touching the
@@ -159,6 +157,26 @@ func (m *Monitor) reinduce(st *modelState, job reinduceJob) {
 	}
 	m.saveLocked(st)
 	m.reinduceOutcome(job.name, obs.OutcomeReinduced, elapsed())
+}
+
+// candidate induces the successor and audits its quality profile over
+// the sample. A panic in either — a predecessor decoded from the registry
+// whose stored state the induction cannot use, say — comes back as the
+// error, so it fails this re-induction instead of the process; the log
+// keeps the panic's full text and stack.
+func (m *Monitor) candidate(job reinduceJob) (next *audit.Model, partial int, profile *audit.QualityProfile, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			m.opts.Logger.Printf("monitor: %s: re-induction panicked: %v\n%s", job.name, v, debug.Stack())
+			first, _, _ := strings.Cut(fmt.Sprint(v), "\n")
+			next, profile, err = nil, nil, fmt.Errorf("panic: %s", first)
+		}
+	}()
+	next, partial, err = m.induceCandidate(job)
+	if err == nil {
+		profile = next.QualityProfile(job.sample, 0)
+	}
+	return next, partial, profile, err
 }
 
 // induceCandidate builds the successor model for a re-induction job. When
