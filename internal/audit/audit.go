@@ -14,6 +14,7 @@ package audit
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -532,23 +533,97 @@ func (m *Model) auditResult(f feed, rows, workers int) (*Result, error) {
 }
 
 // Suspicious returns the reports marked suspicious, "ranked according to
-// their associated error confidence" (§6.2).
+// their associated error confidence" (§6.2), in an order rankKey defines.
 func (r *Result) Suspicious() []RecordReport {
-	var out []RecordReport
-	for _, rep := range r.Reports {
-		if rep.Suspicious {
-			out = append(out, rep)
+	var keys []rankKey
+	for i := range r.Reports {
+		if rep := &r.Reports[i]; rep.Suspicious {
+			keys = append(keys, newRankKey(rep.ErrorConf, i))
 		}
 	}
-	rankReports(out)
-	return out
+	return gatherRanked(r.Reports, sortRanks(keys, make([]rankKey, len(keys))))
 }
 
-// rankReports sorts reports into the ranking of §6.2, descending error
-// confidence. The sort is stable, so reports of equal confidence keep the
-// order they came in — row order, in Suspicious and in the stream's top-K.
-func rankReports(reps []RecordReport) {
-	slices.SortStableFunc(reps, func(a, b RecordReport) int { return cmp.Compare(b.ErrorConf, a.ErrorConf) })
+// rankKey places one report in the ranking of §6.2: descending error
+// confidence, ties by ascending position — the report's index in the
+// slice being ranked, which is row order in Suspicious and offer order in
+// the stream's top-K. conf maps the confidence to an unsigned integer
+// that sorts ascending in cmp.Compare's descending order: ±0 tie and NaN
+// ranks after every number.
+type rankKey struct {
+	conf uint64
+	pos  int
+}
+
+func newRankKey(conf float64, pos int) rankKey {
+	b := math.Float64bits(conf)
+	switch {
+	case conf != conf:
+		b = 0
+	case conf == 0:
+		b = 1 << 63
+	case b>>63 != 0:
+		b = ^b
+	default:
+		b |= 1 << 63
+	}
+	return rankKey{^b, pos}
+}
+
+func compareRanks(a, b rankKey) int {
+	if c := cmp.Compare(a.conf, b.conf); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// sortRanks sorts keys, which must be in ascending position order, into
+// ranking order and returns the sorted slice. Given a scratch tmp of
+// len(keys), a slice longer than 32 keys goes through an LSD radix sort
+// over conf's bytes, skipping a byte every key shares; it is stable, so
+// equal confidences keep ascending positions, and the result may be
+// tmp. Otherwise keys are sorted in place.
+func sortRanks(keys, tmp []rankKey) []rankKey {
+	if len(keys) <= 32 || len(tmp) < len(keys) {
+		slices.SortFunc(keys, compareRanks)
+		return keys
+	}
+	var count [8][256]int
+	for _, k := range keys {
+		for d := range count {
+			count[d][byte(k.conf>>(8*d))]++
+		}
+	}
+	for d := range count {
+		c := &count[d]
+		if c[byte(keys[0].conf>>(8*d))] == len(keys) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			b := byte(k.conf >> (8 * d))
+			tmp[c[b]] = k
+			c[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// gatherRanked returns a new slice of the reports the keys name, in key
+// order (nil for no keys).
+func gatherRanked(reps []RecordReport, keys []rankKey) []RecordReport {
+	if len(keys) == 0 {
+		return nil
+	}
+	out := make([]RecordReport, len(keys))
+	for i, k := range keys {
+		out[i] = reps[k.pos]
+	}
+	return out
 }
 
 // NumSuspicious counts the suspicious records.

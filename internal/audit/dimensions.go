@@ -121,13 +121,14 @@ func MergeDims(dst, src []AttrDim) {
 // tracker per goroutine; merge the trackers afterwards.
 type DimTracker struct {
 	dims []AttrDim
+	idx  []sketchIndex // per column; numeric columns only
 }
 
 // NewDimTracker returns a tracker with empty accumulators shaped by the
 // schema: domain-occupancy slices for nominal attributes, distinct
 // sketches for number-like ones.
 func NewDimTracker(s *dataset.Schema) *DimTracker {
-	t := &DimTracker{dims: make([]AttrDim, s.Len())}
+	t := &DimTracker{dims: make([]AttrDim, s.Len()), idx: make([]sketchIndex, s.Len())}
 	for c := 0; c < s.Len(); c++ {
 		a := s.Attr(c)
 		d := &t.dims[c]
@@ -141,10 +142,15 @@ func NewDimTracker(s *dataset.Schema) *DimTracker {
 	return t
 }
 
-// ObserveChunk folds one chunk into the tracker. Cost per row is a few
-// stores (nominal) or one hash and compare (numeric), so it rides the
-// chunked scoring loops without disturbing their zero-allocation steady
-// state.
+// ObserveChunk folds one chunk into the tracker. A nominal cell costs a
+// store. A numeric cell costs a hash and a compare when it cannot enter
+// its column's saturated sketch, and otherwise a sketch Add: a binary
+// search, plus a sorted insert when the hash is new. A column whose
+// sketch keeps answering "already present" (a saturated sketch over
+// repeated values) gets a sketchIndex, which answers a repeat with one
+// probe instead. The tracker allocates nothing past NewDimTracker until
+// a column builds its index, so it rides the chunked scoring loops
+// without disturbing their zero-allocation steady state.
 func (t *DimTracker) ObserveChunk(ck *dataset.ColumnChunk) {
 	n := ck.Rows()
 	if n == 0 {
@@ -164,12 +170,103 @@ func (t *DimTracker) ObserveChunk(ck *dataset.ColumnChunk) {
 			}
 			continue
 		}
-		sk := d.Sketch
-		for _, v := range col.Num[:n] {
-			if v == v { // skips in-band nulls and NaN payloads
-				sk.Add(dataset.HashFloat(v))
+		t.idx[c].fold(d.Sketch, col.Num[:n])
+	}
+}
+
+const (
+	// indexAfterHits is how many "already present" answers a column's
+	// sketch gives before the column builds its index: more than a
+	// 2 000-row audit can produce, so short audits never build one.
+	indexAfterHits = 2048
+	// indexSlots sizes an index at twice the sketch (16 KB), and
+	// indexMaxLoad is where it is rebuilt from the sketch alone.
+	indexSlots   = 2 * stats.DefaultKMVSize
+	indexMaxLoad = indexSlots * 3 / 4
+)
+
+// sketchIndex is an exact open-addressed set of hashes a column's KMV
+// sketch has held. A hit skips KMV.Add: re-adding a hash that was ever
+// folded is a no-op, since it is either still a member or above a maximum
+// that only falls. So the set may keep hashes the sketch has evicted
+// since; when it fills up it is rebuilt from the sketch's members. A slot
+// of 0 is empty: only ±0 hash to 0, and they always take the Add path.
+type sketchIndex struct {
+	hits  int      // "already present" answers before slots is built
+	slots []uint64 // nil until built; probed linearly from the hash's low bits
+	used  int
+}
+
+// fold adds the hash of every non-NaN value (in-band nulls are NaN) to
+// the column's sketch.
+func (x *sketchIndex) fold(sk *stats.KMV, vals []float64) {
+	for _, v := range vals {
+		if v != v {
+			continue
+		}
+		h := dataset.HashFloat(v)
+		n := len(sk.Hashes)
+		if n == sk.K && h >= sk.Hashes[n-1] {
+			continue // cannot enter the bottom-k
+		}
+		if x.slots != nil {
+			if !x.has(h) {
+				sk.Add(h)
+				x.put(h, sk)
+			}
+			continue
+		}
+		var last uint64
+		if n > 0 {
+			last = sk.Hashes[n-1]
+		}
+		sk.Add(h)
+		// A new hash grows the sketch or evicts its maximum.
+		if n > 0 && len(sk.Hashes) == n && sk.Hashes[n-1] == last {
+			if x.hits++; x.hits == indexAfterHits {
+				x.slots = make([]uint64, indexSlots)
+				x.rebuild(sk)
 			}
 		}
+	}
+}
+
+func (x *sketchIndex) has(h uint64) bool {
+	if h == 0 {
+		return false
+	}
+	for i := h; ; i++ {
+		switch x.slots[i%indexSlots] {
+		case h:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
+// put adds h, which the index does not hold, and rebuilds the index once
+// it is too full to probe fast.
+func (x *sketchIndex) put(h uint64, sk *stats.KMV) {
+	if h == 0 {
+		return
+	}
+	i := h
+	for x.slots[i%indexSlots] != 0 {
+		i++
+	}
+	x.slots[i%indexSlots] = h
+	if x.used++; x.used > indexMaxLoad {
+		x.rebuild(sk)
+	}
+}
+
+// rebuild empties the index and fills it with the sketch's members.
+func (x *sketchIndex) rebuild(sk *stats.KMV) {
+	clear(x.slots)
+	x.used = 0
+	for _, h := range sk.Hashes {
+		x.put(h, sk) // at most DefaultKMVSize members: never recurses
 	}
 }
 

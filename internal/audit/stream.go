@@ -3,6 +3,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dataaudit/internal/dataset"
@@ -201,7 +202,9 @@ func (m *Model) auditStream(f feed, opts StreamOptions) (*StreamResult, error) {
 	for i, am := range m.Attrs {
 		res.Attrs[i].Nulls = dims[am.Class].Nulls
 	}
-	res.Top = append([]RecordReport{}, top.best(opts.TopK)...)
+	if res.Top = top.best(opts.TopK); res.Top == nil {
+		res.Top = []RecordReport{}
+	}
 	res.TopTruncated = opts.TopK >= 0 && res.NumSuspicious > int64(len(res.Top))
 	res.Dims = dims
 	res.CheckTime = time.Since(start)
@@ -263,13 +266,13 @@ func (m *Model) TallyResult(res *Result) (suspicious int64, tallies []AttrTally)
 	return suspicious, tallies
 }
 
-// topK retains the K best suspicious reports under the total order
-// "higher error confidence first, earlier row breaks ties" — exactly the
-// ranking (*Result).Suspicious produces. Reports are offered in row order
-// and rankReports is stable, so among equal confidences reps is always in
-// row order: sorted survivors first, later rows appended behind them.
+// topK retains the K best suspicious reports in the ranking of
+// (*Result).Suspicious, truncated to K. Reports are offered in row order
+// and pruning keeps the survivors in that order, so a report's index in
+// reps ranks it among equal confidences exactly as its row would.
 type topK struct {
 	reps []RecordReport
+	keys []rankKey // the rank keys of reps, kept across prunes
 }
 
 // offer takes ownership of the report (collect already detached it);
@@ -282,18 +285,40 @@ func (t *topK) offer(rep *RecordReport, k int) {
 	}
 	t.reps = append(t.reps, *rep)
 	if k > 0 && len(t.reps) >= 2*k {
-		best := t.best(k)
-		clear(t.reps[len(best):]) // let go of the dropped reports' findings
-		t.reps = best
+		t.prune(k)
 	}
 }
 
-// best sorts the retained reports into descending rank order and returns
-// the first k of them (all for k < 0) — a view, not a copy.
-func (t *topK) best(k int) []RecordReport {
-	rankReports(t.reps)
-	if k < 0 || k > len(t.reps) {
-		k = len(t.reps)
+// rankKeys returns the retained reports' rank keys, sorted in place.
+func (t *topK) rankKeys() []rankKey {
+	t.keys = slices.Grow(t.keys[:0], len(t.reps))
+	for i := range t.reps {
+		t.keys = append(t.keys, newRankKey(t.reps[i].ErrorConf, i))
 	}
-	return t.reps[:k]
+	return sortRanks(t.keys, nil)
+}
+
+// prune keeps the k best retained reports, in the order they were
+// offered.
+func (t *topK) prune(k int) {
+	last := t.rankKeys()[k-1]
+	kept := 0
+	for i := range t.reps {
+		if compareRanks(newRankKey(t.reps[i].ErrorConf, i), last) <= 0 {
+			t.reps[kept] = t.reps[i]
+			kept++
+		}
+	}
+	clear(t.reps[kept:]) // let go of the dropped reports' findings
+	t.reps = t.reps[:kept]
+}
+
+// best returns a new slice of the first k retained reports in ranking
+// order (all for k < 0; nil when there are none).
+func (t *topK) best(k int) []RecordReport {
+	keys := t.rankKeys()
+	if k >= 0 && k < len(keys) {
+		keys = keys[:k]
+	}
+	return gatherRanked(t.reps, keys)
 }
