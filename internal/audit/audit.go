@@ -428,8 +428,8 @@ type RecordReport struct {
 // RepointBest aims Best at the first finding carrying the report's
 // overall error confidence — the entry CheckRow selects — inside the
 // report's own Findings slice. Every path that copies or reallocates the
-// findings (Detach, detachReports, Merge, internal/shard reassembling
-// gob-decoded reports) must call this so Best never dangles into a
+// findings (Detach, detachReports, Merge, internal/shard decoding a
+// worker's result frame) must call this so Best never dangles into a
 // foreign slice; a change to the tie-breaking rule therefore happens in
 // exactly one place. The caller must own rep.Findings.
 func (rep *RecordReport) RepointBest() {

@@ -272,6 +272,40 @@ func TestValueAndSchemaGobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValueRecordAppendRead: AppendRecord writes GobEncode's bytes into
+// a caller's buffer and SetRecord reads them back, neither allocating.
+func TestValueRecordAppendRead(t *testing.T) {
+	vals := []Value{Null(), Nom(0), Nom(7), Num(-3.75), Num(math.NaN()), Num(math.Inf(-1)), Num(math.Copysign(0, -1))}
+	buf := make([]byte, 0, ValueRecordSize*len(vals))
+	for _, v := range vals {
+		want, _ := v.GobEncode()
+		start := len(buf)
+		buf = v.AppendRecord(buf)
+		if !bytes.Equal(buf[start:], want) {
+			t.Fatalf("%v: AppendRecord wrote % x, GobEncode % x", v, buf[start:], want)
+		}
+	}
+	for i, v := range vals {
+		var got Value
+		if err := got.SetRecord(buf[i*ValueRecordSize:]); err != nil {
+			t.Fatal(err)
+		}
+		if got.kind != v.kind || got.idx != v.idx || math.Float64bits(got.num) != math.Float64bits(v.num) {
+			t.Fatalf("record %d: %#v, want %#v", i, got, v)
+		}
+	}
+	if err := new(Value).SetRecord(buf[:ValueRecordSize-1]); err == nil {
+		t.Fatal("SetRecord accepted a short record")
+	}
+	var v Value
+	if n := testing.AllocsPerRun(100, func() {
+		buf = Num(1.5).AppendRecord(buf[:0])
+		_ = v.SetRecord(buf)
+	}); n != 0 {
+		t.Fatalf("record append/read allocates %.0f times", n)
+	}
+}
+
 // TestTableFileRoundTrip covers the file-level persistence helpers for
 // both wire formats, plus their open-error paths.
 func TestTableFileRoundTrip(t *testing.T) {

@@ -107,26 +107,42 @@ func DecodeTable(r io.Reader) (*Table, error) {
 	}
 }
 
+// ValueRecordSize is the length of a Value's fixed binary record.
+const ValueRecordSize = 14
+
 // GobEncode implements gob.GobEncoder so Values embedded in model structs
 // (trees, instance bases) serialize despite their unexported fields. The
-// format is a hand-rolled fixed 14-byte record — version tag 0x01, kind,
-// idx (big-endian uint32), num (IEEE 754 bits, big-endian) — rather than a
-// nested gob stream: gob allocates type ids in process-global order, so a
+// format is the fixed record AppendRecord writes, rather than a nested
+// gob stream: gob allocates type ids in process-global order, so a
 // nested stream's embedded type definition would vary with whatever else
 // the process happened to encode first, breaking the byte-identity
 // contract between sharded and single-node audit results.
 func (v Value) GobEncode() ([]byte, error) {
-	b := make([]byte, 14)
-	b[0] = 1
-	b[1] = byte(v.kind)
-	binary.BigEndian.PutUint32(b[2:6], uint32(v.idx))
-	binary.BigEndian.PutUint64(b[6:14], math.Float64bits(v.num))
-	return b, nil
+	return v.AppendRecord(make([]byte, 0, ValueRecordSize)), nil
 }
 
 // GobDecode implements gob.GobDecoder for the fixed version-1 record.
 func (v *Value) GobDecode(b []byte) error {
-	if len(b) != 14 || b[0] != 1 {
+	if len(b) != ValueRecordSize {
+		return fmt.Errorf("dataset: corrupt Value encoding: %d bytes", len(b))
+	}
+	return v.SetRecord(b)
+}
+
+// AppendRecord appends v's fixed ValueRecordSize-byte record to b: version
+// tag 0x01, kind, idx (big-endian uint32), num (IEEE 754 bits,
+// big-endian). It allocates only when b lacks the capacity, so binary
+// codecs that embed Values (the shard result frame) pay nothing per cell.
+func (v Value) AppendRecord(b []byte) []byte {
+	b = append(b, 1, byte(v.kind))
+	b = binary.BigEndian.AppendUint32(b, uint32(v.idx))
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(v.num))
+}
+
+// SetRecord sets v from the record AppendRecord wrote at the start of b,
+// which must hold at least ValueRecordSize bytes. It never allocates.
+func (v *Value) SetRecord(b []byte) error {
+	if len(b) < ValueRecordSize || b[0] != 1 {
 		return fmt.Errorf("dataset: corrupt Value encoding: %d bytes", len(b))
 	}
 	if b[1] > uint8(kindNumber) {

@@ -46,7 +46,8 @@ func (s *Server) initCoordinator() {
 
 // handleAuditShard implements POST /v1/models/{name}/audit/shard — the
 // worker half of the shard protocol. The body is a dataset chunk stream;
-// the response a gob shard result with shard-local row indices. The
+// the response a binary shard result frame (shard.EncodeShardResult,
+// written through a fixed buffer) with shard-local row indices. The
 // request pins the model identity: ?version= selects it and &createdAt=
 // (RFC3339Nano) must match the committed sidecar, so a worker whose model
 // was deleted/recreated answers 409 instead of scoring with an impostor.

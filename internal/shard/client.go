@@ -133,9 +133,12 @@ func (w *workerClient) replicate(ctx context.Context, meta registry.Meta, m *aud
 }
 
 // auditShard streams rows [lo, hi) of tab to the worker and decodes the
-// validated result. The request pins (version, createdAt) so a worker
-// whose model moved replies 409 instead of scoring with the wrong model.
-func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *dataset.Table, lo, hi, chunkRows int) (*audit.Result, error) {
+// validated result straight into reports[lo:hi], numbering the rows from
+// lo, and returns the shard's quality dimensions. A failed attempt may
+// leave that range partly written; the next successful one overwrites
+// all of it. The request pins (version, createdAt) so a worker whose
+// model moved replies 409 instead of scoring with the wrong model.
+func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *dataset.Table, lo, hi, chunkRows int, reports []audit.RecordReport) ([]audit.AttrDim, error) {
 	query := url.Values{
 		"version":   {strconv.Itoa(meta.Version)},
 		"createdAt": {meta.CreatedAt.UTC().Format(time.RFC3339Nano)},
@@ -155,11 +158,36 @@ func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *
 	if resp.StatusCode != http.StatusOK {
 		return nil, readStatusError(resp)
 	}
-	sr, err := DecodeShardResult(resp.Body, hi-lo, tab.NumCols())
+	fr := newFrameReader(resp.Body)
+	h, err := fr.header(hi-lo, tab.NumCols())
 	if err != nil {
 		return nil, err
 	}
-	return sr.Result, nil
+	dims, _, err := fr.body(h, reports[lo:hi], lo)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkDims(tab.Schema(), dims); err != nil {
+		return nil, err
+	}
+	return dims, nil
+}
+
+// checkDims holds a shard's quality dimensions to the shapes a local
+// audit of the schema builds — a domain bitmap per nominal column, a
+// sketch per number-like one — so audit.MergeDims can fold them.
+func checkDims(s *dataset.Schema, dims []audit.AttrDim) error {
+	for i := range dims {
+		d, a := &dims[i], s.Attr(i)
+		ok := d.Sketch != nil && d.NomSeen == nil
+		if !a.IsNumberLike() {
+			ok = d.Sketch == nil && d.NomSeen != nil && len(d.NomSeen) == len(a.Domain)
+		}
+		if !ok {
+			return fmt.Errorf("shard: worker's dimension %d does not fit attribute %q", i, a.Name)
+		}
+	}
+	return nil
 }
 
 // writeShardStream encodes rows [lo, hi) of the table as a chunk stream,

@@ -138,34 +138,19 @@ func (c *Coordinator) AuditTable(ctx context.Context, model *audit.Model, meta r
 			jobs = append(jobs, &shardJob{id: id, lo: rows[0], hi: rows[len(rows)-1] + 1})
 		}
 	}
-	results := make([]*audit.Result, len(shards))
-	if err := c.dispatch(ctx, model, meta, tab, jobs, results); err != nil {
+	// Every shard decodes straight into its row range of the merged
+	// report list, so reports land in original row order with no copy.
+	merged := &audit.Result{NumAttrs: width, Reports: make([]audit.RecordReport, tab.NumRows())}
+	dims := make([][]audit.AttrDim, len(shards))
+	if err := c.dispatch(ctx, model, meta, tab, jobs, merged.Reports, dims); err != nil {
 		return nil, err
 	}
-
-	// The shards are contiguous ranges in shard order, so the merged
-	// report list is their concatenation. DecodeShardResult handed every
-	// result over as owned (findings detached, Best re-pointed), so
-	// reports and dims are moved, not deep-copied as audit.MergeResults
-	// would.
-	merged := &audit.Result{NumAttrs: width, Reports: make([]audit.RecordReport, 0, tab.NumRows())}
-	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		offset := len(merged.Reports)
-		merged.Reports = append(merged.Reports, res.Reports...)
-		for i := offset; i < len(merged.Reports); i++ {
-			merged.Reports[i].Row += offset
-		}
+	for _, d := range dims {
 		if merged.Dims == nil {
-			merged.Dims = res.Dims
-		} else if res.Dims != nil {
-			audit.MergeDims(merged.Dims, res.Dims)
+			merged.Dims = d
+		} else if d != nil {
+			audit.MergeDims(merged.Dims, d)
 		}
-	}
-	if len(merged.Reports) != tab.NumRows() {
-		return nil, fmt.Errorf("shard: merged %d reports for %d rows", len(merged.Reports), tab.NumRows())
 	}
 	merged.CheckTime = time.Since(start)
 	return merged, nil
@@ -181,7 +166,7 @@ type shardJob struct {
 // outcome is one finished dispatch attempt (or a worker bowing out).
 type outcome struct {
 	job    *shardJob
-	res    *audit.Result
+	dims   []audit.AttrDim
 	err    error
 	worker int
 	dead   bool // the sending worker's loop exits after this outcome
@@ -191,19 +176,26 @@ type outcome struct {
 // pulls jobs, a failed attempt requeues its shard (bounded by the retry
 // budget), and a worker that fails maxConsecFails times in a row is
 // abandoned — its outstanding shard moves to the survivors. All workers
-// dead with shards outstanding is the only unrecoverable state.
-func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta registry.Meta, tab *dataset.Table, pending []*shardJob, results []*audit.Result) error {
+// dead with shards outstanding is the only unrecoverable state. Each
+// shard's reports land in its range of reports and its dimensions in
+// dims[shard id]; an attempt runs only after the previous attempt of its
+// shard has finished, so no two attempts write one range at once.
+func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta registry.Meta, tab *dataset.Table, pending []*shardJob, reports []audit.RecordReport, dims [][]audit.AttrDim) error {
 	total := len(pending)
 	if total == 0 {
 		return nil
 	}
+	// Attempts still in flight when dispatch gives up are cancelled, so a
+	// failed audit leaves no request decoding into the discarded reports.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	jobCh := make(chan *shardJob)
 	outCh := make(chan outcome)
 	quit := make(chan struct{})
 	defer close(quit)
 
 	for i := range c.workers {
-		go c.workerLoop(ctx, i, quit, jobCh, outCh, model, meta, tab)
+		go c.workerLoop(ctx, i, quit, jobCh, outCh, model, meta, tab, reports)
 	}
 	defer close(jobCh)
 
@@ -241,7 +233,7 @@ func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta reg
 				}
 				pending = append(pending, o.job)
 			} else {
-				results[o.job.id] = o.res
+				dims[o.job.id] = o.dims
 				done++
 			}
 		case <-ctx.Done():
@@ -255,7 +247,7 @@ func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta reg
 // the first shard (and again after a 409), score shards until the job
 // channel closes, back off after failures, and exit for good after
 // maxConsecFails consecutive errors.
-func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struct{}, jobCh <-chan *shardJob, outCh chan<- outcome, model *audit.Model, meta registry.Meta, tab *dataset.Table) {
+func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struct{}, jobCh <-chan *shardJob, outCh chan<- outcome, model *audit.Model, meta registry.Meta, tab *dataset.Table, reports []audit.RecordReport) {
 	w := c.workers[idx]
 	name := c.opts.Workers[idx]
 	synced := false
@@ -273,7 +265,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struc
 		}
 
 		start := time.Now()
-		res, err := c.runShard(ctx, w, &synced, name, model, meta, tab, job)
+		dims, err := c.runShard(ctx, w, &synced, name, model, meta, tab, job, reports)
 		if m := c.opts.Metrics; m != nil {
 			m.DispatchSeconds.With(name).Observe(time.Since(start).Seconds())
 			if err != nil {
@@ -290,7 +282,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struc
 		}
 		dead := consec >= maxConsecFails
 		select {
-		case outCh <- outcome{job: job, res: res, err: err, worker: idx, dead: dead}:
+		case outCh <- outcome{job: job, dims: dims, err: err, worker: idx, dead: dead}:
 		case <-quit:
 			return
 		}
@@ -313,10 +305,11 @@ func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struc
 }
 
 // runShard executes one dispatch attempt: ensure the worker holds the
-// pinned model version, stream the shard, decode the validated result. A
+// pinned model version, stream the shard, decode the validated result
+// into the job's range of reports and return its dimensions. A
 // 409 (the worker's model moved between sync and scoring) flips the sync
 // flag so the next attempt replicates first.
-func (c *Coordinator) runShard(ctx context.Context, w *workerClient, synced *bool, name string, model *audit.Model, meta registry.Meta, tab *dataset.Table, job *shardJob) (*audit.Result, error) {
+func (c *Coordinator) runShard(ctx context.Context, w *workerClient, synced *bool, name string, model *audit.Model, meta registry.Meta, tab *dataset.Table, job *shardJob, reports []audit.RecordReport) ([]audit.AttrDim, error) {
 	if !*synced {
 		pushed, err := w.ensureModel(ctx, meta, model)
 		if err != nil {
@@ -330,9 +323,9 @@ func (c *Coordinator) runShard(ctx context.Context, w *workerClient, synced *boo
 		}
 		*synced = true
 	}
-	res, err := w.auditShard(ctx, meta, tab, job.lo, job.hi, c.opts.ChunkRows)
+	dims, err := w.auditShard(ctx, meta, tab, job.lo, job.hi, c.opts.ChunkRows, reports)
 	if isVersionConflict(err) {
 		*synced = false
 	}
-	return res, err
+	return dims, err
 }

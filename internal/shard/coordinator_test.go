@@ -238,7 +238,7 @@ func TestShardedReplication(t *testing.T) {
 // the first `failures` requests, in a per-case way.
 type flakyWorker struct {
 	h        http.Handler
-	mode     string // "abort", "conflict", "corrupt"
+	mode     string // "abort", "conflict", "corrupt", "partial"
 	mu       sync.Mutex
 	failures int
 	seen     int
@@ -269,10 +269,47 @@ func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(http.StatusOK)
 				w.Write([]byte("these are not the gobs you are looking for"))
 				return
+			case "partial":
+				// Start a valid frame of a different result — a
+				// finding on every row — and die two thirds in, so the
+				// coordinator decodes part of it into the shard's
+				// range before the body breaks off.
+				frame := foreignFrame(r)
+				w.Header().Set("Content-Type", shard.ContentTypeShardResult)
+				w.WriteHeader(http.StatusOK)
+				w.Write(frame[:2*len(frame)/3])
+				w.(http.Flusher).Flush()
+				panic(http.ErrAbortHandler)
 			}
 		}
 	}
 	f.h.ServeHTTP(w, r)
+}
+
+// foreignFrame reads a shard request's chunk stream and encodes a result
+// frame that fits the shard's size and width but disagrees with the
+// model on every row.
+func foreignFrame(r *http.Request) []byte {
+	sr := dataset.NewChunkStreamReader(r.Body)
+	rows := 0
+	for {
+		ck, err := sr.Read()
+		if err != nil {
+			break
+		}
+		rows += ck.Rows()
+	}
+	width := sr.Schema().Len()
+	res := &audit.Result{NumAttrs: width, Reports: make([]audit.RecordReport, rows)}
+	for i := range res.Reports {
+		rep := &res.Reports[i]
+		*rep = audit.RecordReport{Row: i, ID: int64(1e9 + i), ErrorConf: 0.99, Suspicious: true}
+		rep.Findings = []audit.Finding{{Attr: i % width, Observed: 0, Predicted: 1, ErrorConf: 0.99, Suggestion: dataset.Nom(1)}}
+		rep.Best = &rep.Findings[0]
+	}
+	var buf bytes.Buffer
+	shard.EncodeShardResult(&buf, &shard.ShardResult{Rows: rows, Result: res})
+	return buf.Bytes()
 }
 
 // startFlakyWorker boots a worker behind a flaky front.
@@ -339,6 +376,15 @@ func TestShardedWorkerFailures(t *testing.T) {
 			workers: func(t *testing.T) []string {
 				live := startWorkers(t, 1)
 				flaky, _ := startFlakyWorker(t, "corrupt", 2)
+				return append(live, flaky)
+			},
+			shards: 4,
+		},
+		{
+			name: "a cut frame of another result is overwritten by the retry",
+			workers: func(t *testing.T) []string {
+				live := startWorkers(t, 1)
+				flaky, _ := startFlakyWorker(t, "partial", 2)
 				return append(live, flaky)
 			},
 			shards: 4,
