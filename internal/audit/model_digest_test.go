@@ -88,7 +88,7 @@ func init() {
 // T) and with rng 2007 (cur, its drifted table P), as generated and with
 // every number-like cell canonicalised — replaced by what its text
 // rendering parses back to, as a table loaded from a file holds.
-func benchQUISFixtures(t *testing.T) (canonical, raw determinismFixture) {
+func benchQUISFixtures(t testing.TB) (canonical, raw determinismFixture) {
 	t.Helper()
 	sample, err := quis.Generate(quis.Params{NumRecords: 30000, Seed: 2003})
 	if err != nil {
@@ -107,7 +107,7 @@ func benchQUISFixtures(t *testing.T) (canonical, raw determinismFixture) {
 	return canonical, raw
 }
 
-func canonicalize(t *testing.T, tab *dataset.Table) {
+func canonicalize(t testing.TB, tab *dataset.Table) {
 	t.Helper()
 	for c, a := range tab.Schema().Attrs() {
 		if !a.IsNumberLike() {
@@ -120,6 +120,21 @@ func canonicalize(t *testing.T, tab *dataset.Table) {
 				t.Fatal(err)
 			}
 			col[r] = parsed
+		}
+	}
+}
+
+// BenchmarkInducePollutedQUIS times the induction that the benchmark's
+// maintain workload runs once per operation: Induce on the drifted QUIS
+// table P (canonical cur) at MinConfidence 0.8. Run it with -benchmem;
+// -cpuprofile shows where induction spends its time.
+func BenchmarkInducePollutedQUIS(b *testing.B) {
+	canonical, _ := benchQUISFixtures(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := audit.Induce(canonical.cur, audit.Options{MinConfidence: 0.8}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

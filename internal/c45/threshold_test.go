@@ -15,7 +15,9 @@ import (
 // oracleNumericSplit is the threshold search as it was before the rank
 // table: collect the node's known rows, sort them by value, and scan with
 // stats.InfoGain. The sort is stable, so rows of equal value keep their
-// position order — the (value, position) order numericSplit defines.
+// position order — the (value, position) order numericSplit defines. NaN
+// rows sort after every number, as the rank table ranks them, and no cut
+// lies before one.
 func oracleNumericSplit(g *grower, attr int, rows []int, weights []float64) *split {
 	type vw struct {
 		v float64
@@ -38,7 +40,11 @@ func oracleNumericSplit(g *grower, attr int, rows []int, weights []float64) *spl
 	if len(known) < 2 {
 		return nil
 	}
-	sort.SliceStable(known, func(i, j int) bool { return known[i].v < known[j].v })
+	// < alone is no strict weak order once a NaN appears.
+	sort.SliceStable(known, func(i, j int) bool {
+		a, b := known[i].v, known[j].v
+		return a < b || !math.IsNaN(a) && math.IsNaN(b)
+	})
 	knownW := 0.0
 	for _, k := range known {
 		knownW += k.w
@@ -53,7 +59,7 @@ func oracleNumericSplit(g *grower, attr int, rows []int, weights []float64) *spl
 		left[known[i].c] += known[i].w
 		right[known[i].c] -= known[i].w
 		leftW += known[i].w
-		if known[i].v == known[i+1].v {
+		if known[i].v == known[i+1].v || math.IsNaN(known[i+1].v) {
 			continue
 		}
 		if leftW < minLeaf || knownW-leftW < minLeaf {
@@ -114,10 +120,10 @@ func requireSameSplit(t *testing.T, trial int, got, want *split) {
 }
 
 // randomThresholdTable draws a one-numeric-column table over a small pool
-// of values — heavy ties, both zeros, huge magnitudes — with nulls, and
-// a class per row from k classes (a single one on some trials).
+// of values — heavy ties, both zeros, NaN, huge magnitudes — with nulls,
+// and a class per row from k classes (a single one on some trials).
 func randomThresholdTable(rng *rand.Rand, n, k int) (*dataset.Table, []int) {
-	pool := []float64{-1e308, -2.5, math.Copysign(0, -1), 0, 0.1, 0.2, 0.3, 1, 7, 7.5, 1e308}
+	pool := []float64{-1e308, -2.5, math.Copysign(0, -1), 0, math.NaN(), 0.1, 0.2, 0.3, 1, 7, 7.5, 1e308}
 	pool = pool[rng.Intn(len(pool)):]
 	if len(pool) > 1 {
 		pool = pool[:1+rng.Intn(len(pool))]
@@ -193,6 +199,156 @@ func TestNumericSplitMatchesSortOracle(t *testing.T) {
 	}
 	if found < 1000 {
 		t.Fatalf("only %d of 12000 searches found a threshold; the inputs are too thin", found)
+	}
+}
+
+// fullScanNumericSplit is numericSplit before boundary points: the same
+// rank-keyed sort and scan, scoring every admissible cut.
+func fullScanNumericSplit(g *grower, attr int, rows []int, weights []float64) *split {
+	rt := g.rankTableOf(attr)
+	parent := g.parent
+	clear(parent)
+	keys := g.keys[:0]
+	missingW := 0.0
+	for i, r := range rows {
+		k := rt.rank[r]
+		if k < 0 {
+			missingW += weights[i]
+			continue
+		}
+		parent[g.ins.Class[r]] += weights[i]
+		keys = append(keys, uint64(k)<<32|uint64(i))
+	}
+	g.keys = keys
+	if len(keys) < 2 {
+		return nil
+	}
+	slices.Sort(keys)
+	// Gather classes and weights in key order; the known weight sums in
+	// that order too.
+	n := len(keys)
+	g.cls, g.wts = slices.Grow(g.cls[:0], n)[:n], slices.Grow(g.wts[:0], n)[:n]
+	cls, wts := g.cls, g.wts
+	knownW := 0.0
+	for j, key := range keys {
+		pos := uint32(key)
+		cls[j], wts[j] = g.ins.Class[rows[pos]], weights[pos]
+		knownW += wts[j]
+	}
+
+	// The parent's entropy and total are the same at every threshold.
+	parentTotal, parentH := 0.0, stats.Entropy(parent)
+	for _, c := range parent {
+		parentTotal += c
+	}
+	left, right := g.left, g.right
+	clear(left)
+	copy(right, parent)
+	leftW := 0.0
+	bestGain, bestThresh := -1.0, 0.0
+	for j := 0; j < len(keys)-1; j++ {
+		left[cls[j]] += wts[j]
+		right[cls[j]] -= wts[j]
+		leftW += wts[j]
+		rank, next := keys[j]>>32, keys[j+1]>>32
+		if rank == next || next == rt.nan {
+			continue // threshold must separate distinct numbers
+		}
+		if leftW < minLeaf || knownW-leftW < minLeaf {
+			continue
+		}
+		gain := stats.BinaryInfoGain(parentH, parentTotal, left, right)
+		if gain > bestGain {
+			bestGain = gain
+			bestThresh = (rt.values[rank] + rt.values[next]) / 2
+			copy(g.bestLeft, left)
+			copy(g.bestRight, right)
+		}
+	}
+	if bestGain < 0 {
+		return nil
+	}
+	gain := bestGain * knownW / (knownW + missingW)
+	leftSize, rightSize := 0.0, 0.0
+	for _, c := range g.bestLeft {
+		leftSize += c
+	}
+	for _, c := range g.bestRight {
+		rightSize += c
+	}
+	sizes := []float64{leftSize, rightSize}
+	if missingW > 0 {
+		sizes = append(sizes, missingW)
+	}
+	return &split{
+		attr:      attr,
+		isNumeric: true,
+		thresh:    bestThresh,
+		gain:      gain,
+		gainRatio: stats.GainRatio(gain, sizes),
+		branches:  [][]float64{slices.Clone(g.bestLeft), slices.Clone(g.bestRight)},
+	}
+}
+
+// stepTable draws a one-numeric-column table over up to 200 distinct
+// values whose class is a noisy step function of the value, so long
+// single-class runs of value groups occur, with nulls and NaN cells.
+func stepTable(rng *rand.Rand, n, k int) (*dataset.Table, []int) {
+	distinct := 1 + rng.Intn(200)
+	steps := make([]int, 1+rng.Intn(6))
+	for i := range steps {
+		steps[i] = rng.Intn(distinct)
+	}
+	slices.Sort(steps)
+	noise := []float64{0, 0, 0.02, 0.1, 0.3}[rng.Intn(5)]
+	nullP, nanP := rng.Float64()*0.2, []float64{0, 0, 0.05, 0.3}[rng.Intn(4)]
+	tab := dataset.NewTable(dataset.MustSchema(dataset.NewNumeric("x", -1e308, 1e308)))
+	class := make([]int, n)
+	for r := 0; r < n; r++ {
+		d := rng.Intn(distinct)
+		v := dataset.Num(float64(d) / 4)
+		switch p := rng.Float64(); {
+		case p < nullP:
+			v = dataset.Null()
+		case p < nullP+nanP:
+			v = dataset.Num(math.NaN())
+		}
+		tab.AppendRow([]dataset.Value{v})
+		step, _ := slices.BinarySearch(steps, d)
+		class[r] = step % k
+		if rng.Float64() < noise {
+			class[r] = rng.Intn(k)
+		}
+	}
+	return tab, class
+}
+
+// TestNumericSplitBoundaryMatchesFullScan: scoring only boundary points and
+// the two ends of the admissible interval gives the split of the scan that
+// scores every cut, bit for bit, on random nodes of reused growers.
+func TestNumericSplitBoundaryMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	found := 0
+	const trials, nodes = 10000, 4
+	for trial := 0; trial < trials; trial++ {
+		n, k := rng.Intn(60), 1+rng.Intn(4)
+		if rng.Intn(3) == 0 {
+			n = 100 + rng.Intn(300)
+		}
+		tab, class := stepTable(rng, n, k)
+		ins := mlcore.NewInstances(tab, []int{0}, k, func(r int) int { return class[r] })
+		g := newGrower(ins, Options{}, ins.Rows)
+		for node := 0; node < nodes; node++ {
+			rows, weights := randomNode(rng, n)
+			got := g.numericSplit(0, rows, weights)
+			requireSameSplit(t, trial, got, fullScanNumericSplit(g, 0, rows, weights))
+			if got != nil {
+				found++
+			}
+		}
+	}
+	if found < trials*nodes/2 {
+		t.Fatalf("only %d of %d searches found a threshold; the inputs are too thin", found, trials*nodes)
 	}
 }
 

@@ -419,6 +419,18 @@ func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
 // of packed integer keys, so rows of equal value keep their position
 // order — row order, as every node's rows ascend. A threshold lies midway
 // between two adjacent distinct values, never next to a NaN.
+//
+// Only boundary points are scored (Fayyad & Irani, "On the handling of
+// continuous-valued attributes in decision tree generation", Machine
+// Learning 8, 1992): a cut between two value groups that both hold rows
+// of one and the same class cannot be the first maximum of the gain. Along
+// a run of such groups the gain is strictly convex in the weight moved
+// left unless the whole node is of that class, so the run's interior lies
+// strictly below one of its two ends. The ends of the admissible interval
+// are scored whatever the groups hold: the minLeaf and NaN filters can
+// clip a run, and then its clipped edge is an end. The first admissible
+// cut also gives a single-class node, where every cut is interior, its
+// gain-0 split.
 func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
 	rt := g.rankTableOf(attr)
 	parent := g.parent
@@ -461,17 +473,33 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
 	copy(right, parent)
 	leftW := 0.0
 	bestGain, bestThresh := -1.0, 0.0
+	// group is the one class of the rows seen so far in row j's value
+	// group, or -1 once two classes meet in it.
+	group, scored := cls[0], false
 	for j := 0; j < len(keys)-1; j++ {
-		left[cls[j]] += wts[j]
-		right[cls[j]] -= wts[j]
+		c := cls[j]
+		left[c] += wts[j]
+		right[c] -= wts[j]
 		leftW += wts[j]
+		if c != group {
+			group = -1
+		}
 		rank, next := keys[j]>>32, keys[j+1]>>32
-		if rank == next || next == rt.nan {
+		if rank == next {
 			continue // threshold must separate distinct numbers
+		}
+		pure := group
+		group = cls[j+1]
+		if next == rt.nan {
+			continue // and never lies next to a NaN
 		}
 		if leftW < minLeaf || knownW-leftW < minLeaf {
 			continue
 		}
+		if scored && pure >= 0 && interiorCut(keys, cls, wts, j, pure, leftW, knownW, rt.nan) {
+			continue
+		}
+		scored = true
 		gain := stats.BinaryInfoGain(parentH, parentTotal, left, right)
 		if gain > bestGain {
 			bestGain = gain
@@ -503,6 +531,24 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
 		gainRatio: stats.GainRatio(gain, sizes),
 		branches:  [][]float64{slices.Clone(g.bestLeft), slices.Clone(g.bestRight)},
 	}
+}
+
+// interiorCut reports whether the admissible cut after row j, whose value
+// group holds class c only, can be skipped: the next group holds class c
+// only as well, and a later admissible cut follows. That cut closes the
+// next group; leftW is summed over the group in the scan's own order, so
+// the minLeaf test sees the scan's bits. Only one group is read, so a
+// search reads each row at most twice.
+func interiorCut(keys []uint64, cls []int, wts []float64, j, c int, leftW, knownW float64, nan uint64) bool {
+	next := keys[j+1] >> 32
+	e := j + 1
+	for ; e < len(keys) && keys[e]>>32 == next; e++ {
+		if cls[e] != c {
+			return false
+		}
+		leftW += wts[e]
+	}
+	return e < len(keys) && keys[e]>>32 != nan && knownW-leftW >= minLeaf
 }
 
 // childSet is one branch's weighted instance set.

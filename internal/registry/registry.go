@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,6 +164,30 @@ func versionFiles(version int) (model, meta string) {
 	return fmt.Sprintf("v%06d.model", version), fmt.Sprintf("v%06d.json", version)
 }
 
+// parseVersionName returns the version in a file name v<digits><suffix>,
+// the form versionFiles writes at any width (seven digits from the
+// millionth version on). ok is false for any other name: a signed number,
+// a longer suffix such as .json.tmp, or digits that overflow an int.
+func parseVersionName(name, suffix string) (version int, ok bool) {
+	digits, ok := strings.CutPrefix(name, "v")
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, suffix); !ok || digits == "" {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	v, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0, false
+	}
+	return v, true
+}
+
 // committedVersions scans a model directory for versions whose meta
 // sidecar (the commit point) exists, ascending.
 func committedVersions(dir string) ([]int, error) {
@@ -175,8 +200,7 @@ func committedVersions(dir string) ([]int, error) {
 	}
 	var out []int
 	for _, e := range ents {
-		var v int
-		if n, _ := fmt.Sscanf(e.Name(), "v%06d.json", &v); n == 1 && strings.HasSuffix(e.Name(), ".json") {
+		if v, ok := parseVersionName(e.Name(), ".json"); ok {
 			out = append(out, v)
 		}
 	}
@@ -274,14 +298,12 @@ func gcAborted(dir string, committed int) {
 		return
 	}
 	for _, e := range ents {
-		var v int
-		if n, _ := fmt.Sscanf(e.Name(), "v%06d.model", &v); n != 1 || !strings.HasSuffix(e.Name(), ".model") {
+		v, ok := parseVersionName(e.Name(), ".model")
+		if !ok || v >= committed {
 			continue
 		}
-		if v >= committed {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("v%06d.json", v))); os.IsNotExist(err) {
+		_, meta := versionFiles(v)
+		if _, err := os.Stat(filepath.Join(dir, meta)); os.IsNotExist(err) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}

@@ -3,7 +3,9 @@ package registry
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -244,6 +246,53 @@ func TestAbortedPublishIgnored(t *testing.T) {
 	}
 	if meta.Version != 2 {
 		t.Fatalf("publish after abort: v%d, want v2", meta.Version)
+	}
+}
+
+// TestParseVersionName: a version file name is v, ASCII digits, then the
+// exact suffix; the millionth version keeps all seven digits.
+func TestParseVersionName(t *testing.T) {
+	for _, tc := range []struct {
+		name, suffix string
+		want         int
+		ok           bool
+	}{
+		{"v000012.json", ".json", 12, true},
+		{"v000012.model", ".model", 12, true},
+		{"v999999.json", ".json", 999999, true},
+		{"v1000000.json", ".json", 1000000, true},
+		{"v1000000.model", ".model", 1000000, true},
+		{"v-00001.json", ".json", 0, false},
+		{"v+00001.json", ".json", 0, false},
+		{"v000012.json.tmp", ".json", 0, false},
+		{"v000012.model", ".json", 0, false},
+		{"v.json", ".json", 0, false},
+		{"000012.json", ".json", 0, false},
+		{"v00 012.json", ".json", 0, false},
+		{"v99999999999999999999.json", ".json", 0, false},
+	} {
+		got, ok := parseVersionName(tc.name, tc.suffix)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("parseVersionName(%q, %q) = %d, %v; want %d, %v", tc.name, tc.suffix, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestCommittedVersionsPastSixDigits: the scan orders versions by number
+// and sees the millionth, so the next publish takes the version after it.
+func TestCommittedVersionsPastSixDigits(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"v999999.json", "v1000000.json", "v-00001.json", "v000012.json.tmp", "v1000001.model"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := committedVersions(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{999999, 1000000}; !slices.Equal(got, want) {
+		t.Fatalf("committed versions %v, want %v", got, want)
 	}
 }
 
