@@ -195,6 +195,12 @@ type Model struct {
 // in the relation to be audited, a classifier is induced that describes the
 // dependency of this class attribute from the other attributes").
 func Induce(tab *dataset.Table, opts Options) (*Model, error) {
+	return induce(tab, opts, mlcore.NewRankCache(tab))
+}
+
+// induce is Induce with the rank cache its trees share: each numeric
+// column is ordered once for all of them.
+func induce(tab *dataset.Table, opts Options, ranks *mlcore.RankCache) (*Model, error) {
 	opts = opts.WithDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
@@ -219,7 +225,7 @@ func Induce(tab *dataset.Table, opts Options) (*Model, error) {
 	// is assembled in schema order afterwards.
 	ams := make([]*AttrModel, len(classes))
 	if i, err := forEachAttr(len(classes), func(i int, scratch *[]float64) (err error) {
-		ams[i], err = induceAttr(tab, classes[i], opts, scratch)
+		ams[i], err = induceAttr(tab, classes[i], opts, scratch, ranks)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("audit: attribute %s: %w", schema.Attr(classes[i]).Name, err)
@@ -283,8 +289,8 @@ func forEachAttr(n int, fn func(i int, scratch *[]float64) error) (int, error) {
 // null). scratch is a value buffer reused across the calls of one worker —
 // the numeric-class path fills it afresh each time (NewEqualFrequency
 // copies its input), so one allocation serves many attributes instead of
-// one growing slice per attribute.
-func induceAttr(tab *dataset.Table, class int, opts Options, scratch *[]float64) (*AttrModel, error) {
+// one growing slice per attribute. ranks is the call's rank cache over tab.
+func induceAttr(tab *dataset.Table, class int, opts Options, scratch *[]float64, ranks *mlcore.RankCache) (*AttrModel, error) {
 	schema := tab.Schema()
 	attr := schema.Attr(class)
 
@@ -325,6 +331,7 @@ func induceAttr(tab *dataset.Table, class int, opts Options, scratch *[]float64)
 	ins := mlcore.NewInstances(tab, am.Base, am.K, func(r int) int {
 		return am.ClassIndex(tab.Get(r, class))
 	})
+	ins.Ranks = ranks
 	trainer, err := trainerFor(opts)
 	if err != nil {
 		return nil, err

@@ -139,6 +139,30 @@ func BenchmarkInducePollutedQUIS(b *testing.B) {
 	}
 }
 
+// BenchmarkReinducePollutedQUIS times one of the incremental
+// re-inductions that the benchmark's maintain workload runs four times per
+// operation: every attribute of the model induced on the canonical prev
+// table, re-induced onto the canonical cur table from its hints.
+func BenchmarkReinducePollutedQUIS(b *testing.B) {
+	canonical, _ := benchQUISFixtures(b)
+	opts := audit.Options{MinConfidence: 0.8}
+	m, err := audit.Induce(canonical.prev, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	attrs := make([]int, len(m.Attrs))
+	for i, am := range m.Attrs {
+		attrs[i] = am.Class
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.ReinduceAttrs(canonical.cur, attrs, audit.ReinduceOptions{Mode: audit.ReinduceIncremental}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func modelDigest(t *testing.T, m *audit.Model) string {
 	t.Helper()
 	cp := audit.Model{Schema: m.Schema, Attrs: m.Attrs, Opts: m.Opts, TrainRows: m.TrainRows, InduceTime: m.InduceTime}

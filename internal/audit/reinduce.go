@@ -55,6 +55,13 @@ type ReinduceOptions struct {
 // QualityProfile re-derive it from the successor over their sample; the
 // partiality lives in induction, where the cost is.
 func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOptions) (*Model, error) {
+	return m.reinduceAttrs(tab, attrs, ropts, mlcore.NewRankCache(tab))
+}
+
+// reinduceAttrs is ReinduceAttrs with the rank cache its trees share. A
+// warm tree ranks a column only where a hint fails and the full search
+// runs.
+func (m *Model) reinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOptions, ranks *mlcore.RankCache) (*Model, error) {
 	opts := m.Opts.WithDefaults()
 	if err := compatibleSchema(m.Schema, tab.Schema()); err != nil {
 		return nil, fmt.Errorf("audit: reinduce: %w", err)
@@ -98,12 +105,12 @@ func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOpt
 		var am *AttrModel
 		var err error
 		if mode == ReinduceFull {
-			am, err = induceAttr(tab, attrs[i], opts, scratch)
+			am, err = induceAttr(tab, attrs[i], opts, scratch, ranks)
 			if err == nil && am == nil {
 				err = errors.New("no training signal in the new table")
 			}
 		} else {
-			am, err = reinduceIncremental(m.Attrs[pos[i]], tab, opts)
+			am, err = reinduceIncremental(m.Attrs[pos[i]], tab, opts, ranks)
 		}
 		n.Attrs[pos[i]] = am
 		return err
@@ -117,8 +124,9 @@ func (m *Model) ReinduceAttrs(tab *dataset.Table, attrs []int, ropts ReinduceOpt
 // reinduceIncremental rebuilds one attribute's classifier with frozen
 // discretizer bins, class count and labels, preferring the family's
 // incremental Update and falling back to a frozen-bin retrain when the
-// family has none or the trainer is of another family.
-func reinduceIncremental(prev *AttrModel, tab *dataset.Table, opts Options) (*AttrModel, error) {
+// family has none or the trainer is of another family. ranks is the
+// call's rank cache over tab.
+func reinduceIncremental(prev *AttrModel, tab *dataset.Table, opts Options, ranks *mlcore.RankCache) (*AttrModel, error) {
 	am := &AttrModel{
 		Class:  prev.Class,
 		Base:   prev.Base,
@@ -129,6 +137,7 @@ func reinduceIncremental(prev *AttrModel, tab *dataset.Table, opts Options) (*At
 	full := mlcore.NewInstances(tab, am.Base, am.K, func(r int) int {
 		return am.ClassIndex(tab.Get(r, am.Class))
 	})
+	full.Ranks = ranks
 	trainer, err := trainerFor(opts)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dataaudit/internal/dataset"
+	"dataaudit/internal/mlcore"
 	"dataaudit/internal/pollute"
 	"dataaudit/internal/quis"
 )
@@ -169,6 +170,44 @@ func TestReinduceSharesUntouchedAttrModels(t *testing.T) {
 	}
 	if !bytes.Equal(before, modelBytes(t, m)) {
 		t.Error("ReinduceAttrs mutated the receiver")
+	}
+}
+
+// TestReinduceAllHintsHoldBuildsNoRankTable: an Induce ranks the
+// table's numeric columns once for all its trees; re-inducing every
+// attribute incrementally onto the very table the model came from keeps
+// every tree's hints, so no full split search runs and no column is
+// ranked, while a drifted table's fallback searches rank through the
+// call's cache.
+func TestReinduceAllHintsHoldBuildsNoRankTable(t *testing.T) {
+	prev, cur := reinduceFixture(t, 1200)
+	fallbacks := 0
+	for _, kind := range []InducerKind{InducerC45Audit, InducerC45, InducerID3} {
+		cold := mlcore.NewRankCache(prev)
+		m, err := induce(prev, Options{MinConfidence: 0.8, Inducer: kind}, cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Built() != 2 {
+			t.Fatalf("%s: Induce ranked %d columns, want DISP and PROD", kind, cold.Built())
+		}
+		warm := mlcore.NewRankCache(prev)
+		if _, err := m.reinduceAttrs(prev, modelledAttrs(m), ReinduceOptions{}, warm); err != nil {
+			t.Fatal(err)
+		}
+		if n := warm.Built(); n != 0 {
+			t.Fatalf("%s: re-induction with every hint holding ranked %d columns", kind, n)
+		}
+		// On the drifted table some hints fail, and the fallback searches
+		// rank through the call's cache.
+		drifted := mlcore.NewRankCache(cur)
+		if _, err := m.reinduceAttrs(cur, modelledAttrs(m), ReinduceOptions{}, drifted); err != nil {
+			t.Fatal(err)
+		}
+		fallbacks += drifted.Built()
+	}
+	if fallbacks == 0 {
+		t.Fatal("no fallback search on the drifted table ranked a column through the call's cache")
 	}
 }
 

@@ -187,10 +187,10 @@ func TestNumericSplitMatchesSortOracle(t *testing.T) {
 		}
 		tab, class := randomThresholdTable(rng, n, k)
 		ins := mlcore.NewInstances(tab, []int{0}, k, func(r int) int { return class[r] })
-		g := newGrower(ins, Options{}, ins.Rows)
+		g := newGrower(ins, Options{})
 		for node := 0; node < 4; node++ {
 			rows, weights := randomNode(rng, n)
-			got := g.numericSplit(0, rows, weights)
+			got := g.numericSplit(0, rows, weights, g.appendSortedKeys(nil, 0, rows))
 			requireSameSplit(t, trial, got, oracleNumericSplit(g, 0, rows, weights))
 			if got != nil {
 				found++
@@ -205,25 +205,21 @@ func TestNumericSplitMatchesSortOracle(t *testing.T) {
 // fullScanNumericSplit is numericSplit before boundary points: the same
 // rank-keyed sort and scan, scoring every admissible cut.
 func fullScanNumericSplit(g *grower, attr int, rows []int, weights []float64) *split {
-	rt := g.rankTableOf(attr)
+	rt := g.ranks.Column(attr)
 	parent := g.parent
 	clear(parent)
-	keys := g.keys[:0]
 	missingW := 0.0
 	for i, r := range rows {
-		k := rt.rank[r]
-		if k < 0 {
+		if rt.Rank[r] < 0 {
 			missingW += weights[i]
 			continue
 		}
 		parent[g.ins.Class[r]] += weights[i]
-		keys = append(keys, uint64(k)<<32|uint64(i))
 	}
-	g.keys = keys
+	keys := g.appendSortedKeys(nil, attr, rows)
 	if len(keys) < 2 {
 		return nil
 	}
-	slices.Sort(keys)
 	// Gather classes and weights in key order; the known weight sums in
 	// that order too.
 	n := len(keys)
@@ -251,7 +247,7 @@ func fullScanNumericSplit(g *grower, attr int, rows []int, weights []float64) *s
 		right[cls[j]] -= wts[j]
 		leftW += wts[j]
 		rank, next := keys[j]>>32, keys[j+1]>>32
-		if rank == next || next == rt.nan {
+		if rank == next || next == rt.NaN {
 			continue // threshold must separate distinct numbers
 		}
 		if leftW < minLeaf || knownW-leftW < minLeaf {
@@ -260,7 +256,7 @@ func fullScanNumericSplit(g *grower, attr int, rows []int, weights []float64) *s
 		gain := stats.BinaryInfoGain(parentH, parentTotal, left, right)
 		if gain > bestGain {
 			bestGain = gain
-			bestThresh = (rt.values[rank] + rt.values[next]) / 2
+			bestThresh = (rt.Values[rank] + rt.Values[next]) / 2
 			copy(g.bestLeft, left)
 			copy(g.bestRight, right)
 		}
@@ -337,10 +333,10 @@ func TestNumericSplitBoundaryMatchesFullScan(t *testing.T) {
 		}
 		tab, class := stepTable(rng, n, k)
 		ins := mlcore.NewInstances(tab, []int{0}, k, func(r int) int { return class[r] })
-		g := newGrower(ins, Options{}, ins.Rows)
+		g := newGrower(ins, Options{})
 		for node := 0; node < nodes; node++ {
 			rows, weights := randomNode(rng, n)
-			got := g.numericSplit(0, rows, weights)
+			got := g.numericSplit(0, rows, weights, g.appendSortedKeys(nil, 0, rows))
 			requireSameSplit(t, trial, got, fullScanNumericSplit(g, 0, rows, weights))
 			if got != nil {
 				found++
@@ -411,20 +407,20 @@ func TestNumericSplitNaNRule(t *testing.T) {
 			requireNoNaNThresh(t, tree.Root)
 		}
 
-		g := newGrower(ins, Options{}, ins.Rows)
+		g := newGrower(ins, Options{})
 		rows, weights := randomNode(rng, tab.NumRows())
 		for i := range weights {
 			weights[i] = 1 // whole weights: the histograms sum exactly in any order
 		}
 		for _, attr := range ins.Base {
-			s := g.numericSplit(attr, rows, weights)
+			s := g.numericSplit(attr, rows, weights, g.appendSortedKeys(nil, attr, rows))
 			if s == nil {
 				continue
 			}
 			if math.IsNaN(s.thresh) {
 				t.Fatalf("trial %d: NaN threshold on attribute %d", trial, attr)
 			}
-			sets := s.partition(g, rows, weights)
+			sets, _ := s.partition(g, rows, weights)
 			for b, set := range sets {
 				if len(set.rows) != cap(set.rows) || len(set.weights) != cap(set.weights) {
 					t.Fatalf("trial %d: branch %d sized %d/%d, holds %d", trial, b, cap(set.rows), cap(set.weights), len(set.rows))
@@ -450,17 +446,17 @@ func TestWarmReinductionBuildsNoRankTable(t *testing.T) {
 	tab := conjTable(t, 400, 3)
 	ins := buildInstances(t, tab, []int{0, 1, 2, 3})
 	opts := Options{UseGainRatio: true}.WithDefaults()
-	cold := newGrower(ins, opts, ins.Rows)
-	root := cold.grow(ins.Rows, ins.Weights, len(ins.Base), nil)
-	if !slices.ContainsFunc(cold.ranks, func(rt *rankTable) bool { return rt != nil }) {
+	ins.Ranks = mlcore.NewRankCache(tab)
+	cold := newGrower(ins, opts)
+	root := cold.grow(cold.rootSet(ins.Rows, ins.Weights), len(ins.Base), nil)
+	if ins.Ranks.Built() == 0 {
 		t.Fatal("the cold search ranked no column; the fixture has no numeric split candidate")
 	}
-	warm := newGrower(ins, opts, ins.Rows)
-	again := warm.grow(ins.Rows, ins.Weights, len(ins.Base), skeletonOf(root))
-	for col, rt := range warm.ranks {
-		if rt != nil {
-			t.Fatalf("warm re-induction ranked column %d", col)
-		}
+	ins.Ranks = mlcore.NewRankCache(tab)
+	warm := newGrower(ins, opts)
+	again := warm.grow(warm.rootSet(ins.Rows, ins.Weights), len(ins.Base), skeletonOf(root))
+	if n := ins.Ranks.Built(); n != 0 {
+		t.Fatalf("warm re-induction ranked %d columns", n)
 	}
 	if a, b := (&Tree{Root: root}).Size(), (&Tree{Root: again}).Size(); a != b {
 		t.Fatalf("warm tree has %d nodes, cold %d", b, a)

@@ -91,19 +91,24 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 	}
 	opts := t.Opts.WithDefaults()
 	// Rows whose class is null carry no supervision; C4.5 drops them.
-	var rows []int
-	var weights []float64
+	n := 0
+	for _, r := range ins.Rows {
+		if ins.Class[r] >= 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("c45: no instances with a known class value")
+	}
+	rows, weights := make([]int, 0, n), make([]float64, 0, n)
 	for i, r := range ins.Rows {
 		if ins.Class[r] >= 0 {
 			rows = append(rows, r)
 			weights = append(weights, ins.Weights[i])
 		}
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("c45: no instances with a known class value")
-	}
-	g := newGrower(ins, opts, rows)
-	root := g.grow(rows, weights, len(ins.Base), prev)
+	g := newGrower(ins, opts)
+	root := g.grow(g.rootSet(rows, weights), len(ins.Base), prev)
 	tree := &Tree{Root: root, K: ins.K, Base: ins.Base}
 	if opts.Prune {
 		prunePessimistic(root)
@@ -117,78 +122,141 @@ type grower struct {
 	ins    *mlcore.Instances
 	opts   Options
 	schema *dataset.Schema
-	// rootRows are the root's rows; every node's rows are a subset.
-	rootRows []int
-	// ranks[col] is the column's rank table, built the first time a full
-	// split search reaches the column (see rankTableOf).
-	ranks []*rankTable
+	// ranks holds the rank tables of the call's table, shared by every
+	// tree of the call. Only a full split search asks for one, so a warm
+	// re-induction whose hints all hold builds none.
+	ranks *mlcore.RankCache
+	// numeric lists the number-like base columns, and list[col] is a
+	// column's index in numeric (-1 for the others): a searching node's
+	// key list for column col is heads[at+list[col]].
+	numeric []int
+	list    []int
 
-	// Threshold search buffers: the node's sort keys, the known rows'
-	// classes and weights in key order, and class histograms.
-	keys                []uint64
+	// Presorted key lists, one per numeric column for a node that runs
+	// the full search: heads holds the lists, arena their keys. Both are
+	// stacks; a node releases what it pushed when its subtree is done.
+	heads [][]uint64
+	arena keyArena
+
+	// Threshold search buffers: the known rows' classes and weights in
+	// key order, and class histograms.
 	cls                 []int
 	wts                 []float64
 	parent, left, right []float64
 	bestLeft, bestRight []float64
-	// branch is partition's per-row branch (-1: missing value).
+	// partition's per-row branch (-1: missing value) and position in that
+	// branch's child (for a missing row, the number of missing rows before
+	// it), and, per missing row, each receiving child's count of known rows
+	// before it. carryLists reads them.
 	branch []int
+	pos    []int
+	before []int
+	// recv is partition's receiving branches; outs and carries are
+	// carryLists' per-branch lists and flags.
+	recv    []int
+	outs    [][]uint64
+	carries []bool
+
+	// searched, when set, sees the rows and key lists of every node that
+	// runs the full search, before the search; inherited tells whether the
+	// lists came from the parent. Tests check the lists with it.
+	searched func(rows []int, lists [][]uint64, inherited bool)
 }
 
-func newGrower(ins *mlcore.Instances, opts Options, rootRows []int) *grower {
+func newGrower(ins *mlcore.Instances, opts Options) *grower {
 	hist := func() []float64 { return make([]float64, ins.K) }
-	return &grower{
-		ins: ins, opts: opts, schema: ins.Table.Schema(), rootRows: rootRows,
-		ranks:  make([]*rankTable, ins.Table.NumCols()),
+	g := &grower{
+		ins: ins, opts: opts, schema: ins.Table.Schema(), ranks: ins.RankCache(),
+		list:   make([]int, ins.Table.NumCols()),
 		parent: hist(), left: hist(), right: hist(), bestLeft: hist(), bestRight: hist(),
 	}
-}
-
-// rankTable orders one number-like column once per tree. rank[r] is row
-// r's dense rank among the distinct values of the column over the root's
-// rows (-1 for a null cell), and values holds those distinct values in
-// ascending order, so a rank reads its value back as values[rank]. -0 and
-// +0 share a rank. NaN ranks after every number, at rank nan =
-// len(values), and has no value: NaN <= t is false for every threshold t,
-// so partition and PredictInto send a NaN row right, and the threshold search
-// therefore never cuts at or after a NaN.
-type rankTable struct {
-	rank   []int32
-	values []float64
-	nan    uint64
-}
-
-// rankTableOf returns the column's rank table, building it on first use.
-// A warm re-induction whose hints all hold never searches and never
-// builds one.
-func (g *grower) rankTableOf(attr int) *rankTable {
-	if rt := g.ranks[attr]; rt != nil {
-		return rt
+	for i := range g.list {
+		g.list[i] = -1
 	}
-	col := g.ins.Table.Column(attr)
-	values := make([]float64, 0, len(g.rootRows))
-	for _, r := range g.rootRows {
-		if v := col[r]; !v.IsNull() && !math.IsNaN(v.Float()) {
-			values = append(values, v.Float())
+	for _, attr := range ins.Base {
+		if g.schema.Attr(attr).IsNumberLike() && g.list[attr] < 0 {
+			g.list[attr] = len(g.numeric)
+			g.numeric = append(g.numeric, attr)
 		}
 	}
-	slices.Sort(values)
-	// Compact keeps one of -0 and +0; the midpoint of either zero and a
-	// nonzero neighbour is the same.
-	values = slices.Clip(slices.Compact(values))
-	rt := &rankTable{rank: make([]int32, len(col)), values: values, nan: uint64(len(values))}
-	for _, r := range g.rootRows {
-		switch v := col[r]; {
-		case v.IsNull():
-			rt.rank[r] = -1
-		case math.IsNaN(v.Float()):
-			rt.rank[r] = int32(rt.nan)
-		default:
-			k, _ := slices.BinarySearch(values, v.Float())
-			rt.rank[r] = int32(k)
+	return g
+}
+
+// appendSortedKeys appends the node's sort key rank<<32 | position for
+// each row with a known value of the column, and sorts what it appended:
+// the (rank, position) order of the threshold search. Position order is
+// row order, as every node's rows ascend.
+func (g *grower) appendSortedKeys(dst []uint64, attr int, rows []int) []uint64 {
+	rt := g.ranks.Column(attr)
+	n := len(dst)
+	for i, r := range rows {
+		if k := rt.Rank[r]; k >= 0 {
+			dst = append(dst, uint64(k)<<32|uint64(i))
 		}
 	}
-	g.ranks[attr] = rt
-	return rt
+	slices.Sort(dst[n:])
+	return dst
+}
+
+// sortLists pushes a key list per numeric column for a node that searches
+// without lists from its parent — a cold tree's root, or the first
+// searched node below hints that held — and returns their index in heads.
+func (g *grower) sortLists(rows []int) int {
+	at := len(g.heads)
+	block := g.arena.alloc(len(g.numeric) * len(rows))[:0]
+	for _, attr := range g.numeric {
+		n := len(block)
+		block = g.appendSortedKeys(block, attr, rows)
+		g.heads = append(g.heads, block[n:len(block):len(block)])
+	}
+	g.arena.trim(block)
+	return at
+}
+
+// keyArena hands out key lists from a stack of chunks. A chunk never
+// moves, so a list stays valid until released. A new chunk is at least as
+// large as all earlier ones together, so a tree allocates few chunks, each
+// sized from what the tree has needed.
+type keyArena struct {
+	chunks [][]uint64
+	// cur is the chunk lists come from, off its first free key.
+	cur, off int
+}
+
+// alloc returns a list of length and capacity n.
+func (a *keyArena) alloc(n int) []uint64 {
+	if n == 0 {
+		return nil
+	}
+	for ; a.cur < len(a.chunks); a.cur, a.off = a.cur+1, 0 {
+		if c := a.chunks[a.cur]; a.off+n <= len(c) {
+			a.off += n
+			return c[a.off-n : a.off : a.off]
+		}
+	}
+	size := n
+	for _, c := range a.chunks {
+		size += len(c)
+	}
+	a.chunks = append(a.chunks, make([]uint64, size))
+	a.off = n
+	return a.chunks[a.cur][:n:n]
+}
+
+// trim returns the unused tail of s, the last list allocated, to the
+// arena.
+func (a *keyArena) trim(s []uint64) {
+	a.off -= cap(s) - len(s)
+}
+
+// arenaMark is the top of the grower's stacks.
+type arenaMark struct{ cur, off, heads int }
+
+func (g *grower) mark() arenaMark { return arenaMark{g.arena.cur, g.arena.off, len(g.heads)} }
+
+func (g *grower) release(m arenaMark) {
+	g.arena.cur, g.arena.off = m.cur, m.off
+	g.heads = g.heads[:m.heads]
 }
 
 // distOf tallies the weighted class distribution of the rows.
@@ -200,18 +268,43 @@ func (g *grower) distOf(rows []int, weights []float64) mlcore.Distribution {
 	return d
 }
 
+// instSet is one node's weighted instance set.
+type instSet struct {
+	rows    []int
+	weights []float64
+	dist    mlcore.Distribution
+	// lists is the index in heads of the key lists the parent handed
+	// down, or -1.
+	lists int
+}
+
+// rootSet is the instance set of a tree's root.
+func (g *grower) rootSet(rows []int, weights []float64) instSet {
+	return instSet{rows: rows, weights: weights, dist: g.distOf(rows, weights), lists: -1}
+}
+
+// stops reports whether a node stays a leaf whatever its hint: it is
+// pure, too small, or has no attributes left.
+func stops(dist mlcore.Distribution, attrsLeft int) bool {
+	return attrsLeft == 0 || dist.N() < 2*minLeaf || isPure(dist)
+}
+
 // grow recursively builds (and, with ExpErrConfPrune, integrally prunes)
 // the subtree for the given weighted instance set. hint, when non-nil,
 // is the previous tree's structure at this position (see warm.go): a
 // hinted split is re-evaluated alone, and only if it has become
 // inadmissible does the full search run — with no hints below, since the
 // old structure no longer describes this subtree.
-func (g *grower) grow(rows []int, weights []float64, attrsLeft int, hint *Skeleton) *Node {
-	dist := g.distOf(rows, weights)
+//
+// A node that runs the full search reads each numeric column's rows in
+// key order from a presorted list: its parent's, carried down by
+// partition, or, where the parent did not search, one sorted here. A
+// node whose hint holds needs no list and builds none.
+func (g *grower) grow(n instSet, attrsLeft int, hint *Skeleton) *Node {
+	rows, weights, dist := n.rows, n.weights, n.dist
 	leaf := &Node{Attr: -1, Dist: dist}
 
-	// Stop: pure node, too small, or no attributes left.
-	if attrsLeft == 0 || dist.N() < 2*minLeaf || isPure(dist) {
+	if stops(dist, attrsLeft) {
 		return leaf
 	}
 	// A leaf hint means the previous tree stopped here: keep the leaf
@@ -221,6 +314,7 @@ func (g *grower) grow(rows []int, weights []float64, attrsLeft int, hint *Skelet
 		return leaf
 	}
 
+	defer g.release(g.mark())
 	var best *split
 	var childHints []*Skeleton
 	if hint != nil {
@@ -228,8 +322,16 @@ func (g *grower) grow(rows []int, weights []float64, attrsLeft int, hint *Skelet
 			childHints = hint.Children
 		}
 	}
-	if best == nil {
-		best = g.bestSplit(rows, weights)
+	searched := best == nil
+	if searched {
+		inherited := n.lists >= 0
+		if !inherited {
+			n.lists = g.sortLists(rows)
+		}
+		if g.searched != nil {
+			g.searched(rows, g.heads[n.lists:n.lists+len(g.numeric)], inherited)
+		}
+		best = g.bestSplit(rows, weights, n.lists)
 		if best == nil {
 			return leaf
 		}
@@ -244,7 +346,12 @@ func (g *grower) grow(rows []int, weights []float64, attrsLeft int, hint *Skelet
 	}
 
 	node := &Node{Attr: best.attr, IsNumeric: best.isNumeric, Thresh: best.thresh, Dist: dist}
-	childSets := best.partition(g, rows, weights)
+	childSets, recv := best.partition(g, rows, weights)
+	if searched {
+		// The children of a searched node have no hints, so each one that
+		// does not stop searches in turn.
+		g.carryLists(n.lists, recv, childSets, attrsLeft-1)
+	}
 	node.Children = make([]*Node, len(childSets))
 	for i, cs := range childSets {
 		var ch *Skeleton
@@ -258,7 +365,7 @@ func (g *grower) grow(rows []int, weights []float64, attrsLeft int, hint *Skelet
 			node.Children[i] = &Node{Attr: -1, Dist: dist.Clone()}
 			continue
 		}
-		node.Children[i] = g.grow(cs.rows, cs.weights, attrsLeft-1, ch)
+		node.Children[i] = g.grow(cs, attrsLeft-1, ch)
 	}
 
 	// §5.4 integrated pruning: replace the freshly grown subtree by a leaf
@@ -316,13 +423,14 @@ func (s *split) hasClassWithAtLeast(min float64) bool {
 
 // bestSplit evaluates every base attribute and returns the winner under
 // the configured criterion (gain ratio filtered by mean gain for C4.5,
-// plain gain for ID3), or nil if no admissible split exists.
-func (g *grower) bestSplit(rows []int, weights []float64) *split {
+// plain gain for ID3), or nil if no admissible split exists. lists
+// indexes the node's key lists in heads.
+func (g *grower) bestSplit(rows []int, weights []float64, lists int) *split {
 	var candidates []*split
 	for _, attr := range g.ins.Base {
 		var s *split
-		if g.schema.Attr(attr).IsNumberLike() {
-			s = g.numericSplit(attr, rows, weights)
+		if j := g.list[attr]; j >= 0 {
+			s = g.numericSplit(attr, rows, weights, g.heads[lists+j])
 		} else {
 			s = g.nominalSplit(attr, rows, weights)
 		}
@@ -415,10 +523,13 @@ func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
 }
 
 // numericSplit finds the best binary threshold on a numeric attribute.
-// The node's known rows are ordered by (rank, position) through one sort
-// of packed integer keys, so rows of equal value keep their position
-// order — row order, as every node's rows ascend. A threshold lies midway
-// between two adjacent distinct values, never next to a NaN.
+// keys is the node's key list for the column: rank<<32 | position for each
+// known row, ascending, so rows of equal value keep their position order —
+// row order, as every node's rows ascend. The parent histogram and the
+// missing weight sum in row order, the known weight and the scan in key
+// order. A threshold lies midway between two adjacent distinct values of
+// the node, never next to a NaN: NaN ranks last, and NaN <= t is false for
+// every threshold t, so partition and PredictInto send a NaN row right.
 //
 // Only boundary points are scored (Fayyad & Irani, "On the handling of
 // continuous-valued attributes in decision tree generation", Machine
@@ -431,26 +542,21 @@ func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
 // clip a run, and then its clipped edge is an end. The first admissible
 // cut also gives a single-class node, where every cut is interior, its
 // gain-0 split.
-func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
-	rt := g.rankTableOf(attr)
+func (g *grower) numericSplit(attr int, rows []int, weights []float64, keys []uint64) *split {
+	rt := g.ranks.Column(attr)
 	parent := g.parent
 	clear(parent)
-	keys := g.keys[:0]
 	missingW := 0.0
 	for i, r := range rows {
-		k := rt.rank[r]
-		if k < 0 {
+		if rt.Rank[r] < 0 {
 			missingW += weights[i]
 			continue
 		}
 		parent[g.ins.Class[r]] += weights[i]
-		keys = append(keys, uint64(k)<<32|uint64(i))
 	}
-	g.keys = keys
 	if len(keys) < 2 {
 		return nil
 	}
-	slices.Sort(keys)
 	// Gather classes and weights in key order; the known weight sums in
 	// that order too.
 	n := len(keys)
@@ -490,20 +596,20 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64) *split {
 		}
 		pure := group
 		group = cls[j+1]
-		if next == rt.nan {
+		if next == rt.NaN {
 			continue // and never lies next to a NaN
 		}
 		if leftW < minLeaf || knownW-leftW < minLeaf {
 			continue
 		}
-		if scored && pure >= 0 && interiorCut(keys, cls, wts, j, pure, leftW, knownW, rt.nan) {
+		if scored && pure >= 0 && interiorCut(keys, cls, wts, j, pure, leftW, knownW, rt.NaN) {
 			continue
 		}
 		scored = true
 		gain := stats.BinaryInfoGain(parentH, parentTotal, left, right)
 		if gain > bestGain {
 			bestGain = gain
-			bestThresh = (rt.values[rank] + rt.values[next]) / 2
+			bestThresh = (rt.Values[rank] + rt.Values[next]) / 2
 			copy(g.bestLeft, left)
 			copy(g.bestRight, right)
 		}
@@ -551,20 +657,15 @@ func interiorCut(keys []uint64, cls []int, wts []float64, j, c int, leftW, known
 	return e < len(keys) && keys[e]>>32 != nan && knownW-leftW >= minLeaf
 }
 
-// childSet is one branch's weighted instance set.
-type childSet struct {
-	rows    []int
-	weights []float64
-}
-
 // partition distributes the instances over the split's branches; instances
 // with a missing split value go to every branch with weight scaled by the
 // branch's share of the known weight — C4.5's fractional instances
 // ("this approach requires the possibility to 'distribute' a training
 // instance over several branches of an inner node", §5.1.2). A counting
 // pass sizes every branch first, so each child's slices are allocated
-// once, at their final size.
-func (s *split) partition(g *grower, rows []int, weights []float64) []childSet {
+// once, at their final size; it also records where each row lands, for
+// carryLists. recv lists the branches that receive the missing rows.
+func (s *split) partition(g *grower, rows []int, weights []float64) (sets []instSet, recv []int) {
 	nb := len(s.branches)
 	shares := make([]float64, nb)
 	knownW := 0.0
@@ -579,33 +680,53 @@ func (s *split) partition(g *grower, rows []int, weights []float64) []childSet {
 			shares[b] /= knownW
 		}
 	}
+	recv = g.recv[:0]
+	for b, sh := range shares {
+		if sh > 0 {
+			recv = append(recv, b)
+		}
+	}
+	g.recv = recv
 	branch := slices.Grow(g.branch[:0], len(rows))[:len(rows)]
-	g.branch = branch
+	pos := slices.Grow(g.pos[:0], len(rows))[:len(rows)]
+	before := g.before[:0]
 	sizes := make([]int, nb)
 	missing := 0
 	for i, r := range rows {
 		v := g.ins.Table.Get(r, s.attr)
+		var b int
 		switch {
 		case v.IsNull():
-			branch[i] = -1
+			branch[i], pos[i] = -1, missing
+			for _, b := range recv {
+				before = append(before, sizes[b])
+			}
 			missing++
 			continue
 		case !s.isNumeric:
-			branch[i] = v.NomIdx()
+			b = v.NomIdx()
 		case v.Float() <= s.thresh:
-			branch[i] = 0
+			b = 0
 		default:
-			branch[i] = 1
+			b = 1
 		}
-		sizes[branch[i]]++
+		// A known row follows every missing row before it in a child
+		// that receives them.
+		branch[i], pos[i] = b, sizes[b]
+		if shares[b] > 0 {
+			pos[i] += missing
+		}
+		sizes[b]++
 	}
-	sets := make([]childSet, nb)
+	g.branch, g.pos, g.before = branch, pos, before
+	sets = make([]instSet, nb)
 	for b := range sets {
 		if shares[b] > 0 {
 			sizes[b] += missing
 		}
+		sets[b].lists = -1
 		if sizes[b] > 0 {
-			sets[b] = childSet{rows: make([]int, 0, sizes[b]), weights: make([]float64, 0, sizes[b])}
+			sets[b].rows, sets[b].weights = make([]int, 0, sizes[b]), make([]float64, 0, sizes[b])
 		}
 	}
 	for i, r := range rows {
@@ -614,12 +735,68 @@ func (s *split) partition(g *grower, rows []int, weights []float64) []childSet {
 			sets[b].weights = append(sets[b].weights, weights[i])
 			continue
 		}
+		for _, b := range recv {
+			sets[b].rows = append(sets[b].rows, r)
+			sets[b].weights = append(sets[b].weights, weights[i]*shares[b])
+		}
+	}
+	for b := range sets {
+		if len(sets[b].rows) > 0 {
+			sets[b].dist = g.distOf(sets[b].rows, sets[b].weights)
+		}
+	}
+	return sets, recv
+}
+
+// carryLists hands the searched node's key lists down to each child that
+// will search, in one pass over each list (SPRINT's attribute-list split:
+// Shafer, Agrawal & Mehta, VLDB 1996). A known row's key goes to its
+// branch, a missing row's to every receiving branch, each with the row's
+// position in that child. Positions in a child ascend with the parent's,
+// so every child list comes out in (rank, position) order, sorted.
+func (g *grower) carryLists(lists int, recv []int, sets []instSet, attrsLeft int) {
+	nl := len(g.numeric)
+	carries := slices.Grow(g.carries[:0], len(sets))[:len(sets)]
+	outs := slices.Grow(g.outs[:0], len(sets))[:len(sets)]
+	g.carries, g.outs = carries, outs
+	carried := false
+	for b := range sets {
+		carries[b] = len(sets[b].rows) > 0 && !stops(sets[b].dist, attrsLeft)
+		if carries[b] {
+			sets[b].lists = len(g.heads)
+			g.heads = slices.Grow(g.heads, nl)[:len(g.heads)+nl]
+			carried = true
+		}
+	}
+	if !carried {
+		return
+	}
+	nr := len(recv)
+	for j := 0; j < nl; j++ {
 		for b := range sets {
-			if shares[b] > 0 {
-				sets[b].rows = append(sets[b].rows, r)
-				sets[b].weights = append(sets[b].weights, weights[i]*shares[b])
+			if carries[b] {
+				outs[b] = g.arena.alloc(len(sets[b].rows))[:0]
+			}
+		}
+		for _, key := range g.heads[lists+j] {
+			i, rank := uint32(key), key&^math.MaxUint32
+			if b := g.branch[i]; b >= 0 {
+				if carries[b] {
+					outs[b] = append(outs[b], rank|uint64(g.pos[i]))
+				}
+				continue
+			}
+			m := g.pos[i]
+			for k, b := range recv {
+				if carries[b] {
+					outs[b] = append(outs[b], rank|uint64(g.before[m*nr+k]+m))
+				}
+			}
+		}
+		for b := range sets {
+			if carries[b] {
+				g.heads[sets[b].lists+j] = outs[b]
 			}
 		}
 	}
-	return sets
 }

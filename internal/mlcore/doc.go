@@ -22,7 +22,9 @@
 //     induction. Fractional weights implement C4.5's missing-value
 //     handling; Subset shares the table and class assignment while
 //     narrowing the active rows, which is what lets tree inducers recurse
-//     without copying data.
+//     without copying data. Its optional RankCache orders each numeric
+//     column of the table once for all the classifiers of one induction
+//     call.
 //   - Classifier / Trainer: each has one method. PredictInto writes a
 //     row's Distribution into a caller-owned buffer without allocating;
 //     Train induces a Classifier from Instances. audit.Options.Trainer

@@ -103,6 +103,10 @@ type Instances struct {
 	// Class maps a table row index to its class index, or -1 when the
 	// class value is null. It must be valid for every row in Rows.
 	Class []int
+	// Ranks, when set, shares rank tables of Table's columns among the
+	// classifiers of one induction call. A cache over another table is
+	// not used (see RankCache).
+	Ranks *RankCache
 }
 
 // NewInstances builds an instance set over all rows of a table. classOf
@@ -125,10 +129,19 @@ func NewInstances(t *dataset.Table, base []int, k int, classOf func(r int) int) 
 	return ins
 }
 
-// Subset returns a view sharing Table and Class but with its own row/weight
-// slices.
+// Subset returns a view sharing Table, Class and Ranks but with its own
+// row/weight slices.
 func (ins *Instances) Subset(rows []int, weights []float64) *Instances {
-	return &Instances{Table: ins.Table, Base: ins.Base, K: ins.K, Rows: rows, Weights: weights, Class: ins.Class}
+	return &Instances{Table: ins.Table, Base: ins.Base, K: ins.K, Rows: rows, Weights: weights, Class: ins.Class, Ranks: ins.Ranks}
+}
+
+// RankCache returns Ranks when it ranks Table's columns, and a new empty
+// cache over Table otherwise.
+func (ins *Instances) RankCache() *RankCache {
+	if ins.Ranks != nil && ins.Ranks.table == ins.Table {
+		return ins.Ranks
+	}
+	return NewRankCache(ins.Table)
 }
 
 // Validate checks internal consistency.
