@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
@@ -100,15 +101,17 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 	if n == 0 {
 		return nil, fmt.Errorf("c45: no instances with a known class value")
 	}
-	rows, weights := make([]int, 0, n), make([]float64, 0, n)
+	g := newGrower(ins, opts)
+	// The root's rows sit at the bottom of the grower's stacks.
+	rows, weights := g.rows.alloc(n)[:0], g.weights.alloc(n)[:0]
 	for i, r := range ins.Rows {
 		if ins.Class[r] >= 0 {
 			rows = append(rows, r)
 			weights = append(weights, ins.Weights[i])
 		}
 	}
-	g := newGrower(ins, opts)
 	root := g.grow(g.rootSet(rows, weights), len(ins.Base), prev)
+	g.free()
 	tree := &Tree{Root: root, K: ins.K, Base: ins.Base}
 	if opts.Prune {
 		prunePessimistic(root)
@@ -117,14 +120,16 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 }
 
 // grower carries one tree's induction state. One goroutine owns it, and
-// every node's split search reuses its buffers.
+// every node's split search reuses its buffers: a node allocates only its
+// output, the Node with its Dist counts and Children slice.
 type grower struct {
 	ins    *mlcore.Instances
 	opts   Options
 	schema *dataset.Schema
-	// ranks holds the rank tables of the call's table, shared by every
-	// tree of the call. Only a full split search asks for one, so a warm
-	// re-induction whose hints all hold builds none.
+	// ranks holds the rank tables and nominal code vectors of the call's
+	// table, shared by every tree of the call. Only a full split search
+	// asks for a rank table, so a warm re-induction whose hints all hold
+	// builds none.
 	ranks *mlcore.RankCache
 	// numeric lists the number-like base columns, and list[col] is a
 	// column's index in numeric (-1 for the others): a searching node's
@@ -132,30 +137,20 @@ type grower struct {
 	numeric []int
 	list    []int
 
-	// Presorted key lists, one per numeric column for a node that runs
-	// the full search: heads holds the lists, arena their keys. Both are
-	// stacks; a node releases what it pushed when its subtree is done.
-	heads [][]uint64
-	arena keyArena
+	// splits holds one split per base column, with its histograms, and
+	// slot[col] is a column's index in splits (-1 for the others). Every
+	// node reuses them: a node consumes its winning split
+	// (hasClassWithAtLeast, partition) before any child searches.
+	// candidates is bestSplit's list of admissible splits.
+	splits     []split
+	slot       []int
+	candidates []*split
 
-	// Threshold search buffers: the known rows' classes and weights in
-	// key order, and class histograms.
-	cls                 []int
-	wts                 []float64
+	// The stacks and the buffers sized by the node's rows.
+	*stacks
+	// Class histograms of the threshold search.
 	parent, left, right []float64
 	bestLeft, bestRight []float64
-	// partition's per-row branch (-1: missing value) and position in that
-	// branch's child (for a missing row, the number of missing rows before
-	// it), and, per missing row, each receiving child's count of known rows
-	// before it. carryLists reads them.
-	branch []int
-	pos    []int
-	before []int
-	// recv is partition's receiving branches; outs and carries are
-	// carryLists' per-branch lists and flags.
-	recv    []int
-	outs    [][]uint64
-	carries []bool
 
 	// searched, when set, sees the rows and key lists of every node that
 	// runs the full search, before the search; inherited tells whether the
@@ -163,21 +158,93 @@ type grower struct {
 	searched func(rows []int, lists [][]uint64, inherited bool)
 }
 
+// stacks holds a tree's stacks and the buffers sized by a node's rows.
+// None of it outlives the tree's induction, and every reader writes what
+// it reads first, so the trees of a process reuse them through stackPool.
+type stacks struct {
+	// Presorted key lists, one per numeric column for a node that runs
+	// the full search: heads holds the lists, keys their keys. The
+	// children's rows, weights and instance sets come from stacks too. All
+	// are stacks; a node releases what it pushed when its subtree is done.
+	heads   [][]uint64
+	keys    stackArena[uint64]
+	rows    stackArena[int]
+	weights stackArena[float64]
+	sets    stackArena[instSet]
+
+	// The threshold search's known rows' classes and weights in key order.
+	cls []int
+	wts []float64
+	// partition's per-row branch (-1: missing value) and position in that
+	// branch's child (for a missing row, the number of missing rows before
+	// it), and, per missing row, each receiving child's count of known rows
+	// before it. carryLists reads them.
+	branch []int
+	pos    []int
+	before []int
+	// recv is partition's receiving branches, shares and sizes its
+	// per-branch share of the known weight and row count; outs and carries
+	// are carryLists' per-branch lists and flags.
+	recv    []int
+	shares  []float64
+	sizes   []int
+	outs    [][]uint64
+	carries []bool
+}
+
+var stackPool = sync.Pool{New: func() any { return new(stacks) }}
+
+// free hands the grower's stacks back to stackPool once its tree is done;
+// the instance sets are cleared, as they point at the tree's distributions.
+// A tree whose induction panicked keeps its stacks.
+func (g *grower) free() {
+	g.release(arenaMark{})
+	for _, c := range g.sets.chunks {
+		clear(c)
+	}
+	stackPool.Put(g.stacks)
+	g.stacks = nil
+}
+
 func newGrower(ins *mlcore.Instances, opts Options) *grower {
 	hist := func() []float64 { return make([]float64, ins.K) }
 	g := &grower{
 		ins: ins, opts: opts, schema: ins.Table.Schema(), ranks: ins.RankCache(),
+		stacks: stackPool.Get().(*stacks),
 		list:   make([]int, ins.Table.NumCols()),
+		slot:   make([]int, ins.Table.NumCols()),
 		parent: hist(), left: hist(), right: hist(), bestLeft: hist(), bestRight: hist(),
 	}
 	for i := range g.list {
-		g.list[i] = -1
+		g.list[i], g.slot[i] = -1, -1
 	}
+	// Each base column's split has one histogram per branch and a size
+	// per branch plus the missing weight, carved from shared backing.
+	nbranches := 0
 	for _, attr := range ins.Base {
-		if g.schema.Attr(attr).IsNumberLike() && g.list[attr] < 0 {
+		if g.slot[attr] >= 0 {
+			continue
+		}
+		g.slot[attr] = len(g.splits)
+		nb := 2
+		if a := g.schema.Attr(attr); a.IsNumberLike() {
 			g.list[attr] = len(g.numeric)
 			g.numeric = append(g.numeric, attr)
+		} else {
+			nb = a.NumValues()
 		}
+		g.splits = append(g.splits, split{attr: attr, isNumeric: g.list[attr] >= 0, branches: make([][]float64, nb)})
+		nbranches += nb
+	}
+	hists, sizes := make([]float64, nbranches*ins.K), make([]float64, nbranches+len(g.splits))
+	for i := range g.splits {
+		s := &g.splits[i]
+		nb := len(s.branches)
+		s.hist, hists = hists[:nb*ins.K:nb*ins.K], hists[nb*ins.K:]
+		for b := range s.branches {
+			s.branches[b] = s.hist[b*ins.K : (b+1)*ins.K : (b+1)*ins.K]
+		}
+		s.sizes, sizes = sizes[:nb+1:nb+1], sizes[nb+1:]
 	}
 	return g
 }
@@ -203,28 +270,30 @@ func (g *grower) appendSortedKeys(dst []uint64, attr int, rows []int) []uint64 {
 // searched node below hints that held — and returns their index in heads.
 func (g *grower) sortLists(rows []int) int {
 	at := len(g.heads)
-	block := g.arena.alloc(len(g.numeric) * len(rows))[:0]
+	block := g.keys.alloc(len(g.numeric) * len(rows))[:0]
 	for _, attr := range g.numeric {
 		n := len(block)
 		block = g.appendSortedKeys(block, attr, rows)
 		g.heads = append(g.heads, block[n:len(block):len(block)])
 	}
-	g.arena.trim(block)
+	g.keys.trim(block)
 	return at
 }
 
-// keyArena hands out key lists from a stack of chunks. A chunk never
-// moves, so a list stays valid until released. A new chunk is at least as
-// large as all earlier ones together, so a tree allocates few chunks, each
-// sized from what the tree has needed.
-type keyArena struct {
-	chunks [][]uint64
-	// cur is the chunk lists come from, off its first free key.
+// stackArena hands out slices from a stack of chunks. A chunk never
+// moves, so a slice stays valid until released, and released memory is
+// handed out again without being cleared: its users write every element
+// they read. A new chunk is at least as large as all earlier ones
+// together, so a tree allocates few chunks, each sized from what the tree
+// has needed.
+type stackArena[T any] struct {
+	chunks [][]T
+	// cur is the chunk slices come from, off its first free element.
 	cur, off int
 }
 
-// alloc returns a list of length and capacity n.
-func (a *keyArena) alloc(n int) []uint64 {
+// alloc returns a slice of length and capacity n.
+func (a *stackArena[T]) alloc(n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -238,34 +307,63 @@ func (a *keyArena) alloc(n int) []uint64 {
 	for _, c := range a.chunks {
 		size += len(c)
 	}
-	a.chunks = append(a.chunks, make([]uint64, size))
+	a.chunks = append(a.chunks, make([]T, size))
 	a.off = n
 	return a.chunks[a.cur][:n:n]
 }
 
-// trim returns the unused tail of s, the last list allocated, to the
+// trim returns the unused tail of s, the last slice allocated, to the
 // arena.
-func (a *keyArena) trim(s []uint64) {
+func (a *stackArena[T]) trim(s []T) {
 	a.off -= cap(s) - len(s)
 }
 
-// arenaMark is the top of the grower's stacks.
-type arenaMark struct{ cur, off, heads int }
+// stackMark is the top of one stackArena.
+type stackMark struct{ cur, off int }
 
-func (g *grower) mark() arenaMark { return arenaMark{g.arena.cur, g.arena.off, len(g.heads)} }
+func (a *stackArena[T]) mark() stackMark { return stackMark{a.cur, a.off} }
 
-func (g *grower) release(m arenaMark) {
-	g.arena.cur, g.arena.off = m.cur, m.off
-	g.heads = g.heads[:m.heads]
+// release pops everything allocated since m. With poisonReleased set, it
+// first overwrites the popped elements with poison.
+func (a *stackArena[T]) release(m stackMark, poison T) {
+	if poisonReleased {
+		for c := m.cur; c <= a.cur && c < len(a.chunks); c++ {
+			lo, hi := 0, len(a.chunks[c])
+			if c == m.cur {
+				lo = m.off
+			}
+			if c == a.cur {
+				hi = a.off
+			}
+			for i := lo; i < hi; i++ {
+				a.chunks[c][i] = poison
+			}
+		}
+	}
+	a.cur, a.off = m.cur, m.off
 }
 
-// distOf tallies the weighted class distribution of the rows.
-func (g *grower) distOf(rows []int, weights []float64) mlcore.Distribution {
-	d := mlcore.NewDistribution(g.ins.K)
-	for i, r := range rows {
-		d.Add(g.ins.Class[r], weights[i])
-	}
-	return d
+// poisonReleased makes every release overwrite the memory it frees: rows
+// with -1, weights with NaN, keys with all ones and instance sets with
+// zero sets. Tests set it, so that a read of a released region fails.
+var poisonReleased bool
+
+// arenaMark is the top of the grower's stacks.
+type arenaMark struct {
+	keys, rows, weights, sets stackMark
+	heads                     int
+}
+
+func (g *grower) mark() arenaMark {
+	return arenaMark{g.keys.mark(), g.rows.mark(), g.weights.mark(), g.sets.mark(), len(g.heads)}
+}
+
+func (g *grower) release(m arenaMark) {
+	g.keys.release(m.keys, math.MaxUint64)
+	g.rows.release(m.rows, -1)
+	g.weights.release(m.weights, math.NaN())
+	g.sets.release(m.sets, instSet{})
+	g.heads = g.heads[:m.heads]
 }
 
 // instSet is one node's weighted instance set.
@@ -280,7 +378,11 @@ type instSet struct {
 
 // rootSet is the instance set of a tree's root.
 func (g *grower) rootSet(rows []int, weights []float64) instSet {
-	return instSet{rows: rows, weights: weights, dist: g.distOf(rows, weights), lists: -1}
+	d := mlcore.NewDistribution(g.ins.K)
+	for i, r := range rows {
+		d.Add(g.ins.Class[r], weights[i])
+	}
+	return instSet{rows: rows, weights: weights, dist: d, lists: -1}
 }
 
 // stops reports whether a node stays a leaf whatever its hint: it is
@@ -302,16 +404,15 @@ func stops(dist mlcore.Distribution, attrsLeft int) bool {
 // node whose hint holds needs no list and builds none.
 func (g *grower) grow(n instSet, attrsLeft int, hint *Skeleton) *Node {
 	rows, weights, dist := n.rows, n.weights, n.dist
-	leaf := &Node{Attr: -1, Dist: dist}
 
 	if stops(dist, attrsLeft) {
-		return leaf
+		return leafOf(dist)
 	}
 	// A leaf hint means the previous tree stopped here: keep the leaf
 	// without searching for a split (the stop conditions above and the
 	// integrated pruning below still apply on the recursion path).
 	if hint != nil && hint.Attr < 0 {
-		return leaf
+		return leafOf(dist)
 	}
 
 	defer g.release(g.mark())
@@ -333,7 +434,7 @@ func (g *grower) grow(n instSet, attrsLeft int, hint *Skeleton) *Node {
 		}
 		best = g.bestSplit(rows, weights, n.lists)
 		if best == nil {
-			return leaf
+			return leafOf(dist)
 		}
 		// §5.4 pre-pruning: reject the split when no partition would contain at
 		// least minInst instances of one class ("This number can be used in a
@@ -341,7 +442,7 @@ func (g *grower) grow(n instSet, attrsLeft int, hint *Skeleton) *Node {
 		// further partitioned when there is not at least one subset with
 		// minInst instances of one class").
 		if g.opts.MinInst > 0 && !best.hasClassWithAtLeast(g.opts.MinInst) {
-			return leaf
+			return leafOf(dist)
 		}
 	}
 
@@ -377,11 +478,13 @@ func (g *grower) grow(n instSet, attrsLeft int, hint *Skeleton) *Node {
 		leafEC := expErrConfLeaf(dist, g.opts.ConfLevel, g.opts.MinErrConf)
 		nodeEC := expErrConfNode(node, g.opts.ConfLevel, g.opts.MinErrConf)
 		if leafEC > nodeEC+1e-15 {
-			return leaf
+			return leafOf(dist)
 		}
 	}
 	return node
 }
+
+func leafOf(dist mlcore.Distribution) *Node { return &Node{Attr: -1, Dist: dist} }
 
 func isPure(d mlcore.Distribution) bool {
 	seen := false
@@ -396,7 +499,8 @@ func isPure(d mlcore.Distribution) bool {
 	return true
 }
 
-// split describes a candidate split and its quality.
+// split describes a candidate split and its quality. The grower owns one
+// per base column, and each search of the column overwrites it.
 type split struct {
 	attr      int
 	isNumeric bool
@@ -404,8 +508,12 @@ type split struct {
 	gain      float64
 	gainRatio float64
 	// branch class histograms over known-valued instances (used by the
-	// minInst pre-pruning check).
+	// minInst pre-pruning check), rows of hist.
 	branches [][]float64
+	hist     []float64
+	// sizes holds the branch weights and then the missing weight, for the
+	// split information.
+	sizes []float64
 }
 
 // hasClassWithAtLeast reports whether some branch holds at least min
@@ -426,7 +534,7 @@ func (s *split) hasClassWithAtLeast(min float64) bool {
 // plain gain for ID3), or nil if no admissible split exists. lists
 // indexes the node's key lists in heads.
 func (g *grower) bestSplit(rows []int, weights []float64, lists int) *split {
-	var candidates []*split
+	candidates := g.candidates[:0]
 	for _, attr := range g.ins.Base {
 		var s *split
 		if j := g.list[attr]; j >= 0 {
@@ -438,6 +546,7 @@ func (g *grower) bestSplit(rows []int, weights []float64, lists int) *split {
 			candidates = append(candidates, s)
 		}
 	}
+	g.candidates = candidates
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -473,27 +582,28 @@ func (g *grower) bestSplit(rows []int, weights []float64, lists int) *split {
 	return best
 }
 
-// nominalSplit evaluates the multiway split on a nominal attribute.
+// nominalSplit evaluates the multiway split on a nominal attribute. It
+// reads the column's code vector, and sums in row order.
 func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
-	nv := g.schema.Attr(attr).NumValues()
-	branches := make([][]float64, nv)
-	for i := range branches {
-		branches[i] = make([]float64, g.ins.K)
-	}
-	parent := make([]float64, g.ins.K)
-	branchSizes := make([]float64, nv, nv+1)
+	s := &g.splits[g.slot[attr]]
+	codes := g.ranks.Codes(attr)
+	k, nv, hist := g.ins.K, len(s.branches), s.hist
+	clear(hist)
+	parent := g.parent
+	clear(parent)
+	sizes := s.sizes[:nv]
+	clear(sizes)
 	knownW, missingW := 0.0, 0.0
 	for i, r := range rows {
-		v := g.ins.Table.Get(r, attr)
-		w := weights[i]
-		if v.IsNull() {
+		v, w := codes[r], weights[i]
+		if v < 0 {
 			missingW += w
 			continue
 		}
 		c := g.ins.Class[r]
-		branches[v.NomIdx()][c] += w
+		hist[int(v)*k+c] += w
 		parent[c] += w
-		branchSizes[v.NomIdx()] += w
+		sizes[v] += w
 		knownW += w
 	}
 	if knownW <= 0 {
@@ -501,7 +611,7 @@ func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
 	}
 	// At least two branches must carry minLeaf weight.
 	populated := 0
-	for _, sz := range branchSizes {
+	for _, sz := range sizes {
 		if sz >= minLeaf {
 			populated++
 		}
@@ -509,17 +619,12 @@ func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
 	if populated < 2 {
 		return nil
 	}
-	gain := stats.InfoGain(parent, branches) * knownW / (knownW + missingW)
-	sizesWithMissing := branchSizes
+	s.gain = stats.InfoGain(parent, s.branches) * knownW / (knownW + missingW)
 	if missingW > 0 {
-		sizesWithMissing = append(sizesWithMissing, missingW)
+		sizes = append(sizes, missingW)
 	}
-	return &split{
-		attr:      attr,
-		gain:      gain,
-		gainRatio: stats.GainRatio(gain, sizesWithMissing),
-		branches:  branches,
-	}
+	s.gainRatio = stats.GainRatio(s.gain, sizes)
+	return s
 }
 
 // numericSplit finds the best binary threshold on a numeric attribute.
@@ -617,7 +722,11 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64, keys []ui
 	if bestGain < 0 {
 		return nil
 	}
-	gain := bestGain * knownW / (knownW + missingW)
+	s := &g.splits[g.slot[attr]]
+	copy(s.branches[0], g.bestLeft)
+	copy(s.branches[1], g.bestRight)
+	s.thresh = bestThresh
+	s.gain = bestGain * knownW / (knownW + missingW)
 	leftSize, rightSize := 0.0, 0.0
 	for _, c := range g.bestLeft {
 		leftSize += c
@@ -625,18 +734,19 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64, keys []ui
 	for _, c := range g.bestRight {
 		rightSize += c
 	}
-	sizes := []float64{leftSize, rightSize}
+	s.setGainRatio(leftSize, rightSize, missingW)
+	return s
+}
+
+// setGainRatio sets a binary split's gain ratio from its branch and
+// missing weights.
+func (s *split) setGainRatio(leftW, rightW, missingW float64) {
+	sizes := s.sizes[:2]
+	sizes[0], sizes[1] = leftW, rightW
 	if missingW > 0 {
 		sizes = append(sizes, missingW)
 	}
-	return &split{
-		attr:      attr,
-		isNumeric: true,
-		thresh:    bestThresh,
-		gain:      gain,
-		gainRatio: stats.GainRatio(gain, sizes),
-		branches:  [][]float64{slices.Clone(g.bestLeft), slices.Clone(g.bestRight)},
-	}
+	s.gainRatio = stats.GainRatio(s.gain, sizes)
 }
 
 // interiorCut reports whether the admissible cut after row j, whose value
@@ -662,12 +772,16 @@ func interiorCut(keys []uint64, cls []int, wts []float64, j, c int, leftW, known
 // branch's share of the known weight — C4.5's fractional instances
 // ("this approach requires the possibility to 'distribute' a training
 // instance over several branches of an inner node", §5.1.2). A counting
-// pass sizes every branch first, so each child's slices are allocated
-// once, at their final size; it also records where each row lands, for
-// carryLists. recv lists the branches that receive the missing rows.
+// pass sizes every branch first, so each child's rows and weights are
+// taken once, at their final size, from the grower's stacks; it also
+// records where each row lands, for carryLists. The scatter pass fills
+// the children and sums each child's distribution in its row order. recv
+// lists the branches that receive the missing rows.
 func (s *split) partition(g *grower, rows []int, weights []float64) (sets []instSet, recv []int) {
 	nb := len(s.branches)
-	shares := make([]float64, nb)
+	shares := slices.Grow(g.shares[:0], nb)[:nb]
+	clear(shares)
+	g.shares = shares
 	knownW := 0.0
 	for b := range s.branches {
 		for _, c := range s.branches[b] {
@@ -690,25 +804,37 @@ func (s *split) partition(g *grower, rows []int, weights []float64) (sets []inst
 	branch := slices.Grow(g.branch[:0], len(rows))[:len(rows)]
 	pos := slices.Grow(g.pos[:0], len(rows))[:len(rows)]
 	before := g.before[:0]
-	sizes := make([]int, nb)
+	sizes := slices.Grow(g.sizes[:0], nb)[:nb]
+	clear(sizes)
+	g.sizes = sizes
+	// A nominal split reads the column's codes, a numeric one its cells:
+	// a hinted numeric split must not build a rank table.
+	var codes []int32
+	var cells []dataset.Value
+	if s.isNumeric {
+		cells = g.ins.Table.Column(s.attr)
+	} else {
+		codes = g.ranks.Codes(s.attr)
+	}
 	missing := 0
 	for i, r := range rows {
-		v := g.ins.Table.Get(r, s.attr)
-		var b int
+		b := -1
 		switch {
-		case v.IsNull():
+		case !s.isNumeric:
+			b = int(codes[r])
+		case cells[r].IsNull():
+		case cells[r].Float() <= s.thresh:
+			b = 0
+		default:
+			b = 1
+		}
+		if b < 0 {
 			branch[i], pos[i] = -1, missing
 			for _, b := range recv {
 				before = append(before, sizes[b])
 			}
 			missing++
 			continue
-		case !s.isNumeric:
-			b = v.NomIdx()
-		case v.Float() <= s.thresh:
-			b = 0
-		default:
-			b = 1
 		}
 		// A known row follows every missing row before it in a child
 		// that receives them.
@@ -719,30 +845,30 @@ func (s *split) partition(g *grower, rows []int, weights []float64) (sets []inst
 		sizes[b]++
 	}
 	g.branch, g.pos, g.before = branch, pos, before
-	sets = make([]instSet, nb)
+	sets = g.sets.alloc(nb)
 	for b := range sets {
 		if shares[b] > 0 {
 			sizes[b] += missing
 		}
-		sets[b].lists = -1
+		sets[b] = instSet{lists: -1}
 		if sizes[b] > 0 {
-			sets[b].rows, sets[b].weights = make([]int, 0, sizes[b]), make([]float64, 0, sizes[b])
+			sets[b].rows, sets[b].weights = g.rows.alloc(sizes[b])[:0], g.weights.alloc(sizes[b])[:0]
+			sets[b].dist = mlcore.NewDistribution(g.ins.K)
 		}
 	}
 	for i, r := range rows {
+		c := g.ins.Class[r]
 		if b := branch[i]; b >= 0 {
 			sets[b].rows = append(sets[b].rows, r)
 			sets[b].weights = append(sets[b].weights, weights[i])
+			sets[b].dist.Add(c, weights[i])
 			continue
 		}
 		for _, b := range recv {
+			w := weights[i] * shares[b]
 			sets[b].rows = append(sets[b].rows, r)
-			sets[b].weights = append(sets[b].weights, weights[i]*shares[b])
-		}
-	}
-	for b := range sets {
-		if len(sets[b].rows) > 0 {
-			sets[b].dist = g.distOf(sets[b].rows, sets[b].weights)
+			sets[b].weights = append(sets[b].weights, w)
+			sets[b].dist.Add(c, w)
 		}
 	}
 	return sets, recv
@@ -775,7 +901,7 @@ func (g *grower) carryLists(lists int, recv []int, sets []instSet, attrsLeft int
 	for j := 0; j < nl; j++ {
 		for b := range sets {
 			if carries[b] {
-				outs[b] = g.arena.alloc(len(sets[b].rows))[:0]
+				outs[b] = g.keys.alloc(len(sets[b].rows))[:0]
 			}
 		}
 		for _, key := range g.heads[lists+j] {

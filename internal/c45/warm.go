@@ -72,8 +72,15 @@ func (t *Tree) Update(trainer mlcore.Trainer, full *mlcore.Instances) (mlcore.Cl
 // evalHint re-evaluates a previously chosen split on the current
 // instance set: the hinted attribute only, with the old threshold for
 // numeric splits. It returns nil when the split is no longer admissible
-// (the caller then falls back to the full search).
+// (the caller then falls back to the full search), and when the hint names
+// a column of the table that is not a base attribute of the hint's kind,
+// for which the grower holds no split buffers. A hint naming a column the
+// table lacks comes from a corrupt model; the split search panics on it,
+// and the panic reaches the caller of the induction.
 func (g *grower) evalHint(hint *Skeleton, rows []int, weights []float64) *split {
+	if a := hint.Attr; a < len(g.slot) && (g.slot[a] < 0 || hint.IsNumeric != (g.list[a] >= 0)) {
+		return nil
+	}
 	var s *split
 	if hint.IsNumeric {
 		s = g.numericSplitAt(hint.Attr, hint.Thresh, rows, weights)
@@ -91,14 +98,17 @@ func (g *grower) evalHint(hint *Skeleton, rows []int, weights []float64) *split 
 
 // numericSplitAt evaluates the binary split at one fixed threshold in a
 // single unsorted pass — the warm-path replacement for numericSplit's
-// sort-and-scan threshold search.
+// sort-and-scan threshold search. Its histograms sum in row order, so
+// their last bits can differ from the search's, which sums in key order.
 func (g *grower) numericSplitAt(attr int, thresh float64, rows []int, weights []float64) *split {
-	left := make([]float64, g.ins.K)
-	right := make([]float64, g.ins.K)
-	parent := make([]float64, g.ins.K)
+	s := &g.splits[g.slot[attr]]
+	left, right, parent := s.branches[0], s.branches[1], g.parent
+	clear(s.hist)
+	clear(parent)
+	cells := g.ins.Table.Column(attr)
 	leftW, rightW, missingW := 0.0, 0.0, 0.0
 	for i, r := range rows {
-		val := g.ins.Table.Get(r, attr)
+		val := cells[r]
 		if val.IsNull() {
 			missingW += weights[i]
 			continue
@@ -118,17 +128,8 @@ func (g *grower) numericSplitAt(attr int, thresh float64, rows []int, weights []
 		return nil
 	}
 	knownW := leftW + rightW
-	gain := stats.InfoGain(parent, [][]float64{left, right}) * knownW / (knownW + missingW)
-	sizes := []float64{leftW, rightW}
-	if missingW > 0 {
-		sizes = append(sizes, missingW)
-	}
-	return &split{
-		attr:      attr,
-		isNumeric: true,
-		thresh:    thresh,
-		gain:      gain,
-		gainRatio: stats.GainRatio(gain, sizes),
-		branches:  [][]float64{left, right},
-	}
+	s.thresh = thresh
+	s.gain = stats.InfoGain(parent, s.branches) * knownW / (knownW + missingW)
+	s.setGainRatio(leftW, rightW, missingW)
+	return s
 }

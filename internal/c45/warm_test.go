@@ -46,3 +46,14 @@ func TestWarmStartReusesSkeleton(t *testing.T) {
 			cold.Size(), cold.Leaves(), cold.Depth(), warm.Size(), warm.Leaves(), warm.Depth())
 	}
 }
+
+// TestReleasedStacksPoisoned reruns the presorted-list and warm-start
+// checks with every released stack region overwritten — rows with -1,
+// weights with NaN, keys with all ones — so that a node that reads rows,
+// weights or keys a finished subtree has released fails them.
+func TestReleasedStacksPoisoned(t *testing.T) {
+	c45.SetPoisonReleased(true)
+	defer c45.SetPoisonReleased(false)
+	t.Run("PresortedListsMatchNodeSort", c45.PresortedListsMatchNodeSort)
+	t.Run("WarmStartReusesSkeleton", TestWarmStartReusesSkeleton)
+}

@@ -51,35 +51,55 @@ func NewRankTable(col []dataset.Value) *RankTable {
 	return rt
 }
 
-// RankCache holds the rank tables of one table's columns for the
-// duration of one induction call, so that every tree of the call orders
-// a column once. A table is built the first time any tree asks for it
-// and shared from then on; the cache is safe for concurrent use.
+// RankCache holds the column orders of one table for the duration of one
+// induction call, so that every tree of the call reads a column once: a
+// rank table per number-like column and a code vector per nominal column.
+// Each is built the first time any tree asks for it and shared from then
+// on; the cache is safe for concurrent use.
 type RankCache struct {
 	table *dataset.Table
-	cols  []rankSlot
+	cols  []colSlot
 }
 
-type rankSlot struct {
-	once sync.Once
-	rt   *RankTable
+type colSlot struct {
+	rankOnce sync.Once
+	rt       *RankTable
+	codeOnce sync.Once
+	codes    []int32
 }
 
 // NewRankCache returns an empty cache over the table's columns.
 func NewRankCache(t *dataset.Table) *RankCache {
-	return &RankCache{table: t, cols: make([]rankSlot, t.NumCols())}
+	return &RankCache{table: t, cols: make([]colSlot, t.NumCols())}
 }
 
 // Column returns the column's rank table, building it on first use. The
 // column must be number-like.
 func (c *RankCache) Column(col int) *RankTable {
 	s := &c.cols[col]
-	s.once.Do(func() { s.rt = NewRankTable(c.table.Column(col)) })
+	s.rankOnce.Do(func() { s.rt = NewRankTable(c.table.Column(col)) })
 	return s.rt
 }
 
-// Built counts the columns ranked so far. Call it once the cache's users
-// have finished.
+// Codes returns the nominal column's code vector, building it on first
+// use: each row's domain index, or -1 for a null cell. It is read-only.
+func (c *RankCache) Codes(col int) []int32 {
+	s := &c.cols[col]
+	s.codeOnce.Do(func() {
+		cells := c.table.Column(col)
+		s.codes = make([]int32, len(cells))
+		for r, v := range cells {
+			s.codes[r] = -1
+			if !v.IsNull() {
+				s.codes[r] = int32(v.NomIdx())
+			}
+		}
+	})
+	return s.codes
+}
+
+// Built counts the columns ranked so far; code vectors do not count. Call
+// it once the cache's users have finished.
 func (c *RankCache) Built() int {
 	n := 0
 	for i := range c.cols {

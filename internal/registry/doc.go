@@ -20,6 +20,16 @@
 // the next publish). Concurrent readers either see the previous latest
 // version or the new one, never a torn state.
 //
+// # Latest version
+//
+// Get and MetaOf resolve "latest" without reading the directory. A
+// Registry remembers, per name, the highest committed version v it has
+// seen; versions are committed highest-plus-one, so a later publish by any
+// process shows as v+1's sidecar, and a lookup steps while the next one
+// exists. Only when v's own sidecar is gone (the model was deleted) does
+// it scan the directory. A lookup thus costs two os.Stat calls however
+// many versions are kept.
+//
 // # Caching
 //
 // Loads are lazy and cached with LRU eviction (WithCacheSize, default 8

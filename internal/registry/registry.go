@@ -91,9 +91,8 @@ func ValidName(name string) bool { return nameRe.MatchString(name) }
 // pubMu serializes the writers (Publish, Delete) — version allocation
 // and the two-file commit must not interleave. Readers need no disk
 // lock at all: committed meta sidecars are immutable, and a mid-publish
-// directory scan simply does not see the uncommitted version yet (the
-// sidecar is the commit point). Lock order where both are held:
-// pubMu before mu.
+// version is invisible until its sidecar (the commit point) lands. Lock
+// order where both are held: pubMu before mu.
 type Registry struct {
 	root string
 
@@ -104,6 +103,9 @@ type Registry struct {
 	clock int64                  // logical clock for LRU bookkeeping
 	gen   int64                  // bumped by Delete; stale loads skip the cache
 	max   int
+	// latest is, per model name, the highest committed version seen: the
+	// starting point of the next "latest" lookup (see latestVersion).
+	latest map[string]int
 
 	// Cache statistics, atomic so CacheStats never contends with the
 	// cache lock. The registry stays dependency-free: the serving layer
@@ -143,7 +145,7 @@ func Open(dir string, opts ...Option) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
-	r := &Registry{root: dir, cache: make(map[string]*cacheEntry), max: 8}
+	r := &Registry{root: dir, cache: make(map[string]*cacheEntry), max: 8, latest: make(map[string]int)}
 	for _, o := range opts {
 		o(r)
 	}
@@ -186,6 +188,45 @@ func parseVersionName(name, suffix string) (version int, ok bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// committed reports whether the version's meta sidecar, its commit point,
+// exists in the model directory.
+func committed(dir string, version int) bool {
+	_, meta := versionFiles(version)
+	_, err := os.Stat(filepath.Join(dir, meta))
+	return err == nil
+}
+
+// latestVersion resolves the named model's latest committed version, or 0
+// when it has none, without reading the directory. Versions are committed
+// highest-plus-one, so from the highest version v this registry has seen,
+// a later publish — through this registry or any other over the same
+// directory — shows as v+1's sidecar; it steps while one exists. Only when
+// v's own sidecar is gone (the model was deleted) does it scan. What it
+// finds replaces v unless a writer recorded a version in the meantime.
+func (r *Registry) latestVersion(name string) (int, error) {
+	dir := r.modelDir(name)
+	r.mu.Lock()
+	seen := r.latest[name]
+	r.mu.Unlock()
+	v := seen
+	if v == 0 || !committed(dir, v) {
+		versions, err := committedVersions(dir)
+		if err != nil || len(versions) == 0 {
+			return 0, err
+		}
+		v = versions[len(versions)-1]
+	}
+	for committed(dir, v+1) {
+		v++
+	}
+	r.mu.Lock()
+	if r.latest[name] == seen {
+		r.latest[name] = v
+	}
+	r.mu.Unlock()
+	return v, nil
 }
 
 // committedVersions scans a model directory for versions whose meta
@@ -276,6 +317,7 @@ func (r *Registry) PublishWithQuality(name string, m *audit.Model, quality *audi
 	gcAborted(dir, version)
 
 	r.mu.Lock()
+	r.latest[name] = version
 	r.cachePutLocked(name, version, m, meta)
 	r.mu.Unlock()
 	return meta, nil
@@ -324,18 +366,18 @@ func (r *Registry) GetVersion(name string, version int) (*audit.Model, Meta, err
 	}
 	dir := r.modelDir(name)
 
-	// Resolving "latest" scans the directory — no lock needed: committed
-	// sidecars are immutable and a mid-publish version is invisible
-	// until its sidecar lands.
+	// Resolving "latest" takes no disk lock: committed sidecars are
+	// immutable and a mid-publish version is invisible until its sidecar
+	// lands.
 	if version == 0 {
-		versions, err := committedVersions(dir)
+		latest, err := r.latestVersion(name)
 		if err != nil {
 			return nil, Meta{}, fmt.Errorf("registry: %w", err)
 		}
-		if len(versions) == 0 {
+		if latest == 0 {
 			return nil, Meta{}, &NotFoundError{Name: name}
 		}
-		version = versions[len(versions)-1]
+		version = latest
 	}
 	key := cacheKey(name, version)
 	r.mu.Lock()
@@ -386,14 +428,14 @@ func (r *Registry) MetaOf(name string) (Meta, error) {
 	if !ValidName(name) {
 		return Meta{}, fmt.Errorf("registry: invalid model name %q", name)
 	}
-	versions, err := committedVersions(r.modelDir(name))
+	latest, err := r.latestVersion(name)
 	if err != nil {
 		return Meta{}, fmt.Errorf("registry: %w", err)
 	}
-	if len(versions) == 0 {
+	if latest == 0 {
 		return Meta{}, &NotFoundError{Name: name}
 	}
-	return r.readMeta(name, versions[len(versions)-1])
+	return r.readMeta(name, latest)
 }
 
 // MetaOfVersion returns the committed metadata of one specific version
@@ -484,6 +526,7 @@ func (r *Registry) Delete(name string) error {
 	// model from still-present files.
 	r.mu.Lock()
 	r.gen++
+	delete(r.latest, name)
 	for key := range r.cache {
 		if n, _, ok := strings.Cut(key, "@"); ok && n == name {
 			delete(r.cache, key)

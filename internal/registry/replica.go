@@ -90,6 +90,9 @@ func (r *Registry) InstallReplica(meta Meta, m *audit.Model) error {
 	}
 
 	r.mu.Lock()
+	// A replica may land above a gap that latestVersion's step would not
+	// cross.
+	r.latest[meta.Name] = max(r.latest[meta.Name], meta.Version)
 	r.cachePutLocked(meta.Name, meta.Version, m, meta)
 	r.mu.Unlock()
 	return nil
