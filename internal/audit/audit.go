@@ -15,8 +15,10 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -662,19 +664,82 @@ func (m *Model) ApplyCorrections(tab *dataset.Table, res *Result) *dataset.Table
 
 // DescribeFinding renders a finding like the paper's §6.2 examples.
 func (m *Model) DescribeFinding(f *Finding) string {
-	attr := m.Schema.Attr(f.Attr)
-	am := m.attrModelFor(f.Attr)
-	observed := "?"
-	if f.Observed >= 0 && am != nil {
-		observed = am.Labels[f.Observed]
-	}
-	predicted := ""
-	if am != nil {
-		predicted = am.Labels[f.Predicted]
-	}
-	return fmt.Sprintf("%s: observed %s, expected %s (P=%.4f, n=%.0f, error confidence %.2f%%)",
-		attr.Name, observed, predicted, f.PHat, f.N, f.ErrorConf*100)
+	return string(m.AppendDescription(nil, f))
 }
+
+// AppendDescription appends DescribeFinding's text to dst, the form
+// "BRV: observed 404, expected 501 (P=0.9900, n=120, error confidence
+// 97.50%)": the probability with four decimals, the sample size with
+// none and the error confidence as a percentage with two, each as
+// strconv's 'f' format writes it (and so as fmt's %.Nf would).
+func (m *Model) AppendDescription(dst []byte, f *Finding) []byte {
+	am := m.attrModelFor(f.Attr)
+	dst = append(dst, m.Schema.Attr(f.Attr).Name...)
+	dst = append(dst, ": observed "...)
+	if f.Observed >= 0 && am != nil {
+		dst = append(dst, am.Labels[f.Observed]...)
+	} else {
+		dst = append(dst, '?')
+	}
+	dst = append(dst, ", expected "...)
+	if am != nil {
+		dst = append(dst, am.Labels[f.Predicted]...)
+	}
+	dst = append(dst, " (P="...)
+	dst = appendFixed(dst, f.PHat, 4)
+	dst = append(dst, ", n="...)
+	dst = appendFixed(dst, f.N, 0)
+	dst = append(dst, ", error confidence "...)
+	dst = appendFixed(dst, f.ErrorConf*100, 2)
+	return append(dst, "%)"...)
+}
+
+// appendFixed appends x with prec (at most 4) decimals, exactly as
+// strconv.AppendFloat(dst, x, 'f', prec, 64) does. strconv takes its
+// arbitrary-precision path for a fixed number of decimals; here, for a
+// finite x in [2^-12, 2^53) by magnitude or zero, x·10^prec is rounded
+// half to even in 128-bit integer arithmetic instead. Any other x goes
+// to strconv.
+func appendFixed(dst []byte, x float64, prec int) []byte {
+	b := math.Float64bits(x)
+	mant := b&(1<<52-1) | 1<<52
+	shift := 1075 - int(b>>52&0x7ff) // x = ±mant / 2^shift
+	var q uint64
+	switch {
+	case x == 0:
+	case shift < 1 || shift > 64: // an integer from 2^52 on, tiny, subnormal, Inf or NaN
+		return strconv.AppendFloat(dst, x, 'f', prec, 64)
+	default:
+		hi, lo := bits.Mul64(mant, pow10u64[prec])
+		var rem, half uint64
+		if shift == 64 {
+			q, rem, half = hi, lo, 1<<63
+		} else {
+			if hi>>shift != 0 {
+				return strconv.AppendFloat(dst, x, 'f', prec, 64)
+			}
+			q, rem, half = hi<<(64-shift)|lo>>shift, lo&(1<<shift-1), 1<<(shift-1)
+		}
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	}
+	if math.Signbit(x) {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, q/pow10u64[prec], 10)
+	if prec == 0 {
+		return dst
+	}
+	dst = append(dst, '.')
+	frac := q % pow10u64[prec]
+	for p := prec - 1; p >= 0; p-- {
+		dst = append(dst, byte('0'+frac/pow10u64[p]%10))
+	}
+	return dst
+}
+
+var pow10u64 = [...]uint64{1, 10, 100, 1000, 10000}
 
 func (m *Model) attrModelFor(attr int) *AttrModel {
 	for _, am := range m.Attrs {

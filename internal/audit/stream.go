@@ -58,6 +58,12 @@ type StreamOptions struct {
 	// still being read. Returning an error aborts the stream with that
 	// error. The report (and its findings) must not be retained.
 	OnSuspicious func(rep *RecordReport) error
+	// OnChunkFolded, when non-nil, is called once a scored unit's
+	// suspicious records have all gone through OnSuspicious, and only for
+	// a unit that had at least one — the point where the streaming
+	// endpoint flushes the report lines it has written. Returning an error
+	// aborts the stream with that error.
+	OnChunkFolded func() error
 	// OnRow, when non-nil, is called for every row pulled from the
 	// source, one call at a time and in source order — the hook the
 	// monitoring layer samples rows through (e.g. into a re-induction
@@ -191,6 +197,9 @@ func (m *Model) auditStream(f feed, opts StreamOptions) (*StreamResult, error) {
 				}
 			}
 			top.offer(rep, opts.TopK)
+		}
+		if opts.OnChunkFolded != nil && len(p.suspicious) > 0 {
+			return opts.OnChunkFolded()
 		}
 		return nil
 	}

@@ -2,8 +2,11 @@ package registry
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
+
+	"dataaudit/internal/audit"
 )
 
 // cacheKeys snapshots the resident cache keys under the registry lock.
@@ -12,7 +15,7 @@ func cacheKeys(r *Registry) map[string]bool {
 	defer r.mu.Unlock()
 	out := make(map[string]bool, len(r.cache))
 	for k := range r.cache {
-		out[k] = true
+		out[k.name+"@"+strconv.Itoa(k.version)] = true
 	}
 	return out
 }
@@ -135,5 +138,76 @@ func TestConcurrentGetUnderEvictionPressure(t *testing.T) {
 
 	if keys := cacheKeys(reg); len(keys) > 1 {
 		t.Fatalf("cache exceeded its cap of 1: %v", keys)
+	}
+}
+
+// TestRecreatedModelAcrossRegistries: two registries over one directory,
+// as two processes would open it. When one deletes a model and publishes
+// it again, the other must serve the new incarnation — never the deleted
+// one its cache still holds under the same name and version — from Get,
+// GetVersion, MetaOf and MetaOfVersion alike, and must find nothing once
+// the model is deleted for good.
+func TestRecreatedModelAcrossRegistries(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testModel(t)
+	recreate := func() Meta {
+		t.Helper()
+		if err := a.Delete("engines"); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := a.Publish("engines", m)
+		if err != nil || meta.Version != 1 {
+			t.Fatalf("republish: v%d, %v", meta.Version, err)
+		}
+		return meta
+	}
+	// want checks every read of b against the incarnation a committed
+	// last, and returns the model b served.
+	want := func(pub Meta, stale *audit.Model, byVersion bool) *audit.Model {
+		t.Helper()
+		var got *audit.Model
+		var meta Meta
+		if byVersion {
+			got, meta, err = b.GetVersion("engines", 1)
+		} else {
+			got, meta, err = b.Get("engines")
+		}
+		if err != nil || !meta.CreatedAt.Equal(pub.CreatedAt) || got == stale {
+			t.Fatalf("Get (by version %v) = createdAt %v, err %v, stale model %v; want createdAt %v",
+				byVersion, meta.CreatedAt, err, got == stale, pub.CreatedAt)
+		}
+		if meta, err := b.MetaOf("engines"); err != nil || !meta.CreatedAt.Equal(pub.CreatedAt) {
+			t.Fatalf("MetaOf = createdAt %v, err %v; want %v", meta.CreatedAt, err, pub.CreatedAt)
+		}
+		if meta, err := b.MetaOfVersion("engines", 1); err != nil || !meta.CreatedAt.Equal(pub.CreatedAt) {
+			t.Fatalf("MetaOfVersion = createdAt %v, err %v; want %v", meta.CreatedAt, err, pub.CreatedAt)
+		}
+		return got
+	}
+
+	first, err := a.Publish("engines", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := want(first, nil, false)
+	cached = want(recreate(), cached, false)
+	want(recreate(), cached, true)
+
+	if err := a.Delete("engines"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.GetVersion("engines", 1); !IsNotFound(err) {
+		t.Fatalf("GetVersion after another registry's Delete: err = %v, want not-found", err)
+	}
+	if _, err := b.MetaOfVersion("engines", 1); !IsNotFound(err) {
+		t.Fatalf("MetaOfVersion after another registry's Delete: err = %v, want not-found", err)
 	}
 }

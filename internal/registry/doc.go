@@ -38,7 +38,10 @@
 // of a cache miss happens outside the registry lock: one cold load never
 // stalls cache hits for other models, and when two goroutines miss on the
 // same version the first inserted copy wins so every caller shares one
-// resident model.
+// resident model. A resident model is served only while its version's
+// sidecar is still the file it was loaded under (os.SameFile): a model
+// another process deleted and published again under the same version
+// number is loaded afresh, never answered from the cache.
 //
 // # Drift detection
 //

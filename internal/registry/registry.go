@@ -99,9 +99,9 @@ type Registry struct {
 	pubMu sync.Mutex // serializes Publish/Delete disk mutations
 
 	mu    sync.Mutex
-	cache map[string]*cacheEntry // key: "<name>@<version>"
-	clock int64                  // logical clock for LRU bookkeeping
-	gen   int64                  // bumped by Delete; stale loads skip the cache
+	cache map[cacheKey]*cacheEntry
+	clock int64 // logical clock for LRU bookkeeping
+	gen   int64 // bumped by Delete; stale loads skip the cache
 	max   int
 	// latest is, per model name, the highest committed version seen: the
 	// starting point of the next "latest" lookup (see latestVersion).
@@ -122,9 +122,21 @@ func (r *Registry) CacheStats() (hits, misses, evictions uint64, resident int) {
 	return r.hits.Load(), r.misses.Load(), r.evictions.Load(), resident
 }
 
+// cacheKey names one resident model version.
+type cacheKey struct {
+	name    string
+	version int
+}
+
+// cacheEntry is a resident model version. file is the meta sidecar it
+// was loaded under: a hit is served only while the version's sidecar on
+// disk is still that file (sameSidecar), because another Registry over
+// the same directory may have deleted the model and published the
+// version number again.
 type cacheEntry struct {
 	model *audit.Model
 	meta  Meta
+	file  os.FileInfo
 	used  int64
 }
 
@@ -145,7 +157,7 @@ func Open(dir string, opts ...Option) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
-	r := &Registry{root: dir, cache: make(map[string]*cacheEntry), max: 8, latest: make(map[string]int)}
+	r := &Registry{root: dir, cache: make(map[cacheKey]*cacheEntry), max: 8, latest: make(map[string]int)}
 	for _, o := range opts {
 		o(r)
 	}
@@ -190,43 +202,62 @@ func parseVersionName(name, suffix string) (version int, ok bool) {
 	return v, true
 }
 
-// committed reports whether the version's meta sidecar, its commit point,
-// exists in the model directory.
-func committed(dir string, version int) bool {
+// statSidecar returns the version's meta sidecar, its commit point, or
+// nil when the version is not committed in the model directory.
+func statSidecar(dir string, version int) os.FileInfo {
 	_, meta := versionFiles(version)
-	_, err := os.Stat(filepath.Join(dir, meta))
-	return err == nil
+	fi, err := os.Stat(filepath.Join(dir, meta))
+	if err != nil {
+		return nil
+	}
+	return fi
 }
 
-// latestVersion resolves the named model's latest committed version, or 0
-// when it has none, without reading the directory. Versions are committed
-// highest-plus-one, so from the highest version v this registry has seen,
-// a later publish — through this registry or any other over the same
-// directory — shows as v+1's sidecar; it steps while one exists. Only when
-// v's own sidecar is gone (the model was deleted) does it scan. What it
-// finds replaces v unless a writer recorded a version in the meantime.
-func (r *Registry) latestVersion(name string) (int, error) {
+// sameSidecar reports whether two Stats of a sidecar found one and the
+// same file. A committed sidecar is only ever renamed into place, so a
+// new publish of a version number is a new file; the modification time
+// and size must match too, because a delete frees inode numbers that the
+// next publish may reuse.
+func sameSidecar(a, b os.FileInfo) bool {
+	return a != nil && b != nil && os.SameFile(a, b) && a.ModTime().Equal(b.ModTime()) && a.Size() == b.Size()
+}
+
+// latestVersion resolves the named model's latest committed version and
+// its sidecar, or 0 when it has none, without reading the directory.
+// Versions are committed highest-plus-one, so from the highest version v
+// this registry has seen, a later publish — through this registry or any
+// other over the same directory — shows as v+1's sidecar; it steps while
+// one exists. Only when v's own sidecar is gone (the model was deleted)
+// does it scan. What it finds replaces v unless a writer recorded a
+// version in the meantime. The sidecar is nil when the version found by
+// a scan was removed before it could be Stat'ed.
+func (r *Registry) latestVersion(name string) (int, os.FileInfo, error) {
 	dir := r.modelDir(name)
 	r.mu.Lock()
 	seen := r.latest[name]
 	r.mu.Unlock()
 	v := seen
-	if v == 0 || !committed(dir, v) {
+	var fi os.FileInfo
+	if v != 0 {
+		fi = statSidecar(dir, v)
+	}
+	if fi == nil {
 		versions, err := committedVersions(dir)
 		if err != nil || len(versions) == 0 {
-			return 0, err
+			return 0, nil, err
 		}
 		v = versions[len(versions)-1]
+		fi = statSidecar(dir, v)
 	}
-	for committed(dir, v+1) {
-		v++
+	for next := statSidecar(dir, v+1); next != nil; next = statSidecar(dir, v+1) {
+		v, fi = v+1, next
 	}
 	r.mu.Lock()
 	if r.latest[name] == seen {
 		r.latest[name] = v
 	}
 	r.mu.Unlock()
-	return v, nil
+	return v, fi, nil
 }
 
 // committedVersions scans a model directory for versions whose meta
@@ -315,10 +346,11 @@ func (r *Registry) PublishWithQuality(name string, m *audit.Model, quality *audi
 		return Meta{}, fmt.Errorf("registry: committing meta: %w", err)
 	}
 	gcAborted(dir, version)
+	fi := statSidecar(dir, version)
 
 	r.mu.Lock()
 	r.latest[name] = version
-	r.cachePutLocked(name, version, m, meta)
+	r.cachePutLocked(cacheKey{name, version}, m, meta, fi)
 	r.mu.Unlock()
 	return meta, nil
 }
@@ -359,7 +391,10 @@ func (r *Registry) Get(name string) (*audit.Model, Meta, error) {
 
 // GetVersion returns a specific version (0 selects the latest). The disk
 // load of a cache miss happens outside the registry lock, so one cold
-// load never stalls cache hits for other models.
+// load never stalls cache hits for other models. A cache hit costs the
+// Stat of the version's sidecar (which resolving "latest" makes anyway):
+// an entry whose sidecar is gone or is another file is dropped and the
+// version loaded again.
 func (r *Registry) GetVersion(name string, version int) (*audit.Model, Meta, error) {
 	if !ValidName(name) {
 		return nil, Meta{}, fmt.Errorf("registry: invalid model name %q", name)
@@ -369,19 +404,13 @@ func (r *Registry) GetVersion(name string, version int) (*audit.Model, Meta, err
 	// Resolving "latest" takes no disk lock: committed sidecars are
 	// immutable and a mid-publish version is invisible until its sidecar
 	// lands.
-	if version == 0 {
-		latest, err := r.latestVersion(name)
-		if err != nil {
-			return nil, Meta{}, fmt.Errorf("registry: %w", err)
-		}
-		if latest == 0 {
-			return nil, Meta{}, &NotFoundError{Name: name}
-		}
-		version = latest
+	fi, version, err := r.resolve(name, version)
+	if err != nil {
+		return nil, Meta{}, err
 	}
-	key := cacheKey(name, version)
+	key := cacheKey{name, version}
 	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
+	if e := r.validLocked(key, fi); e != nil {
 		r.clock++
 		e.used = r.clock
 		m, meta := e.model, e.meta
@@ -406,7 +435,7 @@ func (r *Registry) GetVersion(name string, version int) (*audit.Model, Meta, err
 	r.mu.Lock()
 	// A concurrent miss may have loaded the same version; keep the first
 	// entry so every caller shares one resident copy.
-	if e, ok := r.cache[key]; ok {
+	if e := r.validLocked(key, fi); e != nil {
 		r.clock++
 		e.used = r.clock
 		m, meta = e.model, e.meta
@@ -414,36 +443,88 @@ func (r *Registry) GetVersion(name string, version int) (*audit.Model, Meta, err
 		// Cache only when no Delete ran during the lock-free disk load:
 		// a model read concurrently with its deletion may be returned
 		// (it was committed when the read began) but must not be
-		// re-inserted, or the stale entry would keep serving — and after
-		// a re-publish restarts versions at 1, even alias — a dead model.
-		r.cachePutLocked(name, version, m, meta)
+		// re-inserted, or the stale entry would stay resident. The
+		// sidecar was Stat'ed before the read, so an entry loaded from a
+		// newer publish than its file names is reloaded on its next hit,
+		// never served stale.
+		r.cachePutLocked(key, m, meta, fi)
 	}
 	r.mu.Unlock()
 	return m, meta, nil
 }
 
+// resolve Stats the sidecar of the named version, resolving version 0
+// to the latest. The sidecar is nil when the version is not committed.
+func (r *Registry) resolve(name string, version int) (os.FileInfo, int, error) {
+	if version != 0 {
+		return statSidecar(r.modelDir(name), version), version, nil
+	}
+	latest, fi, err := r.latestVersion(name)
+	if err != nil {
+		return nil, 0, fmt.Errorf("registry: %w", err)
+	}
+	if latest == 0 {
+		return nil, 0, &NotFoundError{Name: name}
+	}
+	return fi, latest, nil
+}
+
+// validLocked returns the resident entry for key if it was loaded under
+// the sidecar fi, and drops an entry loaded under another (or a missing)
+// sidecar; r.mu must be held.
+func (r *Registry) validLocked(key cacheKey, fi os.FileInfo) *cacheEntry {
+	e, ok := r.cache[key]
+	if !ok {
+		return nil
+	}
+	if !sameSidecar(e.file, fi) {
+		delete(r.cache, key)
+		return nil
+	}
+	return e
+}
+
+// cachedMeta returns the resident meta of a version whose sidecar is
+// still fi, without touching the LRU order or the hit counters.
+func (r *Registry) cachedMeta(name string, version int, fi os.FileInfo) (Meta, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.validLocked(cacheKey{name, version}, fi); e != nil {
+		return e.meta, true
+	}
+	return Meta{}, false
+}
+
 // MetaOf returns the latest committed metadata of the named model without
-// loading (or caching) the model itself.
+// loading (or caching) the model itself. A resident entry answers it under
+// GetVersion's rule: only while its sidecar is still the file on disk.
 func (r *Registry) MetaOf(name string) (Meta, error) {
 	if !ValidName(name) {
 		return Meta{}, fmt.Errorf("registry: invalid model name %q", name)
 	}
-	latest, err := r.latestVersion(name)
+	return r.metaOfVersion(name, 0)
+}
+
+// metaOfVersion answers MetaOf and MetaOfVersion: from a resident entry
+// loaded under the version's current sidecar, else from the sidecar.
+func (r *Registry) metaOfVersion(name string, version int) (Meta, error) {
+	fi, version, err := r.resolve(name, version)
 	if err != nil {
-		return Meta{}, fmt.Errorf("registry: %w", err)
+		return Meta{}, err
 	}
-	if latest == 0 {
-		return Meta{}, &NotFoundError{Name: name}
+	if meta, ok := r.cachedMeta(name, version, fi); ok {
+		return meta, nil
 	}
-	return r.readMeta(name, latest)
+	return r.readMeta(name, version)
 }
 
 // MetaOfVersion returns the committed metadata of one specific version
-// without loading (or caching) the model itself. Like MetaOf it takes no
-// lock: committed sidecars are immutable. Callers use it to validate that
-// a (version, createdAt) pair they tracked across a process boundary
-// still names a live publish — a deleted or recreated model fails the
-// CreatedAt comparison even when the version number exists again.
+// without loading (or caching) the model itself, under MetaOf's rule.
+// Like MetaOf it takes no disk lock: committed sidecars are immutable.
+// Callers use it to validate that a (version, createdAt) pair they
+// tracked across a process boundary still names a live publish — a
+// deleted or recreated model fails the CreatedAt comparison even when
+// the version number exists again.
 func (r *Registry) MetaOfVersion(name string, version int) (Meta, error) {
 	if !ValidName(name) {
 		return Meta{}, fmt.Errorf("registry: invalid model name %q", name)
@@ -451,7 +532,7 @@ func (r *Registry) MetaOfVersion(name string, version int) (Meta, error) {
 	if version < 1 {
 		return Meta{}, fmt.Errorf("registry: invalid version %d", version)
 	}
-	return r.readMeta(name, version)
+	return r.metaOfVersion(name, version)
 }
 
 // readMeta reads one version's meta sidecar (no locking needed: the
@@ -528,7 +609,7 @@ func (r *Registry) Delete(name string) error {
 	r.gen++
 	delete(r.latest, name)
 	for key := range r.cache {
-		if n, _, ok := strings.Cut(key, "@"); ok && n == name {
+		if key.name == name {
 			delete(r.cache, key)
 		}
 	}
@@ -555,14 +636,17 @@ func IsNotFound(err error) bool {
 	return errors.As(err, &nf)
 }
 
-func cacheKey(name string, version int) string { return fmt.Sprintf("%s@%d", name, version) }
-
-// cachePutLocked inserts into the LRU cache; r.mu must be held.
-func (r *Registry) cachePutLocked(name string, version int, m *audit.Model, meta Meta) {
+// cachePutLocked inserts a version loaded or committed under the sidecar
+// fi into the LRU cache, and nothing when fi is nil (the sidecar was gone
+// when Stat'ed); r.mu must be held.
+func (r *Registry) cachePutLocked(key cacheKey, m *audit.Model, meta Meta, fi os.FileInfo) {
+	if fi == nil {
+		return
+	}
 	r.clock++
-	r.cache[cacheKey(name, version)] = &cacheEntry{model: m, meta: meta, used: r.clock}
+	r.cache[key] = &cacheEntry{model: m, meta: meta, file: fi, used: r.clock}
 	for len(r.cache) > r.max {
-		oldestKey, oldest := "", int64(1<<62)
+		oldestKey, oldest := cacheKey{}, int64(1<<62)
 		for k, e := range r.cache {
 			if e.used < oldest {
 				oldestKey, oldest = k, e.used

@@ -89,11 +89,13 @@ func (r *Registry) InstallReplica(meta Meta, m *audit.Model) error {
 		return fmt.Errorf("registry: committing replica meta: %w", err)
 	}
 
+	fi := statSidecar(dir, meta.Version)
+
 	r.mu.Lock()
 	// A replica may land above a gap that latestVersion's step would not
 	// cross.
 	r.latest[meta.Name] = max(r.latest[meta.Name], meta.Version)
-	r.cachePutLocked(meta.Name, meta.Version, m, meta)
+	r.cachePutLocked(cacheKey{meta.Name, meta.Version}, m, meta, fi)
 	r.mu.Unlock()
 	return nil
 }

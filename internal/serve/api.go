@@ -223,52 +223,6 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// findingJSON renders a Finding against the model's labels.
-func findingJSON(m *audit.Model, f *audit.Finding) FindingJSON {
-	attr := m.Schema.Attr(f.Attr)
-	out := FindingJSON{
-		Attr:       attr.Name,
-		Observed:   "?",
-		PHat:       f.PHat,
-		PObs:       f.PObs,
-		N:          f.N,
-		ErrorConf:  f.ErrorConf,
-		Suggestion: attr.Format(f.Suggestion),
-	}
-	for _, am := range m.Attrs {
-		if am.Class != f.Attr {
-			continue
-		}
-		if f.Observed >= 0 && f.Observed < len(am.Labels) {
-			out.Observed = am.Labels[f.Observed]
-		}
-		if f.Predicted >= 0 && f.Predicted < len(am.Labels) {
-			out.Predicted = am.Labels[f.Predicted]
-		}
-		break
-	}
-	return out
-}
-
-// reportJSON renders a RecordReport.
-func reportJSON(m *audit.Model, rep *audit.RecordReport) ReportJSON {
-	out := ReportJSON{
-		Row:        rep.Row,
-		ID:         rep.ID,
-		ErrorConf:  rep.ErrorConf,
-		Suspicious: rep.Suspicious,
-	}
-	for i := range rep.Findings {
-		out.Findings = append(out.Findings, findingJSON(m, &rep.Findings[i]))
-	}
-	if rep.Best != nil {
-		fj := findingJSON(m, rep.Best)
-		out.Best = &fj
-		out.Description = m.DescribeFinding(rep.Best)
-	}
-	return out
-}
-
 // parseRows builds a table from rendered string rows against a schema.
 // Decoding (including the typed dataset.ErrRowWidth on arity mismatches)
 // is the same StringRowsSource path the streaming engine uses.

@@ -595,13 +595,14 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Duplicates = duplicatesJSON(model.Schema, dres)
 	}
+	rr := newReportRenderer(model)
 	if r.URL.Query().Get("all") == "1" {
 		for i := range res.Reports {
-			resp.Reports = append(resp.Reports, reportJSON(model, &res.Reports[i]))
+			resp.Reports = append(resp.Reports, rr.reportJSON(&res.Reports[i]))
 		}
 	} else {
 		for _, rep := range res.Suspicious() {
-			resp.Reports = append(resp.Reports, reportJSON(model, &rep))
+			resp.Reports = append(resp.Reports, rr.reportJSON(&rep))
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

@@ -16,9 +16,10 @@ import (
 // length and answers with NDJSON
 // (application/x-ndjson), one line per suspicious record as soon as its
 // chunk is scored — while the upload is still being read — terminated by
-// a summary line. Memory on the server stays O(chunk × workers + top-K)
-// regardless of the upload size (audit.AuditStream), which is what lets
-// auditd check warehouse-scale batches the buffered endpoint must reject.
+// a summary line. A chunk's report lines go out in one flush. Memory on
+// the server stays O(chunk × workers + top-K) regardless of the upload
+// size (audit.AuditStream), which is what lets auditd check
+// warehouse-scale batches the buffered endpoint must reject.
 //
 // Line shapes (exactly one field set per line):
 //
@@ -175,6 +176,8 @@ func (s *Server) handleAuditStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
 
+	// Report lines are written as each unit is folded and flushed once
+	// per unit that had one; the terminal line flushes on its own.
 	enc := json.NewEncoder(w)
 	emit := func(line StreamLine) error {
 		if err := enc.Encode(line); err != nil {
@@ -182,11 +185,16 @@ func (s *Server) handleAuditStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return rc.Flush()
 	}
-
+	reports := streamEncoder{rr: newReportRenderer(model)}
 	opts.OnSuspicious = func(rep *audit.RecordReport) error {
-		rj := reportJSON(model, rep)
-		return emit(StreamLine{Report: &rj})
+		line, err := reports.reportLine(rep)
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(line)
+		return err
 	}
+	opts.OnChunkFolded = rc.Flush
 	// Feed the quality monitor: rows sampled in source order while the
 	// stream runs, the aggregate folded only if the stream succeeds.
 	obs := s.mon.Stream(meta, model)
