@@ -20,23 +20,22 @@ import (
 
 // The rule inducers' model bytes on the covering loop's edge cases,
 // pinned. Each digest is the SHA-256 of the gob of a model trained on
-// the case's first table, and of its Update onto the second table. The
-// weights are fractional so that a tally summed in another instance
-// order moves a digest. A change that moves one must say why its models
-// differ; the failure message prints the digests of the build.
+// the case's first table, and of its Update onto the second table. Every
+// row trains with weight 1. A change that moves one must say why its
+// models differ; the failure message prints the digests of the build.
 var wantEdgeDigests = map[string]string{
-	"all-null-numeric/1r/train":     "a2b34e2d4aaec32b0a9a650c9f090c1d9cced9fb70c835adcc5b20d5b13ccc1f",
-	"all-null-numeric/1r/update":    "cacbc3db38486f05bb06713824fa2f312802f74c6962d57db6dd7967f3b40476",
-	"all-null-numeric/prism/train":  "31c6ed538aa74ccad54b7574d727699bdfeadcb6b64570dd4c5b5befb93b0625",
-	"all-null-numeric/prism/update": "b46b86448e06f6852d79b7e91edb16dcdb5bd880d3d354f45d3f9a02423f1406",
-	"no-positives/1r/train":         "55f7198c34868debd707c60ab8acc4237658f88e0e3ea7b8217d72b7a043e7cb",
-	"no-positives/1r/update":        "f445c18a0345566c57556d6bb3257562e798a4aab4c412b0291be9ac99f1a6a0",
-	"no-positives/prism/train":      "bd1296bc4875c24be95abe1296a9083d06e734e38303f8f1e56359151f589a5c",
-	"no-positives/prism/update":     "05f8fd9935be0c29ea4295d91ca1396211182080080016647382c650f7c2311e",
-	"rule-cap/1r/train":             "fe2511a65790db8dc381ce25962ff40eff806f3b13594f6890fb4d17eb45bd38",
-	"rule-cap/1r/update":            "80724a869a1ef067de7b8198f60b37e51a37663d9b78b80fff57fd6fb04d5e69",
-	"rule-cap/prism/train":          "f19f09dfc6fe0fc508122cec586fc5bdd79155ca01b1d3df3307258b8918e814",
-	"rule-cap/prism/update":         "7b6743b71b00ac81f6f15983f52e96c40ea42a12a52ee16fd60b8cb299fa5365",
+	"all-null-numeric/1r/train":     "981e4f844e628ce7296d800257094aa14bf90291d8e391cd701bcc69e55e835e",
+	"all-null-numeric/1r/update":    "e43746bf61c568f29e929f104fbdaf0d7dc567e9378bf66f3ce072f4e913bc33",
+	"all-null-numeric/prism/train":  "558deb82e55256d02e4eba2148c06e48d37289d077e9ed79648323f4189cac4a",
+	"all-null-numeric/prism/update": "f4a0e728f280c33877a0d0ddd7e41c4b5a024eb041b98e2f79ee7f24e5dfd344",
+	"no-positives/1r/train":         "1247d3fdafcba90cb73e0e7863d84a725ee8f97f5618c1b83bfa0051036b2091",
+	"no-positives/1r/update":        "908c4f322eedb6c48a92836d31f28f30876d792f685d68450f07ba953e636858",
+	"no-positives/prism/train":      "892a955d66cf74f9190e730cc43dd2b151acde41b4e41b9bfb5446203ea8c28f",
+	"no-positives/prism/update":     "5b3d7c48a1bffe47c16129aefc74f82d777aaa7a145319614f5b94529aa80b04",
+	"rule-cap/1r/train":             "5fb42a5ee11eb617c612155640870e8f26a098bb4d1fb95b397764bb7d32d8c0",
+	"rule-cap/1r/update":            "1e0b7cb2d33523764c3f39a97ace23bf7878c82c7ef0bcf2f5c752cf5b4b3415",
+	"rule-cap/prism/train":          "b472268ee6bd2de5460634d70fef8831b18acc6e53141c1b682cc4282580ba58",
+	"rule-cap/prism/update":         "c371312e9dc42e759f6bb7936560b6e53e04fbb6586e11f91a77a263d528e3d4",
 }
 
 // Gob numbers types in the order a process first encodes them; encoding
@@ -109,7 +108,7 @@ func values(prefix string, n int) []string {
 	return out
 }
 
-// edgeInstances draws n rows of the case's table with fractional weights.
+// edgeInstances draws n rows of the case's table.
 func edgeInstances(t *testing.T, c edgeCase, n int, seed int64) *mlcore.Instances {
 	t.Helper()
 	schema := c.schema
@@ -121,11 +120,7 @@ func edgeInstances(t *testing.T, c edgeCase, n int, seed int64) *mlcore.Instance
 	for range n {
 		tab.AppendRow(c.row(rng))
 	}
-	ins := riInstances(t, tab)
-	for i := range ins.Weights {
-		ins.Weights[i] = 0.1 + rng.Float64()
-	}
-	return ins
+	return riInstances(t, tab)
 }
 
 func gobDigest(t *testing.T, m mlcore.Classifier) string {
@@ -202,7 +197,7 @@ func checkRuleCap(t *testing.T, pm *PrismModel) {
 // written then must still load, and equal field for field the model the
 // same instances train today. testdata/oner_with_tallies.gob is the gob
 // of commit d87ce94's 1R trained on the no-positives case's 300 rows of
-// seed 71.
+// seed 71, each of weight 1.
 func TestOneRDecodesModelWithTallies(t *testing.T) {
 	b, err := os.ReadFile("testdata/oner_with_tallies.gob")
 	if err != nil {
