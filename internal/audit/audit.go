@@ -208,6 +208,9 @@ func induce(tab *dataset.Table, opts Options, ranks *mlcore.RankCache) (*Model, 
 		return nil, fmt.Errorf("audit: %w", err)
 	}
 	schema := tab.Schema()
+	if err := checkBaseAttrs(schema, opts); err != nil {
+		return nil, fmt.Errorf("audit: %w", err)
+	}
 	start := time.Now()
 	m := &Model{Schema: schema, Opts: opts, TrainRows: tab.NumRows()}
 
@@ -330,20 +333,44 @@ func induceAttr(tab *dataset.Table, class int, opts Options, scratch *[]float64,
 		return nil, nil // a single-valued class has no detectable deviations
 	}
 
-	ins := mlcore.NewInstances(tab, am.Base, am.K, func(r int) int {
-		return am.ClassIndex(tab.Get(r, class))
-	})
-	ins.Ranks = ranks
 	trainer, err := trainerFor(opts)
 	if err != nil {
 		return nil, err
 	}
-	clf, err := trainer.Train(ins)
+	clf, err := trainer.Train(trainingView(tab, am, ranks))
 	if err != nil {
 		return nil, err
 	}
 	am.Classifier = clf
 	return am, nil
+}
+
+// trainingView is the instance set am's classifier trains on: every row
+// of tab over am's base attributes. A nominal class's class vector is the
+// call's code vector of its column in ranks, shared with every tree that
+// reads the column as a base attribute; a binned class gets a vector of
+// its own.
+func trainingView(tab *dataset.Table, am *AttrModel, ranks *mlcore.RankCache) *mlcore.Instances {
+	if am.Disc == nil {
+		return &mlcore.Instances{Table: tab, Base: slices.Clone(am.Base), K: am.K, Class: ranks.Codes(am.Class), Ranks: ranks}
+	}
+	cells := tab.Column(am.Class)
+	ins := mlcore.NewInstances(tab, am.Base, am.K, func(r int) int { return am.ClassIndex(cells[r]) })
+	ins.Ranks = ranks
+	return ins
+}
+
+// checkBaseAttrs rejects a BaseAttrs option that names an attribute the
+// schema lacks, as a class or as a base attribute.
+func checkBaseAttrs(schema *dataset.Schema, opts Options) error {
+	for class, names := range opts.BaseAttrs {
+		for _, name := range append([]string{class}, names...) {
+			if schema.Index(name) < 0 {
+				return fmt.Errorf("base attributes name unknown attribute %q", name)
+			}
+		}
+	}
+	return nil
 }
 
 // baseAttrsFor resolves the base attribute set for a class attribute.

@@ -62,9 +62,10 @@ func TestInduceReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
-// TestReinducePanicReachesCaller: a c45-audit model whose warm-start hint
-// names attribute 999 still decodes, and re-inducing it panics inside the
-// tree grower on an induction goroutine. The panic must reach the
+// TestReinducePanicReachesCaller: re-inducing a c45-audit model whose
+// warm-start hint names attribute 999 panics inside the tree grower on an
+// induction goroutine. Decode rejects such a model, so the test corrupts
+// the hint of a model in memory. The panic must reach the
 // goroutine that called ReinduceAttrs, with the worker's stack, at every
 // GOMAXPROCS; before, it exited the process, auditd's monitor included.
 func TestReinducePanicReachesCaller(t *testing.T) {
@@ -78,20 +79,12 @@ func TestReinducePanicReachesCaller(t *testing.T) {
 		t.Fatalf("attribute 0 is a %T without a hint; the test needs a c45-audit rule set", m.Attrs[0].Classifier)
 	}
 	rs.Hint.Attr, rs.Hint.IsNumeric = 999, false
-	b, err := Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := Unmarshal(b)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v; the test needs a model that decodes", err)
-	}
 	for _, procs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			v := func() (v any) {
 				defer func() { v = recover() }()
-				bad.ReinduceAttrs(tab, modelledAttrs(bad), ReinduceOptions{})
+				m.ReinduceAttrs(tab, modelledAttrs(m), ReinduceOptions{})
 				return nil
 			}()
 			p, ok := v.(*workerPanic)

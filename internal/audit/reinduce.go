@@ -134,10 +134,7 @@ func reinduceIncremental(prev *AttrModel, tab *dataset.Table, opts Options, rank
 		Disc:   prev.Disc,
 		Labels: prev.Labels,
 	}
-	full := mlcore.NewInstances(tab, am.Base, am.K, func(r int) int {
-		return am.ClassIndex(tab.Get(r, am.Class))
-	})
-	full.Ranks = ranks
+	full := trainingView(tab, am, ranks)
 	trainer, err := trainerFor(opts)
 	if err != nil {
 		return nil, err

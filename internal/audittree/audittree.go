@@ -262,6 +262,41 @@ func (rs *RuleSet) Compile() error {
 	return nil
 }
 
+var _ mlcore.Checker = (*RuleSet)(nil)
+
+// Check implements mlcore.Checker: every rule tests columns of schema
+// other than class, each as its type and a nominal one against a value of
+// its domain; the rules compile (see Compile); every rule counts k
+// classes; and the stored hint fits the schema too.
+func (rs *RuleSet) Check(schema *dataset.Schema, class, k int) error {
+	for i, r := range rs.Rules {
+		for _, c := range r.Conds {
+			if err := mlcore.CheckAttr(schema, class, c.Attr); err != nil {
+				return fmt.Errorf("audittree: rule %d: %w", i, err)
+			}
+			a := schema.Attr(c.Attr)
+			if c.IsNumeric != a.IsNumberLike() || !c.IsNumeric && (c.Val < 0 || c.Val >= a.NumValues()) {
+				return fmt.Errorf("audittree: rule %d: test of attribute %d (%s) does not fit it", i, c.Attr, a.Name)
+			}
+		}
+	}
+	if err := rs.Compile(); err != nil {
+		return err
+	}
+	if rs.K != k {
+		return fmt.Errorf("audittree: rule set over %d classes, want %d", rs.K, k)
+	}
+	for i, r := range rs.Rules {
+		if err := mlcore.CheckDist(r.Dist, k); err != nil {
+			return fmt.Errorf("audittree: rule %d: %w", i, err)
+		}
+	}
+	if err := rs.Hint.Check(schema, class); err != nil {
+		return fmt.Errorf("audittree: %w", err)
+	}
+	return nil
+}
+
 // root returns the compiled trie. Every rule set a process can hold came
 // out of ExtractRules or through audit.Decode, so a shapeless one here is
 // a bug.

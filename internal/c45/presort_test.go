@@ -57,17 +57,37 @@ func presortTable(rng *rand.Rand, n int) *dataset.Table {
 	return tab
 }
 
-// presortInstances weights the rows whole, or with the fractions a
+// presortWeights weights the table's rows whole, or with the fractions a
 // missing-value split hands down, whose totals land on the minLeaf edges.
-func presortInstances(t *testing.T, rng *rand.Rand, tab *dataset.Table) *mlcore.Instances {
-	ins := buildInstances(t, tab, []int{0, 1, 2, 3})
+func presortWeights(rng *rand.Rand, tab *dataset.Table) []float64 {
+	weights := make([]float64, tab.NumRows())
+	for i := range weights {
+		weights[i] = 1
+	}
 	if rng.Intn(2) == 0 {
 		shares := []float64{1, 0.5, 1.5, 7.0 / 13, 6.0 / 13, 1.0 / 3, 0.1}
-		for i := range ins.Weights {
-			ins.Weights[i] = shares[rng.Intn(len(shares))]
+		for i := range weights {
+			weights[i] = shares[rng.Intn(len(shares))]
 		}
 	}
-	return ins
+	return weights
+}
+
+// rootRows lists the rows of ins with a known class and their weights,
+// weights[r] for row r, or 1 when weights is nil: a root instance set.
+func rootRows(ins *mlcore.Instances, weights []float64) ([]int, []float64) {
+	var rows []int
+	var ws []float64
+	for r, c := range ins.Class {
+		if c >= 0 {
+			w := 1.0
+			if weights != nil {
+				w = weights[r]
+			}
+			rows, ws = append(rows, r), append(ws, w)
+		}
+	}
+	return rows, ws
 }
 
 // TestPresortedListsMatchNodeSort: the key list every searching node
@@ -80,12 +100,13 @@ func TestPresortedListsMatchNodeSort(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		tab := presortTable(rng, 100+rng.Intn(400))
 		opts := []Options{{UseGainRatio: true}, {}, {UseGainRatio: true, MinInst: 3, ExpErrConfPrune: true, MinErrConf: 0.5}}[rng.Intn(3)]
-		grow := func(ins *mlcore.Instances, prev *Skeleton) *Node {
+		grow := func(weights []float64, prev *Skeleton) *Node {
+			ins := buildInstances(t, tab, []int{0, 1, 2, 3})
 			g := newGrower(ins, opts.WithDefaults())
 			g.searched = func(rows []int, lists [][]uint64, inh bool) {
 				if inh {
 					inherited++
-				} else if len(rows) < len(ins.Rows)-10 {
+				} else if len(rows) < tab.NumRows()-10 {
 					below++ // a warm fallback under a hint that held
 				}
 				for j, attr := range g.numeric {
@@ -94,16 +115,9 @@ func TestPresortedListsMatchNodeSort(t *testing.T) {
 					}
 				}
 			}
-			var rows []int
-			var weights []float64
-			for i, r := range ins.Rows {
-				if ins.Class[r] >= 0 {
-					rows, weights = append(rows, r), append(weights, ins.Weights[i])
-				}
-			}
-			return g.grow(g.rootSet(rows, weights), len(ins.Base), prev)
+			return g.grow(g.rootSet(rootRows(ins, weights)), len(ins.Base), prev)
 		}
-		cold := grow(presortInstances(t, rng, tab), nil)
+		cold := grow(presortWeights(rng, tab), nil)
 		// Relabel a few rows and re-weight: some hints hold, others fail
 		// and search below them.
 		for r := 0; r < tab.NumRows(); r++ {
@@ -111,7 +125,7 @@ func TestPresortedListsMatchNodeSort(t *testing.T) {
 				tab.Set(r, 4, dataset.Nom(rng.Intn(3)))
 			}
 		}
-		grow(presortInstances(t, rng, tab), skeletonOf(cold))
+		grow(presortWeights(rng, tab), skeletonOf(cold))
 	}
 	if inherited < 500 || below < 20 {
 		t.Fatalf("%d inherited lists and %d warm fallbacks below a held hint checked; the inputs are too thin", inherited, below)

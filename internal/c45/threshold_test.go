@@ -34,7 +34,7 @@ func oracleNumericSplit(g *grower, attr int, rows []int, weights []float64) *spl
 			continue
 		}
 		c := g.ins.Class[r]
-		known = append(known, vw{v: val.Float(), c: c, w: weights[i]})
+		known = append(known, vw{v: val.Float(), c: int(c), w: weights[i]})
 		parent[c] += weights[i]
 	}
 	if len(known) < 2 {
@@ -228,7 +228,7 @@ func fullScanNumericSplit(g *grower, attr int, rows []int, weights []float64) *s
 	knownW := 0.0
 	for j, key := range keys {
 		pos := uint32(key)
-		cls[j], wts[j] = g.ins.Class[rows[pos]], weights[pos]
+		cls[j], wts[j] = int(g.ins.Class[rows[pos]]), weights[pos]
 		knownW += wts[j]
 	}
 
@@ -448,13 +448,13 @@ func TestWarmReinductionBuildsNoRankTable(t *testing.T) {
 	opts := Options{UseGainRatio: true}.WithDefaults()
 	ins.Ranks = mlcore.NewRankCache(tab)
 	cold := newGrower(ins, opts)
-	root := cold.grow(cold.rootSet(ins.Rows, ins.Weights), len(ins.Base), nil)
+	root := cold.grow(cold.rootSet(rootRows(ins, nil)), len(ins.Base), nil)
 	if ins.Ranks.Built() == 0 {
 		t.Fatal("the cold search ranked no column; the fixture has no numeric split candidate")
 	}
 	ins.Ranks = mlcore.NewRankCache(tab)
 	warm := newGrower(ins, opts)
-	again := warm.grow(warm.rootSet(ins.Rows, ins.Weights), len(ins.Base), skeletonOf(root))
+	again := warm.grow(warm.rootSet(rootRows(ins, nil)), len(ins.Base), skeletonOf(root))
 	if n := ins.Ranks.Built(); n != 0 {
 		t.Fatalf("warm re-induction ranked %d columns", n)
 	}

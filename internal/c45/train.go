@@ -93,8 +93,8 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 	opts := t.Opts.WithDefaults()
 	// Rows whose class is null carry no supervision; C4.5 drops them.
 	n := 0
-	for _, r := range ins.Rows {
-		if ins.Class[r] >= 0 {
+	for _, c := range ins.Class {
+		if c >= 0 {
 			n++
 		}
 	}
@@ -102,12 +102,13 @@ func (t *Trainer) trainTree(ins *mlcore.Instances, prev *Skeleton) (*Tree, error
 		return nil, fmt.Errorf("c45: no instances with a known class value")
 	}
 	g := newGrower(ins, opts)
-	// The root's rows sit at the bottom of the grower's stacks.
+	// The root's rows, each of weight 1, sit at the bottom of the grower's
+	// stacks.
 	rows, weights := g.rows.alloc(n)[:0], g.weights.alloc(n)[:0]
-	for i, r := range ins.Rows {
-		if ins.Class[r] >= 0 {
+	for r, c := range ins.Class {
+		if c >= 0 {
 			rows = append(rows, r)
-			weights = append(weights, ins.Weights[i])
+			weights = append(weights, 1)
 		}
 	}
 	root := g.grow(g.rootSet(rows, weights), len(ins.Base), prev)
@@ -380,7 +381,7 @@ type instSet struct {
 func (g *grower) rootSet(rows []int, weights []float64) instSet {
 	d := mlcore.NewDistribution(g.ins.K)
 	for i, r := range rows {
-		d.Add(g.ins.Class[r], weights[i])
+		d.Add(int(g.ins.Class[r]), weights[i])
 	}
 	return instSet{rows: rows, weights: weights, dist: d, lists: -1}
 }
@@ -600,7 +601,7 @@ func (g *grower) nominalSplit(attr int, rows []int, weights []float64) *split {
 			missingW += w
 			continue
 		}
-		c := g.ins.Class[r]
+		c := int(g.ins.Class[r])
 		hist[int(v)*k+c] += w
 		parent[c] += w
 		sizes[v] += w
@@ -670,7 +671,7 @@ func (g *grower) numericSplit(attr int, rows []int, weights []float64, keys []ui
 	knownW := 0.0
 	for j, key := range keys {
 		pos := uint32(key)
-		cls[j], wts[j] = g.ins.Class[rows[pos]], weights[pos]
+		cls[j], wts[j] = int(g.ins.Class[rows[pos]]), weights[pos]
 		knownW += wts[j]
 	}
 
@@ -857,7 +858,7 @@ func (s *split) partition(g *grower, rows []int, weights []float64) (sets []inst
 		}
 	}
 	for i, r := range rows {
-		c := g.ins.Class[r]
+		c := int(g.ins.Class[r])
 		if b := branch[i]; b >= 0 {
 			sets[b].rows = append(sets[b].rows, r)
 			sets[b].weights = append(sets[b].weights, weights[i])

@@ -10,6 +10,9 @@
 package c45
 
 import (
+	"fmt"
+	"strconv"
+
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/mlcore"
 )
@@ -130,4 +133,99 @@ func nodeDepth(n *Node) int {
 		}
 	}
 	return max + 1
+}
+
+var _ mlcore.Checker = (*Tree)(nil)
+
+// Check implements mlcore.Checker: the tree counts k classes, its base
+// columns are columns of schema other than class, and every split node
+// tests such a column as its type, with one child per domain value of a
+// nominal column and two for a number-like one. An error names the path
+// of the node from the root by branch indices.
+func (t *Tree) Check(schema *dataset.Schema, class, k int) error {
+	if t.K != k {
+		return fmt.Errorf("c45: tree over %d classes, want %d", t.K, k)
+	}
+	for _, b := range t.Base {
+		if err := mlcore.CheckAttr(schema, class, b); err != nil {
+			return fmt.Errorf("c45: base: %w", err)
+		}
+	}
+	return checkNode(t.Root, schema, class, k, make([]int, 0, 32))
+}
+
+// checkNode checks the subtree at n, which the branch indices path lead
+// to from the root. Siblings share path's backing array, so a walk
+// allocates nothing above its capacity.
+func checkNode(n *Node, schema *dataset.Schema, class, k int, path []int) error {
+	if n == nil {
+		return fmt.Errorf("c45: node %s is missing", nodePath(path))
+	}
+	if err := mlcore.CheckDist(n.Dist, k); err != nil {
+		return fmt.Errorf("c45: node %s: %w", nodePath(path), err)
+	}
+	if n.IsLeaf() {
+		return nil
+	}
+	if err := checkSplit(schema, class, n.Attr, n.IsNumeric, len(n.Children)); err != nil {
+		return fmt.Errorf("c45: node %s: %w", nodePath(path), err)
+	}
+	for i, ch := range n.Children {
+		if err := checkNode(ch, schema, class, k, append(path, i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nodePath renders branch indices from the root as "root/i/j".
+func nodePath(path []int) string {
+	b := []byte("root")
+	for _, i := range path {
+		b = strconv.AppendInt(append(b, '/'), int64(i), 10)
+	}
+	return string(b)
+}
+
+// checkSplit rejects a split on attr that is not a base column of the
+// split's kind, or whose child count does not fit the column.
+func checkSplit(schema *dataset.Schema, class, attr int, numeric bool, children int) error {
+	if err := mlcore.CheckAttr(schema, class, attr); err != nil {
+		return err
+	}
+	a := schema.Attr(attr)
+	want := a.NumValues()
+	switch {
+	case numeric != a.IsNumberLike():
+		return fmt.Errorf("attribute %d (%s): split of the wrong kind", attr, a.Name)
+	case numeric:
+		want = 2
+	}
+	if children != want {
+		return fmt.Errorf("attribute %d (%s): %d children, want %d", attr, a.Name, children, want)
+	}
+	return nil
+}
+
+// Check reports whether a decoded skeleton can seed a warm induction over
+// a table of schema for class attribute class: every split names a
+// column other than class, of the split's kind, with a child count that
+// fits it. A nil skeleton seeds nothing and passes.
+func (s *Skeleton) Check(schema *dataset.Schema, class int) error {
+	return checkSkeleton(s, schema, class, make([]int, 0, 32))
+}
+
+func checkSkeleton(s *Skeleton, schema *dataset.Schema, class int, path []int) error {
+	if s == nil || s.Attr < 0 {
+		return nil
+	}
+	if err := checkSplit(schema, class, s.Attr, s.IsNumeric, len(s.Children)); err != nil {
+		return fmt.Errorf("c45: hint node %s: %w", nodePath(path), err)
+	}
+	for i, ch := range s.Children {
+		if err := checkSkeleton(ch, schema, class, append(path, i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

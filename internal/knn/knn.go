@@ -34,7 +34,7 @@ type Model struct {
 	Base    []int
 	Rows    [][]dataset.Value
 	Class   []int
-	Weight  []float64
+	Weight  []float64 // 1 for every stored row; kept for the gob layout
 	IsNum   []bool    // per base attribute
 	Range   []float64 // per base attribute (numeric normalization)
 }
@@ -67,14 +67,13 @@ func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 			}
 		}
 	}
-	for i, r := range ins.Rows {
-		c := ins.Class[r]
+	for r, c := range ins.Class {
 		if c < 0 {
 			continue
 		}
 		m.Rows = append(m.Rows, ins.Table.Row(r))
-		m.Class = append(m.Class, c)
-		m.Weight = append(m.Weight, ins.Weights[i])
+		m.Class = append(m.Class, int(c))
+		m.Weight = append(m.Weight, 1)
 	}
 	if len(m.Rows) == 0 {
 		return nil, fmt.Errorf("knn: no instances with a known class value")
@@ -177,4 +176,48 @@ func (m *Model) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 	for _, c := range heap {
 		d.Add(m.Class[c.idx], m.Weight[c.idx])
 	}
+}
+
+var _ mlcore.Checker = (*Model)(nil)
+
+// Check implements mlcore.Checker: K is at least 1, Classes is k, the
+// base columns are columns of schema other than class with their kinds
+// recorded in IsNum, and every stored instance is a row of the schema's
+// width, whose base cells are null or of their column's kind, with a
+// class in [0, k) and a weight.
+func (m *Model) Check(schema *dataset.Schema, class, k int) error {
+	if m.K < 1 {
+		return fmt.Errorf("knn: neighbourhood size %d", m.K)
+	}
+	if m.Classes != k {
+		return fmt.Errorf("knn: %d classes, want %d", m.Classes, k)
+	}
+	if len(m.IsNum) != len(m.Base) || len(m.Range) != len(m.Base) {
+		return fmt.Errorf("knn: %d base attributes but %d kinds and %d ranges", len(m.Base), len(m.IsNum), len(m.Range))
+	}
+	for i, attr := range m.Base {
+		if err := mlcore.CheckAttr(schema, class, attr); err != nil {
+			return fmt.Errorf("knn: %w", err)
+		}
+		if m.IsNum[i] != schema.Attr(attr).IsNumberLike() {
+			return fmt.Errorf("knn: attribute %d recorded as the wrong kind", attr)
+		}
+	}
+	if len(m.Class) != len(m.Rows) || len(m.Weight) != len(m.Rows) {
+		return fmt.Errorf("knn: %d rows but %d classes and %d weights", len(m.Rows), len(m.Class), len(m.Weight))
+	}
+	for r, row := range m.Rows {
+		if len(row) != schema.Len() {
+			return fmt.Errorf("knn: row %d has %d cells, want %d", r, len(row), schema.Len())
+		}
+		if c := m.Class[r]; c < 0 || c >= k {
+			return fmt.Errorf("knn: row %d has class %d, want one in [0, %d)", r, c, k)
+		}
+		for i, attr := range m.Base {
+			if v := row[attr]; !v.IsNull() && (m.IsNum[i] && !v.IsNumber() || !m.IsNum[i] && !v.IsNominal()) {
+				return fmt.Errorf("knn: row %d: cell of attribute %d is of the wrong kind", r, attr)
+			}
+		}
+	}
+	return nil
 }

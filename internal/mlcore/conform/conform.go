@@ -44,7 +44,8 @@ type Config struct {
 
 // Run executes the conformance suite: trains on base, updates the model
 // to full through the incremental path, and checks the contract clauses
-// above.
+// above. Every model it builds must also pass its family's
+// mlcore.Checker.
 func Run(t *testing.T, cfg Config, base, full *mlcore.Instances) {
 	t.Helper()
 	if cfg.MinAgree == 0 {
@@ -75,6 +76,8 @@ func Run(t *testing.T, cfg Config, base, full *mlcore.Instances) {
 	if err != nil {
 		t.Fatalf("conform: same-set update failed: %v", err)
 	}
+	check(t, model, base)
+	check(t, same, base)
 	if cfg.Exact && !bytes.Equal(before, gobBytes(t, same)) {
 		t.Fatal("conform: same-set successor is not byte-identical to the model")
 	}
@@ -91,6 +94,8 @@ func Run(t *testing.T, cfg Config, base, full *mlcore.Instances) {
 	if err != nil {
 		t.Fatalf("conform: reference retrain failed: %v", err)
 	}
+	check(t, succ, full)
+	check(t, ref, full)
 	if cfg.Exact {
 		if !bytes.Equal(gobBytes(t, ref), gobBytes(t, succ)) {
 			t.Fatal("conform: successor is not gob-byte-identical to the full retrain")
@@ -110,7 +115,7 @@ func Run(t *testing.T, cfg Config, base, full *mlcore.Instances) {
 	agree, total := 0, 0
 	row := make([]dataset.Value, full.Table.NumCols())
 	var ds, dr mlcore.Distribution
-	for _, r := range full.Rows {
+	for r := range full.Table.NumRows() {
 		full.Table.RowInto(r, row)
 		succ.PredictInto(row, &ds)
 		ref.PredictInto(row, &dr)
@@ -129,11 +134,12 @@ func Run(t *testing.T, cfg Config, base, full *mlcore.Instances) {
 	}
 }
 
-// Fixture builds a deterministic synthetic pair of training sets over
-// one table whose class attribute depends on the first nominal base
-// attribute (with noise) and correlates with the numeric attribute. base
-// holds the first baseRows rows; full drops removeRows of them, drawn at
-// random, and appends the remaining addRows rows.
+// Fixture builds a deterministic synthetic pair of training sets whose
+// class attribute depends on the first nominal base attribute (with
+// noise) and correlates with the numeric attribute. Each set is a table
+// of its own: base holds the first baseRows rows drawn; full drops
+// removeRows of them, chosen at random, and appends the remaining addRows
+// rows, keeping the drawn order.
 func Fixture(t *testing.T, baseRows, addRows, removeRows int, seed int64) (base, full *mlcore.Instances) {
 	t.Helper()
 	if removeRows >= baseRows {
@@ -149,9 +155,9 @@ func Fixture(t *testing.T, baseRows, addRows, removeRows int, seed int64) (base,
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	tab := dataset.NewTable(schema)
 	n := baseRows + addRows
-	for i := 0; i < n; i++ {
+	rows := make([][]dataset.Value, n)
+	for i := range rows {
 		a := rng.Intn(4)
 		cls := a % 3
 		if rng.Float64() < 0.1 { // label noise
@@ -172,38 +178,42 @@ func Fixture(t *testing.T, baseRows, addRows, removeRows int, seed int64) (base,
 		if rng.Float64() < 0.03 {
 			row[3] = dataset.Null()
 		}
-		tab.AppendRow(row)
+		rows[i] = row
 	}
-	all := mlcore.NewInstances(tab, []int{0, 1, 2}, 3, func(r int) int {
-		v := tab.Get(r, 3)
-		if v.IsNull() {
-			return -1
+	removed := make(map[int]bool, removeRows)
+	for len(removed) < removeRows {
+		removed[rng.Intn(baseRows)] = true
+	}
+	set := func(keep func(i int) bool) *mlcore.Instances {
+		tab := dataset.NewTable(schema)
+		for i, row := range rows {
+			if keep(i) {
+				tab.AppendRow(row)
+			}
 		}
-		return v.NomIdx()
-	})
+		return mlcore.NewInstances(tab, []int{0, 1, 2}, 3, func(r int) int {
+			v := tab.Get(r, 3)
+			if v.IsNull() {
+				return -1
+			}
+			return v.NomIdx()
+		})
+	}
+	return set(func(i int) bool { return i < baseRows }), set(func(i int) bool { return !removed[i] })
+}
 
-	sub := func(rows []int) *mlcore.Instances {
-		w := make([]float64, len(rows))
-		for i := range w {
-			w[i] = 1
-		}
-		return all.Subset(rows, w)
+// check holds a model to its family's structural check against the
+// schema of the set it was trained on. An instance set does not name its
+// class column, so no column is excluded as the class.
+func check(t *testing.T, m mlcore.Classifier, ins *mlcore.Instances) {
+	t.Helper()
+	c, ok := m.(mlcore.Checker)
+	if !ok {
+		t.Fatalf("conform: %T does not implement mlcore.Checker", m)
 	}
-	baseIdx := make([]int, baseRows)
-	for i := range baseIdx {
-		baseIdx[i] = i
+	if err := c.Check(ins.Table.Schema(), -1, ins.K); err != nil {
+		t.Fatalf("conform: %T fails its structural check: %v", m, err)
 	}
-	removedSet := make(map[int]bool, removeRows)
-	for len(removedSet) < removeRows {
-		removedSet[rng.Intn(baseRows)] = true
-	}
-	var fullIdx []int
-	for i := 0; i < n; i++ {
-		if !removedSet[i] {
-			fullIdx = append(fullIdx, i)
-		}
-	}
-	return sub(baseIdx), sub(fullIdx)
 }
 
 func gobBytes(t *testing.T, v any) []byte {

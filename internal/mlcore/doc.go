@@ -1,6 +1,6 @@
 // Package mlcore is the shared classifier framework of the multiple
-// classification / regression approach (§5): weighted training instances
-// over a dataset.Table, class distributions with explicit support, and the
+// classification / regression approach (§5): training instances over a
+// dataset.Table, class distributions with explicit support, and the
 // Classifier/Trainer interfaces every induction algorithm in this
 // repository implements (C4.5, the audit-adjusted tree, naive Bayes, kNN,
 // 1R, PRISM).
@@ -18,13 +18,12 @@
 //     probability, N() the supporting sample size (the n of Def. 7), and
 //     Best() the deterministic argmax (ties break to the lower index,
 //     matching C4.5).
-//   - Instances: a weighted row view over a table for supervised
-//     induction. Fractional weights implement C4.5's missing-value
-//     handling; Subset shares the table and class assignment while
-//     narrowing the active rows, which is what lets tree inducers recurse
-//     without copying data. Its optional RankCache orders each numeric
-//     column of the table once for all the classifiers of one induction
-//     call.
+//   - Instances: a table and a class vector for supervised induction.
+//     Every row trains with weight 1; a tree inducer keeps its own row and
+//     weight lists for C4.5's fractional missing-value handling. Its
+//     optional RankCache orders each numeric column of the table once for
+//     all the classifiers of one induction call, and a nominal column's
+//     code vector there doubles as that attribute's class vector.
 //   - Classifier / Trainer: each has one method. PredictInto writes a
 //     row's Distribution into a caller-owned buffer without allocating;
 //     Train induces a Classifier from Instances. audit.Options.Trainer

@@ -87,22 +87,21 @@ func (d *Distribution) CopyFrom(o Distribution) {
 	d.Total = o.Total
 }
 
-// Instances is a weighted view over a table for supervised induction: the
-// base attributes, a class assignment per row, and per-row weights
-// (fractional weights implement C4.5's missing-value handling).
+// Instances is a table viewed for supervised induction: the base
+// attributes and a class per row. Every row of the table trains with
+// weight 1; the fractional weights of C4.5's missing-value handling live
+// inside the tree's induction.
 type Instances struct {
 	Table *dataset.Table
 	// Base lists the base attribute columns.
 	Base []int
 	// K is the number of class values.
 	K int
-	// Rows are the active table row indices.
-	Rows []int
-	// Weights parallels Rows.
-	Weights []float64
-	// Class maps a table row index to its class index, or -1 when the
-	// class value is null. It must be valid for every row in Rows.
-	Class []int
+	// Class holds each table row's class index, or -1 when the class
+	// value is null. It is read-only: for a nominal class attribute it is
+	// the call's code vector of that column (RankCache.Codes), which the
+	// trees of the call read as a base column too.
+	Class []int32
 	// Ranks, when set, shares rank tables of Table's columns among the
 	// classifiers of one induction call. A cache over another table is
 	// not used (see RankCache).
@@ -112,27 +111,11 @@ type Instances struct {
 // NewInstances builds an instance set over all rows of a table. classOf
 // maps a row index to a class index in [0, k) or -1 for null.
 func NewInstances(t *dataset.Table, base []int, k int, classOf func(r int) int) *Instances {
-	n := t.NumRows()
-	ins := &Instances{
-		Table:   t,
-		Base:    append([]int(nil), base...),
-		K:       k,
-		Rows:    make([]int, 0, n),
-		Weights: make([]float64, 0, n),
-		Class:   make([]int, n),
+	class := make([]int32, t.NumRows())
+	for r := range class {
+		class[r] = int32(classOf(r))
 	}
-	for r := 0; r < n; r++ {
-		ins.Class[r] = classOf(r)
-		ins.Rows = append(ins.Rows, r)
-		ins.Weights = append(ins.Weights, 1)
-	}
-	return ins
-}
-
-// Subset returns a view sharing Table, Class and Ranks but with its own
-// row/weight slices.
-func (ins *Instances) Subset(rows []int, weights []float64) *Instances {
-	return &Instances{Table: ins.Table, Base: ins.Base, K: ins.K, Rows: rows, Weights: weights, Class: ins.Class, Ranks: ins.Ranks}
+	return &Instances{Table: t, Base: append([]int(nil), base...), K: k, Class: class}
 }
 
 // RankCache returns Ranks when it ranks Table's columns, and a new empty
@@ -146,20 +129,14 @@ func (ins *Instances) RankCache() *RankCache {
 
 // Validate checks internal consistency.
 func (ins *Instances) Validate() error {
-	if len(ins.Rows) != len(ins.Weights) {
-		return fmt.Errorf("mlcore: %d rows but %d weights", len(ins.Rows), len(ins.Weights))
-	}
 	if ins.K < 1 {
 		return fmt.Errorf("mlcore: need at least one class, got %d", ins.K)
 	}
-	for i, r := range ins.Rows {
-		if r < 0 || r >= ins.Table.NumRows() {
-			return fmt.Errorf("mlcore: row index %d out of range", r)
-		}
-		if ins.Weights[i] < 0 {
-			return fmt.Errorf("mlcore: negative weight at position %d", i)
-		}
-		if c := ins.Class[r]; c < -1 || c >= ins.K {
+	if len(ins.Class) != ins.Table.NumRows() {
+		return fmt.Errorf("mlcore: %d classes for %d rows", len(ins.Class), ins.Table.NumRows())
+	}
+	for r, c := range ins.Class {
+		if c < -1 || int(c) >= ins.K {
 			return fmt.Errorf("mlcore: class %d out of range at row %d", c, r)
 		}
 	}

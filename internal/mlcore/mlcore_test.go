@@ -107,16 +107,13 @@ func testInstances(t *testing.T) (*dataset.Table, *Instances) {
 
 func TestInstancesBasics(t *testing.T) {
 	_, ins := testInstances(t)
-	if len(ins.Rows) != 10 || len(ins.Weights) != 10 {
-		t.Fatalf("rows = %d, weights = %d", len(ins.Rows), len(ins.Weights))
+	if len(ins.Class) != 10 {
+		t.Fatalf("classes = %d", len(ins.Class))
 	}
 	d := NewDistribution(ins.K)
-	for i, r := range ins.Rows {
-		if ins.Weights[i] != 1 {
-			t.Fatalf("weight %d = %g", i, ins.Weights[i])
-		}
-		if c := ins.Class[r]; c >= 0 {
-			d.Add(c, ins.Weights[i])
+	for _, c := range ins.Class {
+		if c >= 0 {
+			d.Add(int(c), 1)
 		}
 	}
 	// Rows 0..8 labelled, row 9 null: 5 of c0 (0,2,4,6,8), 4 of c1.
@@ -128,33 +125,30 @@ func TestInstancesBasics(t *testing.T) {
 	}
 }
 
-func TestInstancesSubsetSharesClass(t *testing.T) {
-	_, ins := testInstances(t)
-	sub := ins.Subset([]int{0, 1}, []float64{0.5, 0.5})
-	if len(sub.Rows) != 2 || len(sub.Weights) != 2 || sub.Weights[0]+sub.Weights[1] != 1 {
-		t.Fatalf("Subset wrong: %+v", sub)
-	}
-	if &sub.Class[0] != &ins.Class[0] || sub.Table != ins.Table {
-		t.Fatalf("Subset must share Table and Class with its parent")
-	}
-}
-
 func TestInstancesValidateCatchesErrors(t *testing.T) {
 	tab, ins := testInstances(t)
-	bad := &Instances{Table: tab, Base: []int{0}, K: 2, Rows: []int{0}, Weights: []float64{1, 2}, Class: ins.Class}
+	bad := &Instances{Table: tab, Base: []int{0}, K: 2, Class: ins.Class[:9]}
 	if bad.Validate() == nil {
-		t.Fatalf("row/weight mismatch must fail")
+		t.Fatalf("a class vector shorter than the table must fail")
 	}
-	bad2 := &Instances{Table: tab, Base: []int{99}, K: 2, Rows: []int{0}, Weights: []float64{1}, Class: ins.Class}
+	bad2 := &Instances{Table: tab, Base: []int{99}, K: 2, Class: ins.Class}
 	if bad2.Validate() == nil {
 		t.Fatalf("out-of-range base must fail")
 	}
-	bad3 := &Instances{Table: tab, Base: []int{0}, K: 2, Rows: []int{0}, Weights: []float64{-1}, Class: ins.Class}
+	high := append([]int32(nil), ins.Class...)
+	high[3] = 2
+	bad3 := &Instances{Table: tab, Base: []int{0}, K: 2, Class: high}
 	if bad3.Validate() == nil {
-		t.Fatalf("negative weight must fail")
+		t.Fatalf("a class index of K must fail")
 	}
-	bad4 := &Instances{Table: tab, Base: []int{0}, K: 0, Rows: nil, Weights: nil, Class: ins.Class}
+	bad4 := &Instances{Table: tab, Base: []int{0}, K: 0, Class: ins.Class}
 	if bad4.Validate() == nil {
 		t.Fatalf("zero classes must fail")
+	}
+	low := append([]int32(nil), ins.Class...)
+	low[0] = -2
+	bad5 := &Instances{Table: tab, Base: []int{0}, K: 2, Class: low}
+	if bad5.Validate() == nil {
+		t.Fatalf("a class index below -1 must fail")
 	}
 }

@@ -82,7 +82,9 @@ func (c *RankCache) Column(col int) *RankTable {
 }
 
 // Codes returns the nominal column's code vector, building it on first
-// use: each row's domain index, or -1 for a null cell. It is read-only.
+// use: each row's domain index, or -1 for a null cell. It is read-only:
+// it is also the class vector of every instance set of the call whose
+// class is this column.
 func (c *RankCache) Codes(col int) []int32 {
 	s := &c.cols[col]
 	s.codeOnce.Do(func() {

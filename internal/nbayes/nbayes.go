@@ -82,10 +82,10 @@ func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 	schema := ins.Table.Schema()
 	m := &Model{K: ins.K, Laplace: laplace, ClassW: make([]float64, ins.K)}
 
-	for i, r := range ins.Rows {
-		if c := ins.Class[r]; c >= 0 {
-			m.ClassW[c] += ins.Weights[i]
-			m.TotalW += ins.Weights[i]
+	for _, c := range ins.Class {
+		if c >= 0 {
+			m.ClassW[c]++
+			m.TotalW++
 		}
 	}
 	if m.TotalW <= 0 {
@@ -99,16 +99,11 @@ func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 			for c := range nm.Counts {
 				nm.Counts[c] = make([]float64, a.NumValues())
 			}
-			for i, r := range ins.Rows {
-				c := ins.Class[r]
-				if c < 0 {
-					continue
+			cells := ins.Table.Column(attr)
+			for r, c := range ins.Class {
+				if c >= 0 && !cells[r].IsNull() {
+					nm.Counts[c][cells[r].NomIdx()]++
 				}
-				v := ins.Table.Get(r, attr)
-				if v.IsNull() {
-					continue
-				}
-				nm.Counts[c][v.NomIdx()] += ins.Weights[i]
 			}
 			m.Nominals = append(m.Nominals, nm)
 			continue
@@ -124,19 +119,15 @@ func (t *Trainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 // accumGauss adds the instance set's raw moments for gm's attribute into
 // gm.Sum/SumSq/W, iterating rows in order.
 func accumGauss(gm *gaussModel, ins *mlcore.Instances) {
-	for i, r := range ins.Rows {
-		c := ins.Class[r]
-		if c < 0 {
+	cells := ins.Table.Column(gm.Attr)
+	for r, c := range ins.Class {
+		if c < 0 || cells[r].IsNull() {
 			continue
 		}
-		v := ins.Table.Get(r, gm.Attr)
-		if v.IsNull() {
-			continue
-		}
-		x := v.Float()
-		gm.Sum[c] += x * ins.Weights[i]
-		gm.SumSq[c] += x * x * ins.Weights[i]
-		gm.W[c] += ins.Weights[i]
+		x := cells[r].Float()
+		gm.Sum[c] += x
+		gm.SumSq[c] += x * x
+		gm.W[c]++
 	}
 }
 
@@ -258,4 +249,49 @@ func (m *Model) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 		}
 	}
 	d.Total = m.TotalW
+}
+
+var _ mlcore.Checker = (*Model)(nil)
+
+// Check implements mlcore.Checker: the priors and every estimate count k
+// classes, and each estimate reads a column of schema other than class —
+// a nominal table as wide as the column's domain, a Gaussian over a
+// number-like column.
+func (m *Model) Check(schema *dataset.Schema, class, k int) error {
+	if m.K != k || len(m.Priors) != k || len(m.ClassW) != k {
+		return fmt.Errorf("nbayes: priors over %d, %d and %d classes, want %d", m.K, len(m.Priors), len(m.ClassW), k)
+	}
+	for _, nm := range m.Nominals {
+		if err := mlcore.CheckAttr(schema, class, nm.Attr); err != nil {
+			return fmt.Errorf("nbayes: %w", err)
+		}
+		a := schema.Attr(nm.Attr)
+		if a.Type != dataset.NominalType || !isTable(nm.Cond, k, a.NumValues()) || !isTable(nm.Counts, k, a.NumValues()) {
+			return fmt.Errorf("nbayes: attribute %d (%s): value tables of the wrong shape", nm.Attr, a.Name)
+		}
+	}
+	for _, gm := range m.Gauss {
+		if err := mlcore.CheckAttr(schema, class, gm.Attr); err != nil {
+			return fmt.Errorf("nbayes: %w", err)
+		}
+		a := schema.Attr(gm.Attr)
+		if !a.IsNumberLike() || len(gm.Mu) != k || len(gm.Sigma) != k || len(gm.SeenByClass) != k ||
+			len(gm.Sum) != k || len(gm.SumSq) != k || len(gm.W) != k {
+			return fmt.Errorf("nbayes: attribute %d (%s): Gaussians of the wrong shape", gm.Attr, a.Name)
+		}
+	}
+	return nil
+}
+
+// isTable reports whether t has rows rows of cols entries each.
+func isTable(t [][]float64, rows, cols int) bool {
+	if len(t) != rows {
+		return false
+	}
+	for _, r := range t {
+		if len(r) != cols {
+			return false
+		}
+	}
+	return true
 }

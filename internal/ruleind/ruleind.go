@@ -56,8 +56,8 @@ func newFeatureView(ins *mlcore.Instances) (*FeatureView, error) {
 		}
 		fv.IsNum[i] = true
 		vals = vals[:0]
-		for _, r := range ins.Rows {
-			if v := ins.Table.Get(r, attr); !v.IsNull() {
+		for _, v := range ins.Table.Column(attr) {
+			if !v.IsNull() {
 				vals = append(vals, v.Float())
 			}
 		}
@@ -93,12 +93,11 @@ func (fv *FeatureView) bucket(i int, v dataset.Value) int {
 	return v.NomIdx()
 }
 
-// featureMatrix holds the instances with a known class, in instance
-// order, bucketed through a feature view.
+// featureMatrix holds the instances with a known class, in row order,
+// bucketed through a feature view. Each weighs 1.
 type featureMatrix struct {
-	cols    [][]int32 // cols[pos][i]: bucket of instance i, or -1 for null
-	class   []int32
-	weights []float64
+	cols  [][]int32 // cols[pos][i]: bucket of instance i, or -1 for null
+	class []int32
 }
 
 // matrix validates ins against the view and encodes every instance with
@@ -112,11 +111,10 @@ func (fv *FeatureView) matrix(ins *mlcore.Instances) (featureMatrix, error) {
 	}
 	var rows []int
 	var mx featureMatrix
-	for i, r := range ins.Rows {
-		if c := ins.Class[r]; c >= 0 {
+	for r, c := range ins.Class {
+		if c >= 0 {
 			rows = append(rows, r)
-			mx.class = append(mx.class, int32(c))
-			mx.weights = append(mx.weights, ins.Weights[i])
+			mx.class = append(mx.class, c)
 		}
 	}
 	mx.cols = make([][]int32, len(fv.Base))
@@ -180,9 +178,9 @@ func trainOneR(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, error
 		nullDist := mlcore.NewDistribution(ins.K)
 		for i, b := range col {
 			if b < 0 {
-				nullDist.Add(int(mx.class[i]), mx.weights[i])
+				nullDist.Add(int(mx.class[i]), 1)
 			} else {
-				dists[b].Add(int(mx.class[i]), mx.weights[i])
+				dists[b].Add(int(mx.class[i]), 1)
 			}
 		}
 		allDists[pos] = dists
@@ -298,8 +296,7 @@ func (t *PrismTrainer) Train(ins *mlcore.Instances) (mlcore.Classifier, error) {
 // trainPrism runs the covering search over ins bucketed through fv, a
 // fresh view from Train or the model's frozen one from Update. The
 // remaining set and each rule's pool are instance indices into the
-// matrix, kept in instance order, so every distribution sums its weights
-// in that order.
+// matrix, kept in row order.
 func trainPrism(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, error) {
 	mx, err := fv.matrix(ins)
 	if err != nil {
@@ -310,8 +307,8 @@ func trainPrism(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, erro
 		return nil, fmt.Errorf("ruleind: no instances with a known class value")
 	}
 	model := &PrismModel{FV: fv, K: ins.K, Default: mlcore.NewDistribution(ins.K)}
-	for i, c := range mx.class {
-		model.Default.Add(int(c), mx.weights[i])
+	for _, c := range mx.class {
+		model.Default.Add(int(c), 1)
 	}
 
 	// pw[b] and tw[b]: the pool's positive and total weight in bucket b.
@@ -351,9 +348,9 @@ func trainPrism(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, erro
 						if b < 0 {
 							continue
 						}
-						tw[b] += mx.weights[i]
+						tw[b]++
 						if mx.class[i] == class {
-							pw[b] += mx.weights[i]
+							pw[b]++
 						}
 					}
 					for b := range width {
@@ -383,7 +380,7 @@ func trainPrism(ins *mlcore.Instances, fv *FeatureView) (mlcore.Classifier, erro
 			}
 			dist := mlcore.NewDistribution(ins.K)
 			for _, i := range pool {
-				dist.Add(int(mx.class[i]), mx.weights[i])
+				dist.Add(int(mx.class[i]), 1)
 			}
 			model.Rules = append(model.Rules, PrismRule{Conds: conds, Dist: dist})
 			// Remove the covered positives of this class. The pool is the
@@ -437,4 +434,88 @@ func (m *PrismModel) PredictInto(row []dataset.Value, d *mlcore.Distribution) {
 		}
 	}
 	d.CopyFrom(m.Default)
+}
+
+// check reports whether the view buckets rows of schema without reading
+// class: one entry per base column, each a column of schema other than
+// class, recorded as its kind, with a width that is its domain size or its
+// discretizer's bin count.
+func (fv *FeatureView) check(schema *dataset.Schema, class int) error {
+	if fv == nil {
+		return fmt.Errorf("ruleind: no feature view")
+	}
+	if len(fv.IsNum) != len(fv.Base) || len(fv.Disc) != len(fv.Base) || len(fv.Widths) != len(fv.Base) {
+		return fmt.Errorf("ruleind: feature view over %d attributes with %d kinds, %d discretizers and %d widths", len(fv.Base), len(fv.IsNum), len(fv.Disc), len(fv.Widths))
+	}
+	for i, attr := range fv.Base {
+		if err := mlcore.CheckAttr(schema, class, attr); err != nil {
+			return fmt.Errorf("ruleind: %w", err)
+		}
+		a := schema.Attr(attr)
+		want := a.NumValues()
+		if fv.IsNum[i] {
+			want = fv.Disc[i].NumBins()
+		}
+		if fv.IsNum[i] != a.IsNumberLike() || fv.Widths[i] != want {
+			return fmt.Errorf("ruleind: attribute %d (%s): %d buckets, want %d of its kind", attr, a.Name, fv.Widths[i], want)
+		}
+	}
+	return nil
+}
+
+var _ mlcore.Checker = (*OneRModel)(nil)
+
+// Check implements mlcore.Checker: the feature view fits schema, the
+// chosen attribute is one of its positions, and there is one distribution
+// over k classes per bucket of it, and one for null.
+func (m *OneRModel) Check(schema *dataset.Schema, class, k int) error {
+	if err := m.FV.check(schema, class); err != nil {
+		return err
+	}
+	if m.K != k {
+		return fmt.Errorf("ruleind: 1R over %d classes, want %d", m.K, k)
+	}
+	if m.AttrPos < 0 || m.AttrPos >= len(m.FV.Base) {
+		return fmt.Errorf("ruleind: 1R attribute position %d outside the view's %d", m.AttrPos, len(m.FV.Base))
+	}
+	if len(m.BucketDist) != m.FV.Widths[m.AttrPos] {
+		return fmt.Errorf("ruleind: 1R has %d bucket distributions, want %d", len(m.BucketDist), m.FV.Widths[m.AttrPos])
+	}
+	for _, d := range m.BucketDist {
+		if err := mlcore.CheckDist(d, k); err != nil {
+			return fmt.Errorf("ruleind: 1R: %w", err)
+		}
+	}
+	if err := mlcore.CheckDist(m.NullDist, k); err != nil {
+		return fmt.Errorf("ruleind: 1R null bucket: %w", err)
+	}
+	return nil
+}
+
+var _ mlcore.Checker = (*PrismModel)(nil)
+
+// Check implements mlcore.Checker: the feature view fits schema, every
+// rule's test names a position of the view and one of its buckets, and
+// every distribution counts k classes.
+func (m *PrismModel) Check(schema *dataset.Schema, class, k int) error {
+	if err := m.FV.check(schema, class); err != nil {
+		return err
+	}
+	if m.K != k {
+		return fmt.Errorf("ruleind: PRISM over %d classes, want %d", m.K, k)
+	}
+	if err := mlcore.CheckDist(m.Default, k); err != nil {
+		return fmt.Errorf("ruleind: PRISM default: %w", err)
+	}
+	for i, r := range m.Rules {
+		if err := mlcore.CheckDist(r.Dist, k); err != nil {
+			return fmt.Errorf("ruleind: PRISM rule %d: %w", i, err)
+		}
+		for _, c := range r.Conds {
+			if c.Pos < 0 || c.Pos >= len(m.FV.Base) || c.Bucket < 0 || c.Bucket >= m.FV.Widths[c.Pos] {
+				return fmt.Errorf("ruleind: PRISM rule %d tests bucket %d of position %d, outside the view", i, c.Bucket, c.Pos)
+			}
+		}
+	}
+	return nil
 }

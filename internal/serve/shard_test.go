@@ -14,6 +14,7 @@ import (
 
 	"dataaudit/internal/audit"
 	"dataaudit/internal/audittree"
+	"dataaudit/internal/c45"
 	"dataaudit/internal/dataset"
 	"dataaudit/internal/registry"
 	"dataaudit/internal/shard"
@@ -251,6 +252,67 @@ func TestReplicateRoute(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnsupportedMediaType {
 		t.Fatalf("wrong content type: status %d", resp.StatusCode)
+	}
+}
+
+// TestReplicateRejectsTreeOverUnknownAttribute: a replica whose c45 tree
+// splits on attribute 999 fails to decode, so /replicate answers 400, and
+// the worker's registry keeps the model and the version it held.
+func TestReplicateRejectsTreeOverUnknownAttribute(t *testing.T) {
+	_, _, tab := engineFixture(t, 1200)
+	m, err := audit.Induce(tab, audit.Options{MinConfidence: 0.8, Inducer: audit.InducerC45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := audit.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wreg := openRegistry(t)
+	meta, err := wreg.Publish("engines", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := startTestServer(t, wreg)
+
+	bad, err := audit.Unmarshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted := false
+	for _, am := range bad.Attrs {
+		if tree := am.Classifier.(*c45.Tree); tree.Root.Attr >= 0 {
+			tree.Root.Attr = 999
+			corrupted = true
+			break
+		}
+	}
+	if !corrupted {
+		t.Fatal("no tree with a split to corrupt")
+	}
+	next := meta
+	next.Version++
+	next.CreatedAt = meta.CreatedAt.Add(time.Minute)
+	resp := putReplica(t, ts.URL, "engines", shard.ContentTypeReplica, next, bad)
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "attribute 999") {
+		t.Fatalf("replica over attribute 999: status %d body %s, want 400 naming the attribute", resp.StatusCode, raw)
+	}
+
+	latest, err := wreg.MetaOf("engines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest.Version != meta.Version || !latest.CreatedAt.Equal(meta.CreatedAt) {
+		t.Fatalf("registry serves %+v after the rejected push, want %+v", latest, meta)
+	}
+	served, _, err := wreg.Get("engines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := audit.Marshal(served); err != nil || !bytes.Equal(b, good) {
+		t.Fatalf("registry model changed after the rejected push (marshal error %v)", err)
 	}
 }
 
