@@ -124,7 +124,7 @@ func main() {
 		mode = fmt.Sprintf("across %d workers", len(strings.Split(*workers, ",")))
 	}
 	fmt.Printf("%s v%d: %d rows audited %s in %s, %d suspicious\n",
-		meta.Name, meta.Version, len(res.Reports), mode, elapsed.Round(time.Millisecond), suspicious)
+		meta.Name, meta.Version, res.Rows, mode, elapsed.Round(time.Millisecond), suspicious)
 	for i, rep := range res.Suspicious() {
 		if i >= *top {
 			break

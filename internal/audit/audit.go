@@ -14,6 +14,7 @@ package audit
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"runtime"
@@ -488,9 +489,17 @@ func (m *Model) CheckRow(row []dataset.Value) RecordReport {
 	return m.CheckRowScratch(row, NewScoreScratch(m)).Detach()
 }
 
-// Result is a full table audit.
+// Result is a full table audit. It keeps a report only for a row that
+// has one: most rows of a table are clean, and a clean row's report would
+// carry nothing but its Row and ID, which the audited table holds.
 type Result struct {
-	// Reports holds one report per row, aligned with the table.
+	// Rows is the number of audited rows.
+	Rows int
+	// Reports holds the report of every row whose report is not Empty —
+	// suspicious, or carrying a finding or an error confidence — in
+	// ascending Row order. The consumers also accept a hand-built dense
+	// Result, with one report per row and Rows unset: they key on each
+	// report's Row and take the row count from the audited table.
 	Reports []RecordReport
 	// NumAttrs is the width of the schema the reports were produced
 	// against; Merge uses it to reject results from incompatible relations
@@ -502,6 +511,34 @@ type Result struct {
 	Dims []AttrDim
 	// CheckTime records the deviation-detection wall time.
 	CheckTime time.Duration
+}
+
+// Empty reports whether the report carries nothing beyond its Row and
+// ID: not suspicious, no error confidence and no finding. That is a
+// clean row's report, which a Result does not keep.
+func (rep *RecordReport) Empty() bool {
+	return !rep.Suspicious && rep.ErrorConf == 0 && len(rep.Findings) == 0 && rep.Best == nil
+}
+
+// ByRow yields each of the first rows rows in order with its report in
+// r, or nil for a row r keeps none of. r's reports must be in ascending
+// Row order; a dense Result yields every row's own report.
+func (r *Result) ByRow(rows int) iter.Seq2[int, *RecordReport] {
+	return func(yield func(int, *RecordReport) bool) {
+		i := 0
+		for row := 0; row < rows; row++ {
+			for i < len(r.Reports) && r.Reports[i].Row < row {
+				i++
+			}
+			var rep *RecordReport
+			if i < len(r.Reports) && r.Reports[i].Row == row {
+				rep = &r.Reports[i]
+			}
+			if !yield(row, rep) {
+				return
+			}
+		}
+	}
 }
 
 // AuditTable checks every record of the table against the structure
@@ -516,7 +553,7 @@ func (m *Model) AuditTable(tab *dataset.Table) *Result {
 // a pure function of the row, so the reports are byte-identical to
 // AuditTable's for every worker count; only CheckTime differs.
 func (m *Model) AuditTableParallel(tab *dataset.Table, workers int) *Result {
-	res, _ := m.auditResult(tableFeed(tab, workers), tab.NumRows(), workers) // a table feed cannot fail
+	res, _ := m.auditResult(tableFeed(tab, workers), workers) // a table feed cannot fail
 	return res
 }
 
@@ -525,34 +562,30 @@ func (m *Model) AuditTableParallel(tab *dataset.Table, workers int) *Result {
 // error aborts the audit and is returned as is — and numbers the reports
 // in arrival order. It is the shard worker's entry into the pipeline.
 func (m *Model) AuditChunks(read func() (*dataset.ColumnChunk, error)) (*Result, error) {
-	return m.auditResult(chunkFeed(m.Schema, read), -1, 1)
+	return m.auditResult(chunkFeed(m.Schema, read), 1)
 }
 
-// auditResult runs the scoring pipeline into a Result. rows is the number
-// of rows the feed will deliver, or negative when only the feed knows.
-func (m *Model) auditResult(f feed, rows, workers int) (*Result, error) {
+// resultPart is what a batch audit keeps of one scored unit: its row
+// count and its reports that are not Empty, detached.
+type resultPart struct {
+	rows int
+	reps []RecordReport
+}
+
+// auditResult runs the scoring pipeline into a Result. Each unit's
+// reports that are not Empty are detached by the goroutine that scored
+// them, and the parts are joined in row order once the last is folded.
+func (m *Model) auditResult(f feed, workers int) (*Result, error) {
 	start := time.Now()
 	res := &Result{NumAttrs: m.Schema.Len()}
-	if rows >= 0 {
-		res.Reports = make([]RecordReport, rows)
-	}
-	// With Reports sized up front, each unit's reports are detached where
-	// they belong by the goroutine that scored them; otherwise into parts
-	// the fold lines up, joined once the row count is known.
 	var parts [][]RecordReport
-	collect := func(firstRow int64, reps []RecordReport) []RecordReport {
-		var part []RecordReport
-		if rows >= 0 {
-			part = res.Reports[firstRow:][:len(reps)]
-		} else {
-			part = make([]RecordReport, len(reps))
-		}
-		detachReports(reps, part)
-		return part
+	collect := func(_ int64, reps []RecordReport) resultPart {
+		return resultPart{len(reps), detachReports(reps)}
 	}
-	fold := func(part []RecordReport) error {
-		if rows < 0 {
-			parts = append(parts, part)
+	fold := func(p resultPart) error {
+		res.Rows += p.rows
+		if len(p.reps) > 0 {
+			parts = append(parts, p.reps)
 		}
 		return nil
 	}
@@ -560,7 +593,11 @@ func (m *Model) auditResult(f feed, rows, workers int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rows < 0 {
+	if len(parts) == 1 {
+		// One unit kept reports, as in every one-row request: its list
+		// is the result's without a copy.
+		res.Reports = parts[0]
+	} else {
 		res.Reports = slices.Concat(parts...)
 	}
 	res.Dims = dims
@@ -680,11 +717,11 @@ func (r *Result) NumSuspicious() int {
 // confidence".
 func (m *Model) ApplyCorrections(tab *dataset.Table, res *Result) *dataset.Table {
 	out := tab.Clone()
-	for r, rep := range res.Reports {
+	for _, rep := range res.Reports {
 		if !rep.Suspicious || rep.Best == nil {
 			continue
 		}
-		out.Set(r, rep.Best.Attr, rep.Best.Suggestion)
+		out.Set(rep.Row, rep.Best.Attr, rep.Best.Suggestion)
 	}
 	return out
 }

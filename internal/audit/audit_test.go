@@ -157,8 +157,8 @@ func TestAuditTableAndRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := m.AuditTable(tab)
-	if len(res.Reports) != tab.NumRows() {
-		t.Fatalf("reports not aligned with rows")
+	if res.Rows != tab.NumRows() {
+		t.Fatalf("result counts %d rows, want %d", res.Rows, tab.NumRows())
 	}
 	sus := res.Suspicious()
 	if len(sus) < 2 {

@@ -185,31 +185,42 @@ func (s *ChunkScratch) rowKernel(m *Model, ai int, am *AttrModel, ck *dataset.Co
 	}
 }
 
-// detachReports copies scratch-backed chunk reports into dst (same
-// length) as self-contained values. It is Detach amortized over the
-// chunk: all findings land in one shared arena (one allocation per chunk
-// instead of one per deviating row), with each report's slice
-// cap-clamped to its own segment and Best re-pointed into it. The
-// resulting reports are value-identical to per-report Detach output.
-func detachReports(reps []RecordReport, dst []RecordReport) {
-	total := 0
+// detachReports returns self-contained copies of the scratch-backed
+// chunk reports that are not Empty, in order (nil when every report is).
+// It is Detach amortized over the chunk: all findings land in one shared
+// arena (one allocation per chunk instead of one per deviating row), with
+// each report's slice cap-clamped to its own segment and Best re-pointed
+// into it. The copies are value-identical to per-report Detach output.
+func detachReports(reps []RecordReport) []RecordReport {
+	kept, total := 0, 0
 	for i := range reps {
-		total += len(reps[i].Findings)
+		if !reps[i].Empty() {
+			kept++
+			total += len(reps[i].Findings)
+		}
 	}
+	if kept == 0 {
+		return nil
+	}
+	out := make([]RecordReport, 0, kept)
 	var arena []Finding
 	if total > 0 {
 		arena = make([]Finding, 0, total)
 	}
 	for i := range reps {
 		rep := reps[i]
+		if rep.Empty() {
+			continue
+		}
 		if n := len(rep.Findings); n > 0 {
 			start := len(arena)
 			arena = append(arena, rep.Findings...)
 			rep.Findings = arena[start : start+n : start+n]
 			rep.RepointBest()
 		}
-		dst[i] = rep
+		out = append(out, rep)
 	}
+	return out
 }
 
 // CheckChunk runs deviation detection for every row of the chunk. The

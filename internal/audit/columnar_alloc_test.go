@@ -106,6 +106,64 @@ func checkChunkZeroAlloc(t *testing.T, m *Model, tab *dataset.Table, rows, chunk
 	}
 }
 
+// TestAuditTableAllocatesOnlyForFlaggedRows pins the sparse Result: a
+// batch audit materialises reports only for the rows that have one, so on
+// a table where no row is flagged, what AuditTableParallel allocates does
+// not grow with the row count. The table tiles the rows of an engine
+// sample whose reports are Empty; from 20 000 to 200 000 rows the bytes
+// allocated may grow by less than 4 per added row (a dense report slice
+// alone costs 64). One worker scores both tables in units of the same
+// size, so the scoring buffers, sized by the unit, cost the same.
+func TestAuditTableAllocatesOnlyForFlaggedRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	sample := engineTable(t, 2000, 91)
+	m, err := Induce(sample, Options{MinConfidence: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clean [][]dataset.Value
+	for row, rep := range m.AuditTable(sample).ByRow(sample.NumRows()) {
+		if rep == nil {
+			clean = append(clean, sample.Row(row))
+		}
+	}
+	if len(clean) < 1000 {
+		t.Fatalf("only %d of %d sample rows are clean", len(clean), sample.NumRows())
+	}
+	tiled := func(rows int) *dataset.Table {
+		tab := dataset.NewTable(sample.Schema())
+		for r := 0; r < rows; r++ {
+			tab.AppendRow(clean[r%len(clean)])
+		}
+		return tab
+	}
+	// allocated is the least of a few audits, so a background allocation
+	// cannot fail the test.
+	allocated := func(tab *dataset.Table) uint64 {
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res := m.AuditTableParallel(tab, 1)
+			runtime.ReadMemStats(&after)
+			if res.Rows != tab.NumRows() || len(res.Reports) != 0 {
+				t.Fatalf("%d-row audit counts %d rows and keeps %d reports", tab.NumRows(), res.Rows, len(res.Reports))
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := tiled(20_000), tiled(200_000)
+	a, b := allocated(small), allocated(large)
+	perRow := (float64(b) - float64(a)) / float64(large.NumRows()-small.NumRows())
+	t.Logf("20 000 rows: %d bytes; 200 000 rows: %d bytes; %.2f B per added row", a, b, perRow)
+	if perRow >= 4 {
+		t.Fatalf("a clean table's audit allocates %.2f B per added row, want under 4", perRow)
+	}
+}
+
 // chunkSpySource wraps a RowSource and records the identity of every
 // *ColumnChunk the caller hands it, so a test can count how many
 // distinct chunk buffers a whole streaming audit ever used.

@@ -63,11 +63,11 @@ func TestColumnarDifferentialQUIS(t *testing.T) {
 	wantBytes := gobBytes(t, want)
 
 	got := m.AuditTable(dirty)
-	if !bytes.Equal(wantBytes, gobBytes(t, got)) {
+	if !bytes.Equal(wantBytes, gobBytes(t, denseResult(t, got, dirty))) {
 		t.Fatal("columnar AuditTable is not byte-identical to the row-path reference")
 	}
 	for _, w := range columnarWorkerCounts {
-		if gotPar := m.AuditTableParallel(dirty, w); !bytes.Equal(wantBytes, gobBytes(t, gotPar)) {
+		if gotPar := m.AuditTableParallel(dirty, w); !bytes.Equal(wantBytes, gobBytes(t, denseResult(t, gotPar, dirty))) {
 			t.Fatalf("AuditTableParallel(workers=%d) is not byte-identical to the reference", w)
 		}
 	}
@@ -105,7 +105,7 @@ func TestColumnarSharedScratchShuffledChunks(t *testing.T) {
 	ck := dataset.NewColumnChunk(dirty.Schema())
 	scratch := NewChunkScratch(m)
 	dims := NewDimTracker(dirty.Schema())
-	res := &Result{Reports: make([]RecordReport, n), NumAttrs: m.Schema.Len()}
+	res := &Result{Rows: n, NumAttrs: m.Schema.Len()}
 	for lo := 0; lo < n; {
 		hi := lo + columnarChunkSizes[rng.Intn(len(columnarChunkSizes))]
 		if hi > n {
@@ -114,11 +114,11 @@ func TestColumnarSharedScratchShuffledChunks(t *testing.T) {
 		dirty.ChunkInto(ck, lo, hi)
 		dims.ObserveChunk(ck)
 		reps := m.CheckChunk(ck, int64(lo), scratch)
-		detachReports(reps, res.Reports[lo:hi])
+		res.Reports = append(res.Reports, detachReports(reps)...)
 		lo = hi
 	}
 	res.Dims = dims.Dims()
-	if !bytes.Equal(wantBytes, gobBytes(t, res)) {
+	if !bytes.Equal(wantBytes, gobBytes(t, denseResult(t, res, dirty))) {
 		t.Fatal("shuffled-chunk CheckChunk result is not byte-identical to the reference")
 	}
 }
@@ -186,10 +186,10 @@ func TestColumnarDifferentialAllInducers(t *testing.T) {
 			}
 			want := auditTableReference(m, tab)
 			wantBytes := gobBytes(t, want)
-			if got := m.AuditTable(tab); !bytes.Equal(wantBytes, gobBytes(t, got)) {
+			if got := m.AuditTable(tab); !bytes.Equal(wantBytes, gobBytes(t, denseResult(t, got, tab))) {
 				t.Fatal("columnar AuditTable differs from the reference")
 			}
-			if got := m.AuditTableParallel(tab, 4); !bytes.Equal(wantBytes, gobBytes(t, got)) {
+			if got := m.AuditTableParallel(tab, 4); !bytes.Equal(wantBytes, gobBytes(t, denseResult(t, got, tab))) {
 				t.Fatal("AuditTableParallel differs from the reference")
 			}
 			res, err := m.AuditStream(dataset.NewTableSource(tab), StreamOptions{ChunkSize: 7, Workers: 2, TopK: -1})

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,10 +36,10 @@ func TestApplyCorrectionsTableInvariants(t *testing.T) {
 	}
 
 	corrected := 0
-	for r, rep := range res.Reports {
+	for r, rep := range res.ByRow(tab.NumRows()) {
 		for c := 0; c < tab.NumCols(); c++ {
 			before, after := tab.Get(r, c), fixed.Get(r, c)
-			isCorrection := rep.Suspicious && rep.Best != nil && c == rep.Best.Attr
+			isCorrection := rep != nil && rep.Suspicious && rep.Best != nil && c == rep.Best.Attr
 			if isCorrection {
 				if !after.Equal(rep.Best.Suggestion) {
 					t.Fatalf("row %d col %d: want suggestion %v, got %v", r, c, rep.Best.Suggestion, after)
@@ -154,5 +155,36 @@ func TestDescribeFindingRendering(t *testing.T) {
 	}
 	if text := mSkip.DescribeFinding(orphan); !strings.Contains(text, "KBM") {
 		t.Fatalf("orphan finding must still name its attribute: %q", text)
+	}
+}
+
+// TestSparseAndDenseResultsAgree: the audit's own consumers of a Result —
+// ApplyCorrections, TallyResult and QualityProfileFromResult — read a
+// library Result, which keeps reports only for the rows that have one,
+// exactly as its dense rendering with one report per row and Rows unset,
+// on a polluted QUIS table.
+func TestSparseAndDenseResultsAgree(t *testing.T) {
+	m, dirty := pollutedQUIS(t)
+	sparse := m.AuditTable(dirty)
+	if len(sparse.Reports) == 0 || len(sparse.Reports) >= dirty.NumRows() {
+		t.Fatalf("library result keeps %d reports of %d rows", len(sparse.Reports), dirty.NumRows())
+	}
+	dense := denseResult(t, sparse, dirty)
+
+	a, b := m.ApplyCorrections(dirty, dense), m.ApplyCorrections(dirty, sparse)
+	for r := 0; r < dirty.NumRows(); r++ {
+		for c := 0; c < dirty.NumCols(); c++ {
+			if !a.Get(r, c).Equal(b.Get(r, c)) {
+				t.Fatalf("ApplyCorrections: row %d col %d is %v from the dense result, %v from the sparse", r, c, a.Get(r, c), b.Get(r, c))
+			}
+		}
+	}
+	susDense, talliesDense := m.TallyResult(dense)
+	susSparse, talliesSparse := m.TallyResult(sparse)
+	if susDense != susSparse || !reflect.DeepEqual(talliesDense, talliesSparse) {
+		t.Fatalf("TallyResult: dense %d %+v, sparse %d %+v", susDense, talliesDense, susSparse, talliesSparse)
+	}
+	if got, want := m.QualityProfileFromResult(dirty, dense), m.QualityProfileFromResult(dirty, sparse); !reflect.DeepEqual(got, want) {
+		t.Fatalf("QualityProfileFromResult: dense %+v, sparse %+v", got, want)
 	}
 }

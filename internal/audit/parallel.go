@@ -6,10 +6,11 @@ import (
 	"dataaudit/internal/dataset"
 )
 
-// Merge appends another result's reports to r and accumulates its check
-// time. Row indices are shifted so that the merged result looks like one
-// contiguous table audit; use it to combine audits of horizontal table
-// shards (e.g. per-batch scoring in a streaming load).
+// Merge appends another result's rows to r and accumulates its check
+// time: o's reports, their Row shifted by r.Rows, so that the merged
+// result looks like one contiguous table audit of r.Rows + o.Rows rows.
+// Use it to combine audits of horizontal table shards (e.g. per-batch
+// scoring in a streaming load).
 //
 // Results from relations of different widths must not be merged — their
 // findings' attribute indices would silently point at the wrong columns.
@@ -45,7 +46,8 @@ func (r *Result) Merge(o *Result) error {
 	case o.Dims != nil:
 		MergeDims(r.Dims, o.Dims)
 	}
-	offset := len(r.Reports)
+	offset := r.Rows
+	r.Rows += o.Rows
 	for _, rep := range o.Reports {
 		if rep.Row >= 0 {
 			rep.Row += offset

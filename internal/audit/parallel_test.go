@@ -82,8 +82,8 @@ func TestAuditTableParallelMatchesSequential(t *testing.T) {
 }
 
 // TestAuditTableParallelSmallTableFallsBack checks a table too small to
-// split (one unit, scored inline whatever the worker count) still fills
-// every report.
+// split (one unit, scored inline whatever the worker count) still counts
+// every row and numbers each kept report with its row and ID.
 func TestAuditTableParallelSmallTableFallsBack(t *testing.T) {
 	tab := engineTable(t, 100, 9)
 	m, err := Induce(tab, Options{MinConfidence: 0.8})
@@ -91,12 +91,12 @@ func TestAuditTableParallelSmallTableFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := m.AuditTableParallel(tab, 4)
-	if len(res.Reports) != 100 {
-		t.Fatalf("got %d reports, want 100", len(res.Reports))
+	if res.Rows != 100 {
+		t.Fatalf("got %d rows, want 100", res.Rows)
 	}
-	for r, rep := range res.Reports {
-		if rep.Row != r || rep.ID != tab.ID(r) {
-			t.Fatalf("report %d misaligned: %+v", r, rep)
+	for i, rep := range res.Reports {
+		if rep.Row < 0 || rep.Row >= 100 || rep.ID != tab.ID(rep.Row) {
+			t.Fatalf("report %d misaligned: %+v", i, rep)
 		}
 	}
 }
@@ -130,7 +130,7 @@ func TestAuditTableParallelConcurrentCallers(t *testing.T) {
 	close(start)
 	wg.Wait()
 	for i, res := range results {
-		if !bytes.Equal(want, gobBytes(t, res)) {
+		if !bytes.Equal(want, gobBytes(t, denseResult(t, res, tab))) {
 			t.Errorf("caller %d (workers=%d) is not byte-identical to the reference", i, 1+i%4)
 		}
 	}
@@ -170,8 +170,8 @@ func TestResultMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(merged.Reports) != len(want.Reports) {
-		t.Fatalf("got %d reports, want %d", len(merged.Reports), len(want.Reports))
+	if merged.Rows != want.Rows || len(merged.Reports) != len(want.Reports) {
+		t.Fatalf("got %d reports over %d rows, want %d over %d", len(merged.Reports), merged.Rows, len(want.Reports), want.Rows)
 	}
 	for r := range want.Reports {
 		g, w := merged.Reports[r], want.Reports[r]

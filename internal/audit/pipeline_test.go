@@ -61,17 +61,16 @@ func renderRows(tab *dataset.Table) [][]string {
 // fixture's rows; a table feed cannot fail.
 type pipelineFeed struct {
 	name   string
-	rows   int   // what auditResult is told: the row count, or -1
 	srcErr error // what a bad source fails with; nil for the table feed
 	open   func(t *testing.T, opts StreamOptions, bad bool) feed
 }
 
 func pipelineFeeds(m *Model, tab *dataset.Table, csv []byte) []pipelineFeed {
 	return []pipelineFeed{
-		{name: "table", rows: tab.NumRows(), open: func(_ *testing.T, opts StreamOptions, _ bool) feed {
+		{name: "table", open: func(_ *testing.T, opts StreamOptions, _ bool) feed {
 			return tableFeed(tab, opts.Workers)
 		}},
-		{name: "csv", rows: -1, srcErr: dataset.ErrRowWidth, open: func(t *testing.T, opts StreamOptions, bad bool) feed {
+		{name: "csv", srcErr: dataset.ErrRowWidth, open: func(t *testing.T, opts StreamOptions, bad bool) feed {
 			body := csv
 			if bad {
 				body = append(append([]byte(nil), csv...), "404,901\n"...)
@@ -82,7 +81,7 @@ func pipelineFeeds(m *Model, tab *dataset.Table, csv []byte) []pipelineFeed {
 			}
 			return sourceFeed(src, opts)
 		}},
-		{name: "rows", rows: -1, srcErr: io.ErrUnexpectedEOF, open: func(t *testing.T, opts StreamOptions, bad bool) feed {
+		{name: "rows", srcErr: io.ErrUnexpectedEOF, open: func(t *testing.T, opts StreamOptions, bad bool) feed {
 			if bad {
 				return sourceFeed(&errSource{schema: tab.Schema(), tab: tab, after: tab.NumRows()}, opts)
 			}
@@ -120,20 +119,20 @@ func TestPipelineMatrix(t *testing.T) {
 
 			t.Run(name("result"), func(t *testing.T) {
 				before := runtime.NumGoroutine()
-				res, err := m.auditResult(fc.open(t, opts, false), fc.rows, workers)
+				res, err := m.auditResult(fc.open(t, opts, false), workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(wantBytes, gobBytes(t, res)) {
+				if !bytes.Equal(wantBytes, gobBytes(t, denseResult(t, res, tab))) {
 					t.Fatal("Result is not byte-identical to the row-path reference")
 				}
 				if fc.srcErr != nil {
-					if _, err := m.auditResult(fc.open(t, opts, true), fc.rows, workers); !errors.Is(err, fc.srcErr) {
+					if _, err := m.auditResult(fc.open(t, opts, true), workers); !errors.Is(err, fc.srcErr) {
 						t.Fatalf("source error: got %v, want %v", err, fc.srcErr)
 					}
 					limited := opts
 					limited.MaxRows = 1000
-					_, err := m.auditResult(fc.open(t, limited, false), fc.rows, workers)
+					_, err := m.auditResult(fc.open(t, limited, false), workers)
 					var rle *RowLimitError
 					if !errors.As(err, &rle) || rle.Limit != 1000 {
 						t.Fatalf("row limit: got %v", err)
@@ -285,7 +284,7 @@ func TestPipelineInlineAndFanOut(t *testing.T) {
 			mu.Unlock()
 			load(u, ck)
 		}
-		if res, err := m.auditResult(f, rows, 4); err != nil || len(res.Reports) != rows {
+		if res, err := m.auditResult(f, 4); err != nil || res.Rows != rows {
 			t.Fatalf("%d-row table: %v", rows, err)
 		}
 		return onCaller, goroutines

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dataaudit/internal/audit"
+	"dataaudit/internal/dataset"
 	"dataaudit/internal/pollute"
 )
 
@@ -29,9 +30,10 @@ func (k KindBreakdown) Rate() float64 {
 }
 
 // EvaluateByKind joins the audit verdicts with the pollution log per
-// corruption kind. A record corrupted by several polluters counts towards
-// each of its kinds (the tool flags records, not causes).
-func EvaluateByKind(log *pollute.Log, res *audit.Result) []KindBreakdown {
+// corruption kind over the rows of dirty, the audited table. A record
+// corrupted by several polluters counts towards each of its kinds (the
+// tool flags records, not causes).
+func EvaluateByKind(dirty *dataset.Table, log *pollute.Log, res *audit.Result) []KindBreakdown {
 	// Kinds per record.
 	kinds := make(map[int64]map[pollute.Kind]bool)
 	for _, e := range log.Events {
@@ -44,8 +46,8 @@ func EvaluateByKind(log *pollute.Log, res *audit.Result) []KindBreakdown {
 		kinds[e.RecordID][e.Kind] = true
 	}
 	agg := make(map[pollute.Kind]*KindBreakdown)
-	for _, rep := range res.Reports {
-		ks, corrupted := kinds[rep.ID]
+	for row, rep := range res.ByRow(dirty.NumRows()) {
+		ks, corrupted := kinds[dirty.ID(row)]
 		if !corrupted {
 			continue
 		}
@@ -56,7 +58,7 @@ func EvaluateByKind(log *pollute.Log, res *audit.Result) []KindBreakdown {
 				agg[k] = b
 			}
 			b.Total++
-			if rep.Suspicious {
+			if rep != nil && rep.Suspicious {
 				b.Detected++
 			}
 		}

@@ -1,10 +1,12 @@
 package evalx
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"dataaudit/internal/audit"
+	"dataaudit/internal/dataset"
 	"dataaudit/internal/pollute"
 )
 
@@ -16,13 +18,21 @@ func TestEvaluateByKind(t *testing.T) {
 		{RecordID: 3, Kind: pollute.Duplicate, Attr: -1, DupOfID: 1},
 		{RecordID: 4, Kind: pollute.Delete, Attr: -1}, // must be ignored
 	}}
-	res := &audit.Result{Reports: []audit.RecordReport{
-		{ID: 0, Suspicious: false},
-		{ID: 1, Suspicious: true},
-		{ID: 2, Suspicious: true},
-		{ID: 3, Suspicious: false},
+	dirty := dataset.NewTable(dataset.MustSchema(dataset.NewNominal("a", "x", "y")))
+	for i := 0; i < 4; i++ {
+		dirty.AppendRow([]dataset.Value{dataset.Nom(0)})
+	}
+	dense := &audit.Result{Reports: []audit.RecordReport{
+		{Row: 0, ID: 0, Suspicious: false},
+		{Row: 1, ID: 1, Suspicious: true},
+		{Row: 2, ID: 2, Suspicious: true},
+		{Row: 3, ID: 3, Suspicious: false},
 	}}
-	got := EvaluateByKind(log, res)
+	sparse := &audit.Result{Rows: 4, Reports: []audit.RecordReport{dense.Reports[1], dense.Reports[2]}}
+	got := EvaluateByKind(dirty, log, dense)
+	if again := EvaluateByKind(dirty, log, sparse); !reflect.DeepEqual(again, got) {
+		t.Fatalf("sparse result: %+v, dense: %+v", again, got)
+	}
 	byKind := map[pollute.Kind]KindBreakdown{}
 	for _, b := range got {
 		byKind[b.Kind] = b

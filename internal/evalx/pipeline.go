@@ -113,7 +113,7 @@ func Run(cfg Config) (*Result, error) {
 	// 5. Evaluation against the logged ground truth.
 	res.Confusion = Evaluate(dirty, log, auditRes)
 	res.NumCorrupted = res.Confusion.TP + res.Confusion.FN
-	res.Breakdown = EvaluateByKind(log, auditRes)
+	res.Breakdown = EvaluateByKind(dirty, log, auditRes)
 	corrected := model.ApplyCorrections(dirty, auditRes)
 	res.Correction = EvaluateCorrection(clean, dirty, corrected)
 	return res, nil
@@ -122,18 +122,19 @@ func Run(cfg Config) (*Result, error) {
 // Evaluate joins the tool's verdicts with the pollution log's ground truth
 // into the §4.3 confusion matrix. Records deleted by the duplicator are not
 // part of the dirty table and therefore outside the matrix (a record-
-// marking tool cannot flag an absent record).
+// marking tool cannot flag an absent record). Every row of dirty is one
+// record of the matrix, whether or not res keeps a report for it.
 func Evaluate(dirty *dataset.Table, log *pollute.Log, res *audit.Result) Confusion {
 	corrupted := log.CorruptedIDs()
 	var c Confusion
-	for _, rep := range res.Reports {
-		bad := corrupted[rep.ID]
+	for row, rep := range res.ByRow(dirty.NumRows()) {
+		bad, flagged := corrupted[dirty.ID(row)], rep != nil && rep.Suspicious
 		switch {
-		case bad && rep.Suspicious:
+		case bad && flagged:
 			c.TP++
-		case bad && !rep.Suspicious:
+		case bad && !flagged:
 			c.FN++
-		case !bad && rep.Suspicious:
+		case !bad && flagged:
 			c.FP++
 		default:
 			c.TN++

@@ -409,3 +409,52 @@ func BenchmarkStreamReportEncode(b *testing.B) {
 		})
 	}
 }
+
+// TestAuditAllRendersEveryRow: /audit?all=1 renders every row of the
+// batch in row order, byte for byte what encoding/json writes for each
+// row's row-path report — a clean row's carrying only its row and ID,
+// though the audit keeps no report for it.
+func TestAuditAllRendersEveryRow(t *testing.T) {
+	m, dirty, _ := quisFixture(t)
+	reg := openRegistry(t)
+	if _, err := reg.Publish("quis", m); err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := startTestServer(t, reg)
+	var csv bytes.Buffer
+	if err := dataset.WriteCSV(&csv, dirty); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := dataset.ReadCSV(bytes.NewReader(csv.Bytes()), m.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := newReportRenderer(m)
+	want := make([]ReportJSON, tab.NumRows())
+	row := make([]dataset.Value, tab.NumCols())
+	flagged := 0
+	for r := range want {
+		rep := m.CheckRow(tab.RowInto(r, row))
+		rep.Row, rep.ID = r, tab.ID(r)
+		if !rep.Empty() {
+			flagged++
+		}
+		want[r] = rr.reportJSON(&rep)
+	}
+	if flagged == 0 || flagged == len(want) {
+		t.Fatalf("%d of %d rows have a report; the test would prove nothing", flagged, len(want))
+	}
+	wantBody, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/models/quis/audit?all=1&workers=2", "text/csv", bytes.NewReader(csv.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decode[struct{ Reports json.RawMessage }](t, resp, http.StatusOK)
+	if !bytes.Equal(got.Reports, wantBody) {
+		t.Fatalf("?all=1 reports (%d bytes) differ from the row path's rendering (%d bytes)", len(got.Reports), len(wantBody))
+	}
+}

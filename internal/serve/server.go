@@ -597,8 +597,13 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	}
 	rr := newReportRenderer(model)
 	if r.URL.Query().Get("all") == "1" {
-		for i := range res.Reports {
-			resp.Reports = append(resp.Reports, rr.reportJSON(&res.Reports[i]))
+		// The result keeps reports only for the rows that have one; a
+		// clean row renders as the report scoring gave it, its Row and ID.
+		for row, rep := range res.ByRow(tab.NumRows()) {
+			if rep == nil {
+				rep = &audit.RecordReport{Row: row, ID: tab.ID(row)}
+			}
+			resp.Reports = append(resp.Reports, rr.reportJSON(rep))
 		}
 	} else {
 		for _, rep := range res.Suspicious() {

@@ -133,12 +133,11 @@ func (w *workerClient) replicate(ctx context.Context, meta registry.Meta, m *aud
 }
 
 // auditShard streams rows [lo, hi) of tab to the worker and decodes the
-// validated result straight into reports[lo:hi], numbering the rows from
-// lo, and returns the shard's quality dimensions. A failed attempt may
-// leave that range partly written; the next successful one overwrites
-// all of it. The request pins (version, createdAt) so a worker whose
-// model moved replies 409 instead of scoring with the wrong model.
-func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *dataset.Table, lo, hi, chunkRows int, reports []audit.RecordReport) ([]audit.AttrDim, error) {
+// validated result: the shard's reports, their rows numbered from lo, and
+// its quality dimensions. The request pins (version, createdAt) so a
+// worker whose model moved replies 409 instead of scoring with the wrong
+// model.
+func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *dataset.Table, lo, hi, chunkRows int) (shardPart, error) {
 	query := url.Values{
 		"version":   {strconv.Itoa(meta.Version)},
 		"createdAt": {meta.CreatedAt.UTC().Format(time.RFC3339Nano)},
@@ -147,30 +146,30 @@ func (w *workerClient) auditShard(ctx context.Context, meta registry.Meta, tab *
 	go func() { pw.CloseWithError(writeShardStream(pw, tab, lo, hi, chunkRows)) }()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url("/v1/models/"+meta.Name+"/audit/shard", query), pr)
 	if err != nil {
-		return nil, err
+		return shardPart{}, err
 	}
 	req.Header.Set("Content-Type", ContentTypeChunkStream)
 	resp, err := w.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return shardPart{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, readStatusError(resp)
+		return shardPart{}, readStatusError(resp)
 	}
 	fr := newFrameReader(resp.Body)
 	h, err := fr.header(hi-lo, tab.NumCols())
 	if err != nil {
-		return nil, err
+		return shardPart{}, err
 	}
-	dims, _, err := fr.body(h, reports[lo:hi], lo)
+	reports, dims, _, err := fr.body(h, lo)
 	if err != nil {
-		return nil, err
+		return shardPart{}, err
 	}
 	if err := checkDims(tab.Schema(), dims); err != nil {
-		return nil, err
+		return shardPart{}, err
 	}
-	return dims, nil
+	return shardPart{reports, dims}, nil
 }
 
 // checkDims holds a shard's quality dimensions to the shapes a local

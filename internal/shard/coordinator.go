@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -138,20 +139,24 @@ func (c *Coordinator) AuditTable(ctx context.Context, model *audit.Model, meta r
 			jobs = append(jobs, &shardJob{id: id, lo: rows[0], hi: rows[len(rows)-1] + 1})
 		}
 	}
-	// Every shard decodes straight into its row range of the merged
-	// report list, so reports land in original row order with no copy.
-	merged := &audit.Result{NumAttrs: width, Reports: make([]audit.RecordReport, tab.NumRows())}
-	dims := make([][]audit.AttrDim, len(shards))
-	if err := c.dispatch(ctx, model, meta, tab, jobs, merged.Reports, dims); err != nil {
+	// Every shard decodes into a report list of its own, its rows
+	// numbered from the shard's first table row; joined in shard order,
+	// the lists are in table row order.
+	merged := &audit.Result{Rows: tab.NumRows(), NumAttrs: width}
+	parts := make([]shardPart, len(shards))
+	if err := c.dispatch(ctx, model, meta, tab, jobs, parts); err != nil {
 		return nil, err
 	}
-	for _, d := range dims {
+	reports := make([][]audit.RecordReport, len(parts))
+	for i, p := range parts {
+		reports[i] = p.reports
 		if merged.Dims == nil {
-			merged.Dims = d
-		} else if d != nil {
-			audit.MergeDims(merged.Dims, d)
+			merged.Dims = p.dims
+		} else if p.dims != nil {
+			audit.MergeDims(merged.Dims, p.dims)
 		}
 	}
+	merged.Reports = slices.Concat(reports...)
 	merged.CheckTime = time.Since(start)
 	return merged, nil
 }
@@ -163,10 +168,16 @@ type shardJob struct {
 	attempts int
 }
 
+// shardPart is what one shard's result adds to the merged one.
+type shardPart struct {
+	reports []audit.RecordReport
+	dims    []audit.AttrDim
+}
+
 // outcome is one finished dispatch attempt (or a worker bowing out).
 type outcome struct {
 	job    *shardJob
-	dims   []audit.AttrDim
+	part   shardPart
 	err    error
 	worker int
 	dead   bool // the sending worker's loop exits after this outcome
@@ -177,16 +188,14 @@ type outcome struct {
 // budget), and a worker that fails maxConsecFails times in a row is
 // abandoned — its outstanding shard moves to the survivors. All workers
 // dead with shards outstanding is the only unrecoverable state. Each
-// shard's reports land in its range of reports and its dimensions in
-// dims[shard id]; an attempt runs only after the previous attempt of its
-// shard has finished, so no two attempts write one range at once.
-func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta registry.Meta, tab *dataset.Table, pending []*shardJob, reports []audit.RecordReport, dims [][]audit.AttrDim) error {
+// shard's successful result lands in parts[shard id].
+func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta registry.Meta, tab *dataset.Table, pending []*shardJob, parts []shardPart) error {
 	total := len(pending)
 	if total == 0 {
 		return nil
 	}
 	// Attempts still in flight when dispatch gives up are cancelled, so a
-	// failed audit leaves no request decoding into the discarded reports.
+	// failed audit leaves no request running.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	jobCh := make(chan *shardJob)
@@ -195,7 +204,7 @@ func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta reg
 	defer close(quit)
 
 	for i := range c.workers {
-		go c.workerLoop(ctx, i, quit, jobCh, outCh, model, meta, tab, reports)
+		go c.workerLoop(ctx, i, quit, jobCh, outCh, model, meta, tab)
 	}
 	defer close(jobCh)
 
@@ -233,7 +242,7 @@ func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta reg
 				}
 				pending = append(pending, o.job)
 			} else {
-				dims[o.job.id] = o.dims
+				parts[o.job.id] = o.part
 				done++
 			}
 		case <-ctx.Done():
@@ -247,7 +256,7 @@ func (c *Coordinator) dispatch(ctx context.Context, model *audit.Model, meta reg
 // the first shard (and again after a 409), score shards until the job
 // channel closes, back off after failures, and exit for good after
 // maxConsecFails consecutive errors.
-func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struct{}, jobCh <-chan *shardJob, outCh chan<- outcome, model *audit.Model, meta registry.Meta, tab *dataset.Table, reports []audit.RecordReport) {
+func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struct{}, jobCh <-chan *shardJob, outCh chan<- outcome, model *audit.Model, meta registry.Meta, tab *dataset.Table) {
 	w := c.workers[idx]
 	name := c.opts.Workers[idx]
 	synced := false
@@ -265,7 +274,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struc
 		}
 
 		start := time.Now()
-		dims, err := c.runShard(ctx, w, &synced, name, model, meta, tab, job, reports)
+		part, err := c.runShard(ctx, w, &synced, name, model, meta, tab, job)
 		if m := c.opts.Metrics; m != nil {
 			m.DispatchSeconds.With(name).Observe(time.Since(start).Seconds())
 			if err != nil {
@@ -282,7 +291,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struc
 		}
 		dead := consec >= maxConsecFails
 		select {
-		case outCh <- outcome{job: job, dims: dims, err: err, worker: idx, dead: dead}:
+		case outCh <- outcome{job: job, part: part, err: err, worker: idx, dead: dead}:
 		case <-quit:
 			return
 		}
@@ -305,15 +314,14 @@ func (c *Coordinator) workerLoop(ctx context.Context, idx int, quit <-chan struc
 }
 
 // runShard executes one dispatch attempt: ensure the worker holds the
-// pinned model version, stream the shard, decode the validated result
-// into the job's range of reports and return its dimensions. A
-// 409 (the worker's model moved between sync and scoring) flips the sync
-// flag so the next attempt replicates first.
-func (c *Coordinator) runShard(ctx context.Context, w *workerClient, synced *bool, name string, model *audit.Model, meta registry.Meta, tab *dataset.Table, job *shardJob, reports []audit.RecordReport) ([]audit.AttrDim, error) {
+// pinned model version, stream the shard and return its decoded,
+// validated result. A 409 (the worker's model moved between sync and
+// scoring) flips the sync flag so the next attempt replicates first.
+func (c *Coordinator) runShard(ctx context.Context, w *workerClient, synced *bool, name string, model *audit.Model, meta registry.Meta, tab *dataset.Table, job *shardJob) (shardPart, error) {
 	if !*synced {
 		pushed, err := w.ensureModel(ctx, meta, model)
 		if err != nil {
-			return nil, err
+			return shardPart{}, err
 		}
 		if pushed {
 			c.opts.Logger.Printf("shard: replicated %s v%d to %s", meta.Name, meta.Version, name)
@@ -323,9 +331,9 @@ func (c *Coordinator) runShard(ctx context.Context, w *workerClient, synced *boo
 		}
 		*synced = true
 	}
-	dims, err := w.auditShard(ctx, meta, tab, job.lo, job.hi, c.opts.ChunkRows, reports)
+	part, err := w.auditShard(ctx, meta, tab, job.lo, job.hi, c.opts.ChunkRows)
 	if isVersionConflict(err) {
 		*synced = false
 	}
-	return dims, err
+	return part, err
 }

@@ -49,7 +49,7 @@ func decodeAllocBound(wantRows, wantAttrs, bodyLen int) uint64 {
 
 // FuzzDecodeShardResult: a worker response either fails to decode or
 // decodes to a result that keeps every invariant the coordinator merges
-// on, re-encodes to the very same bytes, and cost no more memory than
+// on (reports that are not empty, on ascending rows inside the shard), re-encodes to the very same bytes, and cost no more memory than
 // the shard's size allows, whatever the counts in the body claim.
 func FuzzDecodeShardResult(f *testing.F) {
 	for _, sr := range shard.WireSeeds() {
@@ -59,6 +59,7 @@ func FuzzDecodeShardResult(f *testing.F) {
 		}
 		f.Add(buf.Bytes(), uint16(sr.Rows), uint8(sr.Result.NumAttrs))
 	}
+	f.Add(shard.GapOverflowFrame(), uint16(3), uint8(2))
 	m, _ := quisFixture(f)
 	f.Add(quisShardFrame(f), uint16(2000), uint8(m.Schema.Len()))
 
@@ -75,14 +76,17 @@ func FuzzDecodeShardResult(f *testing.F) {
 			return
 		}
 		res := sr.Result
-		if sr.Rows != wantRows || len(res.Reports) != wantRows || res.NumAttrs != wantAttrs {
-			t.Fatalf("decoded %d/%d reports of width %d for %d×%d", sr.Rows, len(res.Reports), res.NumAttrs, wantRows, wantAttrs)
+		if sr.Rows != wantRows || res.Rows != wantRows || len(res.Reports) > wantRows || res.NumAttrs != wantAttrs {
+			t.Fatalf("decoded %d/%d rows, %d reports of width %d for %d×%d", sr.Rows, res.Rows, len(res.Reports), res.NumAttrs, wantRows, wantAttrs)
 		}
 		total := 0
 		for i := range res.Reports {
 			rep := &res.Reports[i]
-			if rep.Row != i {
+			if rep.Row < 0 || rep.Row >= wantRows || i > 0 && rep.Row <= res.Reports[i-1].Row {
 				t.Fatalf("report %d carries row %d", i, rep.Row)
+			}
+			if rep.Empty() {
+				t.Fatalf("report %d of row %d is empty", i, rep.Row)
 			}
 			if len(rep.Findings) > wantAttrs || cap(rep.Findings) != len(rep.Findings) {
 				t.Fatalf("report %d: %d findings (cap %d) of %d attributes", i, len(rep.Findings), cap(rep.Findings), wantAttrs)

@@ -1,7 +1,7 @@
 // Package shard scales the audit pipeline across processes: a Coordinator
 // splits a batch into shards (contiguous row ranges), streams each shard's
-// column chunks to a worker auditd over HTTP, and decodes the workers'
-// per-shard results straight into one Result that is gob-byte-identical
+// column chunks to a worker auditd over HTTP, and joins the workers'
+// decoded per-shard results into one Result that is gob-byte-identical
 // to a single-node audit of the same batch.
 //
 // The protocol rides the existing auditd surface: workers are plain auditd
@@ -24,8 +24,8 @@
 // underneath answers 409 and the coordinator resyncs and retries.
 //
 // Failure handling is shard-grained: a worker that dies mid-shard has the
-// whole shard re-dispatched to a surviving worker, whose result overwrites
-// every report the cut response had reached, so the merged report is
+// whole shard re-dispatched to a surviving worker, whose result replaces
+// whatever the cut response had decoded, so the merged report is
 // deterministic regardless of which workers failed when; a failed audit
 // discards the merged reports altogether.
 package shard
@@ -55,9 +55,10 @@ const (
 	ContentTypeReplica     = "application/x-dataaudit-model"
 )
 
-// ShardResult is a worker's response to one shard dispatch: the scored
-// reports in dispatch order. Rows duplicates len(Result.Reports) so a
-// truncated body fails validation instead of merging short.
+// ShardResult is a worker's response to one shard dispatch: the reports
+// of the shard's rows that have one, in dispatch order, numbered from 0.
+// Rows is the shard's row count, Result.Rows, which the coordinator
+// checks against the rows it sent.
 type ShardResult struct {
 	Rows   int
 	Result *audit.Result
@@ -74,21 +75,21 @@ func EncodeShardResult(w io.Writer, sr *ShardResult) error {
 
 // DecodeShardResult reads and validates a worker response. wantRows is the
 // dispatched shard size and wantAttrs the relation width; any disagreement
-// — short report list, foreign width, out-of-range finding attributes,
-// shard-local row indices that are not 0..n-1 in order, counts the body
-// cannot hold — is a protocol error, never a silent partial merge. The
-// returned result is fully owned: findings live in one arena and every
-// Best points into its report's own findings. Decoding allocates at most
-// wantRows reports and wantRows × wantAttrs findings, whatever the frame
-// claims; the dimensions grow only with the bytes actually read.
+// — a foreign row count or width, out-of-range finding attributes, rows
+// past the shard, counts the body cannot hold — is a protocol error,
+// never a silent partial merge. The returned result is fully owned:
+// findings live in one arena and every Best points into its report's own
+// findings. Decoding allocates at most wantRows reports and wantRows ×
+// wantAttrs findings, whatever the frame claims; the dimensions grow only
+// with the bytes actually read.
 func DecodeShardResult(r io.Reader, wantRows, wantAttrs int) (*ShardResult, error) {
 	fr := newFrameReader(r)
 	h, err := fr.header(wantRows, wantAttrs)
 	if err != nil {
 		return nil, err
 	}
-	res := &audit.Result{NumAttrs: h.attrs, Reports: make([]audit.RecordReport, wantRows)}
-	if res.Dims, res.CheckTime, err = fr.body(h, res.Reports, 0); err != nil {
+	res := &audit.Result{Rows: h.rows, NumAttrs: h.attrs}
+	if res.Reports, res.Dims, res.CheckTime, err = fr.body(h, 0); err != nil {
 		return nil, err
 	}
 	return &ShardResult{Rows: h.rows, Result: res}, nil
@@ -136,16 +137,18 @@ var ErrSchemaMismatch = errors.New("shard: stream schema does not match the mode
 // 754 bits, little-endian; every encoding is the shortest one, so a
 // result has exactly one frame.
 //
-//	header   the magic "DQSR", version byte 1, a flags byte (bit 0: a
+//	header   the magic "DQSR", version byte 2, a flags byte (bit 0: a
 //	         result follows; without one the frame ends here), then Rows,
 //	         NumAttrs and the report count (signed), and the total
 //	         finding count, which sizes the decoder's findings arena
-//	report   a flags byte (bit 0 Suspicious; bit 1 Best is set; bit 2
-//	         ErrorConf follows, absent for +0; bit 3 a Row follows, written
-//	         only when Row is not the report's index, which no decoder
-//	         accepts), the ID as its difference from the previous ID + 1,
-//	         [ErrorConf, 8 bytes], [Row], and the finding count. A report
-//	         without findings costs three bytes on sequential IDs.
+//	report   one per row whose report is not audit.RecordReport.Empty,
+//	         in row order: a flags byte (bit 0 Suspicious; bit 1 Best is
+//	         set; bit 2 ErrorConf follows, absent for +0), the row gap
+//	         (how many clean rows precede it since the previous report),
+//	         the ID as its difference from the previous report's ID plus
+//	         the rows between them, [ErrorConf, 8 bytes], and the finding
+//	         count. A clean row costs nothing but its share of a gap; its
+//	         ID is the coordinator's to know.
 //	finding  Attr, Observed and Predicted, then PHat, PObs, N and
 //	         ErrorConf (8 bytes each) and the Suggestion's fixed
 //	         dataset.Value record
@@ -161,14 +164,13 @@ var ErrSchemaMismatch = errors.New("shard: stream schema does not match the mode
 // report's ErrorConf.
 const (
 	frameMagic   = "DQSR"
-	frameVersion = 1
+	frameVersion = 2
 
 	frameHasResult = 1 << 0
 
 	repSuspicious = 1 << 0
 	repBest       = 1 << 1
 	repConf       = 1 << 2
-	repRow        = 1 << 3
 
 	dimNomSeen = 1 << 0
 	dimSketch  = 1 << 1
@@ -219,24 +221,37 @@ func (fw *frameWriter) writeResult(sr *ShardResult) {
 		fw.buf = append(fw.buf, 0)
 		return
 	}
-	total := 0
+	reports, total, prevRow := 0, 0, -1
 	for i := range res.Reports {
-		total += len(res.Reports[i].Findings)
+		rep := &res.Reports[i]
+		if rep.Empty() {
+			continue
+		}
+		if rep.Row <= prevRow || rep.Row >= sr.Rows {
+			fw.err = fmt.Errorf("shard: encoding result: report row %d after row %d of a %d-row shard", rep.Row, prevRow, sr.Rows)
+			return
+		}
+		prevRow = rep.Row
+		reports++
+		total += len(rep.Findings)
 	}
 	b := append(fw.buf, frameHasResult)
 	b = binary.AppendVarint(b, int64(sr.Rows))
 	b = binary.AppendVarint(b, int64(res.NumAttrs))
-	b = binary.AppendVarint(b, int64(len(res.Reports)))
+	b = binary.AppendVarint(b, int64(reports))
 	fw.buf = binary.AppendUvarint(b, uint64(total))
-	prevID := int64(-1)
+	prevRow, prevID := -1, int64(-1)
 	for i := range res.Reports {
 		if fw.err != nil {
 			return
 		}
 		rep := &res.Reports[i]
+		if rep.Empty() {
+			continue
+		}
 		fw.room(maxReportHead)
-		fw.buf = appendReportHead(fw.buf, rep, i, prevID)
-		prevID = rep.ID
+		fw.buf = appendReportHead(fw.buf, rep, prevRow, prevID)
+		prevRow, prevID = rep.Row, rep.ID
 		for j := range rep.Findings {
 			fw.room(maxFinding)
 			fw.buf = appendFinding(fw.buf, &rep.Findings[j])
@@ -247,7 +262,9 @@ func (fw *frameWriter) writeResult(sr *ShardResult) {
 	fw.buf = binary.AppendVarint(fw.buf, int64(res.CheckTime))
 }
 
-func appendReportHead(b []byte, rep *audit.RecordReport, i int, prevID int64) []byte {
+// appendReportHead writes a report that follows the one at prevRow with
+// prevID (−1 and −1 for the first).
+func appendReportHead(b []byte, rep *audit.RecordReport, prevRow int, prevID int64) []byte {
 	var flags byte
 	if rep.Suspicious {
 		flags |= repSuspicious
@@ -259,16 +276,11 @@ func appendReportHead(b []byte, rep *audit.RecordReport, i int, prevID int64) []
 	if conf != 0 {
 		flags |= repConf
 	}
-	if rep.Row != i {
-		flags |= repRow
-	}
 	b = append(b, flags)
-	b = binary.AppendVarint(b, rep.ID-prevID-1)
+	b = binary.AppendUvarint(b, uint64(rep.Row-prevRow-1))
+	b = binary.AppendVarint(b, rep.ID-prevID-int64(rep.Row-prevRow))
 	if conf != 0 {
 		b = binary.LittleEndian.AppendUint64(b, conf)
-	}
-	if rep.Row != i {
-		b = binary.AppendVarint(b, int64(rep.Row))
 	}
 	return binary.AppendUvarint(b, uint64(len(rep.Findings)))
 }
@@ -347,7 +359,7 @@ func newFrameReader(r io.Reader) *frameReader {
 
 // frameHeader is a validated header.
 type frameHeader struct {
-	rows, attrs, findings int
+	rows, attrs, reports, findings int
 }
 
 // group readies the window for a group of fields at most n bytes long:
@@ -451,8 +463,8 @@ func (fr *frameReader) header(wantRows, wantAttrs int) (frameHeader, error) {
 	if flags != frameHasResult {
 		return h, fmt.Errorf("shard: decoding result: unknown frame flags %#x", flags)
 	}
-	if rows != int64(wantRows) || reports != int64(wantRows) {
-		return h, fmt.Errorf("shard: worker returned %d/%d reports for a %d-row shard", rows, reports, wantRows)
+	if rows != int64(wantRows) || reports < 0 || reports > int64(wantRows) {
+		return h, fmt.Errorf("shard: worker returned %d rows and %d reports for a %d-row shard", rows, reports, wantRows)
 	}
 	if attrs != int64(wantAttrs) {
 		return h, fmt.Errorf("shard: worker scored %d attributes, want %d", attrs, wantAttrs)
@@ -460,58 +472,59 @@ func (fr *frameReader) header(wantRows, wantAttrs int) (frameHeader, error) {
 	if findings > uint64(wantRows)*uint64(wantAttrs) {
 		return h, fmt.Errorf("shard: worker claims %d findings for %d rows of %d attributes", findings, wantRows, wantAttrs)
 	}
-	return frameHeader{rows: wantRows, attrs: wantAttrs, findings: int(findings)}, nil
+	return frameHeader{rows: wantRows, attrs: wantAttrs, reports: int(reports), findings: int(findings)}, nil
 }
 
-// body decodes the reports into dst (len h.rows), numbering them from
-// rowOffset, and returns the trailer. Every report of dst it reaches is
-// overwritten whole, so a range a failed attempt left half-written is
-// clean again after a successful one. The findings of all reports share
+// body decodes the reports, numbering the shard's rows from rowOffset,
+// and returns them with the trailer. The findings of all reports share
 // one arena sized from the header.
-func (fr *frameReader) body(h frameHeader, dst []audit.RecordReport, rowOffset int) ([]audit.AttrDim, time.Duration, error) {
+func (fr *frameReader) body(h frameHeader, rowOffset int) ([]audit.RecordReport, []audit.AttrDim, time.Duration, error) {
+	var reps []audit.RecordReport
+	if h.reports > 0 {
+		reps = make([]audit.RecordReport, h.reports)
+	}
 	var arena []audit.Finding
 	if h.findings > 0 {
 		arena = make([]audit.Finding, h.findings)
 	}
 	used := 0
-	prevID := int64(-1)
-	for i := range dst {
+	prevRow, prevID := -1, int64(-1)
+	for i := range reps {
 		fr.group(maxReportHead)
 		flags := fr.byte()
-		id := prevID + 1 + fr.varint()
+		gap := fr.uvarint()
+		idDelta := fr.varint()
 		var confBits uint64
 		if flags&repConf != 0 {
 			confBits = fr.u64()
 			fr.bad = fr.bad || confBits == 0
 		}
-		var row int64
-		if flags&repRow != 0 {
-			row = fr.varint()
-		}
 		n := fr.uvarint()
 		if err := fr.check("report", i); err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
-		if flags&^(repSuspicious|repBest|repConf|repRow) != 0 {
-			return nil, 0, fmt.Errorf("shard: decoding result: report %d has unknown flags %#x", i, flags)
+		if flags&^(repSuspicious|repBest|repConf) != 0 {
+			return nil, nil, 0, fmt.Errorf("shard: decoding result: report %d has unknown flags %#x", i, flags)
 		}
-		if flags&repRow != 0 {
-			return nil, 0, fmt.Errorf("shard: report %d carries shard-local row %d", i, row)
+		if gap >= uint64(h.rows-prevRow-1) {
+			return nil, nil, 0, fmt.Errorf("shard: report %d skips %d rows after row %d of a %d-row shard", i, gap, prevRow, h.rows)
 		}
 		if n > uint64(h.attrs) {
-			return nil, 0, fmt.Errorf("shard: report %d claims %d findings for %d attributes", i, n, h.attrs)
+			return nil, nil, 0, fmt.Errorf("shard: report %d claims %d findings for %d attributes", i, n, h.attrs)
 		}
 		if n > uint64(len(arena)-used) {
-			return nil, 0, fmt.Errorf("shard: report %d overruns the frame's %d findings", i, len(arena))
+			return nil, nil, 0, fmt.Errorf("shard: report %d overruns the frame's %d findings", i, len(arena))
 		}
-		rep := &dst[i]
-		*rep = audit.RecordReport{Row: rowOffset + i, ID: id, ErrorConf: math.Float64frombits(confBits), Suspicious: flags&repSuspicious != 0}
+		row := prevRow + 1 + int(gap)
+		id := prevID + int64(row-prevRow) + idDelta
+		rep := &reps[i]
+		*rep = audit.RecordReport{Row: rowOffset + row, ID: id, ErrorConf: math.Float64frombits(confBits), Suspicious: flags&repSuspicious != 0}
 		if n > 0 {
 			rep.Findings = arena[used : used+int(n) : used+int(n)]
 			used += int(n)
 			for j := range rep.Findings {
 				if err := fr.finding(&rep.Findings[j], i, h.attrs); err != nil {
-					return nil, 0, err
+					return nil, nil, 0, err
 				}
 			}
 		}
@@ -521,24 +534,27 @@ func (fr *frameReader) body(h frameHeader, dst []audit.RecordReport, rowOffset i
 				rep.RepointBest()
 			}
 			if rep.Best == nil || rep.Best.ErrorConf != rep.ErrorConf {
-				return nil, 0, fmt.Errorf("shard: report %d is flagged with a best finding, but none carries its confidence %v", i, rep.ErrorConf)
+				return nil, nil, 0, fmt.Errorf("shard: report %d is flagged with a best finding, but none carries its confidence %v", i, rep.ErrorConf)
 			}
 		}
-		prevID = id
+		if rep.Empty() {
+			return nil, nil, 0, fmt.Errorf("shard: report %d of row %d carries nothing; a clean row travels as a gap", i, row)
+		}
+		prevRow, prevID = row, id
 	}
 	if used != len(arena) {
-		return nil, 0, fmt.Errorf("shard: reports carry %d of the frame's %d findings", used, len(arena))
+		return nil, nil, 0, fmt.Errorf("shard: reports carry %d of the frame's %d findings", used, len(arena))
 	}
 	dims, err := fr.dims(h)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	fr.group(binary.MaxVarintLen64)
 	checkTime := time.Duration(fr.varint())
 	if err := fr.check("trailer", -1); err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	return dims, checkTime, fr.end()
+	return reps, dims, checkTime, fr.end()
 }
 
 // end checks that the body ends with the frame.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -14,30 +15,48 @@ import (
 	"dataaudit/internal/stats"
 )
 
-func wireResult(rows, attrs int) *ShardResult {
-	res := &audit.Result{NumAttrs: attrs}
+// wireResult is a rows-row shard result whose rows (IDs from 100) are
+// flagged where flagged says so, each with one finding.
+func wireResult(rows, attrs int, flagged func(row int) bool) *ShardResult {
+	res := &audit.Result{Rows: rows, NumAttrs: attrs}
 	for i := 0; i < rows; i++ {
-		rep := audit.RecordReport{Row: i, ID: int64(100 + i)}
-		if i%2 == 0 {
-			rep.ErrorConf = 0.9
-			rep.Suspicious = true
-			rep.Findings = []audit.Finding{{Attr: i % attrs, Observed: 0, Predicted: 1, ErrorConf: 0.9}}
-			rep.Best = &rep.Findings[0]
+		if !flagged(i) {
+			continue
 		}
+		rep := audit.RecordReport{Row: i, ID: int64(100 + i), ErrorConf: 0.9, Suspicious: true}
+		rep.Findings = []audit.Finding{{Attr: i % attrs, Observed: 0, Predicted: 1, ErrorConf: 0.9}}
+		rep.Best = &rep.Findings[0]
 		res.Reports = append(res.Reports, rep)
 	}
 	return &ShardResult{Rows: rows, Result: res}
 }
 
+func evenRows(row int) bool { return row%2 == 0 }
+
+// gapOverflowFrame is a 3-row frame whose second report's row gap wraps
+// past the top of a uint64 back onto an earlier row.
+func gapOverflowFrame() []byte {
+	b := append([]byte(frameMagic), frameVersion, frameHasResult)
+	b = binary.AppendVarint(b, 3)
+	b = binary.AppendVarint(b, 2)
+	b = binary.AppendVarint(b, 2)
+	b = binary.AppendUvarint(b, 0)
+	b = append(b, repSuspicious, 1, 0, 0, repSuspicious)
+	b = binary.AppendUvarint(b, math.MaxUint64)
+	b = append(b, 0, 0)
+	b = binary.AppendUvarint(b, 0)
+	return binary.AppendVarint(b, 0)
+}
+
 // richResult is a 6-row, 3-attribute shard result that reaches every
-// corner of the frame: findings with NaN, ±0 and ±Inf confidences, null,
-// nominal and numeric suggestions, a Best that is not the first finding,
-// IDs that do not count up, and both kinds of quality dimension.
+// corner of the frame: a clean first row, findings with NaN, ±0 and ±Inf
+// confidences, null, nominal and numeric suggestions, a Best that is not
+// the first finding, IDs that do not count up, and both kinds of quality
+// dimension.
 func richResult() *ShardResult {
 	negZero := math.Copysign(0, -1)
 	nan, inf := math.NaN(), math.Inf(1)
 	reps := []audit.RecordReport{
-		{Row: 0, ID: 100},
 		{Row: 1, ID: 7, ErrorConf: 0.9, Suspicious: true, Findings: []audit.Finding{
 			{Attr: 0, Observed: 1, Predicted: 2, PHat: 0.7, PObs: 0.1, N: 40, ErrorConf: 0.3, Suggestion: dataset.Null()},
 			{Attr: 2, Observed: -1, Predicted: 0, PHat: 0.95, PObs: 0, N: 12, ErrorConf: 0.9, Suggestion: dataset.Nom(2)},
@@ -56,7 +75,7 @@ func richResult() *ShardResult {
 			{Attr: 2, ErrorConf: math.Inf(-1), Suggestion: dataset.Num(inf)},
 		}},
 	}
-	for _, i := range []int{1, 2, 3, 5} {
+	for _, i := range []int{0, 1, 2, 4} {
 		reps[i].RepointBest()
 		if reps[i].Best == nil {
 			reps[i].Best = &reps[i].Findings[0]
@@ -72,7 +91,7 @@ func richResult() *ShardResult {
 		{Attr: 1, Rows: 6, Sketch: kmv},
 		{Attr: 2, Rows: 6, Nulls: 6, NomSeen: []bool{}},
 	}
-	return &ShardResult{Rows: 6, Result: &audit.Result{Reports: reps, NumAttrs: 3, Dims: dims, CheckTime: 1234 * time.Microsecond}}
+	return &ShardResult{Rows: 6, Result: &audit.Result{Rows: 6, Reports: reps, NumAttrs: 3, Dims: dims, CheckTime: 1234 * time.Microsecond}}
 }
 
 func gobOf(t testing.TB, v any) []byte {
@@ -100,10 +119,13 @@ func TestShardResultRoundTrip(t *testing.T) {
 		name string
 		sr   *ShardResult
 	}{
-		{"simple", wireResult(7, 3)},
+		{"simple", wireResult(7, 3, evenRows)},
 		{"rich", richResult()},
 		{"nil dims", noDims},
 		{"empty shard", &ShardResult{Rows: 0, Result: &audit.Result{NumAttrs: 3}}},
+		{"all clean", wireResult(50, 3, func(int) bool { return false })},
+		{"all flagged", wireResult(50, 3, func(int) bool { return true })},
+		{"last row flagged", wireResult(50, 3, func(row int) bool { return row == 49 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,13 +158,37 @@ func TestShardResultRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	// A report without findings costs three bytes on sequential IDs.
-	clean := &ShardResult{Rows: 1000, Result: &audit.Result{NumAttrs: 3, Reports: make([]audit.RecordReport, 1000)}}
-	for i := range clean.Result.Reports {
-		clean.Result.Reports[i] = audit.RecordReport{Row: i, ID: int64(5000 + i)}
+	// A clean row costs nothing: a dense result, one report per row,
+	// encodes as the sparse one, and 1 000 clean rows fit in the header.
+	sparse := wireResult(1000, 3, func(row int) bool { return row%100 == 99 })
+	dense := &ShardResult{Rows: 1000, Result: &audit.Result{NumAttrs: 3, Reports: make([]audit.RecordReport, 1000)}}
+	for i := range dense.Result.Reports {
+		dense.Result.Reports[i] = audit.RecordReport{Row: i, ID: int64(100 + i)}
 	}
-	if n := len(encodeFrame(t, clean)); n > 3*1000+32 {
-		t.Fatalf("1000 clean reports take %d bytes", n)
+	clean := encodeFrame(t, dense)
+	if len(clean) > 32 {
+		t.Fatalf("1000 clean rows take %d bytes", len(clean))
+	}
+	for _, rep := range sparse.Result.Reports {
+		dense.Result.Reports[rep.Row] = rep
+	}
+	if !bytes.Equal(encodeFrame(t, dense), encodeFrame(t, sparse)) {
+		t.Fatal("a dense result does not encode as its sparse form")
+	}
+}
+
+// TestEncodeShardResultRefusesDisorder: reports out of row order, or past
+// the shard, have no frame.
+func TestEncodeShardResultRefusesDisorder(t *testing.T) {
+	swapped := wireResult(4, 2, evenRows)
+	reps := swapped.Result.Reports
+	reps[0], reps[1] = reps[1], reps[0]
+	past := wireResult(4, 2, evenRows)
+	past.Rows = 2
+	for name, sr := range map[string]*ShardResult{"swapped": swapped, "past the shard": past} {
+		if err := EncodeShardResult(io.Discard, sr); err == nil || !strings.Contains(err.Error(), "report row") {
+			t.Errorf("%s: encoded with error %v", name, err)
+		}
 	}
 }
 
@@ -165,19 +211,14 @@ func TestDecodeShardResultRejects(t *testing.T) {
 	}{
 		{"garbage", bytes.NewBufferString("not gob"), 3, 2, "decoding"},
 		{"nil result", encode(&ShardResult{Rows: 3}), 3, 2, "missing"},
-		{"short reports", encode(wireResult(2, 2)), 3, 2, "reports"},
-		{"rows lie", encode(&ShardResult{Rows: 5, Result: wireResult(3, 2).Result}), 3, 2, "reports"},
-		{"wrong width", encode(wireResult(3, 4)), 3, 2, "attributes"},
+		{"short shard", encode(wireResult(2, 2, evenRows)), 3, 2, "2 rows"},
+		{"rows lie", encode(&ShardResult{Rows: 5, Result: wireResult(3, 2, evenRows).Result}), 3, 2, "5 rows"},
+		{"wrong width", encode(wireResult(3, 4, evenRows)), 3, 2, "attributes"},
 		{"bad finding attr", func() *bytes.Buffer {
-			sr := wireResult(3, 2)
+			sr := wireResult(3, 2, evenRows)
 			sr.Result.Reports[0].Findings[0].Attr = 9
 			return encode(sr)
 		}(), 3, 2, "finding"},
-		{"rows out of order", func() *bytes.Buffer {
-			sr := wireResult(3, 2)
-			sr.Result.Reports[1].Row = 2
-			return encode(sr)
-		}(), 3, 2, "shard-local row"},
 	}
 	// Frames built by hand, for counts no encoder writes.
 	header := func(rows, attrs, reports int64, findings uint64) []byte {
@@ -189,6 +230,10 @@ func TestDecodeShardResultRejects(t *testing.T) {
 	}
 	finding := appendFinding(nil, &audit.Finding{Attr: 1, ErrorConf: 0.5})
 	frame := func(parts ...[]byte) *bytes.Buffer { return bytes.NewBuffer(bytes.Join(parts, nil)) }
+	// A report head: flags, row gap, ID delta and finding count.
+	head := func(gap uint64, findings byte) []byte {
+		return append(binary.AppendUvarint([]byte{repSuspicious}, gap), 0, findings)
+	}
 	cases = append(cases, []struct {
 		name     string
 		body     *bytes.Buffer
@@ -196,21 +241,28 @@ func TestDecodeShardResultRejects(t *testing.T) {
 		attrs    int
 		fragment string
 	}{
-		{"report count beyond the body", frame(header(3, 2, 3, 0), []byte{0, 0, 0}), 3, 2, "ends inside report 1"},
-		{"finding count beyond the body", frame(header(1, 2, 1, 2), []byte{0, 0, 2}, finding), 1, 2, "ends inside a finding of report 0"},
-		{"more findings than attributes", frame(header(1, 2, 1, 2), []byte{0, 0, 3}, finding, finding, finding), 1, 2, "claims 3 findings for 2 attributes"},
+		{"report count beyond the body", frame(header(3, 2, 3, 0), head(0, 0)), 3, 2, "ends inside report 1"},
+		{"more reports than rows", frame(header(3, 2, 4, 0)), 3, 2, "4 reports for a 3-row shard"},
+		{"negative report count", frame(header(3, 2, -1, 0)), 3, 2, "-1 reports"},
+		{"finding count beyond the body", frame(header(1, 2, 1, 2), head(0, 2), finding), 1, 2, "ends inside a finding of report 0"},
+		{"more findings than attributes", frame(header(1, 2, 1, 2), head(0, 3), finding, finding, finding), 1, 2, "claims 3 findings for 2 attributes"},
 		{"more findings than the shard holds", frame(header(1, 2, 1, 3)), 1, 2, "claims 3 findings"},
-		{"findings past the header's total", frame(header(2, 2, 2, 1), []byte{0, 0, 1}, finding, []byte{0, 0, 1}, finding), 2, 2, "overruns"},
+		{"findings past the header's total", frame(header(2, 2, 2, 1), head(0, 1), finding, head(0, 1), finding), 2, 2, "overruns"},
+		{"row past the shard", frame(header(3, 2, 1, 0), head(3, 0)), 3, 2, "after row -1 of a 3-row shard"},
+		{"second report past the shard", frame(header(3, 2, 2, 0), head(1, 0), head(1, 0)), 3, 2, "after row 1 of a 3-row shard"},
+		{"gap wrapping to an earlier row", bytes.NewBuffer(gapOverflowFrame()), 3, 2, "after row 1"},
+		{"clean row as a report", frame(header(2, 2, 1, 0), []byte{0, 1, 0, 0}), 2, 2, "carries nothing"},
 		{"best flag without its finding", func() *bytes.Buffer {
-			sr := wireResult(3, 2)
-			sr.Result.Reports[2].Findings[0].ErrorConf = 0.5
+			sr := wireResult(3, 2, evenRows)
+			sr.Result.Reports[1].Findings[0].ErrorConf = 0.5
 			return bytes.NewBuffer(encodeFrame(t, sr))
 		}(), 3, 2, "best finding"},
 		{"gob shard result", func() *bytes.Buffer {
-			return bytes.NewBuffer(gobOf(t, wireResult(3, 2)))
+			return bytes.NewBuffer(gobOf(t, wireResult(3, 2, evenRows)))
 		}(), 3, 2, "version"},
+		{"version 1 frame", frame([]byte(frameMagic), []byte{1, frameHasResult}), 3, 2, "frame version 1, this release reads version 2"},
 		{"future frame version", frame([]byte(frameMagic), []byte{frameVersion + 1, frameHasResult}), 3, 2, "version"},
-		{"trailing bytes", frame(encodeFrame(t, wireResult(3, 2)), []byte{0}), 3, 2, "trailing"},
+		{"trailing bytes", frame(encodeFrame(t, wireResult(3, 2, evenRows)), []byte{0}), 3, 2, "trailing"},
 	}...)
 	for _, tc := range cases {
 		_, err := DecodeShardResult(tc.body, tc.rows, tc.attrs)
